@@ -1,10 +1,12 @@
 """Command-line driver: forward runs, reconstructions, parameter sweeps.
 
 All experiment input comes from a JSON config document (see DEFAULTS for
-the full key set and built-in values).  Every run writes its outputs
-plus a manifest.json capturing the resolved configuration and content
-hashes, so a rerun with the same config on the same build reproduces the
-files byte for byte.
+the full key set and built-in values, INCLUSION_DEFAULTS for the keys of
+one inclusion spec, where None marks a required key).  Unknown or
+missing keys and non-finite numbers are config errors.  Every run writes
+its outputs plus a manifest.json capturing the resolved configuration
+and content hashes, so a rerun with the same config on the same build
+reproduces the files byte for byte.
 
 Exit codes: 0 success, 2 config error, 3 solver/mesh/quadrature error,
 4 reconstruction failure.
@@ -14,6 +16,7 @@ import argparse
 import copy
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -73,18 +76,45 @@ DEFAULTS = {
     "output_dir": "fracloc-out",
 }
 
+INCLUSION_DEFAULTS = {"center": None, "eps": None, "gamma": None, "aspect": 1.0}
 
-def _merge_section(name, base, override):
-    merged = dict(base)
+
+def _is_number(val):
+    return isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val)
+
+
+def _merge_section(prefix, base, override):
+    """Override merged into base; unknown keys and non-numbers for numbers are errors."""
+    merged = copy.deepcopy(base)
     for key, val in override.items():
+        name = prefix + key
         if key not in base:
-            raise ConfigError(f"unknown config key {name}.{key}")
+            raise ConfigError(f"unknown config key {name}")
+        if isinstance(base[key], dict):
+            if not isinstance(val, dict):
+                raise ConfigError(f"config key {name} must be an object")
+            val = _merge_section(name + ".", base[key], val)
+        elif _is_number(base[key]) and not _is_number(val):
+            raise ConfigError(f"config key {name} must be a finite number, got {val!r}")
         merged[key] = val
     return merged
 
 
+def _check_inclusion(idx, spec):
+    name = f"inclusions.{idx}"
+    if not isinstance(spec, dict):
+        raise ConfigError(f"config key {name} must be an object")
+    merged = _merge_section(name + ".", INCLUSION_DEFAULTS, spec)
+    center = merged.pop("center")
+    pair = isinstance(center, list) and len(center) == 2
+    if not (pair and all(map(_is_number, center + list(merged.values())))):
+        raise ConfigError(
+            f"{name} needs a center of two finite numbers and finite eps and gamma, got {spec}"
+        )
+
+
 def load_config(path):
-    """Read a JSON config, check its version, fill in defaults."""
+    """Read a JSON config, check its version and keys, fill in defaults."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -99,16 +129,11 @@ def load_config(path):
         raise ConfigError(
             f"config version {version} not supported (expected {CONFIG_VERSION})"
         )
-    cfg = copy.deepcopy(DEFAULTS)
-    for key, val in raw.items():
-        if key not in DEFAULTS:
-            raise ConfigError(f"unknown config key {key}")
-        if isinstance(DEFAULTS[key], dict):
-            if not isinstance(val, dict):
-                raise ConfigError(f"config key {key} must be an object")
-            cfg[key] = _merge_section(key, DEFAULTS[key], val)
-        else:
-            cfg[key] = val
+    cfg = _merge_section("", DEFAULTS, raw)
+    if not isinstance(cfg["inclusions"], list):
+        raise ConfigError("config key inclusions must be a list")
+    for idx, spec in enumerate(cfg["inclusions"]):
+        _check_inclusion(idx, spec)
     return cfg
 
 
@@ -141,8 +166,8 @@ def _build_setting(cfg):
     return incs, mesh, grid, coeffs
 
 
-def _linear_pair(cfg, incs, mesh, grid, direction, noise_seed=None):
-    """Perturbed and background traces for a linear background b.x."""
+def _linear_pair(cfg, incs, mesh, grid, direction):
+    """Fields (u, U) for a linear background a.x; u is None without inclusions."""
     a = np.asarray(direction, dtype=float)
     alpha = float(cfg["alpha"])
     gamma0 = float(cfg["gamma0"])
@@ -156,12 +181,16 @@ def _linear_pair(cfg, incs, mesh, grid, direction, noise_seed=None):
     U = solve_background(mesh, alpha, None, u0, g, grid)
     if not incs.items:
         return None, U
-    u = solve_subdiffusion(mesh, alpha, incs, None, u0, g, grid)
+    return solve_subdiffusion(mesh, alpha, incs, None, u0, g, grid), U
+
+
+def _observed_trace(cfg, u, noise_seed):
+    """Boundary trace of u with the configured measurement noise."""
     tr = boundary_restrict(u)
     sigma = float(cfg["noise"]["sigma"])
     if sigma > 0.0:
         tr = add_noise(tr, sigma, noise_seed)
-    return tr, U
+    return tr
 
 
 def _write_csv(path, header, rows):
@@ -189,16 +218,15 @@ def _write_manifest(out_dir, command, cfg, files):
 
 def cmd_forward(cfg, out_dir, jobs=1):
     incs, mesh, grid, _ = _build_setting(cfg)
-    tr_u, U = _linear_pair(
-        cfg, incs, mesh, grid, cfg["background"]["direction"],
-        noise_seed=int(cfg["noise"]["seed"]),
-    )
+    u, U = _linear_pair(cfg, incs, mesh, grid, cfg["background"]["direction"])
     files = ["mesh.txt", "background_trace.csv", "background_field.csv"]
     mesh.save(out_dir / "mesh.txt")
     boundary_restrict(U).to_csv(out_dir / "background_trace.csv")
     U.to_csv(out_dir / "background_field.csv")
-    if tr_u is not None:
-        tr_u.to_csv(out_dir / "solution_trace.csv")
+    if u is not None:
+        _observed_trace(cfg, u, int(cfg["noise"]["seed"])).to_csv(
+            out_dir / "solution_trace.csv"
+        )
         files.append("solution_trace.csv")
     return files
 
@@ -207,10 +235,10 @@ def _locate_one_run(cfg, incs, mesh, grid, coeffs):
     children = np.random.SeedSequence(int(cfg["noise"]["seed"])).spawn(2)
     diffs = []
     for child, direction in zip(children, ([1.0, 0.0], [0.0, 1.0])):
-        tr, U = _linear_pair(cfg, incs, mesh, grid, direction, noise_seed=child)
-        if tr is None:
+        u, U = _linear_pair(cfg, incs, mesh, grid, direction)
+        if u is None:
             raise ConfigError("locate-one needs at least one inclusion in the config")
-        diffs.append(tr.diff(boundary_restrict(U)))
+        diffs.append(_observed_trace(cfg, u, child).diff(boundary_restrict(U)))
     segments = default_segments(distance=float(cfg["probe"]["distance"]))
     return locate_one_inclusion(
         diffs,
@@ -341,16 +369,7 @@ def cmd_oracle_check(cfg, out_dir, jobs=1):
         raise ConfigError(f"probe kind must be 'exact' or 'series', got {kind!r}")
     rows = []
     for label, direction in (("U1", [1.0, 0.0]), ("U2", [0.0, 1.0])):
-        a = np.asarray(direction, dtype=float)
-
-        def u0(p, a=a):
-            return p @ a
-
-        def g(p, t, nrm, a=a):
-            return gamma0 * (nrm @ a)
-
-        u = solve_subdiffusion(mesh, alpha, incs, None, u0, g, grid)
-        U = solve_background(mesh, alpha, None, u0, g, grid)
+        u, U = _linear_pair(cfg, incs, mesh, grid, direction)
         diff = boundary_restrict(u).diff(boundary_restrict(U))
         via_boundary = measurement_boundary(diff, probe.normal_derivative, gamma0).value
         via_interior = measurement_interior(u, probe.gradient, incs).value
@@ -391,16 +410,25 @@ def cmd_sweep(cfg, out_dir, jobs=1):
     if algorithm not in ("one", "multi"):
         raise ConfigError(f"sweep.algorithm must be 'one' or 'multi', got {algorithm!r}")
     rows = []
+    failed = 0
     for value in values:
         swept = _apply_sweep_value(cfg, sweep["parameter"], value)
         incs, mesh, grid, coeffs = _build_setting(swept)
-        if algorithm == "one":
-            rec = _locate_one_run(swept, incs, mesh, grid, coeffs)
-            rows.append((value, _center_error(rec.P, incs), rec.rho0))
-        else:
-            _, _, _, peaks = _locate_multi_run(swept, incs, mesh, grid, coeffs, jobs)
-            worst = max(_nearest_center(p, incs) for p in peaks)
-            rows.append((value, worst, float(len(peaks))))
+        try:
+            if algorithm == "one":
+                rec = _locate_one_run(swept, incs, mesh, grid, coeffs)
+                rows.append((value, _center_error(rec.P, incs), rec.rho0))
+            else:
+                _, _, _, peaks = _locate_multi_run(swept, incs, mesh, grid, coeffs, jobs)
+                worst = max(_nearest_center(p, incs) for p in peaks)
+                rows.append((value, worst, float(len(peaks))))
+        except ReconstructionError as exc:
+            # one failed value must not discard the rest of the sweep
+            print(f"fracloc: sweep value {value!r} failed: {exc}", file=sys.stderr)
+            rows.append((value, float("nan"), float("nan")))
+            failed += 1
+    if failed == len(values):
+        raise ReconstructionError(f"all {failed} sweep values failed")
     header = (
         "value,err,rho0" if algorithm == "one" else "value,max_err,peaks_found"
     )

@@ -8,9 +8,12 @@ column space encodes the inclusion centers: scanning the indicator
 
 over interior points z lights up near the centers, where G(z) is the
 kernel matrix a point inclusion at z would produce and V_k holds the
-leading k left singular vectors of B.
+leading k left singular vectors of B.  ``g_matrix`` and ``indicator``
+take one point or a whole row of points, and the scan evaluates one
+grid row per call.
 """
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -20,7 +23,7 @@ from .errors import ConfigError, QuadratureError, ReconstructionError, SolverErr
 from .forward import add_noise, boundary_restrict, solve_background, solve_subdiffusion
 from .fracmath import TimeGrid
 from .greenfn import approx_fundamental, grad_approx_fundamental, s_kernel
-from .measure import KernelProbe, measurement_boundary
+from .measure import KernelProbe, measurement_boundary, tabulate_normal_derivative
 
 GAUSS_POINTS_PER_PANEL = 8
 REFINEMENT_LEVELS = 6
@@ -189,10 +192,9 @@ def build_data_matrix(
             t_final=grid.t_final,
             gamma0=gamma0,
         )
-        for j in range(sources.n):
-            B[i, j] = measurement_boundary(
-                diffs[j], probe.normal_derivative, gamma0
-            ).value
+        # every trace shares the boundary nodes and time levels
+        phin = tabulate_normal_derivative(probe.normal_derivative, diffs[0])
+        B[i] = [measurement_boundary(diff, phin, gamma0).value for diff in diffs]
     return DataMatrix(B)
 
 
@@ -218,65 +220,45 @@ def _gauss_panels(t_final):
 def _half_factors(rho2, alpha, coeffs, d, n_terms, gamma0, s_vals):
     """S-kernel factor of the time integrand for each source radius.
 
-    Returns an (n, q) array: row j is
+    Returns an array of shape rho2.shape + (q,): entry [..., j, :] is
     S(rho_j^2 / lam) * lam^{-(d+2)/2} over the quadrature times, with
     lam = gamma0 * s^alpha.
     """
     lam = gamma0 * s_vals**alpha
-    y = rho2[:, None] / lam[None, :]
+    y = rho2[..., None] / lam
     vals = s_kernel(coeffs, d, n_terms, y.ravel()).reshape(y.shape)
-    return vals * lam[None, :] ** (-(d + 2) / 2.0)
+    return vals * lam ** (-(d + 2) / 2.0)
 
 
 def g_matrix(z, sources, alpha, coeffs, n_terms=3, t_final=1.0, gamma0=1.0):
     """Kernel matrix of a point inclusion at z against all source pairs.
 
-    Entry (i, j) is (z - x_i).(z - x_j) times the time integral of the
-    two reduced-kernel factors, the j factor running forward in time and
-    the i factor backward.  The matrix is symmetric: swapping i and j is
-    undone by the substitution t -> T - t.
+    Entry (i, j) is (z - x_i).(z - x_j) times the time integral C[i, j]
+    of the two reduced-kernel factors, the j factor running forward in
+    time and the i factor backward.  The matrix is symmetric: swapping i
+    and j is undone by the substitution t -> T - t.
+
+    z is one point, shape (d,), giving an (n, n) matrix, or a row of
+    points, shape (m, d), giving an (m, n, n) stack.
     """
     z = np.asarray(z, dtype=float)
     pts = sources.points
-    if z.shape != (pts.shape[1],):
+    if z.ndim not in (1, 2) or z.shape[-1] != pts.shape[1]:
         raise ConfigError(f"point shape {z.shape} does not match source dimension")
-    if z @ z >= 1.0:
-        raise ConfigError(f"scan point {z} must be strictly inside the unit disk")
     d = pts.shape[1]
-    rel = z[None, :] - pts
-    rho2 = np.sum(rel * rel, axis=1)
+    r2 = np.sum(z * z, axis=-1)
+    if np.any(r2 >= 1.0):
+        bad = z.reshape(-1, d)[np.argmax(r2)]
+        raise ConfigError(f"scan point {bad} must be strictly inside the unit disk")
+    rel = z[..., None, :] - pts
+    rho2 = np.sum(rel * rel, axis=-1)
     t_nodes, t_weights = _gauss_panels(t_final)
     fwd = _half_factors(rho2, alpha, coeffs, d, n_terms, gamma0, t_nodes)
     bwd = _half_factors(rho2, alpha, coeffs, d, n_terms, gamma0, t_final - t_nodes)
-    C = (bwd * t_weights[None, :]) @ fwd.T
+    C = (bwd * t_weights) @ np.swapaxes(fwd, -1, -2)
     if not np.all(np.isfinite(C)):
         raise QuadratureError(f"kernel integrand not finite at z={z}")
-    return (rel @ rel.T) * C
-
-
-def kernel_C(z, j_fwd, j_bwd, sources, alpha, coeffs, n_terms=3, t_final=1.0, gamma0=1.0):
-    """Scalar time-integral kernel for one (background, probe) source pair.
-
-    ``j_fwd`` indexes the forward-in-time factor (background source) and
-    ``j_bwd`` the backward one (probe source).
-    """
-    z = np.asarray(z, dtype=float)
-    pts = sources.points
-    if not (0 <= j_fwd < sources.n and 0 <= j_bwd < sources.n):
-        raise ConfigError(f"source indices ({j_fwd}, {j_bwd}) out of range")
-    if z @ z >= 1.0:
-        raise ConfigError(f"scan point {z} must be strictly inside the unit disk")
-    d = pts.shape[1]
-    rho2 = np.array(
-        [np.sum((z - pts[j_fwd]) ** 2), np.sum((z - pts[j_bwd]) ** 2)]
-    )
-    t_nodes, t_weights = _gauss_panels(t_final)
-    fwd = _half_factors(rho2[:1], alpha, coeffs, d, n_terms, gamma0, t_nodes)
-    bwd = _half_factors(rho2[1:], alpha, coeffs, d, n_terms, gamma0, t_final - t_nodes)
-    val = float(np.sum(fwd[0] * bwd[0] * t_weights))
-    if not np.isfinite(val):
-        raise QuadratureError(f"kernel integrand not finite at z={z}")
-    return val
+    return (rel @ np.swapaxes(rel, -1, -2)) * C
 
 
 def select_truncation(singular_values, tau=1e-6):
@@ -294,32 +276,25 @@ def select_truncation(singular_values, tau=1e-6):
     return max(k, 1)
 
 
-def _indicator_value(data, k, g):
-    g = np.asarray(g, dtype=float)
-    if not 0 <= k <= data.n:
-        raise ConfigError(f"truncation level {k} outside [0, {data.n}]")
-    num = float(np.linalg.norm(g))
-    if num == 0.0:
-        return 1.0, False
-    if k == 0:
-        return 1.0, False
-    Vk = data.left_vectors[:, :k]
-    qg = g - Vk @ (Vk.T @ g)
-    den = float(np.linalg.norm(qg))
-    if den < SENTINEL_RATIO * num:
-        return SENTINEL_VALUE, True
-    return num / den, False
-
-
 def indicator(z, data, k, g):
     """Frobenius-norm ratio ||G|| / ||Q_k G|| at scan point z.
 
-    A denominator below 1e-14 times the numerator means G(z) lies in the
+    g is one kernel matrix (n, n), giving a float, or a stack (m, n, n)
+    from a row of points, giving an (m,) array.  A zero G gives 1.  A
+    denominator below 1e-14 times the numerator means G(z) lies in the
     span of the leading singular vectors; the value is capped at a large
     finite sentinel so downstream CSV stays finite.
     """
-    value, _ = _indicator_value(data, k, g)
-    return value
+    g = np.asarray(g, dtype=float)
+    if not 0 <= k <= data.n:
+        raise ConfigError(f"truncation level {k} outside [0, {data.n}]")
+    Vk = data.left_vectors[:, :k]
+    num = np.linalg.norm(g, axis=(-2, -1))
+    den = np.linalg.norm(g - Vk @ (Vk.T @ g), axis=(-2, -1))
+    zero = num == 0.0
+    w = np.where(zero, 1.0, SENTINEL_VALUE)
+    np.divide(num, den, out=w, where=~zero & ~(den < SENTINEL_RATIO * num))
+    return w if w.ndim else float(w)
 
 
 @dataclass(frozen=True)
@@ -330,7 +305,6 @@ class IndicatorGrid:
     ys: np.ndarray
     values: np.ndarray
     k: int
-    flags: np.ndarray = None
 
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=float)
@@ -343,18 +317,9 @@ class IndicatorGrid:
             )
         if not np.all(np.isfinite(values)):
             raise SolverError("indicator grid contains non-finite values")
-        flags = self.flags
-        flags = (
-            np.zeros(values.shape, dtype=bool)
-            if flags is None
-            else np.asarray(flags, dtype=bool)
-        )
-        if flags.shape != values.shape:
-            raise ConfigError("flags shape does not match values")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "flags", flags)
 
     def to_csv(self, path):
         rows = [
@@ -368,15 +333,11 @@ class IndicatorGrid:
 
 def _scan_row(payload):
     data, sources, alpha, coeffs, k, n_terms, t_final, gamma0, xs, y = payload
-    values = np.empty(xs.size)
-    flags = np.zeros(xs.size, dtype=bool)
-    for j, x in enumerate(xs):
-        g = g_matrix(
-            np.array([x, y]), sources, alpha, coeffs,
-            n_terms=n_terms, t_final=t_final, gamma0=gamma0,
-        )
-        values[j], flags[j] = _indicator_value(data, k, g)
-    return values, flags
+    zs = np.column_stack([xs, np.full(xs.size, y)])
+    g = g_matrix(
+        zs, sources, alpha, coeffs, n_terms=n_terms, t_final=t_final, gamma0=gamma0
+    )
+    return indicator(zs, data, k, g)
 
 
 def scan_indicator(
@@ -395,8 +356,9 @@ def scan_indicator(
 ):
     """Evaluate the indicator on a resolution x resolution interior grid.
 
-    Rows are independent; ``jobs`` > 1 spreads them over a process pool.
-    The assembled grid is identical regardless of the worker count.
+    Rows are independent; ``jobs`` > 1 spreads them over a process pool
+    of at most min(jobs, CPU count, rows) workers.  The assembled grid is
+    identical regardless of the worker count.
     """
     xmin, xmax, ymin, ymax = region
     if not (xmin < xmax and ymin < ymax):
@@ -414,14 +376,13 @@ def scan_indicator(
         (data, sources, alpha, coeffs, k, n_terms, t_final, gamma0, xs, y)
         for y in ys
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, os.cpu_count() or 1, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_scan_row, payloads))
     else:
         rows = [_scan_row(p) for p in payloads]
-    values = np.stack([r[0] for r in rows])
-    flags = np.stack([r[1] for r in rows])
-    return IndicatorGrid(xs=xs, ys=ys, values=values, k=k, flags=flags)
+    return IndicatorGrid(xs=xs, ys=ys, values=np.stack(rows), k=k)
 
 
 def peak_extract(grid, m, min_separation=0.0):

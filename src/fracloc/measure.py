@@ -246,22 +246,28 @@ class OracleKernelProbe:
         return (self.gradient(points, t) * np.asarray(normals, dtype=float)).sum(axis=1)
 
 
+def tabulate_normal_derivative(phi, trace: BoundaryTrace) -> np.ndarray:
+    """dPhi/dn of a callable (points, t, normals) -> (k,) on the nodes and
+    time levels of ``trace``; the nodes sit on the unit circle, so the
+    outward normal at a node is its position."""
+    pts = np.column_stack([np.cos(trace.angles), np.sin(trace.angles)])
+    phin = np.empty_like(trace.values)
+    for n, t in enumerate(trace.grid.nodes):
+        phin[n] = phi(pts, t, pts)
+    return phin
+
+
 def measurement_boundary(diff: BoundaryTrace, phi, gamma0: float, **meta) -> Measurement:
     """Space-time quadrature of gamma0 (u - U) dPhi/dn over the boundary.
 
     phi is either a normal-derivative callable (points, t, normals) ->
     (k,) or a precomputed array of dPhi/dn values matching the trace
-    shape.  Trapezoid in time, trapezoidal arc weights in space; the
-    boundary nodes sit on the unit circle so the outward normal at a
-    node is its position.
+    shape.  Trapezoid in time, trapezoidal arc weights in space.
     """
     if gamma0 <= 0.0:
         raise ConfigError(f"gamma0 must be positive, got {gamma0}")
     if callable(phi):
-        pts = np.column_stack([np.cos(diff.angles), np.sin(diff.angles)])
-        phin = np.empty_like(diff.values)
-        for n, t in enumerate(diff.grid.nodes):
-            phin[n] = phi(pts, t, pts)
+        phin = tabulate_normal_derivative(phi, diff)
     else:
         phin = np.asarray(phi, dtype=float)
         if phin.shape != diff.values.shape:

@@ -45,15 +45,15 @@ class Inclusion:
 
     def __post_init__(self):
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
-        if self.eps <= 0.0:
+        if not self.eps > 0.0:
             raise ConfigError(f"inclusion size must be positive, got {self.eps}")
-        if self.gamma <= 0.0:
+        if not self.gamma > 0.0:
             raise ConfigError(f"inclusion conductivity must be positive, got {self.gamma}")
         if self.shape not in ("disk", "ellipse"):
             raise ConfigError(f"shape must be 'disk' or 'ellipse', got {self.shape!r}")
         if self.shape == "disk" and self.aspect != 1.0:
             raise ConfigError("disk inclusions must have aspect = 1")
-        if self.aspect < 1.0:
+        if not self.aspect >= 1.0:
             raise ConfigError(f"aspect ratio must be >= 1, got {self.aspect}")
 
     @property
@@ -399,22 +399,23 @@ def build_mesh(inclusions: InclusionSet, h_far: float, h_near: float) -> Mesh:
 def _check_conforming(verts, simplices, tags, inclusions) -> None:
     """Every triangle must lie wholly inside or outside each inclusion."""
     for idx, inc in enumerate(inclusions.items):
-        d2 = inc.scaled_dist2(verts)
-        for t, tag in zip(simplices, tags):
-            vals = d2[t]
-            if tag == idx:
-                if np.any(vals > 1.0 + 1e-6):
-                    raise MeshError(f"triangle tagged {idx} has a vertex outside the inclusion")
-            else:
-                if np.any(vals < 1.0 - 1e-6):
-                    raise MeshError(f"triangle tagged {tag} straddles inclusion {idx}")
+        d2 = inc.scaled_dist2(verts)[simplices]
+        mine = tags == idx
+        bad = np.where(mine, d2.max(axis=1) > 1.0 + 1e-6, d2.min(axis=1) < 1.0 - 1e-6)
+        if bad.any():
+            t = np.argmax(bad)
+            if mine[t]:
+                raise MeshError(f"triangle tagged {idx} has a vertex outside the inclusion")
+            raise MeshError(f"triangle tagged {tags[t]} straddles inclusion {idx}")
 
 
 def _check_boundary_edges(simplices, n_far: int) -> None:
     """The outer polygon edges must appear in the triangulation."""
-    edge_set = set()
-    for a, b, c in simplices:
-        edge_set.update({(a, b), (b, c), (c, a), (b, a), (c, b), (a, c)})
-    for k in range(n_far):
-        if (k, (k + 1) % n_far) not in edge_set:
-            raise MeshError(f"outer boundary edge ({k}, {(k + 1) % n_far}) missing from mesh")
+    edges = np.sort(simplices[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    nodes = np.arange(n_far)
+    wanted = np.sort(np.column_stack([nodes, (nodes + 1) % n_far]), axis=1)
+    base = max(int(simplices.max()), n_far - 1) + 1
+    missing = ~np.isin(wanted @ [base, 1], edges @ [base, 1])
+    if missing.any():
+        k = int(np.argmax(missing))
+        raise MeshError(f"outer boundary edge ({k}, {(k + 1) % n_far}) missing from mesh")

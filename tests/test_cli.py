@@ -102,6 +102,22 @@ class TestExitCodes:
         cfg = write_config(tmp_path / "c.json", output_dir=str(tmp_path / "o"))
         assert cli.main(["locate-one", "--config", cfg]) == 4
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"inclusions": [{"center": [0.2, 0.3], "eps": 0.1, "gama": 50.0}]},
+            {"inclusions": [{"center": [0.2, 0.3], "eps": 0.1, "gamma": 50.0, "gama": 2.0}]},
+            {"inclusions": [{"eps": 0.1, "gamma": 50.0}]},
+            {"inclusions": [{"center": [0.2, 0.3], "eps": float("nan"), "gamma": 50.0}]},
+            {"time_steps": "abc"},
+        ],
+        ids=["misspelt-gamma", "unknown-key", "missing-center", "nan-eps", "text-time-steps"],
+    )
+    def test_bad_input_is_2(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path / "c.json", output_dir=str(tmp_path / "o"), **overrides)
+        assert cli.main(["forward", "--config", cfg]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_bad_jobs_is_2(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", output_dir=str(tmp_path / "o"))
         assert cli.main(["forward", "--config", cfg, "--jobs", "0"]) == 2
@@ -249,6 +265,42 @@ class TestSweepCommand:
         assert len(lines) == 3
         errs = [float(ln.split(",")[1]) for ln in lines[1:]]
         assert all(np.isfinite(e) for e in errs)
+
+    @pytest.mark.parametrize("failing", [[0.01], [0.0, 0.01, 0.02]])
+    def test_failed_value_keeps_sweep(self, tmp_path, monkeypatch, capsys, failing):
+        # stand-in setting and locator: the value 0.01 has no reconstruction
+        incs = cli.InclusionSet(items=(cli.Inclusion((0.2, 0.3), 0.1, 50.0),))
+        monkeypatch.setattr(cli, "_build_setting", lambda cfg: (incs, None, None, None))
+
+        class Rec:
+            P = np.array([0.2, 0.3])
+            rho0 = 0.5
+
+        def locate(cfg, *setting):
+            if cfg["noise"]["sigma"] in failing:
+                raise ReconstructionError("no sign change")
+            return Rec()
+
+        monkeypatch.setattr(cli, "_locate_one_run", locate)
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path / "c.json",
+            inclusions=[{"center": [0.2, 0.3], "eps": 0.1, "gamma": 50.0}],
+            sweep={"parameter": "sigma", "values": [0.0, 0.01, 0.02], "algorithm": "one"},
+            output_dir=str(out),
+        )
+        rc = cli.main(["sweep", "--config", cfg])
+        err = capsys.readouterr().err
+        if len(failing) == 3:
+            assert rc == 4
+            assert not (out / "sweep.csv").exists()
+            return
+        assert rc == 0
+        assert "sweep value 0.01 failed: no sign change" in err
+        rows = np.loadtxt(out / "sweep.csv", delimiter=",", skiprows=1)
+        assert rows[:, 0].tolist() == [0.0, 0.01, 0.02]
+        assert np.isnan(rows[1, 1:]).all()
+        assert rows[[0, 2], 1].tolist() == [0.0, 0.0]
 
     def test_empty_values_rejected(self, tmp_path):
         cfg = write_config(

@@ -8,15 +8,16 @@ from scipy.integrate import quad
 
 from fracloc.errors import ConfigError, ReconstructionError, SolverError
 from fracloc.fracmath import TimeGrid
-from fracloc.greenfn import grad_approx_fundamental
+from fracloc import locate_multi
+from fracloc.greenfn import grad_approx_fundamental, s_kernel
 from fracloc.locate_multi import (
     DataMatrix,
     IndicatorGrid,
     SourceSet,
+    _gauss_panels,
     build_data_matrix,
     g_matrix,
     indicator,
-    kernel_C,
     peak_extract,
     scan_indicator,
     select_truncation,
@@ -64,24 +65,40 @@ class TestSourceSet:
             source_configuration("sideways")
 
 
+def kernel_entries(z, sources, coeffs, **kw):
+    """The time-integral factor C of g_matrix: G[i, j] / ((z - x_i).(z - x_j))."""
+    G = g_matrix(z, sources, 0.5, coeffs, **kw)
+    rel = z - sources.points
+    return G / (rel @ rel.T)
+
+
+def scalar_kernel(z, j_fwd, j_bwd, sources, coeffs, n_terms=3, t_final=1.0):
+    """Reference C entry for one source pair, one scalar sum over time nodes."""
+    t, w = _gauss_panels(t_final)
+
+    def factor(j, s):
+        lam = s**0.5
+        rho2 = np.sum((z - sources.points[j]) ** 2)
+        return s_kernel(coeffs, 2, n_terms, rho2 / lam) * lam**-2.0
+
+    return float(np.sum(factor(j_fwd, t) * factor(j_bwd, t_final - t) * w))
+
+
 class TestKernelC:
     def test_swap_symmetry(self, coeffs_half):
         # swapping the source roles is undone by t -> T - t, which the
         # symmetric quadrature reproduces to rounding
         src = source_configuration("full")
-        z = np.array([0.25, -0.1])
-        a = kernel_C(z, 2, 7, src, 0.5, coeffs_half, n_terms=3)
-        b = kernel_C(z, 7, 2, src, 0.5, coeffs_half, n_terms=3)
-        assert abs(a - b) <= 1e-13 * abs(a)
+        C = kernel_entries(np.array([0.25, -0.1]), src, coeffs_half, n_terms=3)
+        assert abs(C[2, 7] - C[7, 2]) <= 1e-13 * abs(C[2, 7])
 
     def test_equal_radii_symmetry(self, coeffs_half):
         src = source_configuration("full")
         # z on the symmetry axis between sources 0 and 1
         mid = 0.5 * (src.angles[0] + src.angles[1])
         z = 0.3 * np.array([np.cos(mid), np.sin(mid)])
-        a = kernel_C(z, 0, 1, src, 0.5, coeffs_half)
-        b = kernel_C(z, 1, 0, src, 0.5, coeffs_half)
-        assert abs(a - b) <= 1e-13 * abs(a)
+        C = kernel_entries(z, src, coeffs_half)
+        assert abs(C[0, 1] - C[1, 0]) <= 1e-13 * abs(C[0, 1])
 
     def test_first_order_positivity(self, coeffs_half):
         src = source_configuration("full")
@@ -89,7 +106,7 @@ class TestKernelC:
         for _ in range(10):
             z = rng.uniform(-0.6, 0.6, 2)
             i, j = rng.integers(0, src.n, 2)
-            assert kernel_C(z, int(i), int(j), src, 0.5, coeffs_half, n_terms=1) > 0.0
+            assert kernel_entries(z, src, coeffs_half, n_terms=1)[i, j] > 0.0
 
     def test_against_adaptive_quadrature(self, coeffs_half):
         # independent route: the entry equals the time integral of the
@@ -113,16 +130,9 @@ class TestKernelC:
 
     def test_decay_in_source_radius(self, coeffs_half):
         z = np.array([0.25, -0.1])
-        near = SourceSet(n=10, radius=2.0)
-        far = SourceSet(n=10, radius=3.0)
-        assert abs(kernel_C(z, 0, 1, far, 0.5, coeffs_half)) < abs(
-            kernel_C(z, 0, 1, near, 0.5, coeffs_half)
-        )
-
-    def test_index_validation(self, coeffs_half):
-        src = source_configuration("full")
-        with pytest.raises(ConfigError):
-            kernel_C(np.array([0.2, 0.1]), 0, 10, src, 0.5, coeffs_half)
+        near = kernel_entries(z, SourceSet(n=10, radius=2.0), coeffs_half)
+        far = kernel_entries(z, SourceSet(n=10, radius=3.0), coeffs_half)
+        assert abs(far[0, 1]) < abs(near[0, 1])
 
 
 class TestGMatrix:
@@ -138,13 +148,30 @@ class TestGMatrix:
         for i, j in ((0, 0), (2, 7), (9, 4)):
             rel_i = z - src.points[i]
             rel_j = z - src.points[j]
-            want = (rel_i @ rel_j) * kernel_C(z, j, i, src, 0.5, coeffs_half)
+            want = (rel_i @ rel_j) * scalar_kernel(z, j, i, src, coeffs_half)
             assert abs(G[i, j] - want) <= 1e-12 * max(abs(want), 1e-300)
+
+    def test_row_matches_per_point(self, coeffs_half):
+        src = source_configuration("full")
+        zs = np.column_stack([np.linspace(-0.6, 0.6, 7), np.full(7, 0.2)])
+        rows = g_matrix(zs, src, 0.5, coeffs_half)
+        assert rows.shape == (7, src.n, src.n)
+        rng = np.random.default_rng(4)
+        data = DataMatrix(rng.standard_normal((src.n, src.n)))
+        w_row = indicator(zs, data, 4, rows)
+        assert w_row.shape == (7,)
+        for m, z in enumerate(zs):
+            g = g_matrix(z, src, 0.5, coeffs_half)
+            assert np.max(np.abs(rows[m] - g)) <= 1e-13 * np.max(np.abs(g))
+            w = indicator(z, data, 4, g)
+            assert abs(w_row[m] - w) <= 1e-12 * w
 
     def test_scan_point_outside_rejected(self, coeffs_half):
         src = source_configuration("full")
         with pytest.raises(ConfigError):
             g_matrix(np.array([1.2, 0.0]), src, 0.5, coeffs_half)
+        with pytest.raises(ConfigError):
+            g_matrix(np.array([[0.1, 0.0], [0.0, 1.0]]), src, 0.5, coeffs_half)
 
 
 class TestDataMatrix:
@@ -268,6 +295,19 @@ class TestIndicator:
         data = DataMatrix(np.eye(4))
         assert indicator(np.zeros(2), data, 2, np.zeros((4, 4))) == 1.0
 
+    def test_stack_applies_the_same_rule(self):
+        # sentinel, zero and ordinary matrices in one stack
+        rng = np.random.default_rng(2)
+        G = rng.standard_normal((5, 5))
+        data = DataMatrix(G)
+        H = rng.standard_normal((5, 5))
+        stack = np.stack([G, np.zeros((5, 5)), H])
+        w = indicator(np.zeros((3, 2)), data, 3, stack)
+        assert w[0] == indicator(np.zeros(2), data, 3, G)
+        assert w[1] == 1.0
+        assert w[2] == pytest.approx(indicator(np.zeros(2), data, 3, H), rel=1e-14)
+        assert indicator(np.zeros((3, 2)), data, 5, stack)[0] == 1e14
+
     def test_k_out_of_range(self):
         data = DataMatrix(np.eye(4))
         with pytest.raises(ConfigError):
@@ -305,6 +345,41 @@ class TestScanValidation:
         src = SourceSet(n=4)
         with pytest.raises(ConfigError):
             scan_indicator(data, src, 0.5, coeffs_half, region=(0.3, 0.3, -0.2, 0.2))
+
+    def test_pool_width_capped(self, coeffs_half, monkeypatch):
+        # the fake pool starts no process; it records the width and maps serially
+        widths = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(locate_multi, "ProcessPoolExecutor", FakePool)
+        data = DataMatrix(np.random.default_rng(1).standard_normal((4, 4)))
+        src = SourceSet(n=4)
+        region = (-0.3, 0.3, -0.3, 0.3)
+
+        def scan(jobs, cpus):
+            monkeypatch.setattr(locate_multi.os, "cpu_count", lambda: cpus)
+            return scan_indicator(
+                data, src, 0.5, coeffs_half, region=region, resolution=3, k=2, jobs=jobs
+            )
+
+        serial = scan(1, 8)
+        assert np.array_equal(scan(10**6, 2).values, serial.values)
+        scan(10**6, 64)
+        scan(10**6, None)
+        scan(2, 64)
+        assert widths == [2, 3, 2]
 
     def test_small_scan_runs(self, coeffs_half):
         rng = np.random.default_rng(1)

@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 from scipy.special import ellipe
 
 from fracloc.errors import ConfigError, MeshError
-from fracloc.mesh import Inclusion, InclusionSet, Mesh, build_mesh
+from fracloc.mesh import (
+    Inclusion,
+    InclusionSet,
+    Mesh,
+    _check_boundary_edges,
+    _check_conforming,
+    build_mesh,
+)
 
 
 def _min_angle_deg(mesh: Mesh) -> float:
@@ -64,6 +71,9 @@ class TestInclusion:
             Inclusion((0, 0), 0.05, 50.0, "disk", 2.0)
         with pytest.raises(ConfigError):
             Inclusion((0, 0), 0.05, 50.0, "ellipse", 0.5)
+        for bad in ((float("nan"), 50.0, 1.0), (0.05, float("nan"), 1.0), (0.05, 50.0, float("nan"))):
+            with pytest.raises(ConfigError):
+                Inclusion((0, 0), bad[0], bad[1], "ellipse", bad[2])
 
 
 class TestInclusionSet:
@@ -179,6 +189,35 @@ class TestBuildMesh:
         mesh = build_mesh(incs, 0.18, 0.0125)
         area = mesh.region_area(0)
         assert abs(area - math.pi * 0.0025) / (math.pi * 0.0025) < 0.05
+
+
+class TestMeshChecks:
+    incs = InclusionSet(items=(Inclusion((0.0, 0.0), 0.3, 50.0),))
+    # vertices 0, 3, 4 lie inside the inclusion, 1, 2, 5 outside
+    verts = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [0.1, 0.0], [0.0, 0.1], [0.5, 0.5]])
+    tris = np.array([[0, 3, 4], [1, 2, 5]])
+
+    @pytest.mark.parametrize(
+        "tags, message",
+        [
+            ([0, -1], None),
+            ([0, 0], "triangle tagged 0 has a vertex outside the inclusion"),
+            ([-1, -1], "triangle tagged -1 straddles inclusion 0"),
+        ],
+    )
+    def test_conforming(self, tags, message):
+        args = (self.verts, self.tris, np.array(tags), self.incs)
+        if message is None:
+            _check_conforming(*args)
+        else:
+            with pytest.raises(MeshError, match=message):
+                _check_conforming(*args)
+
+    def test_boundary_edges(self):
+        one = np.array([[0, 1, 2]])
+        _check_boundary_edges(one, 3)
+        with pytest.raises(MeshError, match=r"outer boundary edge \(2, 3\) missing"):
+            _check_boundary_edges(one, 4)
 
 
 class TestMeshIO:
