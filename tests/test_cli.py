@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracloc import cli
 from fracloc.errors import ConfigError, ReconstructionError, SolverError
@@ -81,6 +83,40 @@ class TestLoadConfig:
             cli.load_config(str(p))
 
 
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda kids: st.lists(kids, max_size=5) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=8,
+)
+SECTIONS = [sorted(v) for v in cli.DEFAULTS.values() if isinstance(v, dict)]
+INCLUSION_SPECS = st.dictionaries(
+    st.sampled_from(sorted(cli.INCLUSION_DEFAULTS)),
+    JSON_VALUES | st.lists(st.floats(), min_size=2, max_size=2),
+    max_size=4,
+)
+# mostly real keys with values of every JSON kind, so every check is reached
+CONFIG_DOCS = st.dictionaries(
+    st.sampled_from(sorted(cli.DEFAULTS)) | st.text(max_size=4),
+    JSON_VALUES
+    | st.one_of([st.dictionaries(st.sampled_from(keys), JSON_VALUES, max_size=3) for keys in SECTIONS])
+    | st.lists(INCLUSION_SPECS, max_size=2),
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=CONFIG_DOCS)
+def test_load_config_returns_or_raises_config_error(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("doc") / "c.json"
+    path.write_text(json.dumps(doc))
+    try:
+        cfg = cli.load_config(str(path))
+    except ConfigError:
+        return
+    assert set(cfg) == set(cli.DEFAULTS)
+
+
 class TestExitCodes:
     def test_missing_config_is_2(self, capsys):
         assert cli.main(["forward", "--config", "/nonexistent/c.json"]) == 2
@@ -110,13 +146,44 @@ class TestExitCodes:
             {"inclusions": [{"eps": 0.1, "gamma": 50.0}]},
             {"inclusions": [{"center": [0.2, 0.3], "eps": float("nan"), "gamma": 50.0}]},
             {"time_steps": "abc"},
+            {"sweep": {"values": ["abc"]}},
+            {"background": {"direction": ["x", 0]}},
+            {"scan": {"region": [0.5]}},
+            {"sources": {"n": "ten"}},
+            {"sources": {"n": 2.7}},
+            {"scan": {"k": "five"}},
+            {"mesh": {"h_near": "fine"}},
+            {"scan": {"resolution": 2.5}},
+            {"noise": {"seed": -1}},
+            {"output_dir": 5},
         ],
-        ids=["misspelt-gamma", "unknown-key", "missing-center", "nan-eps", "text-time-steps"],
+        ids=[
+            "misspelt-gamma",
+            "unknown-key",
+            "missing-center",
+            "nan-eps",
+            "text-time-steps",
+            "text-sweep-value",
+            "text-direction",
+            "short-region",
+            "text-source-count",
+            "fractional-source-count",
+            "text-k",
+            "text-h-near",
+            "fractional-resolution",
+            "negative-seed",
+            "number-output-dir",
+        ],
     )
     def test_bad_input_is_2(self, tmp_path, capsys, overrides):
-        cfg = write_config(tmp_path / "c.json", output_dir=str(tmp_path / "o"), **overrides)
+        overrides.setdefault("output_dir", str(tmp_path / "o"))
+        cfg = write_config(tmp_path / "c.json", **overrides)
         assert cli.main(["forward", "--config", cfg]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_bad_seed_override_is_2(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", output_dir=str(tmp_path / "o"))
+        assert cli.main(["forward", "--config", cfg, "--seed", "-3"]) == 2
 
     def test_bad_jobs_is_2(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", output_dir=str(tmp_path / "o"))
@@ -162,6 +229,36 @@ class TestForwardCommand:
         }
         for digest in manifest["outputs"].values():
             assert len(digest) == 64
+
+    def test_does_not_fit_coefficients(self, tmp_path, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("forward must not fit kernel coefficients")
+
+        monkeypatch.setattr(cli, "fit_green_coeffs", no_fit)
+        cfg = write_config(
+            tmp_path / "c.json",
+            time_steps=8,
+            mesh={"h_far": 0.3},
+            inclusions=[{"center": [0.2, 0.3], "eps": 0.1, "gamma": 50.0}],
+            output_dir=str(tmp_path / "out"),
+        )
+        assert cli.main(["forward", "--config", cfg]) == 0
+
+    def test_background_is_exact_for_any_gamma0(self, tmp_path):
+        # U = a.x solves the background problem whatever its conductivity
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path / "c.json",
+            gamma0=2.0,
+            time_steps=8,
+            mesh={"h_far": 0.3},
+            background={"direction": [0.6, -0.8]},
+            output_dir=str(out),
+        )
+        assert cli.main(["forward", "--config", cfg]) == 0
+        trace = np.loadtxt(out / "background_trace.csv", delimiter=",", skiprows=1)
+        ax = 0.6 * np.cos(trace[:, 0]) - 0.8 * np.sin(trace[:, 0])
+        assert np.max(np.abs(trace[:, 1:] - ax[:, None])) <= 1e-9
 
     def test_inclusion_adds_solution_trace(self, tmp_path):
         out = tmp_path / "out"
@@ -215,6 +312,39 @@ class TestLocateMultiCommand:
         wlines = (out / "w_grid.csv").read_text().splitlines()
         assert wlines[0] == "x,y,W"
         assert len(wlines) == 1 + 21 * 21
+
+    @pytest.mark.parametrize(
+        "inclusions",
+        [
+            # tau alone truncates at k = 4 here and the second center is
+            # missed by 0.12; the k floor of 2 * peaks + 1 keeps both
+            [
+                {"center": [-0.0827, -0.1857], "eps": 0.0669, "gamma": 50.0},
+                {"center": [-0.3395, -0.3473], "eps": 0.0669, "gamma": 50.0},
+            ],
+            [
+                {"center": [0.3, 0.2], "eps": 0.06, "gamma": 50.0},
+                {"center": [-0.35, 0.1], "eps": 0.06, "gamma": 50.0},
+                {"center": [0.0, -0.4], "eps": 0.06, "gamma": 50.0},
+            ],
+        ],
+        ids=["two-close", "three"],
+    )
+    def test_k_floor_locates_every_center(self, tmp_path, coeffs_half, inclusions):
+        cfg = write_config(
+            tmp_path / "c.json",
+            time_steps=16,
+            inclusions=inclusions,
+            sources={"kind": "full", "n": 10},
+            scan={"resolution": 41, "peaks": len(inclusions), "min_separation": 0.1},
+            output_dir=str(tmp_path / "out"),
+        )
+        assert cli.main(["locate-multi", "--config", cfg]) == 0
+        peaks = np.loadtxt(tmp_path / "out" / "peaks.csv", delimiter=",", skiprows=1)
+        assert np.max(peaks[:, 2]) <= 0.05
+        centers = np.array([inc["center"] for inc in inclusions])
+        dist = np.linalg.norm(centers[:, None, :] - peaks[None, :, :2], axis=2)
+        assert np.max(np.min(dist, axis=1)) <= 0.05
 
     def test_jobs_flag_matches_serial(self, tmp_path, cheap_multi):
         cli.main(["locate-multi", "--config", cheap_multi, "--out", str(tmp_path / "a")])
@@ -270,7 +400,8 @@ class TestSweepCommand:
     def test_failed_value_keeps_sweep(self, tmp_path, monkeypatch, capsys, failing):
         # stand-in setting and locator: the value 0.01 has no reconstruction
         incs = cli.InclusionSet(items=(cli.Inclusion((0.2, 0.3), 0.1, 50.0),))
-        monkeypatch.setattr(cli, "_build_setting", lambda cfg: (incs, None, None, None))
+        monkeypatch.setattr(cli, "_build_setting", lambda cfg: (incs, None, None))
+        monkeypatch.setattr(cli, "_coeffs", lambda cfg: None)
 
         class Rec:
             P = np.array([0.2, 0.3])

@@ -14,6 +14,7 @@ from fracloc.forward import (
     boundary_restrict,
     neumann_load,
     solve_background,
+    solve_pair,
     solve_subdiffusion,
 )
 from fracloc.fracmath import TimeGrid
@@ -50,6 +51,15 @@ class TestAssembly:
 
     def test_neumann_load_none_is_zero(self, coarse_mesh):
         np.testing.assert_array_equal(neumann_load(coarse_mesh, None, 0.5), 0.0)
+
+    def test_neumann_load_block_is_columnwise(self, coarse_mesh):
+        fluxes = [lambda p, t, n: n[:, 0] * t, lambda p, t, n: (p * n).sum(1) + 1.0]
+        block = neumann_load(
+            coarse_mesh, lambda p, t, n: np.column_stack([g(p, t, n) for g in fluxes]), 0.7
+        )
+        assert block.shape == (len(coarse_mesh.vertices), 2)
+        for j, g in enumerate(fluxes):
+            np.testing.assert_array_equal(block[:, j], neumann_load(coarse_mesh, g, 0.7))
 
 
 class TestMarch:
@@ -155,7 +165,39 @@ class TestMarch:
         with pytest.raises(ConfigError):
             solve_background(coarse_mesh, 1.5, None, None, None, grid)
         with pytest.raises(ConfigError):
+            solve_pair(coarse_mesh, 1.5, InclusionSet(items=()), lambda p: p, None, grid)
+        with pytest.raises(ConfigError):
             solve_background(coarse_mesh, 0.5, None, None, None, grid, gamma0=-1.0)
+
+
+class TestSolvePair:
+    def test_columns_match_single_marches(self):
+        # gamma0 = 2 also checks that the background takes the set's gamma0
+        incs = InclusionSet(items=(Inclusion((0.3, 0.2), 0.1, 50.0),), gamma0=2.0)
+        mesh = build_mesh(incs, 0.25, 0.025)
+        grid = TimeGrid(12, 1.0)
+        dirs = np.array([[1.0, 0.0], [0.6, -0.8], [-0.3, 0.5]])
+
+        def u0(p):
+            return np.exp(-(p**2).sum(1))[:, None] * (1.0 + p @ dirs.T)
+
+        def g(p, t, n):
+            return (1.0 + t) * (n @ dirs.T)
+
+        u, U = solve_pair(mesh, 0.5, incs, u0, g, grid)
+        assert u.shape == U.shape == (grid.n_steps + 1, len(mesh.vertices), 3)
+        for j in range(3):
+
+            def u0_j(p, j=j):
+                return u0(p)[:, j]
+
+            def g_j(p, t, n, j=j):
+                return g(p, t, n)[:, j]
+
+            one = solve_subdiffusion(mesh, 0.5, incs, None, u0_j, g_j, grid).values
+            bg = solve_background(mesh, 0.5, None, u0_j, g_j, grid, gamma0=2.0).values
+            assert np.max(np.abs(u[..., j] - one)) <= 1e-12 * np.max(np.abs(one))
+            assert np.max(np.abs(U[..., j] - bg)) <= 1e-12 * np.max(np.abs(bg))
 
 
 class TestFundamentalTracking:

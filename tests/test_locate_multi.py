@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from fracloc.errors import ConfigError, ReconstructionError, SolverError
 from fracloc.fracmath import TimeGrid
-from fracloc import locate_multi
+from fracloc import forward, locate_multi
 from fracloc.greenfn import grad_approx_fundamental, s_kernel
 from fracloc.locate_multi import (
     DataMatrix,
@@ -128,6 +128,13 @@ class TestKernelC:
         ref, _ = quad(integrand, 0.0, 1.0, epsabs=0, epsrel=1e-10, limit=200)
         assert abs(G[i, j] - ref) <= 1e-7 * abs(ref)
 
+    @pytest.mark.parametrize("t_final", [1.0, 0.3, 2.5])
+    def test_gauss_nodes_symmetric(self, t_final):
+        # g_matrix takes the backward factor as the forward one reversed
+        t, w = _gauss_panels(t_final)
+        assert np.max(np.abs(t[::-1] - (t_final - t))) <= 4e-16 * t_final
+        assert np.max(np.abs(w[::-1] - w)) <= 4e-16 * t_final
+
     def test_decay_in_source_radius(self, coeffs_half):
         z = np.array([0.25, -0.1])
         near = kernel_entries(z, SourceSet(n=10, radius=2.0), coeffs_half)
@@ -202,6 +209,25 @@ class TestDataMatrix:
         data = build_data_matrix(src, empty, 0.5, coeffs_half, mesh, grid, n_terms=1)
         assert np.all(data.B == 0.0)
         assert data.singular_values[0] == 0.0
+
+
+class TestBuildMarch:
+    def test_one_factorization_per_conductivity(self, coeffs_half, monkeypatch):
+        calls = []
+        real_splu = forward.splu
+
+        def counting_splu(mat):
+            calls.append(mat.shape)
+            return real_splu(mat)
+
+        monkeypatch.setattr(forward, "splu", counting_splu)
+        incs = InclusionSet(items=(Inclusion((0.2, 0.3), 0.1, 50.0),))
+        mesh = build_mesh(incs, 0.3, 0.025)
+        data = build_data_matrix(
+            SourceSet(n=5), incs, 0.5, coeffs_half, mesh, TimeGrid(8, 1.0)
+        )
+        assert len(calls) == 2
+        assert np.any(data.B != 0.0)
 
 
 class TestBuildNoise:
