@@ -10,7 +10,7 @@ kernels.
 Module map
 ----------
 fracmath      fractional derivatives/integrals, Mittag-Leffler function
-greenfn       reduced fundamental-solution profiles: high-precision oracle,
+greenfn       reduced fundamental-solution profiles: float64 quadrature,
               fitted asymptotic series, and their gradient kernels
 mesh          graded triangulations of the unit disk resolving inclusions
 forward       P1-in-space / L1-in-time subdiffusion solver, noise model

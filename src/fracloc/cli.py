@@ -3,12 +3,12 @@
 All experiment input comes from a JSON config document (see DEFAULTS for
 the full key set and built-in values, INCLUSION_DEFAULTS for the keys of
 one inclusion spec, where None marks a required key).  Unknown or
-missing keys, non-finite numbers, non-integral counts and values of the
-wrong kind (INTEGER_KEYS, NULLABLE_KEYS, LIST_KEYS) are config errors,
-all raised at load time.  Every run writes
-its outputs plus a manifest.json capturing the resolved configuration
-and content hashes, so a rerun with the same config on the same build
-reproduces the files byte for byte.
+missing keys, non-finite numbers, non-integral counts, counts above
+their cap (MAX_COUNTS) and values of the wrong kind (INTEGER_KEYS,
+NULLABLE_KEYS, LIST_KEYS) are config errors, all raised at load time.
+Every run writes its outputs plus a manifest.json capturing the
+resolved configuration and content hashes, so a rerun with the same
+config on the same build reproduces the files byte for byte.
 
 Exit codes: 0 success, 2 config error, 3 solver/mesh/quadrature error,
 4 reconstruction failure.
@@ -102,6 +102,9 @@ NULLABLE_KEYS = {
 }
 # List-valued keys of finite numbers, with their length (None: any).
 LIST_KEYS = {"background.direction": 2, "scan.region": 4, "sweep.values": None}
+# Upper bounds on counts; far above every shipped config, low enough
+# that no accepted value can exhaust memory in the march or the scan.
+MAX_COUNTS = {"time_steps": 4096, "scan.resolution": 1001, "sources.n": 256}
 
 
 def _is_number(val):
@@ -130,6 +133,8 @@ def _checked(name, default, val):
             raise ConfigError(f"config key {name} must be an integer, got {val!r}")
         if name == "noise.seed" and val < 0:
             raise ConfigError(f"config key {name} must be nonnegative, got {val!r}")
+        if val > MAX_COUNTS.get(name, math.inf):
+            raise ConfigError(f"config key {name} must be at most {MAX_COUNTS[name]}, got {val!r}")
         return int(val)
     kind = NULLABLE_KEYS.get(name)
     if kind == "number" or _is_number(default):
@@ -401,9 +406,11 @@ def cmd_locate_multi(cfg, out_dir, jobs=1):
 def cmd_oracle_check(cfg, out_dir, jobs=1):
     """Boundary vs interior route for the measurement functional.
 
-    Always runs on noiseless traces; the two routes evaluate the same
-    continuum quantity, so their relative difference reports the
-    discretization quality of the pipeline.
+    probe.kind null or "exact" uses the exact profile (OracleKernelProbe),
+    "series" the truncated expansion.  Always runs on noiseless traces;
+    the two routes evaluate the same continuum quantity, so their
+    relative difference reports the discretization quality of the
+    pipeline.
     """
     incs, mesh, grid = _build_setting(cfg)
     if not incs.items:
@@ -414,9 +421,7 @@ def cmd_oracle_check(cfg, out_dir, jobs=1):
     radius = float(cfg["probe"]["distance"])
     src = (radius * np.cos(angle), radius * np.sin(angle))
     kind = cfg["probe"]["kind"]
-    if kind is None:
-        kind = "exact" if alpha == 0.5 else "series"
-    if kind == "exact":
+    if kind in (None, "exact"):
         probe = OracleKernelProbe(
             d=2, alpha=alpha, source=src, t_final=grid.t_final, gamma0=gamma0
         )

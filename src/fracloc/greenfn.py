@@ -10,34 +10,41 @@ inverse Fourier transform of xi -> E_alpha(-|xi|^2):
 
 This module provides:
 
-* ``reduced_green_oracle``: a slow, high-accuracy evaluation of psi_d by
-  complex-contour quadrature of the Fourier integral (the oracle against
-  which everything else is validated),
+* ``log_reduced_green`` / ``reduced_green_oracle``: log psi_d and psi_d
+  for d = 1, 2, 3 by fixed Gauss-Legendre quadrature in float64 (the
+  reference the fitted expansion is checked against),
 * ``fit_green_coeffs`` / ``GreenCoeffs``: the decay rate a0 and the
   coefficients of the large-argument asymptotic expansion, recovered
-  numerically by regression against the oracle,
+  numerically by regression against the profiles,
 * ``reduced_green_series``: the truncated asymptotic expansion,
 * ``s_kernel``: the scalar profile S_{d,N} of the expansion's gradient,
   grad psi_{d,N}(x) = x S_{d,N}(|x|^2),
 * ``approx_fundamental`` / ``grad_approx_fundamental``: space-time
   kernels built from the truncated expansion by the similarity scaling.
 
-Numerical notes on the oracle.  The transforms are oscillatory and their
-values decay like exp(-a0 r^(2/(2-alpha))), far below float64 resolution
-of the integrand mass, so a naive real-axis quadrature loses all relative
-accuracy at large r.  Instead the integration contour is shifted to the
-saddle height s = (alpha r / 2)^(alpha/(2-alpha)): the factor e^(-s r)
-then carries the exponential smallness explicitly and the remaining
-integral is O(1) relative to the answer, so a fixed working precision of
-a few dozen digits suffices at every r.  The Mittag-Leffler function is
-evaluated on the contour from its Taylor series (with guard digits
-proportional to the cancellation), or from the exponentially-improved
-algebraic expansion away from the origin.  Everything runs in mpmath and
-only the final value is rounded to float.
+Numerical notes on the profiles.  psi_1 = M_nu / 2 with nu = alpha/2,
+where M_nu is the M-Wright function, and Zolotarev's integral for the
+one-sided stable density gives it as a smooth positive integral,
 
-For alpha below ~0.3 the Taylor guard-digit budget grows steeply, so
-large-r oracle calls get slow there; the shipped workflows use alpha in
-[0.3, 1].
+    psi_1(r) = r^p / (2 pi (1-nu)) int_0^pi A(phi) exp(-r^q A(phi)) dphi,
+    A(phi) = sin(nu phi)^p sin((1-nu) phi) / sin(phi)^q,
+
+with p = nu/(1-nu) and q = 1/(1-nu) (Zolotarev, One-dimensional Stable
+Distributions, AMS 1986; Saa and Venegeroles, PRE 84 (2011) 026702).
+A increases from a0 = A(0+) = nu^p (1-nu), which is also the decay
+rate of the profiles, so exp(-a0 r^q) is factored out of every
+integrand and log psi keeps full relative accuracy where psi itself
+underflows (alpha = 1, r > ~54).  Differentiating under the integral
+gives psi_1', hence psi_3(r) = -psi_1'(r) / (2 pi r), and psi_2 is the
+Abel transform psi_2(r) = -(1/pi) int_0^inf psi_1'(r cosh u) du, cut
+where the integrand has fallen by exp(-80).  Nothing depends on alpha
+by branch: at alpha = 1, A = 1 / (4 cos^2(phi/2)) and the integrals
+reproduce the Gaussian.  The independent references in the tests are
+values frozen from a dual-contour arbitrary-precision evaluation, the
+Mainardi power series, the alpha = 1/2 subordination integral and the
+Gaussian limit.  Against adaptive quadrature the fixed rules agree to
+5e-13 over alpha in [0.1, 1] and r in [0.1, 80], and to 6e-10 at
+r = 0.03; the error grows below that (6e-6 at alpha = 1, r = 0.01).
 """
 
 from __future__ import annotations
@@ -46,7 +53,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
 
 from .errors import ConfigError, QuadratureError
@@ -55,6 +61,7 @@ __all__ = [
     "GreenCoeffs",
     "DEFAULT_SERIES_TERMS",
     "MAX_SERIES_TERMS",
+    "log_reduced_green",
     "reduced_green_oracle",
     "fit_green_coeffs",
     "reduced_green_series",
@@ -66,331 +73,79 @@ __all__ = [
 DEFAULT_SERIES_TERMS = 3
 MAX_SERIES_TERMS = 5
 
-_DPS = 33  # flat working precision; see module docstring
-_R_DIRECT = 3.0  # below this radius the unshifted contour is used
-
 
 # ---------------------------------------------------------------------------
-# Mittag-Leffler on complex contours (mpmath)
+# Reduced profiles: Zolotarev's integral and its Abel transform
 # ---------------------------------------------------------------------------
 
-
-@lru_cache(maxsize=32)
-def _rgamma_neg_table(alpha_key: float, dps: int, count: int):
-    """rgamma(1 - alpha k), k = 1..count, computed in mp arithmetic.
-
-    alpha enters as an exact mpf: float products alpha*k would inject
-    per-term rounding jitter that the large cancelling terms amplify.
-    Arguments landing within float-rounding distance of a Gamma pole are
-    treated as exact poles (rgamma = 0): otherwise the tiny spurious
-    values break the terms-grow truncation test of the asymptotic series.
-    """
-    out = []
-    with mp.workdps(dps + 10):
-        a = mp.mpf(alpha_key)
-        for k in range(1, count + 1):
-            t = 1 - a * k
-            n = mp.nint(t)
-            if n <= 0 and abs(t - n) < mp.mpf(1e-9):
-                out.append(mp.mpf(0))
-            else:
-                out.append(mp.rgamma(t))
-    return tuple(out)
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(256)
+_UNIT = 0.5 * (_GL_X + 1.0)  # nodes on (0, 1)
+_UNIT_W = 0.5 * _GL_W
+# phi = pi v^2 (3 - 2v) packs the nodes quadratically into both ends of
+# (0, pi): at large r the phi integrand narrows to width ~r^(-q/2) at 0,
+# at small r to width ~r at pi
+_PHI = math.pi * _UNIT**2 * (3.0 - 2.0 * _UNIT)
+_PHI_W = 6.0 * math.pi * _UNIT * (1.0 - _UNIT) * _UNIT_W
+_ABEL_TAIL = 80.0  # log of the integrand's decay at the Abel cut
 
 
-@lru_cache(maxsize=32)
-def _rgamma_pos_table(alpha_key: float, dps: int, count: int):
-    """rgamma(alpha k + 1), k = 0..count-1, in mp arithmetic."""
-    with mp.workdps(dps + 10):
-        a = mp.mpf(alpha_key)
-        return tuple(mp.rgamma(a * k + 1) for k in range(count))
-
-
-def _ml_taylor_mp(alpha: float, z, dps: int):
-    """Power series with cancellation-aware guard digits."""
-    az = abs(z)
-    guard = int(0.45 * float(az) ** (1.0 / alpha)) + 15
-    if guard > 6000:
-        raise QuadratureError(
-            f"Taylor guard digits {guard} unaffordable at |z|={float(az):.3g}, alpha={alpha}"
-        )
-    # term budget: turnover near |z|^(1/alpha)/alpha, plus the tail needed
-    # to push terms below the (guarded) tolerance
-    kmax = int(3 * float(az) ** (1.0 / alpha) / alpha + 6 * (dps + guard) / alpha) + 80
-    # round the precision and length up to coarse buckets so the cached
-    # rgamma tables are reused across quadrature nodes
-    work = 40 * ((dps + guard) // 40 + 1)
-    kmax = 500 * (kmax // 500 + 1)
-    table = _rgamma_pos_table(alpha, work, kmax)
-    with mp.workdps(work):
-        # mag() is an O(1) exponent lookup; abs() of an mpc costs a sqrt
-        stop_mag = int(-3.33 * (dps + 10))
-        s = mp.mpf(0)
-        zk = mp.mpc(1)
-        for k in range(kmax):
-            t = zk * table[k]
-            s += t
-            if k > 4 and mp.mag(t) < stop_mag + max(mp.mag(s), 0):
-                break
-            zk = zk * z
+def _log_psi(d: int, alpha: float, r: float) -> float:
+    """log psi_d(r) at one radius; see the module docstring."""
+    nu = 0.5 * alpha
+    p = nu / (1.0 - nu)
+    q = 1.0 / (1.0 - nu)
+    A = np.sin(nu * _PHI) ** p * np.sin((1.0 - nu) * _PHI) / np.sin(_PHI) ** q
+    a0 = nu**p * (1.0 - nu)
+    c = 1.0 / (2.0 * math.pi * (1.0 - nu))
+    rq = r**q
+    if d == 2:
+        # s = r cosh u up to the cut a0 (s^q - r^q) = _ABEL_TAIL
+        span = math.acosh((1.0 + _ABEL_TAIL / (a0 * rq)) ** (1.0 / q))
+        s = r * np.cosh(span * _UNIT)
+    else:
+        s = np.array([r])
+    sq = s**q
+    # rows: exp(-s^q A) / exp(-a0 s^q) times the phi weights, one row per s
+    e = np.exp(-np.multiply.outer(sq, A - a0)) * _PHI_W
+    j = e @ A
+    if d == 1:
+        head = c * r**p * j[0]
+    else:
+        # -psi_1'(s) exp(a0 s^q)
+        slope = c * s ** (p - 1.0) * (q * sq * (e @ (A * A)) - p * j)
+        if d == 3:
+            head = slope[0] / (2.0 * math.pi * r)
         else:
-            raise QuadratureError("Mittag-Leffler Taylor series did not converge")
-    return +s
+            head = span * _UNIT_W @ (slope * np.exp(-a0 * (sq - rq))) / math.pi
+    if not 0.0 < head < math.inf:
+        raise QuadratureError(f"profile quadrature failed at d={d}, alpha={alpha}, r={r}")
+    return -a0 * rq + math.log(head)
 
 
-def _ml_asymptotic_mp(alpha: float, z, dps: int):
-    """Exponentially-improved algebraic expansion for large |z|.
+def log_reduced_green(d: int, alpha: float, r) -> float | np.ndarray:
+    """log psi_d(r) for d in {1, 2, 3}, alpha in (0, 1]; scalar or array r.
 
-    Returns None if the optimal truncation cannot reach ~1e-20 relative
-    (caller falls back to Taylor).  The exponential term (1/alpha)
-    exp(z^(1/alpha)) is present on the principal sheet exactly for
-    |arg z| < alpha pi; including it throughout that sector is safe
-    because it is exponentially small wherever it is subdominant.
+    Finite where psi_d itself underflows float64.  One radius is one
+    fixed quadrature (a 256 x 256 node product rule for d = 2), so large
+    tables are evaluated radius by radius rather than as one array.
     """
-    table = _rgamma_neg_table(alpha, dps, 300)
-    zinv = 1 / z
-    tot = mp.mpc(0)
-    min_mag = mp.inf
-    zk = zinv
-    floor_hit = False
-    for k in range(1, 300):
-        term = -zk * table[k - 1]
-        if term:
-            tm = mp.mag(term)
-            # term sizes jitter by a few bits (the sin factor of the
-            # reflection formula oscillates), so demand sustained growth
-            # above the running minimum before declaring divergence
-            if tm > min_mag + 5:
-                break
-            tot += term
-            if tm < min_mag:
-                min_mag = tm
-        zk = zk * zinv
-        if min_mag < max(mp.mag(tot), -int(3.33 * dps)) - int(3.33 * (dps + 5)):
-            floor_hit = True
-            break
-    if not floor_hit and min_mag > mp.mag(tot) - 72:  # ~1e-20 relative
-        return None
-    if abs(mp.arg(z)) < mp.pi * alpha:
-        tot += mp.e ** (z ** (1 / mp.mpf(alpha))) / alpha
-    return tot
-
-
-def _asym_radius(alpha: float) -> float:
-    """Switch radius for the algebraic expansion.
-
-    Inside |z| = 39^alpha the exponential term near the sector boundary
-    |arg z| = alpha pi is only ~exp(-|z|^(1/alpha)) > 1e-15 relative, so
-    the Taylor series is used instead (its guard digits stay modest
-    because 0.45 |z|^(1/alpha) <= 0.45*39 there).  The optimal-truncation
-    acceptance test still rejects radii where the algebraic series is too
-    shallow, falling back to Taylor.
-    """
-    return max(2.2, 39.2**alpha)
-
-
-def _ml_complex_mp(alpha: float, z, dps: int):
-    """E_alpha(z) for the complex arguments arising on the oracle contours."""
-    if alpha == 1.0:
-        return mp.e**z
-    if abs(z) >= _asym_radius(alpha):
-        v = _ml_asymptotic_mp(alpha, z, dps)
-        if v is not None:
-            return v
-    return _ml_taylor_mp(alpha, z, dps)
-
-
-# ---------------------------------------------------------------------------
-# Oracle: contour quadrature of the radial inverse Fourier transform
-# ---------------------------------------------------------------------------
-
-
-def _k0_mp(w, dps: int):
-    """K_0(w) for Re w > 0, |arg w| < pi/4 or so.
-
-    mp.besselk runs generic hypergeometric code (~10 ms per call), far
-    too slow inside the contour quadratures.  For large |w| the
-    asymptotic expansion sqrt(pi/2w) e^-w sum c_k w^-k is summed to its
-    optimal truncation (error ~exp(-2|w|) <= 5e-32 at the switch radius);
-    below it the standard log-form power series with guard digits against
-    the e^|w| cancellation.
-    """
-    aw = abs(w)
-    if aw >= 36:
-        s = mp.mpc(1)
-        term = mp.mpc(1)
-        winv = 1 / (8 * w)
-        stop = -int(3.33 * (dps + 5))
-        prev = mp.inf
-        for k in range(1, 400):
-            term = term * (-((2 * k - 1) ** 2)) * winv / k
-            tm = mp.mag(term)
-            if tm > prev:
-                break
-            s += term
-            prev = tm
-            if tm < stop:
-                break
-        return mp.sqrt(mp.pi / (2 * w)) * mp.e ** (-w) * s
-    # series terms reach ~e^|w| while K0 ~ e^-|w|: e^(2|w|) cancellation
-    guard = int(0.9 * float(aw)) + 8
-    with mp.workdps(dps + guard):
-        q = w * w / 4
-        t = mp.mpc(1)  # (w^2/4)^k / (k!)^2
-        s0 = mp.mpc(1)
-        s1 = mp.mpc(0)
-        h = mp.mpf(0)
-        # truncation must be absolute at the scale of K0 ~ e^-|w|, not
-        # relative to the e^+|w| partial sums
-        stop = -int(1.45 * float(aw)) - int(3.33 * (dps + 8))
-        for k in range(1, 1000):
-            t = t * q / (k * k)
-            h += mp.mpf(1) / k
-            s0 += t
-            s1 += t * h
-            if mp.mag(t) < stop:
-                break
-        v = -(mp.log(w / 2) + mp.euler) * s0 + s1
-    return +v
-
-
-def _hankel1_0(w, dps: int = _DPS):
-    """H_0^(1)(w) for Im w >= 0 via the MacDonald function.
-
-    mp.hankel1 forms J0 + i Y0, which cancels catastrophically high in
-    the upper half plane; K0 of the rotated argument is stable there.
-    """
-    return 2 / (1j * mp.pi) * _k0_mp(-1j * w, dps)
-
-
-def _psi_direct_mp(d: int, alpha: float, r, dps: int):
-    """Unshifted contour for small r: real-axis start plus rotated tail."""
-    E = lambda z: _ml_complex_mp(alpha, z, dps)
-    theta = mp.pi / 5 if alpha >= 0.5 else mp.pi * alpha * 2 / 5
-    eit = mp.e ** (1j * theta)
-    sin_t = mp.sin(theta)
-    L = (dps * mp.log(10) + 12) / (r * sin_t)
-    if d == 2:
-        A = mp.mpf(6)
-        p_real = mp.quad(
-            lambda x: mp.re(E(-x * x)) * mp.besselj(0, x * r) * x,
-            [0, 2, A],
-            method="gauss-legendre",
-        )
-
-        def f_tail(p):
-            xi = A + p * eit
-            return E(-xi * xi) * _hankel1_0(xi * r) * xi * eit
-
-        p_tail = mp.quad(f_tail, [0, L / 16, L / 4, L], method="gauss-legendre")
-        return (p_real + mp.re(p_tail)) / (2 * mp.pi)
-    if d == 1:
-
-        def f_ray(p):
-            xi = p * eit
-            return E(-xi * xi) * mp.e ** (1j * xi * r) * eit
-
-        v = mp.quad(f_ray, [0, L / 16, L / 4, L], method="gauss-legendre")
-        return mp.re(v) / mp.pi
-    # d == 3
-
-    def f_ray3(p):
-        xi = p * eit
-        return E(-xi * xi) * xi * mp.e ** (1j * xi * r) * eit
-
-    v = mp.quad(f_ray3, [0, L / 16, L / 4, L], method="gauss-legendre")
-    return mp.im(v) / (2 * mp.pi**2 * r)
-
-
-def _psi_shifted_mp(d: int, alpha: float, r, dps: int):
-    """Saddle-height shifted contour for large r (no catastrophic cancellation)."""
-    E = lambda z: _ml_complex_mp(alpha, z, dps)
-    a = mp.mpf(alpha)
-    s = (a * r / 2) ** (a / (2 - a))
-    H = mp.mpf(2.2) * s
-    theta = mp.pi / 6
-    eit = mp.e ** (1j * theta)
-    L = (dps * mp.log(10) + 12) / (r * mp.sin(theta))
-
-    if d == 2:
-
-        def f_hor(e):
-            xi = e + 1j * s
-            return E(-xi * xi) * _hankel1_0(xi * r) * xi
-
-        def f_tail(p):
-            xi = H + p * eit + 1j * s
-            return E(-xi * xi) * _hankel1_0(xi * r) * xi * eit
-
-        # mp.quad's stopping test is absolute at scale 10^-dps, so an
-        # integral whose value is exponentially small exits early with no
-        # relative accuracy; rescale to O(1) by the peak integrand value.
-        peak = abs(f_hor(mp.mpf(0)))
-        v = mp.quad(
-            lambda e: f_hor(e) / peak, [0, float(s), float(H)], method="gauss-legendre"
-        ) + mp.quad(lambda p: f_tail(p) / peak, [0, L / 8, L], method="gauss-legendre")
-        return peak * mp.re(v) / (2 * mp.pi)
-
-    if d == 1:
-
-        def f_hor1(e):
-            xi = e + 1j * s
-            return E(-xi * xi) * mp.e ** (1j * e * r)
-
-        def f_tail1(p):
-            w = H + p * eit
-            xi = w + 1j * s
-            return E(-xi * xi) * mp.e ** (1j * w * r) * eit
-
-        v = mp.quad(f_hor1, [0, float(s), float(H)], method="gauss-legendre") + mp.quad(
-            f_tail1, [0, L / 8, L], method="gauss-legendre"
-        )
-        return mp.e ** (-s * r) * mp.re(v) / mp.pi
-
-    def f_hor3(e):
-        xi = e + 1j * s
-        return E(-xi * xi) * xi * mp.e ** (1j * e * r)
-
-    def f_tail3(p):
-        w = H + p * eit
-        xi = w + 1j * s
-        return E(-xi * xi) * xi * mp.e ** (1j * w * r) * eit
-
-    v = mp.quad(f_hor3, [0, float(s), float(H)], method="gauss-legendre") + mp.quad(
-        f_tail3, [0, L / 8, L], method="gauss-legendre"
-    )
-    return mp.e ** (-s * r) * mp.im(v) / (2 * mp.pi**2 * r)
-
-
-def _psi_mp(d: int, alpha: float, r_val: float, dps: int = _DPS):
     if d not in (1, 2, 3):
         raise ConfigError(f"dimension must be 1, 2 or 3, got {d}")
     if not (0.0 < alpha <= 1.0):
         raise ConfigError(f"alpha must lie in (0, 1], got {alpha}")
-    if not (r_val > 0.0):
-        raise ConfigError(f"radius must be positive, got {r_val}")
-    with mp.workdps(dps):
-        r = mp.mpf(r_val)
-        if r_val <= _R_DIRECT:
-            return _psi_direct_mp(d, alpha, r, dps)
-        return _psi_shifted_mp(d, alpha, r, dps)
-
-
-@lru_cache(maxsize=4096)
-def _psi_cached(d: int, alpha: float, r_val: float) -> float:
-    return float(_psi_mp(d, alpha, r_val))
+    r_arr = np.asarray(r, dtype=float)
+    if not np.all(r_arr > 0.0):
+        raise ConfigError(f"radius must be positive, got {r}")
+    if r_arr.ndim == 0:
+        return _log_psi(d, alpha, float(r_arr))
+    vals = [_log_psi(d, alpha, float(v)) for v in r_arr.ravel()]
+    return np.array(vals).reshape(r_arr.shape)
 
 
 def reduced_green_oracle(d: int, alpha: float, r) -> float | np.ndarray:
-    """High-accuracy reduced profile psi_d(r) by contour quadrature.
-
-    Scalar or array ``r``.  Intended as a reference: costs ~0.1-1 s per
-    new (d, alpha, r) triple, values are cached per process.
-    """
-    r_arr = np.asarray(r, dtype=float)
-    if r_arr.ndim == 0:
-        return _psi_cached(d, alpha, float(r_arr))
-    return np.array([_psi_cached(d, alpha, float(v)) for v in r_arr.ravel()]).reshape(r_arr.shape)
+    """Reduced profile psi_d(r) = exp(log_reduced_green(d, alpha, r))."""
+    vals = np.exp(log_reduced_green(d, alpha, r))
+    return float(vals) if vals.ndim == 0 else vals
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +251,7 @@ def _fit_exponential_rate(alpha: float, rho, g) -> float:
 
 @lru_cache(maxsize=8)
 def fit_green_coeffs(alpha: float, n_terms: int = MAX_SERIES_TERMS) -> GreenCoeffs:
-    """Recover a0 and the expansion coefficients by regression on the oracle.
+    """Recover a0 and the expansion coefficients by regression on the profiles.
 
     a0 comes from a log-linear fit of the d=1 profile over r in
     [5, 80] (the d=2 estimate is required to agree and is only used as a
@@ -513,20 +268,12 @@ def fit_green_coeffs(alpha: float, n_terms: int = MAX_SERIES_TERMS) -> GreenCoef
     r1 = np.geomspace(_FIT_R_LO, _FIT_R_HI, 26)
     r2 = np.geomspace(_FIT_R_LO, _FIT_R_HI, 18)
 
-    vals = {}
-    for d, rs in ((1, r1), (2, r2)):
-        with mp.workdps(_DPS):
-            vals[d] = [_psi_mp(d, alpha, float(r)) for r in rs]
-        for r, v in zip(rs, vals[d]):
-            if not v > 0:
-                raise QuadratureError(f"oracle returned non-positive value at d={d}, r={r}")
+    logs = {1: log_reduced_green(1, alpha, r1), 2: log_reduced_green(2, alpha, r2)}
 
     a0_est = {}
     for d, rs in ((1, r1), (2, r2)):
-        p = _prefactor_exponent(d, alpha)
-        rho = rs**q
-        g = np.array([float(mp.log(v)) for v in vals[d]]) + p * np.log(rs)
-        a0_est[d] = _fit_exponential_rate(alpha, rho, g)
+        g = logs[d] + _prefactor_exponent(d, alpha) * np.log(rs)
+        a0_est[d] = _fit_exponential_rate(alpha, rs**q, g)
     if abs(a0_est[1] - a0_est[2]) > 1e-4:
         raise QuadratureError(
             f"decay-rate fits disagree between d=1 ({a0_est[1]:.8f}) and d=2 ({a0_est[2]:.8f})"
@@ -539,13 +286,7 @@ def fit_green_coeffs(alpha: float, n_terms: int = MAX_SERIES_TERMS) -> GreenCoef
     coeffs = {}
     for d, rs in ((1, r1), (2, r2)):
         p = _prefactor_exponent(d, alpha)
-        with mp.workdps(_DPS):
-            h = np.array(
-                [
-                    float(v * mp.e ** (mp.mpf(a0) * mp.mpf(float(r)) ** q) * mp.mpf(float(r)) ** p)
-                    for r, v in zip(rs, vals[d])
-                ]
-            )
+        h = np.exp(logs[d] + a0 * rs**q + p * np.log(rs))
         svar = rs ** (-q)
         scale = svar.max()
         basis = np.stack([(svar / scale) ** k for k in range(n_fit)], axis=1)

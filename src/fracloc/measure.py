@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError
@@ -30,7 +29,7 @@ from .greenfn import (
     GreenCoeffs,
     approx_fundamental,
     grad_approx_fundamental,
-    reduced_green_oracle,
+    log_reduced_green,
 )
 from .mesh import InclusionSet
 
@@ -136,41 +135,18 @@ class KernelProbe:
         return (self.gradient(points, t) * np.asarray(normals, dtype=float)).sum(axis=1)
 
 
-def _psi_half_quad(d: int, r: float) -> float:
-    """Exact radial profile at order 1/2 by subordination quadrature.
-
-    At alpha = 1/2 the subordination density is exp(-tau^2/4)/sqrt(pi),
-    so the profile is a smooth one-dimensional integral against the heat
-    kernel; this matches the contour-integral oracle to machine
-    precision at a tiny fraction of its cost.
-    """
-
-    def integrand(tau):
-        return (
-            math.pi**-0.5
-            * math.exp(-0.25 * tau * tau)
-            * (4.0 * math.pi * tau) ** (-d / 2.0)
-            * math.exp(-r * r / (4.0 * tau))
-        )
-
-    val, _ = quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=1e-12, limit=200)
-    return val
-
-
 class OracleKernelProbe:
     """Phi(x, t) = exact fundamental solution at (source, 0), run backwards.
 
-    The radial profile is tabulated once from the quadrature oracle and
-    interpolated with a cubic spline in log-log coordinates, so handle
-    evaluations are cheap while inheriting the oracle's accuracy.  This
-    probe exists for cross-checks (Lemma-style boundary/interior
-    equivalence, remainder studies); the reconstruction algorithms use
-    the truncated-series KernelProbe.
+    The radial profile log psi_d is tabulated once from
+    ``log_reduced_green`` and interpolated with a cubic spline in log-log
+    coordinates, so handle evaluations are cheap while inheriting the
+    profile's accuracy.  This probe exists for cross-checks (Lemma-style
+    boundary/interior equivalence, remainder studies); the reconstruction
+    algorithms use the truncated-series KernelProbe.
 
-    Construction tabulates the profile once: fast at alpha = 1/2 (the
-    subordination density is Gaussian there), minutes otherwise (one
-    contour-integral oracle evaluation per node).  Reuse one instance
-    per (d, alpha).
+    Construction costs one profile evaluation per table node, a fraction
+    of a second for the default 420-node d = 2 table at any alpha.
     """
 
     def __init__(
@@ -200,12 +176,7 @@ class OracleKernelProbe:
         self.r_min = float(r_min)
         self.r_max = float(r_max)
         log_r = np.linspace(math.log(r_min), math.log(r_max), n_nodes)
-        if self.alpha == 0.5:
-            vals = np.array([_psi_half_quad(d, float(math.exp(x))) for x in log_r])
-        else:
-            # arbitrary-precision path; slow (minutes for the full table)
-            vals = np.array([reduced_green_oracle(d, alpha, float(math.exp(x))) for x in log_r])
-        self._spline = CubicSpline(log_r, np.log(vals))
+        self._spline = CubicSpline(log_r, log_reduced_green(d, self.alpha, np.exp(log_r)))
 
     def _profile(self, r: np.ndarray):
         """psi(r) and psi'(r) inside the table, 0 beyond r_max."""

@@ -1,9 +1,8 @@
 """Shared fixtures.
 
 The coefficient fits drive the expansion tests and the acceptance checks.
-A half-order fit costs ~40 s of contour quadrature, so the fits are
-session-scoped here (fit_green_coeffs also memoizes per process, which
-keeps the acceptance module from paying twice).
+They are session-scoped here, and fit_green_coeffs also memoizes per
+process, so every test sees the same fitted object.
 """
 
 import pytest

@@ -1,6 +1,10 @@
 """Tests for the command-line driver."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +47,13 @@ def cheap_multi(tmp_path):
         scan={"region": [-0.5, 0.5, -0.5, 0.5], "resolution": 21, "peaks": 1, "k": 3},
         output_dir=str(tmp_path / "out"),
     )
+
+
+def test_cli_runs_without_mpmath():
+    # mpmath is a test dependency only; the CLI must not import it
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    code = "import sys, fracloc.cli; sys.exit('mpmath' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 class TestLoadConfig:
@@ -117,6 +128,69 @@ def test_load_config_returns_or_raises_config_error(tmp_path_factory, doc):
     assert set(cfg) == set(cli.DEFAULTS)
 
 
+# small configs, mostly valid with a few out-of-range values mixed in,
+# so every command runs to its end on a coarse mesh in well under a second
+SMALL_INCLUSIONS = st.fixed_dictionaries(
+    {
+        "center": st.lists(st.floats(-0.6, 0.6), min_size=2, max_size=2),
+        "eps": st.floats(0.05, 0.2),
+        "gamma": st.sampled_from([0.5, 3.0, 50.0, 1.0]),
+    },
+    optional={"aspect": st.sampled_from([1.0, 2.0, 3.0, 0.5])},
+)
+SMALL_CONFIGS = st.fixed_dictionaries(
+    {
+        "alpha": st.sampled_from([0.35, 0.5, 0.7, 0.9, 1.0, 1.5]),
+        "time_steps": st.integers(0, 16),
+        "series_terms": st.integers(1, 5) | st.just(6),
+        "mesh": st.fixed_dictionaries(
+            {"h_far": st.floats(0.3, 0.6)},
+            optional={"h_near": st.none() | st.floats(0.05, 0.6)},
+        ),
+        "inclusions": st.lists(SMALL_INCLUSIONS, max_size=2),
+        "noise": st.fixed_dictionaries({"sigma": st.sampled_from([0.0, 0.01, 0.1, -0.1])}),
+        "probe": st.fixed_dictionaries(
+            {
+                "tol": st.sampled_from([1e-2, 1e-3, 0.0]),
+                "distance": st.sampled_from([2.0, 3.0, 1.5, 0.5]),
+                "kind": st.sampled_from([None, "exact", "series", "bogus"]),
+            }
+        ),
+        "sources": st.fixed_dictionaries(
+            {
+                "kind": st.sampled_from(["full", "half", "quarter", "bogus"]),
+                "n": st.none() | st.integers(1, 8),
+            }
+        ),
+        "scan": st.fixed_dictionaries(
+            {
+                "resolution": st.integers(1, 11),
+                "k": st.none() | st.integers(0, 8),
+                "peaks": st.integers(0, 3),
+                "tau": st.sampled_from([1e-3, 0.1, 0.5, 2.0]),
+            }
+        ),
+        "sweep": st.fixed_dictionaries(
+            {
+                "parameter": st.sampled_from(["eps", "sigma", "aspect", "bogus"]),
+                "values": st.lists(
+                    st.sampled_from([0.0, 0.01, 0.1, 2.0, -1.0]), min_size=1, max_size=2
+                ),
+                "algorithm": st.sampled_from(["one", "multi", "bogus"]),
+            }
+        ),
+    }
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(sorted(cli.COMMANDS)), doc=SMALL_CONFIGS)
+def test_main_exits_with_a_code(tmp_path_factory, command, doc):
+    tmp = tmp_path_factory.mktemp("run")
+    cfg = write_config(tmp / "c.json", output_dir=str(tmp / "out"), **doc)
+    assert cli.main([command, "--config", cfg]) in (0, 2, 3, 4)
+
+
 class TestExitCodes:
     def test_missing_config_is_2(self, capsys):
         assert cli.main(["forward", "--config", "/nonexistent/c.json"]) == 2
@@ -156,6 +230,9 @@ class TestExitCodes:
             {"scan": {"resolution": 2.5}},
             {"noise": {"seed": -1}},
             {"output_dir": 5},
+            {"time_steps": cli.MAX_COUNTS["time_steps"] + 1},
+            {"scan": {"resolution": cli.MAX_COUNTS["scan.resolution"] + 1}},
+            {"sources": {"n": cli.MAX_COUNTS["sources.n"] + 1}},
         ],
         ids=[
             "misspelt-gamma",
@@ -173,6 +250,9 @@ class TestExitCodes:
             "fractional-resolution",
             "negative-seed",
             "number-output-dir",
+            "huge-time-steps",
+            "huge-resolution",
+            "huge-source-count",
         ],
     )
     def test_bad_input_is_2(self, tmp_path, capsys, overrides):
@@ -375,6 +455,21 @@ class TestOracleCheckCommand:
             parts = ln.split(",")
             assert parts[0] in ("U1", "U2")
             assert all(np.isfinite(float(v)) for v in parts[1:])
+
+    def test_default_probe_is_exact_at_any_alpha(self, tmp_path, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the exact probe needs no fitted coefficients")
+
+        monkeypatch.setattr(cli, "fit_green_coeffs", no_fit)
+        cfg = write_config(
+            tmp_path / "c.json",
+            alpha=0.7,
+            time_steps=8,
+            mesh={"h_far": 0.3},
+            inclusions=[{"center": [0.2, 0.3], "eps": 0.1, "gamma": 50.0}],
+            output_dir=str(tmp_path / "out"),
+        )
+        assert cli.main(["oracle-check", "--config", cfg]) == 0
 
 
 class TestSweepCommand:

@@ -1,15 +1,16 @@
-"""Tests for the reduced-profile oracle, fitted expansions and kernels.
+"""Tests for the reduced profiles, fitted expansions and kernels.
 
-Oracle routes:
-  * a golden value minted by two independent quadrature representations
-    (real-axis Bessel route vs saddle-shifted contour) that agreed to
-    1e-24; frozen here at float precision,
+Independent references for the float64 profiles:
+  * values frozen from an arbitrary-precision complex-contour
+    evaluation of the Fourier integral; d = 2 at alpha = 0.5, r = 1 is
+    a golden value on which two contour representations (real-axis
+    Bessel route vs saddle-shifted contour) agreed to 1e-24,
   * the classical limit alpha = 1, where the profile collapses to the
     Gaussian (4 pi)^(-d/2) exp(-r^2/4) in every dimension,
   * the d = 1 profile at fractional order against the Mainardi (Wright
     type) function power series evaluated in high-precision arithmetic,
-  * internal consistency: the two contour branches evaluated at the same
-    radius, and d = 3 as the radial derivative of d = 1.
+  * at alpha = 1/2, the Gaussian subordination integral
+    (tests/test_measure.py).
 """
 
 import math
@@ -23,11 +24,10 @@ from hypothesis import strategies as st
 from fracloc.errors import ConfigError
 from fracloc.greenfn import (
     GreenCoeffs,
-    _psi_direct_mp,
-    _psi_shifted_mp,
     approx_fundamental,
     fit_green_coeffs,
     grad_approx_fundamental,
+    log_reduced_green,
     reduced_green_oracle,
     reduced_green_series,
     s_kernel,
@@ -45,6 +45,19 @@ _FROZEN = {
     (2, 15.0): 4.86179694799507e-10,
     (3, 2.0): 0.0058646783651078,
     (3, 10.0): 1.404477765252992e-07,
+}
+
+# d = 2 away from alpha = 1/2 and 1, frozen from the same contour
+# evaluation: (alpha, r) -> psi_2(r).
+_FROZEN_D2 = {
+    (0.35, 0.5): 0.12861001786008516,
+    (0.35, 2.0): 0.019663872527653545,
+    (0.35, 20.0): 6.0852408013117704e-12,
+    (0.35, 80.0): 3.090723558667662e-53,
+    (0.7, 0.5): 0.10430732987231954,
+    (0.7, 2.0): 0.023117894976884726,
+    (0.7, 20.0): 1.895636221410812e-18,
+    (0.7, 80.0): 1.8144951785190313e-138,
 }
 
 
@@ -86,6 +99,14 @@ class TestOracle:
             got = reduced_green_oracle(d, 1.0, r)
             assert got == pytest.approx(exact, rel=1e-12), r
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_log_profile_at_range_ends(self, d):
+        # at alpha = 1 psi_d underflows float64 from r ~ 54 and its log
+        # must not; near r = 0.1 the phi integrand peaks sharply at pi
+        for r in (0.1, 60.0, 80.0):
+            exact = -0.5 * d * math.log(4.0 * math.pi) - r * r / 4.0
+            assert abs(log_reduced_green(d, 1.0, r) - exact) <= 2e-12, r
+
     @pytest.mark.parametrize(
         "num,den,r,dps",
         [(1, 4, 2.0, 120), (1, 4, 10.0, 200), (7, 20, 3.5, 200)],
@@ -97,17 +118,10 @@ class TestOracle:
         got = reduced_green_oracle(1, alpha, r)
         assert got == pytest.approx(ref, rel=1e-11)
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("alpha", [0.35, 0.5])
-    def test_contour_branches_agree(self, d, alpha):
-        # r = 3.2 sits just above the dispatch radius; both contours are
-        # healthy there and share only the entire-function evaluator.
-        with mp.workdps(33):
-            r = mp.mpf("3.2")
-            direct = _psi_direct_mp(d, alpha, r, 33)
-            shifted = _psi_shifted_mp(d, alpha, r, 33)
-            rel = abs(direct - shifted) / abs(shifted)
-            assert rel < 1e-15, (d, alpha, float(rel))
+    def test_frozen_values_two_dimensional(self):
+        for (alpha, r), ref in _FROZEN_D2.items():
+            got = reduced_green_oracle(2, alpha, r)
+            assert got == pytest.approx(ref, rel=1e-12), (alpha, r)
 
     def test_positive_and_decreasing(self):
         r = np.array([0.5, 1.0, 2.0, 4.0, 10.0])

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from fracloc.errors import ConfigError
 from fracloc.forward import (
@@ -19,7 +20,6 @@ from fracloc.measure import (
     KernelProbe,
     Measurement,
     OracleKernelProbe,
-    _psi_half_quad,
     leading_term,
     measurement_boundary,
     measurement_interior,
@@ -203,6 +203,26 @@ class TestKernelProbe:
             KernelProbe(coeffs=coeffs_half, d=2, n_terms=3, source=(2.0, 0.0), t_final=0.0)
 
 
+def _psi_half_quad(d: int, r: float) -> float:
+    """Exact radial profile at order 1/2 by subordination quadrature.
+
+    At alpha = 1/2 the subordination density is exp(-tau^2/4)/sqrt(pi),
+    so the profile is a smooth one-dimensional integral against the heat
+    kernel, independent of the Zolotarev route in fracloc.greenfn.
+    """
+
+    def integrand(tau):
+        return (
+            math.pi**-0.5
+            * math.exp(-0.25 * tau * tau)
+            * (4.0 * math.pi * tau) ** (-d / 2.0)
+            * math.exp(-r * r / (4.0 * tau))
+        )
+
+    val, _ = quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=1e-12, limit=200)
+    return val
+
+
 @pytest.fixture(scope="module")
 def probe():
     return OracleKernelProbe(2, 0.5, (2.0, 0.0), 1.0)
@@ -210,7 +230,7 @@ def probe():
 
 class TestOracleProbe:
     def test_subordination_matches_contour_oracle(self):
-        # independent route: Gaussian subordination density vs contour integral
+        # independent route: Gaussian subordination density vs the profiles
         for d, r in [(2, 1.0), (2, 10.0), (3, 2.0), (3, 10.0)]:
             assert _psi_half_quad(d, r) == pytest.approx(
                 reduced_green_oracle(d, 0.5, r), rel=1e-11
