@@ -10,9 +10,18 @@ L1 convolution quadrature of the Caputo derivative on a uniform grid,
 which yields one linear solve per step with the time-independent matrix
 beta M + K; its sparse factorization is computed once and reused.  The
 history sum is evaluated directly (O(n^2) in the step count, fine at the
-default 2^7 steps).  ``solve_pair`` marches a block of data sets against
-the perturbed and the background conductivity through the same loop,
-one factorization per conductivity and one load per step for the block.
+default 2^7 steps).  Every march runs through the one loop ``_march``:
+
+* ``solve_subdiffusion`` / ``solve_background``: one data set, with an
+  optional volumetric source; the ``forward`` and ``oracle-check``
+  commands march u and the background U this way;
+* ``solve_block``: a block of data sets at the perturbed conductivity,
+  one factorization and one load per step for the block; ``locate-one``
+  marches u for both of its directions this way and takes the harmonic
+  background U = a.x, exact in P1, without a march;
+* ``solve_pair``: a block against the perturbed and the background
+  conductivity, one factorization per conductivity and one load per
+  step for both; the multi-inclusion data matrix is built this way.
 
 Data callables:
     f(points (k,2), t) -> (k,) volumetric source, None for zero
@@ -88,9 +97,7 @@ class BoundaryTrace:
     def l1_norm(self) -> float:
         """L1 norm over boundary x [0, T]: trapezoid in time, arcs in space."""
         per_level = np.abs(self.values) @ self.arc_weights
-        w = np.full(self.grid.n_steps + 1, self.grid.dt)
-        w[0] = w[-1] = 0.5 * self.grid.dt
-        return float(per_level @ w)
+        return float(per_level @ self.grid.weights)
 
     def diff(self, other: "BoundaryTrace") -> "BoundaryTrace":
         if other.values.shape != self.values.shape:
@@ -252,31 +259,51 @@ def solve_subdiffusion(
     return SpaceTimeField(mesh=mesh, grid=grid, values=values)
 
 
+def _march_block(mesh: Mesh, alpha: float, gammas, u0, g, grid: TimeGrid):
+    """March one block of m data sets at each per-triangle conductivity in gammas.
+
+    u0(points) -> (k, m) and g(points, t, normals) -> (k, m) give one
+    column per data set.  Each conductivity is assembled and factored
+    once, and each step's Neumann load is computed once for all of them.
+    Returns one array of shape (n_steps + 1, n_nodes, m) per conductivity.
+    """
+    beta, b = _l1_constants(alpha, grid)
+    init = np.asarray(u0(mesh.vertices), dtype=float)
+    marches = []
+    for gamma_tri in gammas:
+        M, K = assemble_matrices(mesh, gamma_tri)
+        values = np.zeros((grid.n_steps + 1,) + init.shape)
+        values[0] = init
+        marches.append((_factor(M, K, beta), values))
+    nodes_t = grid.nodes
+    # the mass matrix M does not depend on the conductivity
+    _march(M, beta, b, marches, lambda n: neumann_load(mesh, g, nodes_t[n]))
+    return [values for _, values in marches]
+
+
+def solve_block(mesh: Mesh, alpha: float, inclusions: InclusionSet, u0, g, grid: TimeGrid):
+    """Perturbed march of a block of m data sets (see _march_block).
+
+    One assembly, one factorization and one Neumann load per step for
+    the whole block; returns the nodal values, shape (n_steps + 1,
+    n_nodes, m).
+    """
+    (u,) = _march_block(mesh, alpha, [inclusions.gamma_of_tag(mesh.region_tag)], u0, g, grid)
+    return u
+
+
 def solve_pair(mesh: Mesh, alpha: float, inclusions: InclusionSet, u0, g, grid: TimeGrid):
     """Perturbed and background marches of a block of m data sets.
 
-    u0(points) -> (k, m) and g(points, t, normals) -> (k, m) give one
-    column per data set.  The background conductivity is
-    inclusions.gamma0 everywhere.  Each of the two conductivities is
-    assembled and factored once, and each step's Neumann load is
-    computed once for both problems.  Returns the nodal values (u, U),
-    each of shape (n_steps + 1, n_nodes, m).
+    The background conductivity is inclusions.gamma0 everywhere; both
+    marches share each step's load (see _march_block).  Returns the
+    nodal values (u, U), each of shape (n_steps + 1, n_nodes, m).
     """
-    beta, b = _l1_constants(alpha, grid)
-    M, K = assemble_matrices(mesh, inclusions.gamma_of_tag(mesh.region_tag))
-    _, K0 = assemble_matrices(mesh, np.full(len(mesh.triangles), inclusions.gamma0))
-    init = np.asarray(u0(mesh.vertices), dtype=float)
-    u = np.zeros((grid.n_steps + 1,) + init.shape)
-    u[0] = init
-    U = u.copy()
-    nodes_t = grid.nodes
-    _march(
-        M,
-        beta,
-        b,
-        [(_factor(M, K, beta), u), (_factor(M, K0, beta), U)],
-        lambda n: neumann_load(mesh, g, nodes_t[n]),
-    )
+    gammas = [
+        inclusions.gamma_of_tag(mesh.region_tag),
+        np.full(len(mesh.triangles), inclusions.gamma0),
+    ]
+    u, U = _march_block(mesh, alpha, gammas, u0, g, grid)
     return u, U
 
 

@@ -57,6 +57,13 @@ class TimeGrid:
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.t_final, self.n_steps + 1)
 
+    @property
+    def weights(self) -> np.ndarray:
+        """Trapezoid-rule weights of the nodes."""
+        w = np.full(self.n_steps + 1, self.dt)
+        w[0] = w[-1] = 0.5 * self.dt
+        return w
+
 
 @dataclass(frozen=True)
 class FracOrder:

@@ -99,6 +99,8 @@ def _log_psi(d: int, alpha: float, r: float) -> float:
     c = 1.0 / (2.0 * math.pi * (1.0 - nu))
     rq = r**q
     if d == 2:
+        if not a0 * rq > 0.0:  # the cut below divides by it
+            raise QuadratureError(f"radius r={r} too small for the d=2 profile at alpha={alpha}")
         # s = r cosh u up to the cut a0 (s^q - r^q) = _ABEL_TAIL
         span = math.acosh((1.0 + _ABEL_TAIL / (a0 * rq)) ** (1.0 / q))
         s = r * np.cosh(span * _UNIT)
@@ -374,29 +376,41 @@ def s_kernel(coeffs: GreenCoeffs, d: int, n_terms: int, y):
     raise ConfigError(f"s_kernel defined for d in {{2, 3}}, got {d}")
 
 
+def _scaled_offsets(coeffs: GreenCoeffs, x, t, src, t0: float, gamma0: float):
+    """lam = gamma0 (t - t0)^alpha and xi = (x - src) / sqrt(lam) per time.
+
+    t is a scalar or a 1-D array of times; lam has t's shape and xi the
+    shape t.shape + (m, d) for an (m, d) batch of points.
+    """
+    t = np.asarray(t, dtype=float)
+    if not np.all(t > t0):
+        raise ConfigError(f"kernel requires t > t0, got t={np.min(t)}, t0={t0}")
+    x_arr = np.atleast_2d(np.asarray(x, dtype=float))
+    lam = gamma0 * (t - t0) ** coeffs.alpha
+    scaled = (x_arr - np.asarray(src, dtype=float)) / np.sqrt(lam)[..., None, None]
+    return lam, scaled
+
+
 def approx_fundamental(
     coeffs: GreenCoeffs,
     d: int,
     n_terms: int,
     x,
-    t: float,
+    t,
     src,
     t0: float = 0.0,
     gamma0: float = 1.0,
 ):
     """Truncated fundamental-solution kernel with pole (src, t0).
 
-    x: point array of shape (d,) or batch (m, d); requires t > t0.
+    x: point array of shape (d,) or batch (m, d); t: a time or a 1-D
+    array of times, each > t0.  The result has shape t.shape + (m,) for
+    a batch and t.shape for one point, one row per time.
     """
-    if not t > t0:
-        raise ConfigError(f"kernel requires t > t0, got t={t}, t0={t0}")
-    x_arr = np.atleast_2d(np.asarray(x, dtype=float))
-    src_arr = np.asarray(src, dtype=float)
-    lam = gamma0 * (t - t0) ** coeffs.alpha
-    scaled = (x_arr - src_arr) / math.sqrt(lam)
-    rr = np.sqrt((scaled**2).sum(axis=1))
-    vals = reduced_green_series(coeffs, d, n_terms, rr) * lam ** (-d / 2.0)
-    return vals[0] if np.asarray(x).ndim == 1 else vals
+    lam, scaled = _scaled_offsets(coeffs, x, t, src, t0, gamma0)
+    rr = np.sqrt((scaled**2).sum(axis=-1))
+    vals = reduced_green_series(coeffs, d, n_terms, rr) * lam[..., None] ** (-d / 2.0)
+    return vals[..., 0] if np.asarray(x).ndim == 1 else vals
 
 
 def grad_approx_fundamental(
@@ -404,7 +418,7 @@ def grad_approx_fundamental(
     d: int,
     n_terms: int,
     x,
-    t: float,
+    t,
     src,
     t0: float = 0.0,
     gamma0: float = 1.0,
@@ -412,15 +426,15 @@ def grad_approx_fundamental(
     """Spatial gradient of the truncated kernel at (x, t).
 
     Equals lam^(-(d+1)/2) xi S_{d,N}(|xi|^2) with xi = (x-src)/sqrt(lam),
-    lam = gamma0 (t-t0)^alpha.  Shape follows x: (d,) -> (d,), (m,d) -> (m,d).
+    lam = gamma0 (t-t0)^alpha.  t is a time or a 1-D array of times;
+    the result has shape t.shape + x.shape: (d,) -> (d,), (m,d) -> (m,d)
+    per time.
     """
-    if not t > t0:
-        raise ConfigError(f"kernel requires t > t0, got t={t}, t0={t0}")
-    x_in = np.asarray(x, dtype=float)
-    x_arr = np.atleast_2d(x_in)
-    src_arr = np.asarray(src, dtype=float)
-    lam = gamma0 * (t - t0) ** coeffs.alpha
-    scaled = (x_arr - src_arr) / math.sqrt(lam)
-    y = (scaled**2).sum(axis=1)
-    grads = lam ** (-(d + 1) / 2.0) * scaled * s_kernel(coeffs, d, n_terms, y)[:, None]
-    return grads[0] if x_in.ndim == 1 else grads
+    lam, scaled = _scaled_offsets(coeffs, x, t, src, t0, gamma0)
+    y = (scaled**2).sum(axis=-1)
+    grads = (
+        lam[..., None, None] ** (-(d + 1) / 2.0)
+        * scaled
+        * s_kernel(coeffs, d, n_terms, y)[..., None]
+    )
+    return grads[..., 0, :] if np.asarray(x).ndim == 1 else grads

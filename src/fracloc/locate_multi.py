@@ -27,7 +27,7 @@ from .forward import SpaceTimeField, add_noise, boundary_restrict, solve_pair
 from .forward import solve_subdiffusion  # noqa: F401
 from .fracmath import TimeGrid
 from .greenfn import approx_fundamental, grad_approx_fundamental, s_kernel
-from .measure import KernelProbe, measurement_boundary, tabulate_normal_derivative
+from .measure import KernelProbe, tabulate_normal_derivative
 
 GAUSS_POINTS_PER_PANEL = 8
 REFINEMENT_LEVELS = 6
@@ -153,7 +153,13 @@ def build_data_matrix(
     positive offset ``t_init`` (default T/2^7) so the initial datum is
     smooth on the closed domain.  All sources march as one block, one
     factorization per conductivity.  Noise, if any, is applied to the
-    perturbed trace only, independently per source.
+    perturbed trace only, independently per source.  B is one
+    contraction of the stacked traces Delta_j with the probes' normal
+    derivatives,
+
+        B[i, j] = gamma0 sum_{levels, nodes} dPhi_i/dn w_t w_arc Delta_j,
+
+    the boundary measurement of every pair at once.
     """
     if t_init is None:
         t_init = grid.t_final / 2.0**7
@@ -190,19 +196,21 @@ def build_data_matrix(
             tr = add_noise(tr, sigma, children[j])
         diffs.append(tr.diff(boundary_restrict(SpaceTimeField(mesh, grid, U[..., j]))))
 
-    B = np.empty((sources.n, sources.n))
-    for i in range(sources.n):
+    # every trace shares the boundary nodes and time levels
+    phin = np.empty((sources.n,) + diffs[0].values.shape)
+    for i, src in enumerate(pts):
         probe = KernelProbe(
             coeffs=coeffs,
             d=d,
             n_terms=n_terms,
-            source=tuple(pts[i]),
+            source=tuple(src),
             t_final=grid.t_final,
             gamma0=gamma0,
         )
-        # every trace shares the boundary nodes and time levels
-        phin = tabulate_normal_derivative(probe.normal_derivative, diffs[0])
-        B[i] = [measurement_boundary(diff, phin, gamma0).value for diff in diffs]
+        phin[i] = tabulate_normal_derivative(probe.normal_derivative, diffs[0])
+    weights = np.outer(grid.weights, diffs[0].arc_weights)
+    deltas = np.stack([diff.values for diff in diffs])
+    B = gamma0 * ((phin * weights).reshape(sources.n, -1) @ deltas.reshape(sources.n, -1).T)
     return DataMatrix(B)
 
 

@@ -10,6 +10,13 @@ normal derivatives at arbitrary (x, t); KernelProbe wraps the
 approximate fundamental solution run backwards in time, which is the
 only Phi the algorithms use, but tests may pass exact oracles.
 
+Handle contract: a handle takes k points (and, for the normal
+derivative, k normals) and t, either one time or a 1-D array of times,
+and returns one row per time: value and normal_derivative have shape
+t.shape + (k,), gradient t.shape + (k, d).  A scalar t is the 0-d case.
+The measurements call a handle once for all time levels (the interior
+form once per inclusion).
+
 An equivalent interior form (conductivity-contrast weighted gradient
 coupling over the inclusions) serves as a cross-check, and leading_term
 evaluates the first-order small-volume model driven by polarization
@@ -83,10 +90,18 @@ def polarization_disk(d: int, gamma0: float, gamma_l: float, volB: float) -> Pol
     return PolarizationTensor(matrix=scalar * np.eye(d))
 
 
-def _time_weights(grid: TimeGrid) -> np.ndarray:
-    w = np.full(grid.n_steps + 1, grid.dt)
-    w[0] = w[-1] = 0.5 * grid.dt
-    return w
+def _backward(t_final: float, t, shape: tuple, kernel) -> np.ndarray:
+    """kernel(s) at the elapsed times s = t_final - t, zero rows where s <= 0.
+
+    t is a time or a 1-D array of times; kernel maps a 1-D array of
+    positive s to rows of shape ``shape``, and the result has shape
+    t.shape + shape.
+    """
+    s = t_final - np.asarray(t, dtype=float)
+    out = np.zeros(s.shape + shape)
+    live = s > 0.0
+    out[live] = kernel(s[live])
+    return out
 
 
 @dataclass(frozen=True)
@@ -96,6 +111,7 @@ class KernelProbe:
     The source sits outside the closed domain, so as t -> T the kernel's
     exponential factor drives every handle to 0 on Omega; the handles
     return that limit exactly instead of evaluating at zero elapsed time.
+    Every handle takes one time or a 1-D array of times (module docstring).
     """
 
     coeffs: GreenCoeffs
@@ -113,26 +129,30 @@ class KernelProbe:
         if self.t_final <= 0.0:
             raise ConfigError(f"final time must be positive, got {self.t_final}")
 
-    def value(self, points, t: float) -> np.ndarray:
+    def value(self, points, t) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        s = self.t_final - t
-        if s <= 0.0:
-            return np.zeros(len(points))
-        return approx_fundamental(
-            self.coeffs, self.d, self.n_terms, points, s, self.source, gamma0=self.gamma0
+        return _backward(
+            self.t_final,
+            t,
+            (len(points),),
+            lambda s: approx_fundamental(
+                self.coeffs, self.d, self.n_terms, points, s, self.source, gamma0=self.gamma0
+            ),
         )
 
-    def gradient(self, points, t: float) -> np.ndarray:
+    def gradient(self, points, t) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        s = self.t_final - t
-        if s <= 0.0:
-            return np.zeros_like(points)
-        return grad_approx_fundamental(
-            self.coeffs, self.d, self.n_terms, points, s, self.source, gamma0=self.gamma0
+        return _backward(
+            self.t_final,
+            t,
+            points.shape,
+            lambda s: grad_approx_fundamental(
+                self.coeffs, self.d, self.n_terms, points, s, self.source, gamma0=self.gamma0
+            ),
         )
 
-    def normal_derivative(self, points, t: float, normals) -> np.ndarray:
-        return (self.gradient(points, t) * np.asarray(normals, dtype=float)).sum(axis=1)
+    def normal_derivative(self, points, t, normals) -> np.ndarray:
+        return (self.gradient(points, t) * np.asarray(normals, dtype=float)).sum(axis=-1)
 
 
 class OracleKernelProbe:
@@ -192,61 +212,56 @@ class OracleKernelProbe:
         dpsi[ok] = psi[ok] * self._spline(lr, 1) / r[ok]
         return psi, dpsi
 
-    def value(self, points, t: float) -> np.ndarray:
+    def value(self, points, t) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        s = self.t_final - t
-        if s <= 0.0:
-            return np.zeros(len(points))
-        lam = self.gamma0 * s**self.alpha
         rho = np.linalg.norm(points - self.source, axis=1)
-        psi, _ = self._profile(rho / math.sqrt(lam))
-        return psi / lam ** (self.d / 2.0)
 
-    def gradient(self, points, t: float) -> np.ndarray:
+        def kernel(s):
+            lam = (self.gamma0 * s**self.alpha)[:, None]
+            psi, _ = self._profile(rho / np.sqrt(lam))
+            return psi / lam ** (self.d / 2.0)
+
+        return _backward(self.t_final, t, rho.shape, kernel)
+
+    def gradient(self, points, t) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        s = self.t_final - t
-        if s <= 0.0:
-            return np.zeros_like(points)
-        lam = self.gamma0 * s**self.alpha
         dx = points - self.source
         rho = np.linalg.norm(dx, axis=1)
-        _, dpsi = self._profile(rho / math.sqrt(lam))
-        return (dpsi / lam ** ((self.d + 1) / 2.0))[:, None] * (dx / rho[:, None])
 
-    def normal_derivative(self, points, t: float, normals) -> np.ndarray:
-        return (self.gradient(points, t) * np.asarray(normals, dtype=float)).sum(axis=1)
+        def kernel(s):
+            lam = (self.gamma0 * s**self.alpha)[:, None]
+            _, dpsi = self._profile(rho / np.sqrt(lam))
+            return (dpsi / lam ** ((self.d + 1) / 2.0))[..., None] * (dx / rho[:, None])
+
+        return _backward(self.t_final, t, dx.shape, kernel)
+
+    def normal_derivative(self, points, t, normals) -> np.ndarray:
+        return (self.gradient(points, t) * np.asarray(normals, dtype=float)).sum(axis=-1)
 
 
 def tabulate_normal_derivative(phi, trace: BoundaryTrace) -> np.ndarray:
-    """dPhi/dn of a callable (points, t, normals) -> (k,) on the nodes and
-    time levels of ``trace``; the nodes sit on the unit circle, so the
-    outward normal at a node is its position."""
+    """dPhi/dn of a handle (points, t, normals) on the nodes and time
+    levels of ``trace``, in one handle call over all levels; the nodes
+    sit on the unit circle, so the outward normal at a node is its
+    position."""
     pts = np.column_stack([np.cos(trace.angles), np.sin(trace.angles)])
-    phin = np.empty_like(trace.values)
-    for n, t in enumerate(trace.grid.nodes):
-        phin[n] = phi(pts, t, pts)
-    return phin
+    return np.asarray(phi(pts, trace.grid.nodes, pts), dtype=float)
 
 
 def measurement_boundary(diff: BoundaryTrace, phi, gamma0: float, **meta) -> Measurement:
     """Space-time quadrature of gamma0 (u - U) dPhi/dn over the boundary.
 
-    phi is either a normal-derivative callable (points, t, normals) ->
-    (k,) or a precomputed array of dPhi/dn values matching the trace
-    shape.  Trapezoid in time, trapezoidal arc weights in space.
+    phi is either a normal-derivative handle (points, t, normals), see
+    the module docstring, or an array of dPhi/dn values matching the
+    trace shape.  Trapezoid in time, trapezoidal arc weights in space.
     """
     if gamma0 <= 0.0:
         raise ConfigError(f"gamma0 must be positive, got {gamma0}")
-    if callable(phi):
-        phin = tabulate_normal_derivative(phi, diff)
-    else:
-        phin = np.asarray(phi, dtype=float)
-        if phin.shape != diff.values.shape:
-            raise ConfigError(
-                f"precomputed dPhi/dn shape {phin.shape} does not match trace {diff.values.shape}"
-            )
+    phin = tabulate_normal_derivative(phi, diff) if callable(phi) else np.asarray(phi, dtype=float)
+    if phin.shape != diff.values.shape:
+        raise ConfigError(f"dPhi/dn shape {phin.shape} does not match trace {diff.values.shape}")
     per_level = (diff.values * phin) @ diff.arc_weights
-    value = gamma0 * float(per_level @ _time_weights(diff.grid))
+    value = gamma0 * float(per_level @ diff.grid.weights)
     return Measurement(value=value, **meta)
 
 
@@ -256,7 +271,8 @@ def measurement_interior(
     """Interior form: sum_l (gamma0 - gamma_l) int_0^T int_{A_l} grad u . grad Phi.
 
     grad u is the elementwise-constant P1 gradient; grad Phi is sampled
-    at triangle centroids (midpoint rule), trapezoid in time.
+    at triangle centroids (midpoint rule), trapezoid in time.  Each
+    inclusion takes one grad_phi call over all time levels.
     """
     mesh = u.mesh
     verts = mesh.vertices
@@ -272,17 +288,14 @@ def measurement_interior(
         area2 = p[:, 1, 0] * p[:, 2, 1] - p[:, 2, 0] * p[:, 1, 1]
         area2 += p[:, 2, 0] * p[:, 0, 1] - p[:, 0, 0] * p[:, 2, 1]
         area2 += p[:, 0, 0] * p[:, 1, 1] - p[:, 1, 0] * p[:, 0, 1]
-        centroids = p.mean(axis=1)
-        contrast = inclusions.gamma0 - inc.gamma
-        for n, t in enumerate(u.grid.nodes):
-            nodal = u.values[n][tris]
-            gx = (nodal * b).sum(1) / area2
-            gy = (nodal * c).sum(1) / area2
-            gp = np.asarray(grad_phi(centroids, t), dtype=float)
-            per_level[n] += contrast * float(
-                ((gx * gp[:, 0] + gy * gp[:, 1]) * 0.5 * area2).sum()
-            )
-    value = float(per_level @ _time_weights(u.grid))
+        # (levels, triangles) P1 gradients of u and centroid gradients of Phi
+        nodal = u.values[:, tris]
+        gx = (nodal * b).sum(-1) / area2
+        gy = (nodal * c).sum(-1) / area2
+        gp = np.asarray(grad_phi(p.mean(axis=1), u.grid.nodes), dtype=float)
+        coupling = ((gx * gp[..., 0] + gy * gp[..., 1]) * 0.5 * area2).sum(-1)
+        per_level += (inclusions.gamma0 - inc.gamma) * coupling
+    value = float(per_level @ u.grid.weights)
     return Measurement(value=value, **meta)
 
 
@@ -313,7 +326,7 @@ def leading_term(
         raise ConfigError(
             f"gradient series must have shape {want}, got {grad_u.shape} and {grad_phi.shape}"
         )
-    w = _time_weights(grid)
+    w = grid.weights
     total = 0.0
     for l, inc in enumerate(inclusions.items):
         coupled = np.einsum("nd,de,ne->n", grad_u[:, l], tensors[l].matrix, grad_phi[:, l])

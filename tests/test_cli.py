@@ -377,6 +377,51 @@ class TestLocateOneCommand:
         )
         assert cli.main(["locate-one", "--config", cfg]) == 2
 
+    def test_one_factorization_and_one_kernel_call_per_probe(self, cheap_one, monkeypatch):
+        from fracloc import forward, locate_one, measure
+
+        counts = {"splu": 0, "kernel": 0, "probe": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(forward, "splu", counting("splu", forward.splu))
+        monkeypatch.setattr(
+            measure, "grad_approx_fundamental", counting("kernel", measure.grad_approx_fundamental)
+        )
+        monkeypatch.setattr(locate_one, "probe_value", counting("probe", locate_one.probe_value))
+        assert cli.main(["locate-one", "--config", cheap_one]) == 0
+        # both directions march as one block; U = a.x is not marched
+        assert counts["splu"] == 1
+        # two segments at tol 1e-3: 2 endpoints and 10 halvings each
+        assert counts["probe"] == 24
+        assert counts["kernel"] == counts["probe"]
+
+    # reconstruction.csv rows of the bundled examples, frozen at full precision
+    FROZEN = {
+        "example41": [
+            0.19952392578125, 0.29937744140625, 0.19952392578125, 2.0,
+            2.0, 0.29937744140625, 0.0, 0.00078372563082394916,
+        ],
+        "example42": [
+            0.19964599609375, 0.30096435546875, 0.19964599609375, 2.0,
+            2.0, 0.30096435546875, 0.0, 0.0010272780712875752,
+        ],
+    }
+
+    @pytest.mark.parametrize("name", sorted(FROZEN))
+    def test_bundled_example_is_frozen(self, tmp_path, name):
+        config = Path(__file__).parents[1] / "configs" / f"{name}.json"
+        out = tmp_path / "out"
+        assert cli.main(["locate-one", "--config", str(config), "--out", str(out)]) == 0
+        rows = (out / "reconstruction.csv").read_text().splitlines()
+        assert rows[0] == "Px,Py,P1x,P1y,P2x,P2y,rho0,err"
+        assert [float(v) for v in rows[1].split(",")] == self.FROZEN[name]
+
 
 class TestLocateMultiCommand:
     def test_outputs_and_peak(self, tmp_path, cheap_multi):

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracloc.errors import ConfigError
+from fracloc.errors import ConfigError, FraclocError
 from fracloc.greenfn import (
     GreenCoeffs,
     approx_fundamental,
@@ -132,6 +132,14 @@ class TestOracle:
 
     def test_scalar_input_returns_float(self):
         assert isinstance(reduced_green_oracle(2, 0.5, 2.0), float)
+
+    @pytest.mark.parametrize("r", [1e-320, 1e-300])
+    def test_underflowing_radius_is_a_fraclocerror(self, r):
+        # r^q underflows to 0; the d = 2 Abel cut divides by it
+        with pytest.raises(FraclocError):
+            log_reduced_green(2, 0.5, r)
+        with pytest.raises(FraclocError):
+            reduced_green_oracle(2, 0.5, np.array([1.0, r]))
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -328,6 +336,26 @@ class TestSpaceTimeKernel:
             approx_fundamental(coeffs_half, 2, 3, np.ones(2), 0.5, np.zeros(2), t0=0.5)
         with pytest.raises(ConfigError):
             grad_approx_fundamental(coeffs_half, 2, 3, np.ones(2), 0.2, np.zeros(2), t0=0.5)
+        # one violating time inside an array of times is enough
+        times = np.array([0.9, 0.7, 0.5])
+        with pytest.raises(ConfigError):
+            approx_fundamental(coeffs_half, 2, 3, np.ones(2), times, np.zeros(2), t0=0.5)
+        with pytest.raises(ConfigError):
+            grad_approx_fundamental(coeffs_half, 2, 3, np.ones((3, 2)), times, np.zeros(2), t0=0.5)
+
+    @pytest.mark.parametrize("one_point", [False, True])
+    def test_array_of_times_matches_scalar_calls(self, coeffs_half, one_point):
+        src = np.array([2.0, 0.5])
+        xs = np.array([[0.3, 0.1], [-0.8, 0.4], [0.0, -1.0]])
+        x = xs[0] if one_point else xs
+        times = np.linspace(0.05, 1.0, 9)
+        for kernel in (approx_fundamental, grad_approx_fundamental):
+            got = kernel(coeffs_half, 2, 3, x, times, src, t0=-0.01, gamma0=1.5)
+            ref = np.stack(
+                [kernel(coeffs_half, 2, 3, x, t, src, t0=-0.01, gamma0=1.5) for t in times]
+            )
+            assert got.shape == (len(times),) + ref.shape[1:]
+            np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0.0)
 
 
 class TestGreenCoeffs:

@@ -24,6 +24,7 @@ from fracloc.measure import (
     measurement_boundary,
     measurement_interior,
     polarization_disk,
+    tabulate_normal_derivative,
 )
 from fracloc.mesh import Inclusion, InclusionSet, build_mesh
 
@@ -116,8 +117,11 @@ class TestMeasurementBoundary:
         )
 
     def test_callable_and_array_paths_agree(self, flat_trace):
+        # a handle takes one time or an array of times, one row per time
         def phi(p, t, n):
-            return (1.0 + t) * p[:, 1]
+            return (1.0 + np.asarray(t)[..., None]) * p[:, 1]
+
+        assert phi(np.ones((3, 2)), 0.5, None).shape == (3,)
 
         pts = np.column_stack([np.cos(flat_trace.angles), np.sin(flat_trace.angles)])
         arr = np.array([(1.0 + t) * pts[:, 1] for t in flat_trace.grid.nodes])
@@ -201,6 +205,46 @@ class TestKernelProbe:
             KernelProbe(coeffs=coeffs_half, d=2, n_terms=3, source=(2.0, 0.0, 0.0), t_final=1.0)
         with pytest.raises(ConfigError):
             KernelProbe(coeffs=coeffs_half, d=2, n_terms=3, source=(2.0, 0.0), t_final=0.0)
+
+
+class TestHandleContract:
+    """Every handle takes one time or a 1-D array of times."""
+
+    @pytest.fixture(params=["series", "exact"])
+    def any_probe(self, request, coeffs_half):
+        src = (2.0 * math.cos(0.7), 2.0 * math.sin(0.7))
+        if request.param == "series":
+            return KernelProbe(coeffs=coeffs_half, d=2, n_terms=3, source=src, t_final=1.0)
+        return OracleKernelProbe(2, 0.5, src, 1.0)
+
+    def test_array_of_times_matches_scalar_calls(self, any_probe):
+        angles = np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False)
+        pts = np.column_stack([np.cos(angles), np.sin(angles)])
+        # levels past the final time included: those rows are zero
+        times = np.concatenate([np.linspace(0.0, 1.0, 17), [1.25]])
+        handles = (
+            lambda t: any_probe.value(pts, t),
+            lambda t: any_probe.gradient(pts, t),
+            lambda t: any_probe.normal_derivative(pts, t, pts),
+        )
+        for handle in handles:
+            got = handle(times)
+            ref = np.stack([handle(t) for t in times])
+            assert got.shape == ref.shape == (len(times),) + handle(0.5).shape
+            np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0.0)
+            assert np.all(got[-2:] == 0.0)
+            assert np.all(got[:-2] != 0.0)
+
+    def test_tabulation_is_one_handle_call(self, flat_trace, any_probe):
+        calls = []
+
+        def phi(p, t, n):
+            calls.append(np.shape(t))
+            return any_probe.normal_derivative(p, t, n)
+
+        tab = tabulate_normal_derivative(phi, flat_trace)
+        assert calls == [(flat_trace.grid.n_steps + 1,)]
+        assert tab.shape == flat_trace.values.shape
 
 
 def _psi_half_quad(d: int, r: float) -> float:
