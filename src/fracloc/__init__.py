@@ -9,7 +9,7 @@ kernels.
 
 Module map
 ----------
-fracmath      fractional derivatives/integrals, Mittag-Leffler function
+fracmath      time grid, L1 Caputo derivative, Riemann-Liouville integral
 greenfn       reduced fundamental-solution profiles: float64 quadrature,
               fitted asymptotic series, and their gradient kernels
 mesh          graded triangulations of the unit disk resolving inclusions

@@ -240,22 +240,24 @@ def _coeffs(cfg):
     return fit_green_coeffs(float(cfg["alpha"]))
 
 
-def _linear_pair(cfg, incs, mesh, grid, direction):
-    """Fields (u, U) for a linear background a.x; u is None without inclusions."""
-    a = np.asarray(direction, dtype=float)
-    alpha = float(cfg["alpha"])
+def _axis_fields(cfg, incs, mesh, grid):
+    """Fields (u, U) for the backgrounds a = (1, 0) and (0, 1), in that order.
+
+    u is marched for both directions as one block, column j for a = e_j.
+    The background U = a.x, that is x_j, solves the background problem
+    exactly in P1 for any gamma0, so it is taken as it is, not marched.
+    """
     gamma0 = float(cfg["gamma0"])
-
-    def u0(p):
-        return p @ a
-
-    def g(p, t, nrm):
-        return gamma0 * (nrm @ a)
-
-    U = solve_background(mesh, alpha, None, u0, g, grid, gamma0=gamma0)
-    if not incs.items:
-        return None, U
-    return solve_subdiffusion(mesh, alpha, incs, None, u0, g, grid), U
+    u = solve_block(
+        mesh, float(cfg["alpha"]), incs, lambda p: p, lambda p, t, nrm: gamma0 * nrm, grid
+    )
+    return [
+        (
+            SpaceTimeField(mesh, grid, u[..., j]),
+            SpaceTimeField(mesh, grid, np.broadcast_to(mesh.vertices[:, j], u.shape[:2])),
+        )
+        for j in range(2)
+    ]
 
 
 def _observed_trace(cfg, u, noise_seed):
@@ -292,12 +294,23 @@ def _write_manifest(out_dir, command, cfg, files):
 
 def cmd_forward(cfg, out_dir, jobs=1):
     incs, mesh, grid = _build_setting(cfg)
-    u, U = _linear_pair(cfg, incs, mesh, grid, cfg["background"]["direction"])
+    a = np.asarray(cfg["background"]["direction"], dtype=float)
+    alpha = float(cfg["alpha"])
+    gamma0 = float(cfg["gamma0"])
+
+    def u0(p):
+        return p @ a
+
+    def g(p, t, nrm):
+        return gamma0 * (nrm @ a)
+
+    U = solve_background(mesh, alpha, None, u0, g, grid, gamma0=gamma0)
     files = ["mesh.txt", "background_trace.csv", "background_field.csv"]
     mesh.save(out_dir / "mesh.txt")
     boundary_restrict(U).to_csv(out_dir / "background_trace.csv")
     U.to_csv(out_dir / "background_field.csv")
-    if u is not None:
+    if incs.items:
+        u = solve_subdiffusion(mesh, alpha, incs, None, u0, g, grid)
         _observed_trace(cfg, u, int(cfg["noise"]["seed"])).to_csv(
             out_dir / "solution_trace.csv"
         )
@@ -306,24 +319,14 @@ def cmd_forward(cfg, out_dir, jobs=1):
 
 
 def _locate_one_run(cfg, incs, mesh, grid, coeffs):
-    """Locate one inclusion from the backgrounds a = (1, 0) and (0, 1).
-
-    u is marched for both directions as one block, column j for a = e_j.
-    The background U = a.x, that is x_j, solves the background problem
-    exactly in P1 for any gamma0, so it is taken as it is, not marched.
-    """
+    """Locate one inclusion from the backgrounds a = (1, 0) and (0, 1)."""
     if not incs.items:
         raise ConfigError("locate-one needs at least one inclusion in the config")
-    gamma0 = float(cfg["gamma0"])
-    u = solve_block(
-        mesh, float(cfg["alpha"]), incs, lambda p: p, lambda p, t, nrm: gamma0 * nrm, grid
-    )
     children = np.random.SeedSequence(int(cfg["noise"]["seed"])).spawn(2)
-    diffs = []
-    for j, child in enumerate(children):
-        U = SpaceTimeField(mesh, grid, np.broadcast_to(mesh.vertices[:, j], u.shape[:2]))
-        observed = _observed_trace(cfg, SpaceTimeField(mesh, grid, u[..., j]), child)
-        diffs.append(observed.diff(boundary_restrict(U)))
+    diffs = [
+        _observed_trace(cfg, u, child).diff(boundary_restrict(U))
+        for (u, U), child in zip(_axis_fields(cfg, incs, mesh, grid), children)
+    ]
     segments = default_segments(distance=float(cfg["probe"]["distance"]))
     return locate_one_inclusion(
         diffs,
@@ -455,8 +458,7 @@ def cmd_oracle_check(cfg, out_dir, jobs=1):
     else:
         raise ConfigError(f"probe kind must be 'exact' or 'series', got {kind!r}")
     rows = []
-    for label, direction in (("U1", [1.0, 0.0]), ("U2", [0.0, 1.0])):
-        u, U = _linear_pair(cfg, incs, mesh, grid, direction)
+    for label, (u, U) in zip(("U1", "U2"), _axis_fields(cfg, incs, mesh, grid)):
         diff = boundary_restrict(u).diff(boundary_restrict(U))
         via_boundary = measurement_boundary(diff, probe.normal_derivative, gamma0).value
         via_interior = measurement_interior(u, probe.gradient, incs).value

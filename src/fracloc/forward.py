@@ -10,15 +10,16 @@ L1 convolution quadrature of the Caputo derivative on a uniform grid,
 which yields one linear solve per step with the time-independent matrix
 beta M + K; its sparse factorization is computed once and reused.  The
 history sum is evaluated directly (O(n^2) in the step count, fine at the
-default 2^7 steps).  Every march runs through the one loop ``_march``:
+default 2^7 steps).  Every march runs through the one function
+``_march_block``, which assembles, factors and runs the L1 loop:
 
 * ``solve_subdiffusion`` / ``solve_background``: one data set, with an
-  optional volumetric source; the ``forward`` and ``oracle-check``
-  commands march u and the background U this way;
+  optional volumetric source; the ``forward`` command marches u and the
+  background U this way;
 * ``solve_block``: a block of data sets at the perturbed conductivity,
   one factorization and one load per step for the block; ``locate-one``
-  marches u for both of its directions this way and takes the harmonic
-  background U = a.x, exact in P1, without a march;
+  and ``oracle-check`` march u for both axis directions this way and
+  take the harmonic background U = a.x, exact in P1, without a march;
 * ``solve_pair``: a block against the perturbed and the background
   conductivity, one factorization per conductivity and one load per
   step for both; the multi-inclusion data matrix is built this way.
@@ -193,29 +194,6 @@ def _factor(M, K, beta):
         raise SolverError(f"factorization of the time-step matrix failed: {exc}") from exc
 
 
-def _march(M, beta, b, marches, load):
-    """The L1 time loop, shared by every march.
-
-    marches holds (lu, values) pairs; values has shape (n_steps + 1,
-    n_nodes) or (n_steps + 1, n_nodes, m), holds the initial datum in
-    values[0] and is filled in place.  load(n) is the step-n right-hand
-    side before the history term, computed once for all marches.
-    """
-    for n in range(1, len(b) + 1):
-        load_n = load(n)
-        for lu, values in marches:
-            flat = values.reshape(len(values), -1)
-            # history: b[n-1] u^0 + sum_{j=1}^{n-1} (b[n-j-1] - b[n-j]) u^j
-            hist = b[n - 1] * flat[0]
-            if n > 1:
-                coeffs = b[n - 2 :: -1] - b[n - 1 : 0 : -1]
-                hist = hist + coeffs @ flat[1:n]
-            rhs = load_n + beta * (M @ hist.reshape(values.shape[1:]))
-            values[n] = lu.solve(rhs)
-            if not np.all(np.isfinite(values[n])):
-                raise SolverError(f"non-finite solution at time step {n}")
-
-
 def solve_subdiffusion(
     mesh: Mesh,
     alpha: float,
@@ -232,52 +210,53 @@ def solve_subdiffusion(
     background problem); otherwise gamma0 is taken from the inclusion
     set and the region tags select the per-triangle value.
     """
-    beta, b = _l1_constants(alpha, grid)
     if inclusions is not None:
         gamma_tri = inclusions.gamma_of_tag(mesh.region_tag)
     else:
         if gamma0 <= 0.0:
             raise ConfigError(f"gamma0 must be positive, got {gamma0}")
         gamma_tri = np.full(len(mesh.triangles), gamma0)
-
-    M, K = assemble_matrices(mesh, gamma_tri)
-    lu = _factor(M, K, beta)
-
-    values = np.zeros((grid.n_steps + 1, len(mesh.vertices)))
-    if u0 is not None:
-        values[0] = np.asarray(u0(mesh.vertices), dtype=float)
-
-    nodes_t = grid.nodes
-
-    def load(n):
-        rhs = neumann_load(mesh, g, nodes_t[n])
-        if f is not None:
-            rhs = rhs + M @ np.asarray(f(mesh.vertices, nodes_t[n]), dtype=float)
-        return rhs
-
-    _march(M, beta, b, [(lu, values)], load)
+    (values,) = _march_block(mesh, alpha, [gamma_tri], u0, g, grid, f)
     return SpaceTimeField(mesh=mesh, grid=grid, values=values)
 
 
-def _march_block(mesh: Mesh, alpha: float, gammas, u0, g, grid: TimeGrid):
-    """March one block of m data sets at each per-triangle conductivity in gammas.
+def _march_block(mesh: Mesh, alpha: float, gammas, u0, g, grid: TimeGrid, f=None):
+    """March one block of data sets at each per-triangle conductivity in gammas.
 
-    u0(points) -> (k, m) and g(points, t, normals) -> (k, m) give one
-    column per data set.  Each conductivity is assembled and factored
-    once, and each step's Neumann load is computed once for all of them.
-    Returns one array of shape (n_steps + 1, n_nodes, m) per conductivity.
+    The one setup and L1 time loop of every march.  u0(points) -> (k,)
+    or (k, m) and g(points, t, normals) -> the same shape give one
+    column per data set; u0 = None is a zero start of one data set, and
+    f adds the volumetric load M f(points, t).  Each conductivity is
+    assembled and factored once, and each step's load is computed once
+    for all of them.  Returns one array of shape (n_steps + 1, n_nodes)
+    or (n_steps + 1, n_nodes, m) per conductivity.
     """
     beta, b = _l1_constants(alpha, grid)
-    init = np.asarray(u0(mesh.vertices), dtype=float)
+    vertices = mesh.vertices
+    init = np.zeros(len(vertices)) if u0 is None else np.asarray(u0(vertices), dtype=float)
     marches = []
     for gamma_tri in gammas:
         M, K = assemble_matrices(mesh, gamma_tri)
         values = np.zeros((grid.n_steps + 1,) + init.shape)
         values[0] = init
         marches.append((_factor(M, K, beta), values))
-    nodes_t = grid.nodes
     # the mass matrix M does not depend on the conductivity
-    _march(M, beta, b, marches, lambda n: neumann_load(mesh, g, nodes_t[n]))
+    nodes_t = grid.nodes
+    for n in range(1, len(b) + 1):
+        load = neumann_load(mesh, g, nodes_t[n])
+        if f is not None:
+            load = load + M @ np.asarray(f(vertices, nodes_t[n]), dtype=float)
+        for lu, values in marches:
+            flat = values.reshape(len(values), -1)
+            # history: b[n-1] u^0 + sum_{j=1}^{n-1} (b[n-j-1] - b[n-j]) u^j
+            hist = b[n - 1] * flat[0]
+            if n > 1:
+                coeffs = b[n - 2 :: -1] - b[n - 1 : 0 : -1]
+                hist = hist + coeffs @ flat[1:n]
+            rhs = load + beta * (M @ hist.reshape(values.shape[1:]))
+            values[n] = lu.solve(rhs)
+            if not np.all(np.isfinite(values[n])):
+                raise SolverError(f"non-finite solution at time step {n}")
     return [values for _, values in marches]
 
 

@@ -175,7 +175,7 @@ class GreenCoeffs:
     a2: tuple
 
     def __post_init__(self) -> None:
-        # normalize to builtin floats so repr-based serialization is clean
+        # normalize to builtin floats, so equal fits compare equal
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "a0", float(self.a0))
         object.__setattr__(self, "a1", tuple(float(c) for c in self.a1))
@@ -188,48 +188,6 @@ class GreenCoeffs:
             raise ConfigError("coefficient lists must be non-empty")
         if self.a1[0] <= 0 or self.a2[0] <= 0:
             raise ConfigError("leading expansion coefficients must be positive")
-
-    # -- plain-text (de)serialization so fits can be cached between runs --
-
-    def to_text(self) -> str:
-        lines = [
-            "# reduced-profile expansion coefficients",
-            f"alpha = {self.alpha!r}",
-            f"a0 = {self.a0!r}",
-            "a1 = " + " ".join(repr(c) for c in self.a1),
-            "a2 = " + " ".join(repr(c) for c in self.a2),
-        ]
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "GreenCoeffs":
-        fields: dict = {}
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"malformed coefficient line: {line!r}")
-            key, _, val = line.partition("=")
-            fields[key.strip()] = val.strip()
-        try:
-            return cls(
-                alpha=float(fields["alpha"]),
-                a0=float(fields["a0"]),
-                a1=tuple(float(v) for v in fields["a1"].split()),
-                a2=tuple(float(v) for v in fields["a2"].split()),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"missing coefficient field: {exc}") from exc
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(self.to_text())
-
-    @classmethod
-    def load(cls, path) -> "GreenCoeffs":
-        with open(path, "r", encoding="ascii") as fh:
-            return cls.from_text(fh.read())
 
 
 def _prefactor_exponent(d: int, alpha: float) -> float:
@@ -244,7 +202,7 @@ _FIT_R_LO = 5.0
 _FIT_R_HI = 80.0
 
 
-def _fit_exponential_rate(alpha: float, rho, g) -> float:
+def _fit_exponential_rate(rho, g) -> float:
     """Least squares for a0 in g = -a0 rho + log-correction(1/rho)."""
     basis = np.stack([rho, np.ones_like(rho), 1 / rho, 1 / rho**2, 1 / rho**3], axis=1)
     coef, *_ = np.linalg.lstsq(basis, g, rcond=None)
@@ -275,7 +233,7 @@ def fit_green_coeffs(alpha: float, n_terms: int = MAX_SERIES_TERMS) -> GreenCoef
     a0_est = {}
     for d, rs in ((1, r1), (2, r2)):
         g = logs[d] + _prefactor_exponent(d, alpha) * np.log(rs)
-        a0_est[d] = _fit_exponential_rate(alpha, rs**q, g)
+        a0_est[d] = _fit_exponential_rate(rs**q, g)
     if abs(a0_est[1] - a0_est[2]) > 1e-4:
         raise QuadratureError(
             f"decay-rate fits disagree between d=1 ({a0_est[1]:.8f}) and d=2 ({a0_est[2]:.8f})"

@@ -362,19 +362,21 @@ def scan_indicator(
     sources,
     alpha,
     coeffs,
+    *,
+    k,
     region=(-0.7, 0.7, -0.7, 0.7),
     resolution=101,
-    k=None,
     n_terms=3,
     t_final=1.0,
     gamma0=1.0,
-    tau=1e-6,
     jobs=1,
 ):
     """Evaluate the indicator on a resolution x resolution interior grid.
 
-    Rows are independent; ``jobs`` > 1 spreads them over a process pool
-    of at most min(jobs, CPU count, rows) workers.  The assembled grid is
+    k is the truncation level, chosen by the caller (the CLI floors
+    select_truncation's count; see cli._locate_multi_run).  Rows are
+    independent; ``jobs`` > 1 spreads them over a process pool of at
+    most min(jobs, CPU count, rows) workers.  The assembled grid is
     identical regardless of the worker count.
     """
     xmin, xmax, ymin, ymax = region
@@ -385,8 +387,6 @@ def scan_indicator(
         raise ConfigError(f"scan region {region} reaches outside the unit disk")
     if resolution < 2:
         raise ConfigError(f"resolution {resolution} too small")
-    if k is None:
-        k = select_truncation(data.singular_values, tau)
     xs = np.linspace(xmin, xmax, resolution)
     ys = np.linspace(ymin, ymax, resolution)
     payloads = [

@@ -134,7 +134,6 @@ def probe_value(
     coeffs: GreenCoeffs,
     n_terms: int = 3,
     gamma0: float = 1.0,
-    **meta,
 ) -> float:
     """Measurement against the test function anchored at exterior point P."""
     P = np.asarray(P, dtype=float)
@@ -148,7 +147,7 @@ def probe_value(
         t_final=diff.grid.t_final,
         gamma0=gamma0,
     )
-    return measurement_boundary(diff, probe.normal_derivative, gamma0, **meta).value
+    return measurement_boundary(diff, probe.normal_derivative, gamma0).value
 
 
 def _bisect(f, fa: float, fb: float, tol: float):

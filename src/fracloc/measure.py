@@ -43,12 +43,9 @@ from .mesh import InclusionSet
 
 @dataclass(frozen=True)
 class Measurement:
-    """One boundary measurement value with its provenance."""
+    """One finite measurement value."""
 
     value: float
-    background: str = ""
-    probe: str = ""
-    seed: int | None = None
 
     def __post_init__(self):
         if not math.isfinite(self.value):
@@ -248,7 +245,7 @@ def tabulate_normal_derivative(phi, trace: BoundaryTrace) -> np.ndarray:
     return np.asarray(phi(pts, trace.grid.nodes, pts), dtype=float)
 
 
-def measurement_boundary(diff: BoundaryTrace, phi, gamma0: float, **meta) -> Measurement:
+def measurement_boundary(diff: BoundaryTrace, phi, gamma0: float) -> Measurement:
     """Space-time quadrature of gamma0 (u - U) dPhi/dn over the boundary.
 
     phi is either a normal-derivative handle (points, t, normals), see
@@ -262,12 +259,10 @@ def measurement_boundary(diff: BoundaryTrace, phi, gamma0: float, **meta) -> Mea
         raise ConfigError(f"dPhi/dn shape {phin.shape} does not match trace {diff.values.shape}")
     per_level = (diff.values * phin) @ diff.arc_weights
     value = gamma0 * float(per_level @ diff.grid.weights)
-    return Measurement(value=value, **meta)
+    return Measurement(value=value)
 
 
-def measurement_interior(
-    u: SpaceTimeField, grad_phi, inclusions: InclusionSet, **meta
-) -> Measurement:
+def measurement_interior(u: SpaceTimeField, grad_phi, inclusions: InclusionSet) -> Measurement:
     """Interior form: sum_l (gamma0 - gamma_l) int_0^T int_{A_l} grad u . grad Phi.
 
     grad u is the elementwise-constant P1 gradient; grad Phi is sampled
@@ -296,7 +291,7 @@ def measurement_interior(
         coupling = ((gx * gp[..., 0] + gy * gp[..., 1]) * 0.5 * area2).sum(-1)
         per_level += (inclusions.gamma0 - inc.gamma) * coupling
     value = float(per_level @ u.grid.weights)
-    return Measurement(value=value, **meta)
+    return Measurement(value=value)
 
 
 def leading_term(

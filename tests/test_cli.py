@@ -517,6 +517,50 @@ class TestOracleCheckCommand:
         assert cli.main(["oracle-check", "--config", cfg]) == 0
 
 
+    def test_example41_is_frozen(self, tmp_path):
+        # the interior route reads u alone and is frozen exactly; the
+        # boundary route also reads U = a.x, and was frozen from a marched
+        # U that carries rounding drift
+        config = Path(__file__).parents[1] / "configs" / "example41.json"
+        out = tmp_path / "out"
+        assert cli.main(["oracle-check", "--config", str(config), "--out", str(out)]) == 0
+        rows = [ln.split(",") for ln in (out / "equivalence.csv").read_text().splitlines()[1:]]
+        assert [r[0] for r in rows] == ["U1", "U2"]
+        boundary = [float(r[1]) for r in rows]
+        interior = [float(r[2]) for r in rows]
+        assert interior == [-0.00051374323854427211, -0.00038004950456728523]
+        np.testing.assert_allclose(
+            boundary, [-0.00047545202101967175, -0.00035128882373352811], rtol=1e-11, atol=0.0
+        )
+
+
+@pytest.mark.parametrize(
+    "command, config, factorizations",
+    [
+        # u and the marched background U
+        ("forward", "cheap_one", 2),
+        # u for both axis directions as one block; U = a.x is not marched
+        ("locate-one", "cheap_one", 1),
+        ("oracle-check", "cheap_one", 1),
+        # the source block against the perturbed and the background conductivity
+        ("locate-multi", "cheap_multi", 2),
+    ],
+)
+def test_one_factorization_per_conductivity(request, monkeypatch, command, config, factorizations):
+    from fracloc import forward
+
+    splu = forward.splu
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(forward, "splu", counting)
+    assert cli.main([command, "--config", request.getfixturevalue(config)]) == 0
+    assert len(calls) == factorizations
+
+
 class TestSweepCommand:
     def test_sigma_sweep_rows(self, tmp_path):
         out = tmp_path / "out"

@@ -1,29 +1,20 @@
 """Tests for the fractional-calculus primitives.
 
-Oracle routes:
-  * Mittag-Leffler: closed forms E_1(z) = exp(z) and
-    E_{1/2}(z) = exp(z^2) erfc(-z) (= scipy's erfcx on the negative axis),
-    plus an independent mpmath power-series evaluation at scattered orders.
-  * Caputo L1 / RL integral: monomials, whose fractional derivatives and
-    integrals are explicit power laws.
+Oracle route: monomials, whose Caputo derivatives and Riemann-Liouville
+integrals are explicit power laws.
 """
 
-import math
-
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import erfcx, gamma
+from scipy.special import gamma
 
 from fracloc.errors import ConfigError
 from fracloc.fracmath import (
     TimeGrid,
-    FracOrder,
     caputo_l1_apply,
     l1_weights,
-    mittag_leffler,
     rl_integral,
 )
 
@@ -39,106 +30,6 @@ class TestTimeGrid:
             TimeGrid(0, 1.0)
         with pytest.raises(ConfigError):
             TimeGrid(4, -1.0)
-
-    def test_frac_order(self):
-        FracOrder(0.5)
-        with pytest.raises(ConfigError):
-            FracOrder(1.0)
-        FracOrder(1.0, allow_one=True)
-        with pytest.raises(ConfigError):
-            FracOrder(0.0)
-
-
-class TestMittagLeffler:
-    def test_frozen_values(self):
-        # classical exponential at alpha = 1
-        assert mittag_leffler(1.0, -1.0) == pytest.approx(0.3678794412, abs=1e-9)
-        # erfc closed form at alpha = 1/2
-        assert mittag_leffler(0.5, -1.0) == pytest.approx(0.4275835762, abs=1e-9)
-        assert mittag_leffler(0.5, -1.0) == pytest.approx(math.e * math.erfc(1.0), rel=1e-10)
-
-    def test_at_zero(self):
-        assert mittag_leffler(0.7, 0.0) == 1.0
-
-    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 0.9])
-    def test_erfcx_and_mpmath_cross_check(self, alpha):
-        z = -np.concatenate(
-            [np.linspace(0.01, 4.9, 23), np.linspace(5.0, 39.0, 19), np.linspace(41.0, 300.0, 11)]
-        )
-        vals = mittag_leffler(alpha, z)
-        if alpha == 0.5:
-            # E_{1/2}(z) = exp(z^2) erfc(-z), i.e. erfcx(-z) on the negative axis
-            ref = erfcx(-z)
-            np.testing.assert_allclose(vals, ref, rtol=1e-10)
-        # independent mpmath reference: series with generous guard digits for
-        # small |z|, high-precision quadrature of the spectral density beyond
-        for zi, vi in zip(z[::5], vals[::5]):
-            ref = _ml_mpmath(alpha, float(zi))
-            assert abs(vi - ref) / abs(ref) < 1e-10, (alpha, zi)
-
-    def test_monotone_decreasing_and_in_unit_interval(self):
-        z = -np.logspace(-3, 2.5, 200)
-        for alpha in (0.3, 0.5, 0.8, 1.0):
-            v = mittag_leffler(alpha, z)
-            assert np.all(v > 0.0)
-            assert np.all(v <= 1.0)
-            # z decreasing towards -inf along the array -> values decreasing
-            assert np.all(np.diff(v) < 0.0)
-
-    def test_rejects_positive(self):
-        with pytest.raises(ConfigError):
-            mittag_leffler(0.5, 0.5)
-
-    def test_rejects_bad_alpha(self):
-        with pytest.raises(ConfigError):
-            mittag_leffler(1.5, -1.0)
-        with pytest.raises(ConfigError):
-            mittag_leffler(0.0, -1.0)
-
-    @given(
-        alpha=st.floats(0.2, 0.95),
-        x=st.floats(1e-6, 200.0),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_bounds_property(self, alpha, x):
-        v = mittag_leffler(alpha, -x)
-        assert 0.0 < v < 1.0
-
-
-def _ml_mpmath(alpha: float, z: float) -> float:
-    """Reference E_alpha(z), z <= 0, via mpmath at 40 digits."""
-    x = -z
-    with mp.workdps(40):
-        if x ** (1.0 / alpha) <= 60.0:
-            guard = int(0.5 * x ** (1.0 / alpha)) + 10
-            with mp.workdps(40 + guard):
-                # alpha must enter the Gamma argument as an mpf: float
-                # products alpha*k carry rounding jitter that the huge
-                # cancelling terms amplify catastrophically
-                a = mp.mpf(alpha)
-                s = mp.mpf(0)
-                k = 0
-                term = mp.mpf(1)
-                while True:
-                    s += term
-                    if abs(term) < mp.mpf(10) ** (-45) and k > 4:
-                        break
-                    k += 1
-                    term = mp.power(-x, k) * mp.rgamma(a * k + 1)
-                    if k > 5000:
-                        raise RuntimeError("no convergence")
-            return float(s)
-        # spectral density quadrature
-        c = mp.cospi(alpha)
-        srn = mp.sinpi(alpha)
-        xa = mp.power(x, 1 / mp.mpf(alpha))
-
-        def f(w):
-            wa = mp.power(w, alpha)
-            return mp.e ** (-xa * w) * mp.power(w, alpha - 1) / (wa * wa + 2 * c * wa + 1)
-
-        v = mp.quad(f, [0, float(1 / xa), mp.inf])
-        return float(srn / mp.pi * v)
 
 
 class TestL1Weights:

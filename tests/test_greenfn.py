@@ -359,18 +359,6 @@ class TestSpaceTimeKernel:
 
 
 class TestGreenCoeffs:
-    def test_round_trip(self, tmp_path, coeffs_half):
-        path = tmp_path / "coeffs.txt"
-        coeffs_half.save(path)
-        loaded = GreenCoeffs.load(path)
-        assert loaded == coeffs_half
-
-    def test_from_text_rejects_malformed(self):
-        with pytest.raises(ConfigError):
-            GreenCoeffs.from_text("alpha 0.5\n")
-        with pytest.raises(ConfigError):
-            GreenCoeffs.from_text("alpha = 0.5\na0 = 0.4\n")  # missing a1/a2
-
     def test_validation(self):
         good = dict(alpha=0.5, a0=0.47, a1=(0.36,), a2=(0.11,))
         GreenCoeffs(**good)

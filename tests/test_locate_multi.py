@@ -364,13 +364,13 @@ class TestScanValidation:
         data = DataMatrix(np.eye(4))
         src = SourceSet(n=4)
         with pytest.raises(ConfigError):
-            scan_indicator(data, src, 0.5, coeffs_half, region=(-0.9, 0.9, -0.9, 0.9))
+            scan_indicator(data, src, 0.5, coeffs_half, k=1, region=(-0.9, 0.9, -0.9, 0.9))
 
     def test_degenerate_region(self, coeffs_half):
         data = DataMatrix(np.eye(4))
         src = SourceSet(n=4)
         with pytest.raises(ConfigError):
-            scan_indicator(data, src, 0.5, coeffs_half, region=(0.3, 0.3, -0.2, 0.2))
+            scan_indicator(data, src, 0.5, coeffs_half, k=1, region=(0.3, 0.3, -0.2, 0.2))
 
     def test_pool_width_capped(self, coeffs_half, monkeypatch):
         # the fake pool starts no process; it records the width and maps serially
