@@ -13,7 +13,7 @@ fracmath      time grid, L1 Caputo derivative, Riemann-Liouville integral
 greenfn       reduced fundamental-solution profiles: float64 quadrature,
               fitted asymptotic series, and their gradient kernels
 mesh          graded triangulations of the unit disk resolving inclusions
-forward       P1-in-space / L1-in-time subdiffusion solver, noise model
+forward       P1-in-space / L1-in-time subdiffusion solver, noisy boundary diffs
 measure       boundary/interior measurement functionals, polarization tensor
 locate_one    single-inclusion reconstruction from two probe segments
 locate_multi  multi-inclusion reconstruction (data matrix, SVD projection,

@@ -4,7 +4,8 @@ All experiment input comes from a JSON config document (see DEFAULTS for
 the full key set and built-in values, INCLUSION_DEFAULTS for the keys of
 one inclusion spec, where None marks a required key).  Unknown or
 missing keys, non-finite numbers, non-integral counts, counts above
-their cap (MAX_COUNTS) and values of the wrong kind (INTEGER_KEYS,
+their cap (MAX_COUNTS), negative seeds and noise levels
+(NONNEGATIVE_KEYS) and values of the wrong kind (INTEGER_KEYS,
 NULLABLE_KEYS, LIST_KEYS) are config errors, all raised at load time.
 Every run writes its outputs plus a manifest.json capturing the
 resolved configuration and content hashes, so a rerun with the same
@@ -35,6 +36,7 @@ from .errors import (
 from .forward import (
     SpaceTimeField,
     add_noise,
+    boundary_diffs,
     boundary_restrict,
     solve_background,
     solve_block,
@@ -109,6 +111,8 @@ NULLABLE_KEYS = {
 }
 # List-valued keys of finite numbers, with their length (None: any).
 LIST_KEYS = {"background.direction": 2, "scan.region": 4, "sweep.values": None}
+# Keys whose values must not be negative.
+NONNEGATIVE_KEYS = frozenset({"noise.seed", "noise.sigma"})
 # Upper bounds on counts; far above every shipped config, low enough
 # that no accepted value can exhaust memory in the march or the scan.
 MAX_COUNTS = {"time_steps": 4096, "scan.resolution": 1001, "sources.n": 256}
@@ -135,20 +139,20 @@ def _checked(name, default, val):
             size = "any number of" if length is None else str(length)
             raise ConfigError(f"config key {name} must be a list of {size} finite numbers, got {val!r}")
         return val
+    kind = NULLABLE_KEYS.get(name)
     if name in INTEGER_KEYS:
         if not (_is_number(val) and float(val).is_integer()):
             raise ConfigError(f"config key {name} must be an integer, got {val!r}")
-        if name == "noise.seed" and val < 0:
-            raise ConfigError(f"config key {name} must be nonnegative, got {val!r}")
         if val > MAX_COUNTS.get(name, math.inf):
             raise ConfigError(f"config key {name} must be at most {MAX_COUNTS[name]}, got {val!r}")
-        return int(val)
-    kind = NULLABLE_KEYS.get(name)
-    if kind == "number" or _is_number(default):
+        val = int(val)
+    elif kind == "number" or _is_number(default):
         if not _is_number(val):
             raise ConfigError(f"config key {name} must be a finite number, got {val!r}")
     elif (kind == "string" or isinstance(default, str)) and not isinstance(val, str):
         raise ConfigError(f"config key {name} must be a string, got {val!r}")
+    if name in NONNEGATIVE_KEYS and val < 0:
+        raise ConfigError(f"config key {name} must be nonnegative, got {val!r}")
     return val
 
 
@@ -241,32 +245,17 @@ def _coeffs(cfg):
 
 
 def _axis_fields(cfg, incs, mesh, grid):
-    """Fields (u, U) for the backgrounds a = (1, 0) and (0, 1), in that order.
+    """Blocks (u, U) for the backgrounds a = (1, 0) and (0, 1), column j for a = e_j.
 
-    u is marched for both directions as one block, column j for a = e_j.
-    The background U = a.x, that is x_j, solves the background problem
-    exactly in P1 for any gamma0, so it is taken as it is, not marched.
+    u is marched for both directions as one block.  The background
+    U = a.x, that is x_j, solves the background problem exactly in P1
+    for any gamma0, so it is taken as it is, not marched.
     """
     gamma0 = float(cfg["gamma0"])
     u = solve_block(
         mesh, float(cfg["alpha"]), incs, lambda p: p, lambda p, t, nrm: gamma0 * nrm, grid
     )
-    return [
-        (
-            SpaceTimeField(mesh, grid, u[..., j]),
-            SpaceTimeField(mesh, grid, np.broadcast_to(mesh.vertices[:, j], u.shape[:2])),
-        )
-        for j in range(2)
-    ]
-
-
-def _observed_trace(cfg, u, noise_seed):
-    """Boundary trace of u with the configured measurement noise."""
-    tr = boundary_restrict(u)
-    sigma = float(cfg["noise"]["sigma"])
-    if sigma > 0.0:
-        tr = add_noise(tr, sigma, noise_seed)
-    return tr
+    return u, np.broadcast_to(mesh.vertices, u.shape)
 
 
 def _write_csv(path, header, rows):
@@ -311,9 +300,11 @@ def cmd_forward(cfg, out_dir, jobs=1):
     U.to_csv(out_dir / "background_field.csv")
     if incs.items:
         u = solve_subdiffusion(mesh, alpha, incs, None, u0, g, grid)
-        _observed_trace(cfg, u, int(cfg["noise"]["seed"])).to_csv(
-            out_dir / "solution_trace.csv"
-        )
+        trace = boundary_restrict(u)
+        sigma = float(cfg["noise"]["sigma"])
+        if sigma != 0.0:
+            trace = add_noise(trace, sigma, int(cfg["noise"]["seed"]))
+        trace.to_csv(out_dir / "solution_trace.csv")
         files.append("solution_trace.csv")
     return files
 
@@ -322,11 +313,13 @@ def _locate_one_run(cfg, incs, mesh, grid, coeffs):
     """Locate one inclusion from the backgrounds a = (1, 0) and (0, 1)."""
     if not incs.items:
         raise ConfigError("locate-one needs at least one inclusion in the config")
-    children = np.random.SeedSequence(int(cfg["noise"]["seed"])).spawn(2)
-    diffs = [
-        _observed_trace(cfg, u, child).diff(boundary_restrict(U))
-        for (u, U), child in zip(_axis_fields(cfg, incs, mesh, grid), children)
-    ]
+    diffs = boundary_diffs(
+        mesh,
+        grid,
+        *_axis_fields(cfg, incs, mesh, grid),
+        sigma=float(cfg["noise"]["sigma"]),
+        seed=int(cfg["noise"]["seed"]),
+    )
     segments = default_segments(distance=float(cfg["probe"]["distance"]))
     return locate_one_inclusion(
         diffs,
@@ -457,14 +450,16 @@ def cmd_oracle_check(cfg, out_dir, jobs=1):
         )
     else:
         raise ConfigError(f"probe kind must be 'exact' or 'series', got {kind!r}")
+    u, U = _axis_fields(cfg, incs, mesh, grid)
     rows = []
-    for label, (u, U) in zip(("U1", "U2"), _axis_fields(cfg, incs, mesh, grid)):
-        diff = boundary_restrict(u).diff(boundary_restrict(U))
+    for j, diff in enumerate(boundary_diffs(mesh, grid, u, U)):
         via_boundary = measurement_boundary(diff, probe.normal_derivative, gamma0).value
-        via_interior = measurement_interior(u, probe.gradient, incs).value
+        via_interior = measurement_interior(
+            SpaceTimeField(mesh, grid, u[..., j]), probe.gradient, incs
+        ).value
         denom = max(abs(via_boundary), abs(via_interior))
         rel = abs(via_boundary - via_interior) / denom if denom > 0 else 0.0
-        rows.append((label, via_boundary, via_interior, rel))
+        rows.append((f"U{j + 1}", via_boundary, via_interior, rel))
     with open(out_dir / "equivalence.csv", "w", encoding="ascii") as fh:
         fh.write("background,boundary,interior,rel_diff\n")
         for label, b, i, r in rows:

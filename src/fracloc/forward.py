@@ -24,6 +24,9 @@ default 2^7 steps).  Every march runs through the one function
   conductivity, one factorization per conductivity and one load per
   step for both; the multi-inclusion data matrix is built this way.
 
+``boundary_diffs`` turns a marched block (u, U) into the noisy boundary
+traces of u - U, one per column, that both locators measure.
+
 Data callables:
     f(points (k,2), t) -> (k,) volumetric source, None for zero
     u0(points (k,2)) -> (k,) initial datum, None for zero
@@ -35,7 +38,7 @@ harmonic background a.x) are reproduced exactly in P1.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -105,13 +108,7 @@ class BoundaryTrace:
             raise ConfigError("trace shapes differ")
         if not np.array_equal(other.node_ids, self.node_ids):
             raise ConfigError("traces come from different boundary node sets")
-        return BoundaryTrace(
-            grid=self.grid,
-            node_ids=self.node_ids,
-            angles=self.angles,
-            arc_weights=self.arc_weights,
-            values=self.values - other.values,
-        )
+        return replace(self, values=self.values - other.values)
 
     def to_csv(self, path) -> None:
         n_levels = self.grid.n_steps + 1
@@ -310,33 +307,41 @@ def boundary_restrict(field: SpaceTimeField) -> BoundaryTrace:
     )
 
 
-def add_noise(trace: BoundaryTrace, sigma: float, seed: int) -> BoundaryTrace:
+def add_noise(trace: BoundaryTrace, sigma: float, seed) -> BoundaryTrace:
     """Additive nodal Gaussian noise with a prescribed relative L1 level.
 
     Draws i.i.d. standard normal values per (node, level), then rescales
     the whole sample so the ratio noise-L1 / signal-L1 equals |delta|
-    with delta ~ N(0, sigma^2).  Deterministic for a fixed seed;
-    sigma = 0 returns the trace unchanged.
+    with delta ~ N(0, sigma^2).  Deterministic for a fixed seed (any
+    seed numpy.random.default_rng takes); sigma = 0 returns the trace
+    unchanged.
     """
     if sigma < 0.0:
         raise ConfigError(f"noise level must be nonnegative, got {sigma}")
     rng = np.random.default_rng(seed)
     zeta = rng.standard_normal(trace.values.shape)
     delta = rng.normal(0.0, sigma)
-    noise_l1 = BoundaryTrace(
-        grid=trace.grid,
-        node_ids=trace.node_ids,
-        angles=trace.angles,
-        arc_weights=trace.arc_weights,
-        values=zeta,
-    ).l1_norm()
+    noise_l1 = replace(trace, values=zeta).l1_norm()
     if noise_l1 == 0.0:
         raise SolverError("degenerate noise draw with zero L1 norm")
     scale = abs(delta) * trace.l1_norm() / noise_l1
-    return BoundaryTrace(
-        grid=trace.grid,
-        node_ids=trace.node_ids,
-        angles=trace.angles,
-        arc_weights=trace.arc_weights,
-        values=trace.values + scale * zeta,
-    )
+    return replace(trace, values=trace.values + scale * zeta)
+
+
+def boundary_diffs(mesh: Mesh, grid: TimeGrid, u, U, sigma: float = 0.0, seed=None):
+    """Noisy boundary traces of u[..., j] - U[..., j], one per column j.
+
+    u and U are blocks of shape (n_steps + 1, n_nodes, m), U possibly a
+    broadcast view.  With sigma != 0 the u trace of column j gets
+    add_noise seeded by the j-th child spawned from seed, so the columns
+    draw independent noise; U is the noiseless reference.  Returns a
+    list of m BoundaryTraces.
+    """
+    children = np.random.SeedSequence(seed).spawn(u.shape[-1])
+    diffs = []
+    for j, child in enumerate(children):
+        tr = boundary_restrict(SpaceTimeField(mesh, grid, u[..., j]))
+        if sigma != 0.0:
+            tr = add_noise(tr, sigma, child)
+        diffs.append(tr.diff(boundary_restrict(SpaceTimeField(mesh, grid, U[..., j]))))
+    return diffs

@@ -363,7 +363,8 @@ def approx_fundamental(
 
     x: point array of shape (d,) or batch (m, d); t: a time or a 1-D
     array of times, each > t0.  The result has shape t.shape + (m,) for
-    a batch and t.shape for one point, one row per time.
+    a batch and t.shape for one point, one row per time.  With one time,
+    a stack of poles src of shape (n, 1, d) gives one row per pole.
     """
     lam, scaled = _scaled_offsets(coeffs, x, t, src, t0, gamma0)
     rr = np.sqrt((scaled**2).sum(axis=-1))

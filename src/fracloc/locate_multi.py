@@ -20,12 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, QuadratureError, ReconstructionError, SolverError
-from .forward import SpaceTimeField, add_noise, boundary_restrict, solve_pair
+from .forward import boundary_diffs, solve_pair
 
 # bound here though unused: perfbench's tracer test checks that its wrapper
 # reaches every module that binds the single-march solver
 from .forward import solve_subdiffusion  # noqa: F401
-from .fracmath import TimeGrid
 from .greenfn import approx_fundamental, grad_approx_fundamental, s_kernel
 from .measure import KernelProbe, tabulate_normal_derivative
 
@@ -104,8 +103,8 @@ class DataMatrix:
     """
 
     B: np.ndarray
-    singular_values: np.ndarray = field(default=None)
-    left_vectors: np.ndarray = field(default=None)
+    singular_values: np.ndarray = field(init=False)
+    left_vectors: np.ndarray = field(init=False)
 
     def __post_init__(self):
         B = np.asarray(self.B, dtype=float)
@@ -113,19 +112,10 @@ class DataMatrix:
             raise ConfigError(f"data matrix must be square, got shape {B.shape}")
         if not np.all(np.isfinite(B)):
             raise SolverError("data matrix contains non-finite entries")
+        u, s, _ = np.linalg.svd(B)
         object.__setattr__(self, "B", B)
-        if self.singular_values is None:
-            u, s, _ = np.linalg.svd(B)
-            object.__setattr__(self, "singular_values", s)
-            object.__setattr__(self, "left_vectors", u)
-        else:
-            s = np.asarray(self.singular_values, dtype=float)
-            if np.any(s < 0.0) or np.any(np.diff(s) > 0.0):
-                raise ConfigError("singular values must be nonnegative and sorted")
-            object.__setattr__(self, "singular_values", s)
-            object.__setattr__(
-                self, "left_vectors", np.asarray(self.left_vectors, dtype=float)
-            )
+        object.__setattr__(self, "singular_values", s)
+        object.__setattr__(self, "left_vectors", u)
 
     @property
     def n(self):
@@ -152,10 +142,11 @@ def build_data_matrix(
     the unperturbed problem are marched from its value at a small
     positive offset ``t_init`` (default T/2^7) so the initial datum is
     smooth on the closed domain.  All sources march as one block, one
-    factorization per conductivity.  Noise, if any, is applied to the
-    perturbed trace only, independently per source.  B is one
-    contraction of the stacked traces Delta_j with the probes' normal
-    derivatives,
+    factorization per conductivity, and each kernel call of the initial
+    datum and the flux covers every source.  Noise, if any, is applied
+    to the perturbed trace only, independently per source (see
+    forward.boundary_diffs).  B is one contraction of the stacked
+    traces Delta_j with the probes' normal derivatives,
 
         B[i, j] = gamma0 sum_{levels, nodes} dPhi_i/dn w_t w_arc Delta_j,
 
@@ -167,34 +158,18 @@ def build_data_matrix(
         raise ConfigError(f"t_init must be positive, got {t_init}")
     pts = sources.points
     d = pts.shape[1]
+    # one pole per source: kernel values come out (n_sources, k), transposed to columns
+    poles = pts[:, None, :]
 
     def u0(p):
-        return np.column_stack(
-            [
-                approx_fundamental(coeffs, d, n_terms, p, 0.0, src, t0=-t_init, gamma0=gamma0)
-                for src in pts
-            ]
-        )
+        return approx_fundamental(coeffs, d, n_terms, p, 0.0, poles, t0=-t_init, gamma0=gamma0).T
 
     def g(p, t, nrm):
-        grads = [
-            grad_approx_fundamental(coeffs, d, n_terms, p, t, src, t0=-t_init, gamma0=gamma0)
-            for src in pts
-        ]
-        return gamma0 * np.column_stack([np.sum(gr * nrm, axis=1) for gr in grads])
+        grads = grad_approx_fundamental(coeffs, d, n_terms, p, t, poles, t0=-t_init, gamma0=gamma0)
+        return gamma0 * np.sum(grads * nrm, axis=-1).T
 
     u, U = solve_pair(mesh, alpha, inclusions, u0, g, grid)
-    children = (
-        [None] * sources.n
-        if sigma == 0.0
-        else np.random.SeedSequence(seed).spawn(sources.n)
-    )
-    diffs = []
-    for j in range(sources.n):
-        tr = boundary_restrict(SpaceTimeField(mesh, grid, u[..., j]))
-        if sigma > 0.0:
-            tr = add_noise(tr, sigma, children[j])
-        diffs.append(tr.diff(boundary_restrict(SpaceTimeField(mesh, grid, U[..., j]))))
+    diffs = boundary_diffs(mesh, grid, u, U, sigma=sigma, seed=seed)
 
     # every trace shares the boundary nodes and time levels
     phin = np.empty((sources.n,) + diffs[0].values.shape)
@@ -339,13 +314,9 @@ class IndicatorGrid:
         object.__setattr__(self, "values", values)
 
     def to_csv(self, path):
-        rows = [
-            (x, y, self.values[i, j])
-            for i, y in enumerate(self.ys)
-            for j, x in enumerate(self.xs)
-        ]
-        arr = np.array(rows)
-        np.savetxt(path, arr, delimiter=",", header="x,y,W", comments="")
+        x, y = np.meshgrid(self.xs, self.ys)
+        table = np.column_stack([x.ravel(), y.ravel(), self.values.ravel()])
+        np.savetxt(path, table, delimiter=",", header="x,y,W", comments="")
 
 
 def _scan_row(payload):

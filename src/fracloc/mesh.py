@@ -349,10 +349,7 @@ def build_mesh(inclusions: InclusionSet, h_far: float, h_near: float) -> Mesh:
     # lies within _DEDUP times its own target spacing; also reject points
     # outside the polygonal domain or inside a foreign inclusion zone
     points = []
-    spacing = []
     for batch_idx, (batch, size) in enumerate(accepted):
-        if size is None:
-            size = np.full(len(batch), h_far)
         keep = np.ones(len(batch), dtype=bool)
         if batch_idx >= protected:
             r = np.hypot(batch[:, 0], batch[:, 1])
@@ -363,7 +360,6 @@ def build_mesh(inclusions: InclusionSet, h_far: float, h_near: float) -> Mesh:
                 keep &= dist > _DEDUP * size
         if np.any(keep):
             points.append(batch[keep])
-            spacing.append(size[keep])
     verts = np.vstack(points)
 
     tri = Delaunay(verts)

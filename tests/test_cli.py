@@ -229,6 +229,7 @@ class TestExitCodes:
             {"mesh": {"h_near": "fine"}},
             {"scan": {"resolution": 2.5}},
             {"noise": {"seed": -1}},
+            {"noise": {"sigma": -0.01}},
             {"output_dir": 5},
             {"time_steps": cli.MAX_COUNTS["time_steps"] + 1},
             {"scan": {"resolution": cli.MAX_COUNTS["scan.resolution"] + 1}},
@@ -249,6 +250,7 @@ class TestExitCodes:
             "text-h-near",
             "fractional-resolution",
             "negative-seed",
+            "negative-sigma",
             "number-output-dir",
             "huge-time-steps",
             "huge-resolution",
@@ -260,6 +262,21 @@ class TestExitCodes:
         cfg = write_config(tmp_path / "c.json", **overrides)
         assert cli.main(["forward", "--config", cfg]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algorithm", ["one", "multi"])
+    def test_negative_sweep_sigma_is_2(self, tmp_path, capsys, algorithm):
+        # a swept value bypasses load_config; the noise model rejects it
+        cfg = write_config(
+            tmp_path / "c.json",
+            time_steps=8,
+            mesh={"h_far": 0.3},
+            inclusions=[{"center": [0.2, 0.3], "eps": 0.1, "gamma": 50.0}],
+            sources={"n": 4},
+            sweep={"parameter": "sigma", "values": [-0.02, 0.0], "algorithm": algorithm},
+            output_dir=str(tmp_path / "o"),
+        )
+        assert cli.main(["sweep", "--config", cfg]) == 2
+        assert "noise level must be nonnegative" in capsys.readouterr().err
 
     def test_bad_seed_override_is_2(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", output_dir=str(tmp_path / "o"))
@@ -422,6 +439,19 @@ class TestLocateOneCommand:
         assert rows[0] == "Px,Py,P1x,P1y,P2x,P2y,rho0,err"
         assert [float(v) for v in rows[1].split(",")] == self.FROZEN[name]
 
+    def test_noisy_example41_is_frozen(self, tmp_path):
+        # freezes the noise stream: child j of SeedSequence(seed) per direction
+        doc = json.loads((Path(__file__).parents[1] / "configs" / "example41.json").read_text())
+        doc["noise"] = {"sigma": 0.01, "seed": 3}
+        doc["output_dir"] = str(tmp_path / "out")
+        cfg = write_config(tmp_path / "c.json", **doc)
+        assert cli.main(["locate-one", "--config", cfg]) == 0
+        row = (tmp_path / "out" / "reconstruction.csv").read_text().splitlines()[1]
+        assert [float(v) for v in row.split(",")] == [
+            0.31561279296875, 0.19097900390625, 0.31561279296875, 2.0,
+            2.0, 0.19097900390625, 0.0, 0.158908450018583,
+        ]
+
 
 class TestLocateMultiCommand:
     def test_outputs_and_peak(self, tmp_path, cheap_multi):
@@ -470,6 +500,33 @@ class TestLocateMultiCommand:
         centers = np.array([inc["center"] for inc in inclusions])
         dist = np.linalg.norm(centers[:, None, :] - peaks[None, :, :2], axis=2)
         assert np.max(np.min(dist, axis=1)) <= 0.05
+
+    def test_noisy_run_is_frozen(self, tmp_path):
+        # freezes the noise stream: child j of SeedSequence(seed) per source
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path / "c.json",
+            time_steps=32,
+            mesh={"h_far": 0.2},
+            inclusions=[{"center": [0.2, 0.3], "eps": 0.1, "gamma": 50.0}],
+            sources={"kind": "full", "n": 6},
+            scan={"region": [-0.5, 0.5, -0.5, 0.5], "resolution": 21, "peaks": 1, "k": 3},
+            noise={"sigma": 0.01, "seed": 3},
+            output_dir=str(out),
+        )
+        assert cli.main(["locate-multi", "--config", cfg]) == 0
+        B = np.loadtxt(out / "data_matrix.csv", delimiter=",")
+        np.testing.assert_allclose(
+            np.diag(B),
+            [
+                -1.6187609055216186e-05, -1.377345839199206e-05, -3.0511447097136386e-05,
+                -7.5836472023355e-05, -6.972769455464958e-05, -2.8700220717746895e-05,
+            ],
+            rtol=1e-12,
+            atol=0.0,
+        )
+        peak = (out / "peaks.csv").read_text().splitlines()[1]
+        assert [float(v) for v in peak.split(",")][:2] == [0.20000000000000007, 0.30000000000000004]
 
     def test_jobs_flag_matches_serial(self, tmp_path, cheap_multi):
         cli.main(["locate-multi", "--config", cheap_multi, "--out", str(tmp_path / "a")])

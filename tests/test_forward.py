@@ -11,6 +11,7 @@ from fracloc.forward import (
     SpaceTimeField,
     add_noise,
     assemble_matrices,
+    boundary_diffs,
     boundary_restrict,
     neumann_load,
     solve_background,
@@ -293,6 +294,45 @@ class TestNoise:
     def test_negative_sigma_rejected(self, trace):
         with pytest.raises(ConfigError):
             add_noise(trace, -0.1, seed=0)
+
+
+class TestBoundaryDiffs:
+    @pytest.fixture(scope="class")
+    def block(self):
+        incs = InclusionSet(items=(Inclusion((0.2, 0.3), 0.1, 50.0),))
+        mesh = build_mesh(incs, 0.25, 0.025)
+        grid = TimeGrid(8, 1.0)
+        dirs = np.array([[1.0, 0.0], [0.6, -0.8], [-0.3, 0.5]])
+        u, U = solve_pair(mesh, 0.5, incs, lambda p: p @ dirs.T, lambda p, t, n: n @ dirs.T, grid)
+        return mesh, grid, u, U
+
+    def _traces(self, block, j):
+        mesh, grid, u, U = block
+        return [boundary_restrict(SpaceTimeField(mesh, grid, v[..., j])) for v in (u, U)]
+
+    def test_noiseless_columns_are_trace_diffs(self, block):
+        diffs = boundary_diffs(*block)
+        assert len(diffs) == 3
+        for j, diff in enumerate(diffs):
+            u_j, U_j = self._traces(block, j)
+            np.testing.assert_array_equal(diff.values, u_j.diff(U_j).values)
+            np.testing.assert_array_equal(diff.node_ids, u_j.node_ids)
+
+    def test_column_j_draws_from_child_j(self, block):
+        diffs = boundary_diffs(*block, sigma=0.01, seed=7)
+        children = np.random.SeedSequence(7).spawn(3)
+        for j, diff in enumerate(diffs):
+            u_j, U_j = self._traces(block, j)
+            expected = add_noise(u_j, 0.01, children[j]).diff(U_j)
+            np.testing.assert_array_equal(diff.values, expected.values)
+        # the columns draw independent noise
+        clean = boundary_diffs(*block)
+        noise = [d.values - c.values for d, c in zip(diffs, clean)]
+        assert not np.allclose(noise[0], noise[1])
+
+    def test_negative_sigma_rejected(self, block):
+        with pytest.raises(ConfigError):
+            boundary_diffs(*block, sigma=-0.01, seed=0)
 
 
 class TestContainers:

@@ -357,6 +357,17 @@ class TestSpaceTimeKernel:
             assert got.shape == (len(times),) + ref.shape[1:]
             np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0.0)
 
+    def test_stack_of_poles_matches_per_pole_calls(self, coeffs_half):
+        # the data matrix evaluates every source's kernel in one call
+        poles = 2.0 * np.array([[1.0, 0.0], [0.0, 1.0], [-0.6, -0.8]])
+        xs = np.array([[0.3, 0.1], [-0.8, 0.4], [0.0, -1.0], [0.6, 0.8]])
+        for kernel in (approx_fundamental, grad_approx_fundamental):
+            got = kernel(coeffs_half, 2, 3, xs, 0.4, poles[:, None, :], t0=-0.01, gamma0=1.5)
+            ref = np.stack(
+                [kernel(coeffs_half, 2, 3, xs, 0.4, src, t0=-0.01, gamma0=1.5) for src in poles]
+            )
+            np.testing.assert_array_equal(got, ref)
+
 
 class TestGreenCoeffs:
     def test_validation(self):

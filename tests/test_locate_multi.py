@@ -229,6 +229,31 @@ class TestBuildMarch:
         assert len(calls) == 2
         assert np.any(data.B != 0.0)
 
+    def test_one_kernel_call_covers_every_source(self, coeffs_half, monkeypatch):
+        counts = {"value": 0, "grad": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            locate_multi, "approx_fundamental", counting("value", locate_multi.approx_fundamental)
+        )
+        monkeypatch.setattr(
+            locate_multi,
+            "grad_approx_fundamental",
+            counting("grad", locate_multi.grad_approx_fundamental),
+        )
+        incs = InclusionSet(items=(Inclusion((0.2, 0.3), 0.1, 50.0),))
+        mesh = build_mesh(incs, 0.3, 0.025)
+        grid = TimeGrid(8, 1.0)
+        build_data_matrix(SourceSet(n=5), incs, 0.5, coeffs_half, mesh, grid)
+        # the initial datum once; the flux at both edge endpoints per step
+        assert counts == {"value": 1, "grad": 2 * grid.n_steps}
+
 
 class TestBuildNoise:
     def _build(self, coeffs, sigma, seed):
