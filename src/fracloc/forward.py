@@ -70,8 +70,10 @@ class SpaceTimeField:
         n_levels = self.grid.n_steps + 1
         with open(path, "w", encoding="ascii") as fh:
             fh.write("node," + ",".join(f"t{j}" for j in range(n_levels)) + "\n")
-            for i in range(self.values.shape[1]):
-                fh.write(f"{i}," + ",".join(repr(float(v)) for v in self.values[:, i]) + "\n")
+            # one node's column at a time: the whole block as Python floats
+            # would hold about 32 bytes per value
+            for i, column in enumerate(self.values.astype(float, copy=False).T):
+                fh.write(f"{i}," + ",".join(map(repr, column.tolist())) + "\n")
 
 
 @dataclass(frozen=True)
@@ -114,12 +116,9 @@ class BoundaryTrace:
         n_levels = self.grid.n_steps + 1
         with open(path, "w", encoding="ascii") as fh:
             fh.write("angle," + ",".join(f"t{j}" for j in range(n_levels)) + "\n")
-            for i in range(len(self.node_ids)):
-                fh.write(
-                    f"{float(self.angles[i])!r},"
-                    + ",".join(repr(float(v)) for v in self.values[:, i])
-                    + "\n"
-                )
+            columns = self.values.astype(float, copy=False).T
+            for angle, column in zip(np.asarray(self.angles, dtype=float).tolist(), columns):
+                fh.write(f"{angle!r}," + ",".join(map(repr, column.tolist())) + "\n")
 
 
 def assemble_matrices(mesh: Mesh, gamma_tri: np.ndarray):

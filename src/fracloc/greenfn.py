@@ -301,12 +301,23 @@ def s_kernel(coeffs: GreenCoeffs, d: int, n_terms: int, y):
     S is negative for n_terms = 1 and, for higher orders, negative
     outside a bounded set; the locators rely on that sign.
     """
+    scaled = _s_kernel_scaled(coeffs, d, n_terms, y)
+    y = np.asarray(y, dtype=float)
+    return np.exp(-coeffs.a0 * y ** (1.0 / (2.0 - coeffs.alpha))) * scaled
+
+
+def _s_kernel_scaled(coeffs: GreenCoeffs, d: int, n_terms: int, y):
+    """S_{d,N}(y) exp(a0 y^(1/(2-alpha))): the profile without its decay factor.
+
+    What is left is a sum of powers of y, so it varies over a few orders
+    of magnitude where S itself spans hundreds, and it stays finite where
+    S underflows.
+    """
     r_arr = np.asarray(y, dtype=float)
     if np.any(r_arr <= 0.0):
         raise ConfigError("s_kernel argument must be positive")
     alpha = coeffs.alpha
     ia = 1.0 / (2.0 - alpha)
-    expfac = np.exp(-coeffs.a0 * r_arr**ia)
     if d == 2:
         _check_terms(coeffs, 2, n_terms)
         acc = np.zeros_like(r_arr)
@@ -316,7 +327,7 @@ def s_kernel(coeffs: GreenCoeffs, d: int, n_terms: int, y):
                 + ((alpha - 1.0 - k) * ia) / r_arr
             )
             acc = acc + coeffs.a2[k] * inner * r_arr ** ((alpha - 1.0 - k) * ia)
-        return 2.0 * expfac * acc
+        return 2.0 * acc
     if d == 3:
         _check_terms(coeffs, 3, n_terms)
         acc = np.zeros_like(r_arr)
@@ -330,7 +341,7 @@ def s_kernel(coeffs: GreenCoeffs, d: int, n_terms: int, y):
                 (2.0 * k + 1.0 - alpha) * (2.0 * k + 5.0 - 3.0 * alpha) * ia**2
             ) * r_arr ** ((5.0 * alpha - 9.0 - 2.0 * k) * ia / 2.0)
             acc = acc + coeffs.a1[k] * (t1 + t2 + t3)
-        return -expfac * acc / (2.0 * math.pi)
+        return -acc / (2.0 * math.pi)
     raise ConfigError(f"s_kernel defined for d in {{2, 3}}, got {d}")
 
 

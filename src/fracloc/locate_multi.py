@@ -11,6 +11,18 @@ kernel matrix a point inclusion at z would produce and V_k holds the
 leading k left singular vectors of B.  ``g_matrix`` and ``indicator``
 take one point or a whole row of points, and the scan evaluates one
 grid row per call.
+
+G(z) is a time integral of two copies of one kernel factor f(rho, t),
+rho = |z - x_i|, and for every z inside the unit disk rho lies in
+[R - 1, R + 1] for sources on the circle of radius R.  So the profile
+is never evaluated per scan point: a scan tabulates f once, as its
+exponential decay in closed form times a Chebyshev series in rho for
+the algebraic rest, and every point reads the table.  The table size
+doubles from 16 radii until the series passes an error check on the
+time integral of every pair of radii (relative 1e-8 at the half-size
+table, which leaves the kept table near rounding; see
+``_profile_table``).  A profile that does not pass by 256 radii raises
+QuadratureError.
 """
 
 import os
@@ -18,6 +30,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebpts1, chebvander
 
 from .errors import ConfigError, QuadratureError, ReconstructionError, SolverError
 from .forward import boundary_diffs, solve_pair
@@ -25,13 +38,16 @@ from .forward import boundary_diffs, solve_pair
 # bound here though unused: perfbench's tracer test checks that its wrapper
 # reaches every module that binds the single-march solver
 from .forward import solve_subdiffusion  # noqa: F401
-from .greenfn import approx_fundamental, grad_approx_fundamental, s_kernel
+from .greenfn import _s_kernel_scaled, approx_fundamental, grad_approx_fundamental
 from .measure import KernelProbe, tabulate_normal_derivative
 
 GAUSS_POINTS_PER_PANEL = 8
 REFINEMENT_LEVELS = 6
 SENTINEL_RATIO = 1e-14
 SENTINEL_VALUE = 1e14
+TABLE_START = 16
+TABLE_CAP = 256
+TABLE_TOL = 1e-8
 _LEGENDRE = np.polynomial.legendre.leggauss(GAUSS_POINTS_PER_PANEL)
 
 
@@ -208,17 +224,102 @@ def _gauss_panels(t_final):
     return nodes.ravel(), weights.ravel()
 
 
-def _half_factors(rho2, alpha, coeffs, d, n_terms, gamma0, s_vals):
-    """S-kernel factor of the time integrand for each source radius.
+@dataclass(frozen=True)
+class _ProfileTable:
+    """The forward time factor of G as a Chebyshev series in rho.
 
-    Returns an array of shape rho2.shape + (q,): entry [..., j, :] is
-    S(rho_j^2 / lam) * lam^{-(d+2)/2} over the quadrature times, with
-    lam = gamma0 * s^alpha.
+    The factor is f(rho, t) = S(rho^2 / lam) lam^{-(d+2)/2} with
+    lam = gamma0 t^alpha.  For a scan point inside the unit disk,
+    rho = |z - x_i| lies in [R - 1, R + 1] for every source on the circle
+    of radius R.  On that interval f(rho, t_q) = exp(-rate_q rho^(2p))
+    h(rho, t_q): the decay of S in closed form, with p = 1/(2 - alpha)
+    and rate = a0 lam^-p, and h = sum_k coef[k, q] T_k(rho - R), which is
+    algebraic in rho.
     """
-    lam = gamma0 * s_vals**alpha
-    y = rho2[..., None] / lam
-    vals = s_kernel(coeffs, d, n_terms, y.ravel()).reshape(y.shape)
-    return vals * lam ** (-(d + 2) / 2.0)
+
+    radius: float
+    power: float  # p = 1/(2 - alpha)
+    rate: np.ndarray  # (q,)
+    coef: np.ndarray  # (L, q)
+    weights: np.ndarray  # (q,) Gauss weights of the time integral
+
+    def decay(self, rho2):
+        return np.exp(-(rho2**self.power)[..., None] * self.rate)
+
+    def forward(self, rho2):
+        """f at squared radii rho2, shape rho2.shape + (q,)."""
+        basis = chebvander(np.sqrt(rho2) - self.radius, self.coef.shape[0] - 1)
+        return self.decay(rho2) * (basis @ self.coef)
+
+
+def _profile_table(sources, alpha, coeffs, n_terms, t_final, gamma0):
+    """Tabulate the forward factor on [R - 1, R + 1] to a checked accuracy.
+
+    Interpolating f itself would leave a rounding floor of eps times its
+    largest value over rho, which at early times exceeds its smallest by
+    hundreds of orders of magnitude; only the algebraic part h is
+    interpolated.  The table at L Chebyshev points (first kind) is
+    checked against the exact factor at the 2L points of the next table.
+    With delta the difference there and f the exact factor, the
+    first-order bound on the time integral of every pair of radii (a, b),
+
+        sum_q w_q (|delta(a, T - t_q)| |f(b, t_q)| + |f(a, T - t_q)| |delta(b, t_q)|),
+
+    must be at most TABLE_TOL times sum_q w_q |f(a, T - t_q)| |f(b, t_q)|.
+    The first L that passes keeps the 2L table, the more accurate of the
+    two.  L starts at TABLE_START and doubles; past TABLE_CAP the profile
+    counts as unresolved and QuadratureError is raised rather than a
+    coarser table returned.
+    """
+    R = sources.radius
+    d = sources.points.shape[1]
+    p = 1.0 / (2.0 - alpha)
+    t_nodes, t_weights = _gauss_panels(t_final)
+    lam = gamma0 * t_nodes**alpha
+    rate = coeffs.a0 * lam**-p
+
+    def level(L):
+        x = chebpts1(L)
+        rho2 = (R + x) ** 2
+        h = _s_kernel_scaled(coeffs, d, n_terms, rho2[:, None] / lam) * lam ** (-(d + 2) / 2.0)
+        # a solve reproduces the small node values far better than the
+        # discrete orthogonality sum, whose rounding is eps * max |h|
+        coef = np.linalg.solve(chebvander(x, L - 1), h)
+        table = _ProfileTable(R, p, rate, coef, t_weights)
+        return table, table.decay(rho2) * h, rho2
+
+    table, _, _ = level(TABLE_START)
+    while table.coef.shape[0] <= TABLE_CAP:
+        finer, exact, rho2 = level(2 * table.coef.shape[0])
+        delta = np.abs(table.forward(rho2) - exact)
+        exact = np.abs(exact)
+        bound = (delta[:, ::-1] * t_weights) @ exact.T
+        scale = (exact[:, ::-1] * t_weights) @ exact.T
+        if np.all(bound + bound.T <= TABLE_TOL * scale):
+            return finer
+        table = finer
+    raise QuadratureError(
+        f"kernel profile unresolved at {TABLE_CAP} Chebyshev radii for source radius {R}"
+    )
+
+
+def _kernel_matrix(z, sources, table):
+    """g_matrix with the forward factor read from a profile table."""
+    z = np.asarray(z, dtype=float)
+    pts = sources.points
+    if z.ndim not in (1, 2) or z.shape[-1] != pts.shape[1]:
+        raise ConfigError(f"point shape {z.shape} does not match source dimension")
+    d = pts.shape[1]
+    r2 = np.sum(z * z, axis=-1)
+    if np.any(r2 >= 1.0):
+        bad = z.reshape(-1, d)[np.argmax(r2)]
+        raise ConfigError(f"scan point {bad} must be strictly inside the unit disk")
+    rel = z[..., None, :] - pts
+    fwd = table.forward(np.sum(rel * rel, axis=-1))
+    C = (fwd[..., ::-1] * table.weights) @ np.swapaxes(fwd, -1, -2)
+    if not np.all(np.isfinite(C)):
+        raise QuadratureError(f"kernel integrand not finite at z={z}")
+    return (rel @ np.swapaxes(rel, -1, -2)) * C
 
 
 def g_matrix(z, sources, alpha, coeffs, n_terms=3, t_final=1.0, gamma0=1.0):
@@ -231,26 +332,19 @@ def g_matrix(z, sources, alpha, coeffs, n_terms=3, t_final=1.0, gamma0=1.0):
     are symmetric about T/2, so the backward factor is the forward one
     reversed in time.
 
+    The forward factor depends on z only through rho = |z - x_i|, which
+    lies in [R - 1, R + 1].  It is read from a Chebyshev table in rho
+    (``_profile_table``), not evaluated at every point: the profile's
+    exponential decay is kept in closed form and the algebraic rest is
+    interpolated, with the table size fixed by a stated error check.
+    Each call builds its own table; ``scan_indicator`` builds one per
+    scan.
+
     z is one point, shape (d,), giving an (n, n) matrix, or a row of
     points, shape (m, d), giving an (m, n, n) stack.
     """
-    z = np.asarray(z, dtype=float)
-    pts = sources.points
-    if z.ndim not in (1, 2) or z.shape[-1] != pts.shape[1]:
-        raise ConfigError(f"point shape {z.shape} does not match source dimension")
-    d = pts.shape[1]
-    r2 = np.sum(z * z, axis=-1)
-    if np.any(r2 >= 1.0):
-        bad = z.reshape(-1, d)[np.argmax(r2)]
-        raise ConfigError(f"scan point {bad} must be strictly inside the unit disk")
-    rel = z[..., None, :] - pts
-    rho2 = np.sum(rel * rel, axis=-1)
-    t_nodes, t_weights = _gauss_panels(t_final)
-    fwd = _half_factors(rho2, alpha, coeffs, d, n_terms, gamma0, t_nodes)
-    C = (fwd[..., ::-1] * t_weights) @ np.swapaxes(fwd, -1, -2)
-    if not np.all(np.isfinite(C)):
-        raise QuadratureError(f"kernel integrand not finite at z={z}")
-    return (rel @ np.swapaxes(rel, -1, -2)) * C
+    table = _profile_table(sources, alpha, coeffs, n_terms, t_final, gamma0)
+    return _kernel_matrix(z, sources, table)
 
 
 def select_truncation(singular_values, tau=1e-6):
@@ -320,12 +414,9 @@ class IndicatorGrid:
 
 
 def _scan_row(payload):
-    data, sources, alpha, coeffs, k, n_terms, t_final, gamma0, xs, y = payload
+    data, sources, table, k, xs, y = payload
     zs = np.column_stack([xs, np.full(xs.size, y)])
-    g = g_matrix(
-        zs, sources, alpha, coeffs, n_terms=n_terms, t_final=t_final, gamma0=gamma0
-    )
-    return indicator(zs, data, k, g)
+    return indicator(zs, data, k, _kernel_matrix(zs, sources, table))
 
 
 def scan_indicator(
@@ -360,10 +451,8 @@ def scan_indicator(
         raise ConfigError(f"resolution {resolution} too small")
     xs = np.linspace(xmin, xmax, resolution)
     ys = np.linspace(ymin, ymax, resolution)
-    payloads = [
-        (data, sources, alpha, coeffs, k, n_terms, t_final, gamma0, xs, y)
-        for y in ys
-    ]
+    table = _profile_table(sources, alpha, coeffs, n_terms, t_final, gamma0)
+    payloads = [(data, sources, table, k, xs, y) for y in ys]
     workers = min(jobs, os.cpu_count() or 1, len(payloads))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracloc import cli
+from fracloc import cli, locate_multi
 from fracloc.errors import ConfigError, ReconstructionError, SolverError
 
 
@@ -527,6 +527,21 @@ class TestLocateMultiCommand:
         )
         peak = (out / "peaks.csv").read_text().splitlines()[1]
         assert [float(v) for v in peak.split(",")][:2] == [0.20000000000000007, 0.30000000000000004]
+
+    def test_unresolved_kernel_table_is_3(self, tmp_path, monkeypatch, capsys):
+        # sources at radius 1.2 need more than 16 table radii
+        monkeypatch.setattr(locate_multi, "TABLE_CAP", 16)
+        cfg = write_config(
+            tmp_path / "c.json",
+            time_steps=16,
+            mesh={"h_far": 0.2},
+            inclusions=[{"center": [0.2, 0.3], "eps": 0.1, "gamma": 50.0}],
+            sources={"kind": "full", "n": 6, "radius": 1.2},
+            scan={"region": [-0.5, 0.5, -0.5, 0.5], "resolution": 11, "peaks": 1, "k": 3},
+            output_dir=str(tmp_path / "out"),
+        )
+        assert cli.main(["locate-multi", "--config", cfg]) == 3
+        assert "unresolved" in capsys.readouterr().err
 
     def test_jobs_flag_matches_serial(self, tmp_path, cheap_multi):
         cli.main(["locate-multi", "--config", cheap_multi, "--out", str(tmp_path / "a")])

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from fracloc.errors import ConfigError, ReconstructionError, SolverError
+from fracloc.errors import ConfigError, QuadratureError, ReconstructionError, SolverError
 from fracloc.fracmath import TimeGrid
 from fracloc import forward, locate_multi
-from fracloc.greenfn import grad_approx_fundamental, s_kernel
+from fracloc.greenfn import fit_green_coeffs, grad_approx_fundamental, s_kernel
 from fracloc.locate_multi import (
     DataMatrix,
     IndicatorGrid,
@@ -82,6 +82,17 @@ def scalar_kernel(z, j_fwd, j_bwd, sources, coeffs, n_terms=3, t_final=1.0):
         return s_kernel(coeffs, 2, n_terms, rho2 / lam) * lam**-2.0
 
     return float(np.sum(factor(j_fwd, t) * factor(j_bwd, t_final - t) * w))
+
+
+def direct_g_matrix(z, sources, alpha, coeffs, n_terms=3, t_final=1.0):
+    """Reference G: the forward factor from s_kernel at every point and time node."""
+    rel = z[..., None, :] - sources.points
+    rho2 = np.sum(rel * rel, axis=-1)
+    t, w = _gauss_panels(t_final)
+    lam = t**alpha
+    fwd = s_kernel(coeffs, 2, n_terms, rho2[..., None] / lam) * lam**-2.0
+    C = (fwd[..., ::-1] * w) @ np.swapaxes(fwd, -1, -2)
+    return (rel @ np.swapaxes(rel, -1, -2)) * C
 
 
 class TestKernelC:
@@ -172,6 +183,33 @@ class TestGMatrix:
             assert np.max(np.abs(rows[m] - g)) <= 1e-13 * np.max(np.abs(g))
             w = indicator(z, data, 4, g)
             assert abs(w_row[m] - w) <= 1e-12 * w
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.8, 1.0])
+    @pytest.mark.parametrize("radius, rtol", [(1.2, 1e-10), (1.5, 1e-12), (2.0, 1e-12), (4.0, 1e-12)])
+    def test_table_matches_direct_quadrature(self, alpha, radius, rtol):
+        # points out to |z| = 0.99, where the quarter arc sees only far
+        # sources and G is smallest against the profile's range in rho
+        rng = np.random.default_rng(11)
+        r = 0.99 * np.sqrt(rng.uniform(0.0, 1.0, 60))
+        r[:12] = 0.99
+        th = rng.uniform(0.0, 2.0 * np.pi, r.size)
+        zs = np.column_stack([r * np.cos(th), r * np.sin(th)])
+        coeffs = fit_green_coeffs(alpha)
+        for kind in ("full", "quarter"):
+            src = source_configuration(kind, radius=radius)
+            want = direct_g_matrix(zs, src, alpha, coeffs)
+            got = g_matrix(zs, src, alpha, coeffs)
+            err = np.linalg.norm(got - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
+            assert err.max() <= rtol, (kind, err.max())
+
+    def test_unresolved_table_raises(self, coeffs_half, monkeypatch):
+        monkeypatch.setattr(locate_multi, "TABLE_CAP", 16)
+        src = source_configuration("full", radius=1.2)
+        with pytest.raises(QuadratureError):
+            g_matrix(np.array([0.1, 0.2]), src, 0.5, coeffs_half)
+        # the same profile resolves under the shipped cap
+        monkeypatch.undo()
+        g_matrix(np.array([0.1, 0.2]), src, 0.5, coeffs_half)
 
     def test_scan_point_outside_rejected(self, coeffs_half):
         src = source_configuration("full")
@@ -431,6 +469,25 @@ class TestScanValidation:
         scan(10**6, None)
         scan(2, 64)
         assert widths == [2, 3, 2]
+
+    def test_kernel_points_independent_of_resolution(self, coeffs_half, monkeypatch):
+        # the scan evaluates the profile only to build its table
+        points = []
+        real = locate_multi._s_kernel_scaled
+
+        def counting(coeffs, d, n_terms, y):
+            points.append(np.size(y))
+            return real(coeffs, d, n_terms, y)
+
+        monkeypatch.setattr(locate_multi, "_s_kernel_scaled", counting)
+        data = DataMatrix(np.random.default_rng(1).standard_normal((10, 10)))
+        src = source_configuration("full")
+        totals = []
+        for resolution in (3, 41):
+            points.clear()
+            scan_indicator(data, src, 0.5, coeffs_half, k=3, resolution=resolution)
+            totals.append(sum(points))
+        assert totals[0] == totals[1] > 0
 
     def test_small_scan_runs(self, coeffs_half):
         rng = np.random.default_rng(1)
