@@ -38,11 +38,10 @@ from .forward import (
     add_noise,
     boundary_diffs,
     boundary_restrict,
-    solve_background,
     solve_block,
     solve_subdiffusion,
 )
-from .fracmath import TimeGrid
+from .fracmath import TimeGrid, _check_alpha
 from .greenfn import fit_green_coeffs
 from .locate_one import default_segments, locate_one_inclusion
 from .locate_multi import (
@@ -228,7 +227,9 @@ def _inclusion_set(cfg):
 
 def _build_setting(cfg):
     """Inclusions, mesh and time grid; the kernel coefficients are fitted
-    only by the commands that evaluate kernels (see _coeffs)."""
+    only by the commands that evaluate kernels (see _coeffs).  alpha is
+    checked here, since forward without inclusions marches nothing."""
+    _check_alpha(float(cfg["alpha"]))
     incs = _inclusion_set(cfg)
     h_far = float(cfg["mesh"]["h_far"])
     h_near = cfg["mesh"]["h_near"]
@@ -284,7 +285,6 @@ def _write_manifest(out_dir, command, cfg, files):
 def cmd_forward(cfg, out_dir, jobs=1):
     incs, mesh, grid = _build_setting(cfg)
     a = np.asarray(cfg["background"]["direction"], dtype=float)
-    alpha = float(cfg["alpha"])
     gamma0 = float(cfg["gamma0"])
 
     def u0(p):
@@ -293,13 +293,16 @@ def cmd_forward(cfg, out_dir, jobs=1):
     def g(p, t, nrm):
         return gamma0 * (nrm @ a)
 
-    U = solve_background(mesh, alpha, None, u0, g, grid, gamma0=gamma0)
+    # U = a.x solves the background problem exactly in P1 at every level
+    U = SpaceTimeField(
+        mesh, grid, np.broadcast_to(u0(mesh.vertices), (grid.n_steps + 1, len(mesh.vertices)))
+    )
     files = ["mesh.txt", "background_trace.csv", "background_field.csv"]
     mesh.save(out_dir / "mesh.txt")
     boundary_restrict(U).to_csv(out_dir / "background_trace.csv")
     U.to_csv(out_dir / "background_field.csv")
     if incs.items:
-        u = solve_subdiffusion(mesh, alpha, incs, None, u0, g, grid)
+        u = solve_subdiffusion(mesh, float(cfg["alpha"]), incs, None, u0, g, grid)
         trace = boundary_restrict(u)
         sigma = float(cfg["noise"]["sigma"])
         if sigma != 0.0:

@@ -14,15 +14,18 @@ default 2^7 steps).  Every march runs through the one function
 ``_march_block``, which assembles, factors and runs the L1 loop:
 
 * ``solve_subdiffusion`` / ``solve_background``: one data set, with an
-  optional volumetric source; the ``forward`` command marches u and the
-  background U this way;
+  optional volumetric source; the ``forward`` command marches u this
+  way;
 * ``solve_block``: a block of data sets at the perturbed conductivity,
   one factorization and one load per step for the block; ``locate-one``
-  and ``oracle-check`` march u for both axis directions this way and
-  take the harmonic background U = a.x, exact in P1, without a march;
+  and ``oracle-check`` march u for both axis directions this way;
 * ``solve_pair``: a block against the perturbed and the background
   conductivity, one factorization per conductivity and one load per
   step for both; the multi-inclusion data matrix is built this way.
+
+``forward``, ``locate-one`` and ``oracle-check`` take the harmonic
+background U = a.x as it is at every level, without a march: with
+flux gamma0 a.n it solves the background problem exactly in P1.
 
 ``boundary_diffs`` turns a marched block (u, U) into the noisy boundary
 traces of u - U, one per column, that both locators measure.
@@ -49,6 +52,37 @@ from .fracmath import TimeGrid, l1_weights
 from .mesh import InclusionSet, Mesh
 
 
+# values per block of columns formatted at once in _write_rows
+_ROW_BLOCK = 1 << 16
+
+
+def _write_rows(path, label_name, labels, values) -> None:
+    """One CSV line per column of values (levels x columns): its label, then each level.
+
+    Every value is written as repr of its Python float.  In a block of
+    columns that repeats its values, such as U = a.x over the levels,
+    repr runs once per bitwise-distinct value (0.0 and -0.0 stay apart),
+    one string per node instead of one per entry.  A block of mostly
+    distinct values is formatted entry by entry, which is faster than
+    gathering the strings of its sorted values.  A block holds at most
+    _ROW_BLOCK values' strings at once.
+    """
+    n_levels, n_columns = values.shape
+    step = max(1, _ROW_BLOCK // n_levels)
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"{label_name}," + ",".join(f"t{j}" for j in range(n_levels)) + "\n")
+        for start in range(0, n_columns, step):
+            block = np.ascontiguousarray(values[:, start : start + step].T, dtype=float)
+            keys, inverse = np.unique(block.view(np.int64), return_inverse=True)
+            if 2 * len(keys) > block.size:
+                rows = (map(repr, column.tolist()) for column in block)
+            else:
+                text = np.array(list(map(repr, keys.view(float).tolist())), dtype=object)
+                rows = (row.tolist() for row in text[inverse.reshape(block.shape)])
+            for label, row in zip(labels[start : start + step], rows):
+                fh.write(label + "," + ",".join(row) + "\n")
+
+
 @dataclass(frozen=True)
 class SpaceTimeField:
     """Nodal values of a fully discrete solution, one row per time level."""
@@ -67,13 +101,7 @@ class SpaceTimeField:
             raise SolverError("field contains non-finite values")
 
     def to_csv(self, path) -> None:
-        n_levels = self.grid.n_steps + 1
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("node," + ",".join(f"t{j}" for j in range(n_levels)) + "\n")
-            # one node's column at a time: the whole block as Python floats
-            # would hold about 32 bytes per value
-            for i, column in enumerate(self.values.astype(float, copy=False).T):
-                fh.write(f"{i}," + ",".join(map(repr, column.tolist())) + "\n")
+        _write_rows(path, "node", [str(i) for i in range(self.values.shape[1])], self.values)
 
 
 @dataclass(frozen=True)
@@ -113,12 +141,8 @@ class BoundaryTrace:
         return replace(self, values=self.values - other.values)
 
     def to_csv(self, path) -> None:
-        n_levels = self.grid.n_steps + 1
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("angle," + ",".join(f"t{j}" for j in range(n_levels)) + "\n")
-            columns = self.values.astype(float, copy=False).T
-            for angle, column in zip(np.asarray(self.angles, dtype=float).tolist(), columns):
-                fh.write(f"{angle!r}," + ",".join(map(repr, column.tolist())) + "\n")
+        angles = np.asarray(self.angles, dtype=float).tolist()
+        _write_rows(path, "angle", list(map(repr, angles)), self.values)
 
 
 def assemble_matrices(mesh: Mesh, gamma_tri: np.ndarray):

@@ -234,6 +234,8 @@ class TestExitCodes:
             {"time_steps": cli.MAX_COUNTS["time_steps"] + 1},
             {"scan": {"resolution": cli.MAX_COUNTS["scan.resolution"] + 1}},
             {"sources": {"n": cli.MAX_COUNTS["sources.n"] + 1}},
+            {"alpha": 1.5},
+            {"alpha": 0.0},
         ],
         ids=[
             "misspelt-gamma",
@@ -255,6 +257,8 @@ class TestExitCodes:
             "huge-time-steps",
             "huge-resolution",
             "huge-source-count",
+            "alpha-above-one",
+            "zero-alpha",
         ],
     )
     def test_bad_input_is_2(self, tmp_path, capsys, overrides):
@@ -356,6 +360,34 @@ class TestForwardCommand:
         trace = np.loadtxt(out / "background_trace.csv", delimiter=",", skiprows=1)
         ax = 0.6 * np.cos(trace[:, 0]) - 0.8 * np.sin(trace[:, 0])
         assert np.max(np.abs(trace[:, 1:] - ax[:, None])) <= 1e-9
+
+    def test_background_files_are_exact_ax(self, tmp_path):
+        # every level of U is the initial datum a.x of the march at the node,
+        # written as repr of that float; BLAS may round the block product
+        # differently from a one-node product in the last bit
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path / "c.json",
+            time_steps=8,
+            mesh={"h_far": 0.3},
+            inclusions=[{"center": [0.2, 0.3], "eps": 0.1, "gamma": 50.0}],
+            background={"direction": [0.6, -0.8]},
+            output_dir=str(out),
+        )
+        assert cli.main(["forward", "--config", cfg]) == 0
+        _, mesh, _ = cli._build_setting(cli.load_config(cfg))
+        ax = mesh.vertices @ np.array([0.6, -0.8])
+        np.testing.assert_allclose(
+            ax, 0.6 * mesh.vertices[:, 0] - 0.8 * mesh.vertices[:, 1], rtol=0.0, atol=1e-15
+        )
+        rows = [ln.split(",") for ln in (out / "background_field.csv").read_text().splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == list(range(len(mesh.vertices)))
+        for row, v in zip(rows, ax.tolist()):
+            assert row[1:] == [repr(v)] * 9
+        rows = [ln.split(",") for ln in (out / "background_trace.csv").read_text().splitlines()[1:]]
+        assert len(rows) == len(mesh.boundary_nodes)
+        for row, v in zip(rows, ax[mesh.boundary_nodes].tolist()):
+            assert row[1:] == [repr(v)] * 9
 
     def test_inclusion_adds_solution_trace(self, tmp_path):
         out = tmp_path / "out"
@@ -609,8 +641,8 @@ class TestOracleCheckCommand:
 @pytest.mark.parametrize(
     "command, config, factorizations",
     [
-        # u and the marched background U
-        ("forward", "cheap_one", 2),
+        # u alone; U = a.x is not marched
+        ("forward", "cheap_one", 1),
         # u for both axis directions as one block; U = a.x is not marched
         ("locate-one", "cheap_one", 1),
         ("oracle-check", "cheap_one", 1),

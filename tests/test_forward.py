@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fracloc import forward
 from fracloc.errors import ConfigError, SolverError
 from fracloc.forward import (
     BoundaryTrace,
@@ -366,3 +367,38 @@ class TestContainers:
         tlines = tpath.read_text().splitlines()
         assert tlines[0].startswith("angle,")
         assert len(tlines) == 1 + len(trace.node_ids)
+
+    @pytest.mark.parametrize("row_block", [forward._ROW_BLOCK, 7])
+    @pytest.mark.parametrize("repeated", [0.9, 0.2])
+    def test_csv_is_repr_of_every_value(
+        self, coarse_mesh, tmp_path, monkeypatch, row_block, repeated
+    ):
+        # the text of one repr per entry, for blocks of mostly repeated and
+        # mostly distinct values, also across blocks of columns
+        monkeypatch.setattr(forward, "_ROW_BLOCK", row_block)
+        grid = TimeGrid(3, 1.0)
+        n = len(coarse_mesh.vertices)
+        special = [0.0, -0.0, 1.0, -3.0, 2.0**60, 1e16, -1.5e22, 9.999e-5, -3e-300, 5e-324, 0.1]
+        rng = np.random.default_rng(3)
+        values = np.where(
+            rng.random((4, n)) < repeated,
+            rng.choice(special, size=(4, n)),
+            rng.standard_normal((4, n)),
+        )
+        field = SpaceTimeField(coarse_mesh, grid, values)
+        trace = boundary_restrict(field)
+        field.to_csv(tmp_path / "field.csv")
+        trace.to_csv(tmp_path / "trace.csv")
+
+        def per_value(label, labels, block):
+            lines = [label + ",t0,t1,t2,t3"]
+            for lab, column in zip(labels, block.T):
+                lines.append(lab + "," + ",".join(map(repr, column.tolist())))
+            return ("\n".join(lines) + "\n").encode("ascii")
+
+        assert {np.signbit(v) for v in values.ravel() if v == 0.0} == {False, True}
+        assert (tmp_path / "field.csv").read_bytes() == per_value(
+            "node", [str(i) for i in range(n)], values
+        )
+        angles = [repr(v) for v in trace.angles.tolist()]
+        assert (tmp_path / "trace.csv").read_bytes() == per_value("angle", angles, trace.values)
