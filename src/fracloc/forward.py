@@ -59,13 +59,11 @@ _ROW_BLOCK = 1 << 16
 def _write_rows(path, label_name, labels, values) -> None:
     """One CSV line per column of values (levels x columns): its label, then each level.
 
-    Every value is written as repr of its Python float.  In a block of
-    columns that repeats its values, such as U = a.x over the levels,
-    repr runs once per bitwise-distinct value (0.0 and -0.0 stay apart),
-    one string per node instead of one per entry.  A block of mostly
-    distinct values is formatted entry by entry, which is faster than
-    gathering the strings of its sorted values.  A block holds at most
-    _ROW_BLOCK values' strings at once.
+    Every value is written as repr of its Python float.  Per block of
+    columns, repr runs once per bitwise-distinct value (0.0 and -0.0 stay
+    apart), so a field that repeats its values, such as U = a.x over the
+    levels, formats one string per node instead of one per entry.  A
+    block holds at most _ROW_BLOCK values' strings at once.
     """
     n_levels, n_columns = values.shape
     step = max(1, _ROW_BLOCK // n_levels)
@@ -74,11 +72,8 @@ def _write_rows(path, label_name, labels, values) -> None:
         for start in range(0, n_columns, step):
             block = np.ascontiguousarray(values[:, start : start + step].T, dtype=float)
             keys, inverse = np.unique(block.view(np.int64), return_inverse=True)
-            if 2 * len(keys) > block.size:
-                rows = (map(repr, column.tolist()) for column in block)
-            else:
-                text = np.array(list(map(repr, keys.view(float).tolist())), dtype=object)
-                rows = (row.tolist() for row in text[inverse.reshape(block.shape)])
+            text = np.array(list(map(repr, keys.view(float).tolist())), dtype=object)
+            rows = (row.tolist() for row in text[inverse.reshape(block.shape)])
             for label, row in zip(labels[start : start + step], rows):
                 fh.write(label + "," + ",".join(row) + "\n")
 
