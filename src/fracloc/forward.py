@@ -7,11 +7,17 @@ L1 convolution quadrature of the Caputo derivative on a uniform grid,
     dt^alpha u(t_n) ~ beta sum_{j<n} b_{n-1-j} (u^{j+1} - u^j),
     beta = dt^(-alpha) / Gamma(2 - alpha),
 
-which yields one linear solve per step with the time-independent matrix
-beta M + K; its sparse factorization is computed once and reused.  The
-history sum is evaluated directly (O(n^2) in the step count, fine at the
-default 2^7 steps).  Every march runs through the one function
-``_march_block``, which assembles, factors and runs the L1 loop:
+which yields one linear solve per step with the time-independent SPD
+matrix beta M + K.  It is factored once per conductivity, by SuperLU
+with a symmetric minimum-degree ordering of A + A^T and diagonal pivots,
+which fills in less than the default COLAMD ordering with partial
+pivoting.  A step then does three things per conductivity: the history
+sum as one product of that step's row of L1 weights with the stored
+levels (O(n^2) in the step count, fine at the default 2^7 steps), one
+product with beta M and one solve.  The Neumann load is a sparse
+edge-to-node operator, built once per march, applied to the flux at
+both endpoints of every boundary edge.  Every march runs through the one
+function ``_march_block``, which assembles, factors and runs the L1 loop:
 
 * ``solve_subdiffusion`` / ``solve_background``: one data set, with an
   optional volumetric source; the ``forward`` command marches u this
@@ -170,6 +176,35 @@ def assemble_matrices(mesh: Mesh, gamma_tri: np.ndarray):
     return M, K
 
 
+def _neumann_operator(mesh: Mesh):
+    """Sparse (n_nodes, 2 n_edges) map from edge-endpoint fluxes to the boundary load.
+
+    Column e takes the flux at the first endpoint of boundary edge e and
+    column n_edges + e the flux at its second; an edge of length L adds
+    L (2 g_i + g_j) / 6 to its first node and L (g_i + 2 g_j) / 6 to its
+    second, the exact load of a flux linear along the edge.
+    """
+    i = mesh.boundary_edges[:, 0]
+    j = mesh.boundary_edges[:, 1]
+    pi = mesh.vertices[i]
+    pj = mesh.vertices[j]
+    sixth = np.hypot(pj[:, 0] - pi[:, 0], pj[:, 1] - pi[:, 1]) / 6.0
+    e = np.arange(len(i))
+    rows = np.concatenate([i, j, i, j])
+    cols = np.concatenate([e, e, e + len(e), e + len(e)])
+    vals = np.concatenate([2.0 * sixth, sixth, sixth, 2.0 * sixth])
+    n = len(mesh.vertices)
+    return coo_matrix((vals, (rows, cols)), shape=(n, 2 * len(e))).tocsr()
+
+
+def _edge_fluxes(mesh: Mesh, g, t: float) -> np.ndarray:
+    """g at the first endpoints of the boundary edges, then at the second ones."""
+    ends = mesh.vertices[mesh.boundary_edges.T]
+    return np.concatenate(
+        [np.asarray(g(p, t, mesh.boundary_normals), dtype=float) for p in ends]
+    )
+
+
 def neumann_load(mesh: Mesh, g, t: float) -> np.ndarray:
     """Boundary load vector int_dOmega g phi_i ds on the polygonal edges.
 
@@ -179,18 +214,7 @@ def neumann_load(mesh: Mesh, g, t: float) -> np.ndarray:
     """
     if g is None:
         return np.zeros(len(mesh.vertices))
-    i = mesh.boundary_edges[:, 0]
-    j = mesh.boundary_edges[:, 1]
-    pi = mesh.vertices[i]
-    pj = mesh.vertices[j]
-    lengths = np.hypot(pj[:, 0] - pi[:, 0], pj[:, 1] - pi[:, 1])
-    gi = np.asarray(g(pi, t, mesh.boundary_normals), dtype=float)
-    gj = np.asarray(g(pj, t, mesh.boundary_normals), dtype=float)
-    lengths = lengths.reshape(lengths.shape + (1,) * (gi.ndim - 1))
-    load = np.zeros((len(mesh.vertices),) + gi.shape[1:])
-    np.add.at(load, i, lengths * (2.0 * gi + gj) / 6.0)
-    np.add.at(load, j, lengths * (gi + 2.0 * gj) / 6.0)
-    return load
+    return _neumann_operator(mesh) @ _edge_fluxes(mesh, g, t)
 
 
 def _l1_constants(alpha: float, grid: TimeGrid):
@@ -202,9 +226,20 @@ def _l1_constants(alpha: float, grid: TimeGrid):
 
 
 def _factor(M, K, beta):
-    """Sparse LU of the time-step matrix beta M + K."""
+    """Sparse LU of the SPD time-step matrix beta M + K.
+
+    The columns are ordered by minimum degree on the symmetric pattern
+    A + A^T and the pivots are taken on the diagonal, so L and U keep
+    the symmetric structure with less fill than a COLAMD ordering with
+    partial pivoting.
+    """
     try:
-        return splu((beta * M + K).tocsc())
+        return splu(
+            (beta * M + K).tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
     except RuntimeError as exc:
         raise SolverError(f"factorization of the time-step matrix failed: {exc}") from exc
 
@@ -242,36 +277,50 @@ def _march_block(mesh: Mesh, alpha: float, gammas, u0, g, grid: TimeGrid, f=None
     or (k, m) and g(points, t, normals) -> the same shape give one
     column per data set; u0 = None is a zero start of one data set, and
     f adds the volumetric load M f(points, t).  Each conductivity is
-    assembled and factored once, and each step's load is computed once
-    for all of them.  Returns one array of shape (n_steps + 1, n_nodes)
-    or (n_steps + 1, n_nodes, m) per conductivity.
+    assembled and factored once (see _factor); beta M and the Neumann
+    operator are formed once per march, and each step's load is computed
+    once for all conductivities.  A step then takes, per conductivity,
+    the L1 history as one product of that step's weight row with the
+    stored levels, one product with beta M and one solve.  The levels
+    are checked for finiteness once, after the loop.  Returns one array
+    of shape (n_steps + 1, n_nodes) or (n_steps + 1, n_nodes, m) per
+    conductivity.
     """
     beta, b = _l1_constants(alpha, grid)
     vertices = mesh.vertices
     init = np.zeros(len(vertices)) if u0 is None else np.asarray(u0(vertices), dtype=float)
+    n_levels = grid.n_steps + 1
     marches = []
     for gamma_tri in gammas:
         M, K = assemble_matrices(mesh, gamma_tri)
-        values = np.zeros((grid.n_steps + 1,) + init.shape)
+        values = np.zeros((n_levels,) + init.shape)
         values[0] = init
         marches.append((_factor(M, K, beta), values))
     # the mass matrix M does not depend on the conductivity
+    beta_m = beta * M
+    to_load = None if g is None else _neumann_operator(mesh)
+    # step n's history weights: u^0 gets b[n-1] and u^j, 1 <= j < n,
+    # gets b[n-1-j] - b[n-j]; the latter are the last n - 1 entries of
+    # the reversed differences
+    diffs = (b[:-1] - b[1:])[::-1]
+    row = np.empty(n_levels)
     nodes_t = grid.nodes
-    for n in range(1, len(b) + 1):
-        load = neumann_load(mesh, g, nodes_t[n])
+    for n in range(1, n_levels):
+        load = 0.0
+        if g is not None:
+            load = to_load @ _edge_fluxes(mesh, g, nodes_t[n])
         if f is not None:
             load = load + M @ np.asarray(f(vertices, nodes_t[n]), dtype=float)
+        row[0] = b[n - 1]
+        row[1:n] = diffs[len(diffs) - (n - 1) :]
         for lu, values in marches:
-            flat = values.reshape(len(values), -1)
-            # history: b[n-1] u^0 + sum_{j=1}^{n-1} (b[n-j-1] - b[n-j]) u^j
-            hist = b[n - 1] * flat[0]
-            if n > 1:
-                coeffs = b[n - 2 :: -1] - b[n - 1 : 0 : -1]
-                hist = hist + coeffs @ flat[1:n]
-            rhs = load + beta * (M @ hist.reshape(values.shape[1:]))
-            values[n] = lu.solve(rhs)
-            if not np.all(np.isfinite(values[n])):
-                raise SolverError(f"non-finite solution at time step {n}")
+            hist = (row[:n] @ values[:n].reshape(n, -1)).reshape(init.shape)
+            values[n] = lu.solve(load + beta_m @ hist)
+    finite = np.all(
+        [np.isfinite(values.reshape(n_levels, -1)).all(axis=1) for _, values in marches], axis=0
+    )
+    if not finite.all():
+        raise SolverError(f"non-finite solution at time step {int(np.argmin(finite))}")
     return [values for _, values in marches]
 
 

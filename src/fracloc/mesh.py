@@ -196,12 +196,12 @@ class Mesh:
         with open(path, "w", encoding="ascii") as fh:
             fh.write("# disk mesh: nv nt nbe, then vertices, triangles+tag, edges\n")
             fh.write(f"{len(self.vertices)} {len(self.triangles)} {len(self.boundary_edges)}\n")
-            for x, y in self.vertices:
-                fh.write(f"{float(x)!r} {float(y)!r}\n")
-            for (i, j, k), tag in zip(self.triangles, self.region_tag):
-                fh.write(f"{i} {j} {k} {tag}\n")
-            for i, j in self.boundary_edges:
-                fh.write(f"{i} {j}\n")
+            coords = list(map(repr, np.asarray(self.vertices, dtype=float).ravel().tolist()))
+            fh.write("".join(f"{x} {y}\n" for x, y in zip(coords[0::2], coords[1::2])))
+            rows = np.column_stack([self.triangles, self.region_tag]).ravel().tolist()
+            fh.write("%d %d %d %d\n" * len(self.triangles) % tuple(rows))
+            edges = self.boundary_edges.ravel().tolist()
+            fh.write("%d %d\n" * len(self.boundary_edges) % tuple(edges))
 
     @classmethod
     def load(cls, path) -> "Mesh":

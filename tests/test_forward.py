@@ -63,6 +63,34 @@ class TestAssembly:
         for j, g in enumerate(fluxes):
             np.testing.assert_array_equal(block[:, j], neumann_load(coarse_mesh, g, 0.7))
 
+    def test_neumann_load_matches_edge_by_edge_sum(self):
+        # reference: each edge's load added into its two nodes in turn
+        def edge_by_edge(mesh, g, t):
+            i, j = mesh.boundary_edges.T
+            pi, pj = mesh.vertices[i], mesh.vertices[j]
+            lengths = np.hypot(pj[:, 0] - pi[:, 0], pj[:, 1] - pi[:, 1])[:, None]
+            gi = g(pi, t, mesh.boundary_normals)
+            gj = g(pj, t, mesh.boundary_normals)
+            load = np.zeros((len(mesh.vertices),) + gi.shape[1:])
+            np.add.at(load, i, lengths * (2.0 * gi + gj) / 6.0)
+            np.add.at(load, j, lengths * (gi + 2.0 * gj) / 6.0)
+            return load
+
+        incs = InclusionSet(
+            items=(Inclusion((0.3, 0.2), 0.05, 5.0), Inclusion((-0.3, -0.2), 0.08, 0.2))
+        )
+        mesh = build_mesh(incs, 0.1, 0.0125)
+
+        def g(p, t, n):
+            return np.column_stack(
+                [n[:, 0] * t + p[:, 1] ** 2, np.sin(3.0 * p[:, 0]) * n[:, 1], (p * n).sum(1) + 1.0]
+            )
+
+        ref = edge_by_edge(mesh, g, 0.35)
+        load = neumann_load(mesh, g, 0.35)
+        assert load.shape == ref.shape == (len(mesh.vertices), 3)
+        np.testing.assert_allclose(load, ref, rtol=0.0, atol=1e-15 * np.abs(ref).max())
+
 
 class TestMarch:
     def test_constant_is_conserved(self, coarse_mesh):
@@ -170,6 +198,60 @@ class TestMarch:
             solve_pair(coarse_mesh, 1.5, InclusionSet(items=()), lambda p: p, None, grid)
         with pytest.raises(ConfigError):
             solve_background(coarse_mesh, 0.5, None, None, None, grid, gamma0=-1.0)
+
+
+class TestMarchSteps:
+    def test_ordered_factorization_solves_like_default_splu(self):
+        from scipy.sparse.linalg import splu
+
+        incs = InclusionSet(items=(Inclusion((0.3, 0.2), 0.05, 50.0),))
+        mesh = build_mesh(incs, 0.1, 0.0125)
+        M, K = assemble_matrices(mesh, incs.gamma_of_tag(mesh.region_tag))
+        beta = 3.2
+        rhs = np.random.default_rng(3).standard_normal((len(mesh.vertices), 4))
+        lu = forward._factor(M, K, beta)
+        default = splu((beta * M + K).tocsc())
+        ref = default.solve(rhs)
+        assert np.abs(lu.solve(rhs) - ref).max() <= 1e-12 * np.abs(ref).max()
+        # the symmetric minimum-degree ordering is the point: less fill
+        assert lu.L.nnz + lu.U.nnz < default.L.nnz + default.U.nnz
+
+    def test_singular_step_matrix_is_solver_error(self):
+        from scipy.sparse import csr_matrix, diags
+
+        with pytest.raises(SolverError, match="factorization"):
+            forward._factor(csr_matrix((3, 3)), diags([1.0, 0.0, 1.0]).tocsr(), 1.0)
+
+    @staticmethod
+    def _nan_from(g, t_bad):
+        def flux(p, t, n):
+            return np.full(len(p), np.nan) if t >= t_bad else g(p, t, n)
+
+        return flux
+
+    @pytest.mark.parametrize("k", [1, 5, 16])
+    def test_non_finite_flux_names_its_step(self, coarse_mesh, k):
+        grid = TimeGrid(16, 1.0)
+        g = self._nan_from(lambda p, t, n: n[:, 0], grid.nodes[k])
+        with pytest.raises(SolverError, match=rf"non-finite solution at time step {k}$"):
+            solve_background(coarse_mesh, 0.5, None, lambda p: p[:, 0], g, grid)
+
+    def test_non_finite_march_exits_3(self, tmp_path, monkeypatch, capsys):
+        from fracloc import cli
+
+        config = tmp_path / "c.json"
+        config.write_text(
+            '{"config_version": 1, "time_steps": 8, "mesh": {"h_far": 0.25},'
+            ' "inclusions": [{"center": [0.2, 0.3], "eps": 0.1, "gamma": 50.0}]}'
+        )
+
+        def solve(mesh, alpha, incs, f, u0, g, grid):
+            g = self._nan_from(g, grid.nodes[3])
+            return solve_subdiffusion(mesh, alpha, incs, f, u0, g, grid)
+
+        monkeypatch.setattr(cli, "solve_subdiffusion", solve)
+        assert cli.main(["forward", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+        assert "non-finite solution at time step 3" in capsys.readouterr().err
 
 
 class TestSolvePair:

@@ -254,9 +254,9 @@ class TestBuildMarch:
         calls = []
         real_splu = forward.splu
 
-        def counting_splu(mat):
+        def counting_splu(mat, *args, **kwargs):
             calls.append(mat.shape)
-            return real_splu(mat)
+            return real_splu(mat, *args, **kwargs)
 
         monkeypatch.setattr(forward, "splu", counting_splu)
         incs = InclusionSet(items=(Inclusion((0.2, 0.3), 0.1, 50.0),))

@@ -233,6 +233,30 @@ class TestMeshIO:
         np.testing.assert_array_equal(mesh.boundary_edges, back.boundary_edges)
         np.testing.assert_allclose(mesh.boundary_normals, back.boundary_normals)
 
+    def test_save_matches_line_by_line_writer(self, tmp_path):
+        # reference: one write per record; the manifest hashes these bytes
+        def line_by_line(mesh, path):
+            with open(path, "w", encoding="ascii") as fh:
+                fh.write("# disk mesh: nv nt nbe, then vertices, triangles+tag, edges\n")
+                fh.write(f"{len(mesh.vertices)} {len(mesh.triangles)} {len(mesh.boundary_edges)}\n")
+                for x, y in mesh.vertices:
+                    fh.write(f"{float(x)!r} {float(y)!r}\n")
+                for (i, j, k), tag in zip(mesh.triangles, mesh.region_tag):
+                    fh.write(f"{i} {j} {k} {tag}\n")
+                for i, j in mesh.boundary_edges:
+                    fh.write(f"{i} {j}\n")
+
+        incs = InclusionSet(
+            items=(
+                Inclusion((0.3, 0.2), 0.05, 5.0),
+                Inclusion((-0.3, -0.2), 0.08, 0.2, shape="ellipse", aspect=2.0),
+            )
+        )
+        mesh = build_mesh(incs, 0.1, 0.0125)
+        mesh.save(tmp_path / "new.txt")
+        line_by_line(mesh, tmp_path / "old.txt")
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
+
     def test_load_rejects_truncated(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("5 3 2\n0.0 0.0\n")
