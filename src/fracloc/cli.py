@@ -57,7 +57,7 @@ from .measure import (
     measurement_boundary,
     measurement_interior,
 )
-from .mesh import Inclusion, InclusionSet, build_mesh
+from .mesh import Inclusion, InclusionSet, build_mesh, vertex_estimate
 
 CONFIG_VERSION = 1
 
@@ -112,9 +112,10 @@ NULLABLE_KEYS = {
 LIST_KEYS = {"background.direction": 2, "scan.region": 4, "sweep.values": None}
 # Keys whose values must not be negative.
 NONNEGATIVE_KEYS = frozenset({"noise.seed", "noise.sigma"})
-# Upper bounds on counts; far above every shipped config, low enough
-# that no accepted value can exhaust memory in the march or the scan.
+# Caps far above every shipped config, each on one count alone, not on its
+# product with others in the march; the mesh's cap is on mesh.vertex_estimate.
 MAX_COUNTS = {"time_steps": 4096, "scan.resolution": 1001, "sources.n": 256}
+MAX_MESH_VERTICES = 200_000
 
 
 def _is_number(val):
@@ -192,7 +193,9 @@ def load_config(path):
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"config file {path} cannot be read: {exc}")
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError("config document must be a JSON object")
@@ -236,6 +239,8 @@ def _build_setting(cfg):
     if h_near is None:
         h_near = min((i.eps for i in incs.items), default=h_far * 4.0) / 4.0
         h_near = min(h_near, h_far)
+    if min(h_far, h_near) > 0.0 and vertex_estimate(incs, h_far, h_near) > MAX_MESH_VERTICES:
+        raise ConfigError(f"mesh sizes {h_far}, {h_near} need over {MAX_MESH_VERTICES} vertices")
     mesh = build_mesh(incs, h_far, float(h_near))
     grid = TimeGrid(int(cfg["time_steps"]), float(cfg["t_final"]))
     return incs, mesh, grid
@@ -282,7 +287,7 @@ def _write_manifest(out_dir, command, cfg, files):
         fh.write("\n")
 
 
-def cmd_forward(cfg, out_dir, jobs=1):
+def cmd_forward(cfg, out_dir):
     incs, mesh, grid = _build_setting(cfg)
     a = np.asarray(cfg["background"]["direction"], dtype=float)
     gamma0 = float(cfg["gamma0"])
@@ -340,7 +345,7 @@ def _center_error(rec_point, incs):
     return float(np.linalg.norm(rec_point - np.array(incs.items[0].center)))
 
 
-def cmd_locate_one(cfg, out_dir, jobs=1):
+def cmd_locate_one(cfg, out_dir):
     incs, mesh, grid = _build_setting(cfg)
     rec = _locate_one_run(cfg, incs, mesh, grid, _coeffs(cfg))
     err = _center_error(rec.P, incs)
@@ -352,7 +357,7 @@ def cmd_locate_one(cfg, out_dir, jobs=1):
     return ["reconstruction.csv"]
 
 
-def _locate_multi_run(cfg, incs, mesh, grid, coeffs, jobs):
+def _locate_multi_run(cfg, incs, mesh, grid, coeffs):
     src_cfg = cfg["sources"]
     sources = source_configuration(
         src_cfg["kind"],
@@ -390,7 +395,6 @@ def _locate_multi_run(cfg, incs, mesh, grid, coeffs, jobs):
         n_terms=int(cfg["series_terms"]),
         t_final=float(cfg["t_final"]),
         gamma0=float(cfg["gamma0"]),
-        jobs=jobs,
     )
     located = peak_extract(igrid, peaks, min_separation=float(scan_cfg["min_separation"]))
     return sources, data, igrid, located
@@ -402,9 +406,9 @@ def _nearest_center(p, incs):
     return min(np.linalg.norm(p - np.array(i.center)) for i in incs.items)
 
 
-def cmd_locate_multi(cfg, out_dir, jobs=1):
+def cmd_locate_multi(cfg, out_dir):
     incs, mesh, grid = _build_setting(cfg)
-    sources, data, igrid, peaks = _locate_multi_run(cfg, incs, mesh, grid, _coeffs(cfg), jobs)
+    sources, data, igrid, peaks = _locate_multi_run(cfg, incs, mesh, grid, _coeffs(cfg))
     np.savetxt(out_dir / "data_matrix.csv", data.B, delimiter=",", fmt="%.17g")
     _write_csv(
         out_dir / "singular_values.csv",
@@ -420,7 +424,7 @@ def cmd_locate_multi(cfg, out_dir, jobs=1):
     return ["data_matrix.csv", "singular_values.csv", "w_grid.csv", "peaks.csv"]
 
 
-def cmd_oracle_check(cfg, out_dir, jobs=1):
+def cmd_oracle_check(cfg, out_dir):
     """Boundary vs interior route for the measurement functional.
 
     probe.kind null or "exact" uses the exact profile (OracleKernelProbe),
@@ -488,7 +492,7 @@ def _apply_sweep_value(cfg, parameter, value):
     return swept
 
 
-def cmd_sweep(cfg, out_dir, jobs=1):
+def cmd_sweep(cfg, out_dir):
     sweep = cfg["sweep"]
     values = sweep["values"]
     if not values:
@@ -507,7 +511,7 @@ def cmd_sweep(cfg, out_dir, jobs=1):
                 rec = _locate_one_run(swept, incs, mesh, grid, coeffs)
                 rows.append((value, _center_error(rec.P, incs), rec.rho0))
             else:
-                _, _, _, peaks = _locate_multi_run(swept, incs, mesh, grid, coeffs, jobs)
+                _, _, _, peaks = _locate_multi_run(swept, incs, mesh, grid, coeffs)
                 worst = max(_nearest_center(p, incs) for p in peaks)
                 rows.append((value, worst, float(len(peaks))))
         except ReconstructionError as exc:
@@ -542,7 +546,7 @@ def build_parser():
     parser.add_argument("--config", required=True, help="path to a JSON config")
     parser.add_argument("--out", default=None, help="output directory override")
     parser.add_argument("--seed", type=int, default=None, help="noise seed override")
-    parser.add_argument("--jobs", type=int, default=1, help="worker pool width")
+    parser.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
     return parser
 
 
@@ -557,8 +561,11 @@ def main(argv=None):
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         out_dir = Path(cfg["output_dir"])
-        out_dir.mkdir(parents=True, exist_ok=True)
-        files = COMMANDS[args.command](cfg, out_dir, jobs=args.jobs)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out_dir}: {exc}")
+        files = COMMANDS[args.command](cfg, out_dir)
         _write_manifest(out_dir, args.command, cfg, files)
     except ConfigError as exc:
         print(f"fracloc: config error: {exc}", file=sys.stderr)

@@ -54,7 +54,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
 from .errors import ConfigError, SolverError
-from .fracmath import TimeGrid, l1_weights
+from .fracmath import TimeGrid, _check_alpha, l1_weights
 from .mesh import InclusionSet, Mesh
 
 
@@ -219,8 +219,7 @@ def neumann_load(mesh: Mesh, g, t: float) -> np.ndarray:
 
 def _l1_constants(alpha: float, grid: TimeGrid):
     """beta = dt^(-alpha) / Gamma(2 - alpha) and the L1 weights b."""
-    if not (0.0 < alpha <= 1.0):
-        raise ConfigError(f"alpha must lie in (0, 1], got {alpha}")
+    _check_alpha(alpha)
     beta = grid.dt ** (-alpha) / math.gamma(2.0 - alpha)
     return beta, l1_weights(alpha, grid.n_steps)
 

@@ -56,6 +56,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, QuadratureError
+from .fracmath import _check_alpha
 
 __all__ = [
     "GreenCoeffs",
@@ -133,8 +134,7 @@ def log_reduced_green(d: int, alpha: float, r) -> float | np.ndarray:
     """
     if d not in (1, 2, 3):
         raise ConfigError(f"dimension must be 1, 2 or 3, got {d}")
-    if not (0.0 < alpha <= 1.0):
-        raise ConfigError(f"alpha must lie in (0, 1], got {alpha}")
+    _check_alpha(alpha)
     r_arr = np.asarray(r, dtype=float)
     if not np.all(r_arr > 0.0):
         raise ConfigError(f"radius must be positive, got {r}")
@@ -180,8 +180,7 @@ class GreenCoeffs:
         object.__setattr__(self, "a0", float(self.a0))
         object.__setattr__(self, "a1", tuple(float(c) for c in self.a1))
         object.__setattr__(self, "a2", tuple(float(c) for c in self.a2))
-        if not (0.0 < self.alpha <= 1.0):
-            raise ConfigError(f"alpha must lie in (0, 1], got {self.alpha}")
+        _check_alpha(self.alpha)
         if not (0.0 < self.a0 < 1.0):
             raise ConfigError(f"fitted decay rate a0 must lie in (0, 1), got {self.a0}")
         if len(self.a1) == 0 or len(self.a2) == 0:
@@ -222,8 +221,7 @@ def fit_green_coeffs(alpha: float, n_terms: int = MAX_SERIES_TERMS) -> GreenCoef
     """
     if not (1 <= n_terms <= MAX_SERIES_TERMS):
         raise ConfigError(f"n_terms must be in 1..{MAX_SERIES_TERMS}, got {n_terms}")
-    if not (0.0 < alpha <= 1.0):
-        raise ConfigError(f"alpha must lie in (0, 1], got {alpha}")
+    _check_alpha(alpha)
     q = 2.0 / (2.0 - alpha)
     r1 = np.geomspace(_FIT_R_LO, _FIT_R_HI, 26)
     r2 = np.geomspace(_FIT_R_LO, _FIT_R_HI, 18)

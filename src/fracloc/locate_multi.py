@@ -25,8 +25,6 @@ table, which leaves the kept table near rounding; see
 QuadratureError.
 """
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -413,12 +411,6 @@ class IndicatorGrid:
         np.savetxt(path, table, delimiter=",", header="x,y,W", comments="")
 
 
-def _scan_row(payload):
-    data, sources, table, k, xs, y = payload
-    zs = np.column_stack([xs, np.full(xs.size, y)])
-    return indicator(zs, data, k, _kernel_matrix(zs, sources, table))
-
-
 def scan_indicator(
     data,
     sources,
@@ -431,15 +423,13 @@ def scan_indicator(
     n_terms=3,
     t_final=1.0,
     gamma0=1.0,
-    jobs=1,
 ):
     """Evaluate the indicator on a resolution x resolution interior grid.
 
     k is the truncation level, chosen by the caller (the CLI floors
-    select_truncation's count; see cli._locate_multi_run).  Rows are
-    independent; ``jobs`` > 1 spreads them over a process pool of at
-    most min(jobs, CPU count, rows) workers.  The assembled grid is
-    identical regardless of the worker count.
+    select_truncation's count; see cli._locate_multi_run).  The profile
+    table is built once per scan, and each grid row is one kernel-matrix
+    and one indicator call in the calling process.
     """
     xmin, xmax, ymin, ymax = region
     if not (xmin < xmax and ymin < ymax):
@@ -452,13 +442,8 @@ def scan_indicator(
     xs = np.linspace(xmin, xmax, resolution)
     ys = np.linspace(ymin, ymax, resolution)
     table = _profile_table(sources, alpha, coeffs, n_terms, t_final, gamma0)
-    payloads = [(data, sources, table, k, xs, y) for y in ys]
-    workers = min(jobs, os.cpu_count() or 1, len(payloads))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_scan_row, payloads))
-    else:
-        rows = [_scan_row(p) for p in payloads]
+    points = np.stack(np.meshgrid(xs, ys), axis=-1)
+    rows = [indicator(zs, data, k, _kernel_matrix(zs, sources, table)) for zs in points]
     return IndicatorGrid(xs=xs, ys=ys, values=np.stack(rows), k=k)
 
 

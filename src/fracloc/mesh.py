@@ -277,6 +277,15 @@ def _circle_nodes(inclusions: InclusionSet, h_far: float, h_near: float) -> np.n
     return np.column_stack([np.cos(th), np.sin(th)])
 
 
+def vertex_estimate(inclusions: InclusionSet, h_far: float, h_near: float) -> float:
+    """Lattice points, 2 / (sqrt(3) h^2) per unit area, in the disk at h_far
+    and at h_near in each inclusion's zone within 2 eps (9 times its area).
+    build_mesh adds points on curves: up to half as many again on shipped meshes."""
+    zones = sum(9.0 * inc.area() for inc in inclusions.items)
+    # divisions overflow to inf where a power would raise
+    return 2.0 / math.sqrt(3.0) * (math.pi / h_far / h_far + zones / h_near / h_near)
+
+
 def build_mesh(inclusions: InclusionSet, h_far: float, h_near: float) -> Mesh:
     """Graded Delaunay mesh of the unit disk resolving every interface.
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracloc import cli, locate_multi
+from fracloc import cli, locate_multi, mesh
 from fracloc.errors import ConfigError, ReconstructionError, SolverError
 
 
@@ -53,6 +53,16 @@ def test_cli_runs_without_mpmath():
     # mpmath is a test dependency only; the CLI must not import it
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     code = "import sys, fracloc.cli; sys.exit('mpmath' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+def test_cli_starts_no_process_pool():
+    # the indicator scan runs in the calling process
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    code = (
+        "import sys, fracloc.cli; "
+        "sys.exit(any(m in sys.modules for m in ('multiprocessing', 'concurrent.futures.process')))"
+    )
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
@@ -196,8 +206,39 @@ class TestExitCodes:
         assert cli.main(["forward", "--config", "/nonexistent/c.json"]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_directory_config_is_2(self, tmp_path, capsys):
+        assert cli.main(["forward", "--config", str(tmp_path)]) == 2
+        assert "cannot be read" in capsys.readouterr().err
+
+    def test_non_utf8_config_is_2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_bytes(b"\xff\xfe{}")
+        assert cli.main(["forward", "--config", str(cfg)]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [{"h_far": 1e-4}, {"h_far": 0.15, "h_near": 1e-5}],
+        ids=["tiny-h-far", "tiny-h-near"],
+    )
+    def test_huge_mesh_is_2(self, tmp_path, monkeypatch, capsys, sizes):
+        # the cap must act before any mesh point is placed
+        def placed(*args, **kwargs):
+            pytest.fail("mesh points placed before the size check")
+
+        monkeypatch.setattr(mesh, "_hex_lattice", placed)
+        monkeypatch.setattr(mesh.Inclusion, "boundary_points", placed)
+        cfg = write_config(
+            tmp_path / "c.json",
+            mesh=sizes,
+            inclusions=[{"center": [0.2, 0.3], "eps": 0.05, "gamma": 5.0}],
+            output_dir=str(tmp_path / "o"),
+        )
+        assert cli.main(["forward", "--config", cfg]) == 2
+        assert f"over {cli.MAX_MESH_VERTICES} vertices" in capsys.readouterr().err
+
     def test_solver_error_is_3(self, tmp_path, monkeypatch, capsys):
-        def boom(cfg, out_dir, jobs=1):
+        def boom(cfg, out_dir):
             raise SolverError("synthetic failure")
 
         monkeypatch.setitem(cli.COMMANDS, "forward", boom)
@@ -205,7 +246,7 @@ class TestExitCodes:
         assert cli.main(["forward", "--config", cfg]) == 3
 
     def test_reconstruction_error_is_4(self, tmp_path, monkeypatch):
-        def boom(cfg, out_dir, jobs=1):
+        def boom(cfg, out_dir):
             raise ReconstructionError("no sign change")
 
         monkeypatch.setitem(cli.COMMANDS, "locate-one", boom)
@@ -236,6 +277,8 @@ class TestExitCodes:
             {"sources": {"n": cli.MAX_COUNTS["sources.n"] + 1}},
             {"alpha": 1.5},
             {"alpha": 0.0},
+            {"output_dir": os.devnull},
+            {"output_dir": os.path.join(os.devnull, "o")},
         ],
         ids=[
             "misspelt-gamma",
@@ -259,6 +302,8 @@ class TestExitCodes:
             "huge-source-count",
             "alpha-above-one",
             "zero-alpha",
+            "output-dir-is-file",
+            "output-dir-below-file",
         ],
     )
     def test_bad_input_is_2(self, tmp_path, capsys, overrides):

@@ -435,41 +435,6 @@ class TestScanValidation:
         with pytest.raises(ConfigError):
             scan_indicator(data, src, 0.5, coeffs_half, k=1, region=(0.3, 0.3, -0.2, 0.2))
 
-    def test_pool_width_capped(self, coeffs_half, monkeypatch):
-        # the fake pool starts no process; it records the width and maps serially
-        widths = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                widths.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(locate_multi, "ProcessPoolExecutor", FakePool)
-        data = DataMatrix(np.random.default_rng(1).standard_normal((4, 4)))
-        src = SourceSet(n=4)
-        region = (-0.3, 0.3, -0.3, 0.3)
-
-        def scan(jobs, cpus):
-            monkeypatch.setattr(locate_multi.os, "cpu_count", lambda: cpus)
-            return scan_indicator(
-                data, src, 0.5, coeffs_half, region=region, resolution=3, k=2, jobs=jobs
-            )
-
-        serial = scan(1, 8)
-        assert np.array_equal(scan(10**6, 2).values, serial.values)
-        scan(10**6, 64)
-        scan(10**6, None)
-        scan(2, 64)
-        assert widths == [2, 3, 2]
-
     def test_kernel_points_independent_of_resolution(self, coeffs_half, monkeypatch):
         # the scan evaluates the profile only to build its table
         points = []

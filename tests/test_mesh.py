@@ -16,6 +16,7 @@ from fracloc.mesh import (
     _check_boundary_edges,
     _check_conforming,
     build_mesh,
+    vertex_estimate,
 )
 
 
@@ -169,6 +170,27 @@ class TestBuildMesh:
         ]
         for incs, hf, hn in configs:
             assert _min_angle_deg(build_mesh(incs, hf, hn)) > 15.0
+
+    @pytest.mark.parametrize(
+        "items, h_far, h_near",
+        [
+            ((), 0.15, 0.15),
+            ((), 0.05, 0.05),
+            ((Inclusion((0.2, 0.3), 0.05, 50.0),), 0.15, 0.0125),
+            ((Inclusion((0.2, 0.3), 0.1, 50.0, "ellipse", 2.0), Inclusion((-0.4, -0.2), 0.08, 5.0)), 0.15, 0.02),
+        ],
+        ids=["empty-coarse", "empty-fine", "one-disk", "ellipse-and-disk"],
+    )
+    def test_vertex_estimate_bounds_count(self, items, h_far, h_near):
+        # the estimate leaves out points on curves, at most half as many again
+        incs = InclusionSet(items=items)
+        estimate = vertex_estimate(incs, h_far, h_near)
+        assert estimate <= len(build_mesh(incs, h_far, h_near).vertices) <= 1.5 * estimate
+
+    def test_vertex_estimate_never_raises(self):
+        incs = InclusionSet(items=(Inclusion((0.2, 0.3), 0.05, 50.0),))
+        assert vertex_estimate(incs, 5e-324, 5e-324) == math.inf
+        assert vertex_estimate(incs, 1e300, 1e300) == 0.0
 
     def test_validation(self):
         incs = InclusionSet(items=(Inclusion((0.2, 0.3), 0.05, 50.0),))
