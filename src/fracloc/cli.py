@@ -213,18 +213,15 @@ def load_config(path):
 
 
 def _inclusion_set(cfg):
-    items = []
-    for spec in cfg["inclusions"]:
-        aspect = float(spec.get("aspect", 1.0))
-        items.append(
-            Inclusion(
-                center=tuple(spec["center"]),
-                eps=float(spec["eps"]),
-                gamma=float(spec["gamma"]),
-                shape="disk" if aspect == 1.0 else "ellipse",
-                aspect=aspect,
-            )
+    items = [
+        Inclusion(
+            center=tuple(spec["center"]),
+            eps=float(spec["eps"]),
+            gamma=float(spec["gamma"]),
+            aspect=float(spec.get("aspect", 1.0)),
         )
+        for spec in cfg["inclusions"]
+    ]
     return InclusionSet(items=tuple(items), gamma0=float(cfg["gamma0"]))
 
 
@@ -321,6 +318,7 @@ def _locate_one_run(cfg, incs, mesh, grid, coeffs):
     """Locate one inclusion from the backgrounds a = (1, 0) and (0, 1)."""
     if not incs.items:
         raise ConfigError("locate-one needs at least one inclusion in the config")
+    segments = default_segments(distance=float(cfg["probe"]["distance"]))
     diffs = boundary_diffs(
         mesh,
         grid,
@@ -328,7 +326,6 @@ def _locate_one_run(cfg, incs, mesh, grid, coeffs):
         sigma=float(cfg["noise"]["sigma"]),
         seed=int(cfg["noise"]["seed"]),
     )
-    segments = default_segments(distance=float(cfg["probe"]["distance"]))
     return locate_one_inclusion(
         diffs,
         coeffs,
@@ -372,7 +369,6 @@ def _locate_multi_run(cfg, incs, mesh, grid, coeffs):
         mesh,
         grid,
         n_terms=int(cfg["series_terms"]),
-        gamma0=float(cfg["gamma0"]),
         sigma=float(cfg["noise"]["sigma"]),
         seed=int(cfg["noise"]["seed"]),
     )
@@ -449,7 +445,6 @@ def cmd_oracle_check(cfg, out_dir):
     elif kind == "series":
         probe = KernelProbe(
             coeffs=_coeffs(cfg),
-            d=2,
             n_terms=int(cfg["series_terms"]),
             source=src,
             t_final=grid.t_final,
@@ -565,8 +560,11 @@ def main(argv=None):
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {out_dir}: {exc}")
-        files = COMMANDS[args.command](cfg, out_dir)
-        _write_manifest(out_dir, args.command, cfg, files)
+        try:
+            files = COMMANDS[args.command](cfg, out_dir)
+            _write_manifest(out_dir, args.command, cfg, files)
+        except OSError as exc:
+            raise ConfigError(f"cannot write the outputs in {out_dir}: {exc}")
     except ConfigError as exc:
         print(f"fracloc: config error: {exc}", file=sys.stderr)
         return 2

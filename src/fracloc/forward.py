@@ -19,9 +19,10 @@ edge-to-node operator, built once per march, applied to the flux at
 both endpoints of every boundary edge.  Every march runs through the one
 function ``_march_block``, which assembles, factors and runs the L1 loop:
 
-* ``solve_subdiffusion`` / ``solve_background``: one data set, with an
-  optional volumetric source; the ``forward`` command marches u this
-  way;
+* ``solve_subdiffusion``: one data set at the conductivity of an
+  inclusion set, with an optional volumetric source; the ``forward``
+  command marches u this way, and ``solve_background`` is the same
+  march with an empty set;
 * ``solve_block``: a block of data sets at the perturbed conductivity,
   one factorization and one load per step for the block; ``locate-one``
   and ``oracle-check`` march u for both axis directions this way;
@@ -205,18 +206,6 @@ def _edge_fluxes(mesh: Mesh, g, t: float) -> np.ndarray:
     )
 
 
-def neumann_load(mesh: Mesh, g, t: float) -> np.ndarray:
-    """Boundary load vector int_dOmega g phi_i ds on the polygonal edges.
-
-    g is evaluated at both endpoints of every edge with that edge's
-    outward normal, making edge-wise linear fluxes exact.  A g returning
-    (k, m) gives one load column per flux, shape (n_nodes, m).
-    """
-    if g is None:
-        return np.zeros(len(mesh.vertices))
-    return _neumann_operator(mesh) @ _edge_fluxes(mesh, g, t)
-
-
 def _l1_constants(alpha: float, grid: TimeGrid):
     """beta = dt^(-alpha) / Gamma(2 - alpha) and the L1 weights b."""
     _check_alpha(alpha)
@@ -244,27 +233,14 @@ def _factor(M, K, beta):
 
 
 def solve_subdiffusion(
-    mesh: Mesh,
-    alpha: float,
-    inclusions: InclusionSet | None,
-    f,
-    u0,
-    g,
-    grid: TimeGrid,
-    gamma0: float = 1.0,
+    mesh: Mesh, alpha: float, inclusions: InclusionSet, f, u0, g, grid: TimeGrid
 ) -> SpaceTimeField:
     """March the L1 / P1 scheme for the conductivity problem.
 
-    With inclusions = None the conductivity is gamma0 everywhere (the
-    background problem); otherwise gamma0 is taken from the inclusion
-    set and the region tags select the per-triangle value.
+    The conductivity is inclusions.gamma0 in the background and each
+    inclusion's gamma on the triangles its region tag selects.
     """
-    if inclusions is not None:
-        gamma_tri = inclusions.gamma_of_tag(mesh.region_tag)
-    else:
-        if gamma0 <= 0.0:
-            raise ConfigError(f"gamma0 must be positive, got {gamma0}")
-        gamma_tri = np.full(len(mesh.triangles), gamma0)
+    gamma_tri = inclusions.gamma_of_tag(mesh.region_tag)
     (values,) = _march_block(mesh, alpha, [gamma_tri], u0, g, grid, f)
     return SpaceTimeField(mesh=mesh, grid=grid, values=values)
 
@@ -353,7 +329,7 @@ def solve_background(
     mesh: Mesh, alpha: float, f, u0, g, grid: TimeGrid, gamma0: float = 1.0
 ) -> SpaceTimeField:
     """The same march with homogeneous conductivity gamma0."""
-    return solve_subdiffusion(mesh, alpha, None, f, u0, g, grid, gamma0=gamma0)
+    return solve_subdiffusion(mesh, alpha, InclusionSet(items=(), gamma0=gamma0), f, u0, g, grid)
 
 
 def boundary_restrict(field: SpaceTimeField) -> BoundaryTrace:

@@ -60,7 +60,6 @@ from .fracmath import _check_alpha
 
 __all__ = [
     "GreenCoeffs",
-    "DEFAULT_SERIES_TERMS",
     "MAX_SERIES_TERMS",
     "log_reduced_green",
     "reduced_green_oracle",
@@ -71,7 +70,6 @@ __all__ = [
     "grad_approx_fundamental",
 ]
 
-DEFAULT_SERIES_TERMS = 3
 MAX_SERIES_TERMS = 5
 
 
@@ -209,18 +207,16 @@ def _fit_exponential_rate(rho, g) -> float:
 
 
 @lru_cache(maxsize=8)
-def fit_green_coeffs(alpha: float, n_terms: int = MAX_SERIES_TERMS) -> GreenCoeffs:
+def fit_green_coeffs(alpha: float) -> GreenCoeffs:
     """Recover a0 and the expansion coefficients by regression on the profiles.
 
     a0 comes from a log-linear fit of the d=1 profile over r in
     [5, 80] (the d=2 estimate is required to agree and is only used as a
     consistency check, since the rate is shared).  Given a0, the
-    coefficient lists are ordinary weighted least squares on the
-    exponential-free remainder, with two internal extra terms so the
-    reported coefficients are not polluted by the first neglected order.
+    MAX_SERIES_TERMS coefficients of each list are ordinary weighted
+    least squares on the exponential-free remainder, with two internal
+    extra terms so they are not polluted by the first neglected order.
     """
-    if not (1 <= n_terms <= MAX_SERIES_TERMS):
-        raise ConfigError(f"n_terms must be in 1..{MAX_SERIES_TERMS}, got {n_terms}")
     _check_alpha(alpha)
     q = 2.0 / (2.0 - alpha)
     r1 = np.geomspace(_FIT_R_LO, _FIT_R_HI, 26)
@@ -240,7 +236,7 @@ def fit_green_coeffs(alpha: float, n_terms: int = MAX_SERIES_TERMS) -> GreenCoef
     if not (0.0 < a0 < 1.0):
         raise QuadratureError(f"fitted decay rate a0={a0} outside (0, 1)")
 
-    n_fit = min(n_terms + 2, 7)
+    n_fit = MAX_SERIES_TERMS + 2
     coeffs = {}
     for d, rs in ((1, r1), (2, r2)):
         p = _prefactor_exponent(d, alpha)
@@ -250,7 +246,7 @@ def fit_green_coeffs(alpha: float, n_terms: int = MAX_SERIES_TERMS) -> GreenCoef
         basis = np.stack([(svar / scale) ** k for k in range(n_fit)], axis=1)
         w = 1.0 / h
         sol, *_ = np.linalg.lstsq(basis * w[:, None], h * w, rcond=None)
-        coeffs[d] = tuple(float(sol[k] / scale**k) for k in range(n_terms))
+        coeffs[d] = tuple(float(sol[k] / scale**k) for k in range(MAX_SERIES_TERMS))
     return GreenCoeffs(alpha=alpha, a0=a0, a1=coeffs[1], a2=coeffs[2])
 
 

@@ -53,15 +53,14 @@ _LEGENDRE = np.polynomial.legendre.leggauss(GAUSS_POINTS_PER_PANEL)
 class SourceSet:
     """Probe/background source points on an arc outside the domain.
 
-    The arc has radius ``radius``, angular width ``aperture`` and is
-    centered at ``center_angle``.  It is split into ``n`` cells of equal
-    arc measure and the sources sit at the cell midpoints.
+    The arc has radius ``radius`` and angular width ``aperture`` and is
+    centered on the positive x-axis.  It is split into ``n`` cells of
+    equal arc measure and the sources sit at the cell midpoints.
     """
 
     n: int
     radius: float = 2.0
     aperture: float = 2.0 * np.pi
-    center_angle: float = 0.0
 
     def __post_init__(self):
         if self.n < 2:
@@ -76,7 +75,7 @@ class SourceSet:
     @property
     def angles(self):
         """Midpoint angles of the n arc cells."""
-        start = self.center_angle - 0.5 * self.aperture
+        start = -0.5 * self.aperture
         step = self.aperture / self.n
         return start + step * (np.arange(self.n) + 0.5)
 
@@ -84,10 +83,6 @@ class SourceSet:
     def points(self):
         th = self.angles
         return self.radius * np.column_stack([np.cos(th), np.sin(th)])
-
-    @property
-    def cell_measure(self):
-        return self.radius * self.aperture / self.n
 
 
 def source_configuration(kind, n=None, radius=2.0):
@@ -136,6 +131,12 @@ class DataMatrix:
         return self.B.shape[0]
 
 
+def _check_order(alpha, coeffs):
+    """alpha, passed beside coeffs, must be the order they were fitted for."""
+    if alpha != coeffs.alpha:
+        raise ConfigError(f"alpha {alpha} differs from the kernel coefficients' {coeffs.alpha}")
+
+
 def build_data_matrix(
     sources,
     inclusions,
@@ -144,18 +145,18 @@ def build_data_matrix(
     mesh,
     grid,
     n_terms=3,
-    gamma0=1.0,
     sigma=0.0,
     seed=None,
-    t_init=None,
 ):
     """Solve the forward pairs for every source and fill the matrix.
 
     For source j the background is the order-``n_terms`` approximate
-    fundamental solution launched at that source; both the perturbed and
-    the unperturbed problem are marched from its value at a small
-    positive offset ``t_init`` (default T/2^7) so the initial datum is
-    smooth on the closed domain.  All sources march as one block, one
+    fundamental solution launched at that source, with the background
+    conductivity gamma0 = inclusions.gamma0; both the perturbed and the
+    unperturbed problem are marched from its value at the small positive
+    offset t_init = T/2^7, so the initial datum is smooth on the closed
+    domain.  alpha must be the order coeffs were fitted for, since it
+    sets the march.  All sources march as one block, one
     factorization per conductivity, and each kernel call of the initial
     datum and the flux covers every source.  Noise, if any, is applied
     to the perturbed trace only, independently per source (see
@@ -166,10 +167,9 @@ def build_data_matrix(
 
     the boundary measurement of every pair at once.
     """
-    if t_init is None:
-        t_init = grid.t_final / 2.0**7
-    if t_init <= 0.0:
-        raise ConfigError(f"t_init must be positive, got {t_init}")
+    _check_order(alpha, coeffs)
+    gamma0 = inclusions.gamma0
+    t_init = grid.t_final / 2.0**7
     pts = sources.points
     d = pts.shape[1]
     # one pole per source: kernel values come out (n_sources, k), transposed to columns
@@ -190,7 +190,6 @@ def build_data_matrix(
     for i, src in enumerate(pts):
         probe = KernelProbe(
             coeffs=coeffs,
-            d=d,
             n_terms=n_terms,
             source=tuple(src),
             t_final=grid.t_final,
@@ -269,6 +268,7 @@ def _profile_table(sources, alpha, coeffs, n_terms, t_final, gamma0):
     counts as unresolved and QuadratureError is raised rather than a
     coarser table returned.
     """
+    _check_order(alpha, coeffs)
     R = sources.radius
     d = sources.points.shape[1]
     p = 1.0 / (2.0 - alpha)
@@ -388,7 +388,6 @@ class IndicatorGrid:
     xs: np.ndarray
     ys: np.ndarray
     values: np.ndarray
-    k: int
 
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=float)
@@ -444,7 +443,7 @@ def scan_indicator(
     table = _profile_table(sources, alpha, coeffs, n_terms, t_final, gamma0)
     points = np.stack(np.meshgrid(xs, ys), axis=-1)
     rows = [indicator(zs, data, k, _kernel_matrix(zs, sources, table)) for zs in points]
-    return IndicatorGrid(xs=xs, ys=ys, values=np.stack(rows), k=k)
+    return IndicatorGrid(xs=xs, ys=ys, values=np.stack(rows))
 
 
 def peak_extract(grid, m, min_separation=0.0):

@@ -104,26 +104,26 @@ class Reconstruction1:
             )
 
 
-def default_segments(distance: float = 2.0, half_extent: float = 1.0) -> tuple:
+def default_segments(distance: float = 2.0) -> tuple:
     """Axis-aligned probe segments at the given coordinate distance.
 
     Segment 0 is horizontal (paired with background (1,0).x), segment 1
-    vertical (paired with (0,1).x); each spans the projection of the
-    unit disk widened to half_extent.
+    vertical (paired with (0,1).x); each spans the projection [-1, 1]
+    of the unit disk.
     """
     if distance <= 1.0:
         raise ConfigError(f"segment distance must exceed 1, got {distance}")
     seg1 = ProbeSegment(
         index=0,
         direction=(1.0, 0.0),
-        origin=(-half_extent, distance),
-        spans=((2.0 * half_extent, 0.0),),
+        origin=(-1.0, distance),
+        spans=((2.0, 0.0),),
     )
     seg2 = ProbeSegment(
         index=1,
         direction=(0.0, 1.0),
-        origin=(distance, -half_extent),
-        spans=((0.0, 2.0 * half_extent),),
+        origin=(distance, -1.0),
+        spans=((0.0, 2.0),),
     )
     return seg1, seg2
 
@@ -141,7 +141,6 @@ def probe_value(
         raise ConfigError(f"probe anchor {P} must lie outside the closed domain")
     probe = KernelProbe(
         coeffs=coeffs,
-        d=P.shape[0],
         n_terms=n_terms,
         source=P,
         t_final=diff.grid.t_final,

@@ -40,6 +40,11 @@ from .greenfn import (
 )
 from .mesh import InclusionSet
 
+# log-spaced radii of OracleKernelProbe's profile table
+ORACLE_R_MIN = 0.4
+ORACLE_R_MAX = 80.0
+ORACLE_NODES = 420
+
 
 @dataclass(frozen=True)
 class Measurement:
@@ -112,7 +117,6 @@ class KernelProbe:
     """
 
     coeffs: GreenCoeffs
-    d: int
     n_terms: int
     source: np.ndarray
     t_final: float
@@ -121,10 +125,14 @@ class KernelProbe:
     def __post_init__(self):
         src = np.asarray(self.source, dtype=float)
         object.__setattr__(self, "source", src)
-        if src.shape != (self.d,):
-            raise ConfigError(f"source must be a point in R^{self.d}, got shape {src.shape}")
+        if src.shape not in ((2,), (3,)):
+            raise ConfigError(f"source must be a point in R^2 or R^3, got shape {src.shape}")
         if self.t_final <= 0.0:
             raise ConfigError(f"final time must be positive, got {self.t_final}")
+
+    @property
+    def d(self) -> int:
+        return len(self.source)
 
     def value(self, points, t) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -163,26 +171,14 @@ class OracleKernelProbe:
     algorithms use the truncated-series KernelProbe.
 
     Construction costs one profile evaluation per table node, a fraction
-    of a second for the default 420-node d = 2 table at any alpha.
+    of a second for the 420-node d = 2 table at any alpha.
     """
 
-    def __init__(
-        self,
-        d: int,
-        alpha: float,
-        source,
-        t_final: float,
-        gamma0: float = 1.0,
-        r_min: float = 0.4,
-        r_max: float = 80.0,
-        n_nodes: int = 420,
-    ):
+    def __init__(self, d: int, alpha: float, source, t_final: float, gamma0: float = 1.0):
         if d not in (2, 3):
             raise ConfigError(f"dimension must be 2 or 3, got {d}")
         if t_final <= 0.0 or gamma0 <= 0.0:
             raise ConfigError("final time and gamma0 must be positive")
-        if not 0.0 < r_min < r_max:
-            raise ConfigError("need 0 < r_min < r_max for the profile table")
         self.d = d
         self.alpha = float(alpha)
         self.source = np.asarray(source, dtype=float)
@@ -190,20 +186,18 @@ class OracleKernelProbe:
             raise ConfigError(f"source must be a point in R^{d}")
         self.t_final = float(t_final)
         self.gamma0 = float(gamma0)
-        self.r_min = float(r_min)
-        self.r_max = float(r_max)
-        log_r = np.linspace(math.log(r_min), math.log(r_max), n_nodes)
+        log_r = np.linspace(math.log(ORACLE_R_MIN), math.log(ORACLE_R_MAX), ORACLE_NODES)
         self._spline = CubicSpline(log_r, log_reduced_green(d, self.alpha, np.exp(log_r)))
 
     def _profile(self, r: np.ndarray):
-        """psi(r) and psi'(r) inside the table, 0 beyond r_max."""
-        if np.any(r < self.r_min):
+        """psi(r) and psi'(r) inside the table, 0 beyond ORACLE_R_MAX."""
+        if np.any(r < ORACLE_R_MIN):
             raise ConfigError(
-                f"scaled radius {r.min():.3g} below the tabulated range {self.r_min}"
+                f"scaled radius {r.min():.3g} below the tabulated range {ORACLE_R_MIN}"
             )
         psi = np.zeros_like(r)
         dpsi = np.zeros_like(r)
-        ok = r < self.r_max
+        ok = r < ORACLE_R_MAX
         lr = np.log(r[ok])
         psi[ok] = np.exp(self._spline(lr))
         dpsi[ok] = psi[ok] * self._spline(lr, 1) / r[ok]

@@ -26,13 +26,14 @@ from .errors import ConfigError, MeshError
 _RING_STEP = 0.85  # radial ring spacing as a fraction of the local size
 _RING_GROWTH = 1.45  # geometric growth of offset rings beyond 2 eps
 _DEDUP = 0.55  # drop a candidate closer than this fraction of its size
+MIN_CLEARANCE = 0.05  # least gap between inclusions and to the unit circle
 
 
 @dataclass(frozen=True)
 class Inclusion:
     """One small conductivity inclusion.
 
-    Disk: |x - center| < eps.  Ellipse with aspect ratio ``aspect``:
+    Disk (aspect 1): |x - center| < eps.  Ellipse with aspect ratio ``aspect``:
     (a - c1)^2 / aspect + aspect (b - c2)^2 < eps^2, which has area
     pi eps^2 and semi-axes eps sqrt(aspect), eps / sqrt(aspect).
     """
@@ -40,7 +41,6 @@ class Inclusion:
     center: tuple
     eps: float
     gamma: float
-    shape: str = "disk"
     aspect: float = 1.0
 
     def __post_init__(self):
@@ -49,10 +49,6 @@ class Inclusion:
             raise ConfigError(f"inclusion size must be positive, got {self.eps}")
         if not self.gamma > 0.0:
             raise ConfigError(f"inclusion conductivity must be positive, got {self.gamma}")
-        if self.shape not in ("disk", "ellipse"):
-            raise ConfigError(f"shape must be 'disk' or 'ellipse', got {self.shape!r}")
-        if self.shape == "disk" and self.aspect != 1.0:
-            raise ConfigError("disk inclusions must have aspect = 1")
         if not self.aspect >= 1.0:
             raise ConfigError(f"aspect ratio must be >= 1, got {self.aspect}")
 
@@ -80,7 +76,7 @@ class Inclusion:
     def boundary_points(self, n: int, scale: float = 1.0) -> np.ndarray:
         """n arc-equidistributed points on the (scaled) interface curve."""
         ax, ay = self.semi_axes
-        if self.shape == "disk":
+        if self.aspect == 1.0:
             th = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
         else:
             # equidistribute by arc length along the ellipse
@@ -98,7 +94,7 @@ class Inclusion:
 
     def perimeter(self) -> float:
         ax, ay = self.semi_axes
-        if self.shape == "disk":
+        if self.aspect == 1.0:
             return 2.0 * math.pi * self.eps
         # Ramanujan's approximation, plenty for choosing point counts
         h = ((ax - ay) / (ax + ay)) ** 2
@@ -109,27 +105,24 @@ class Inclusion:
 class InclusionSet:
     """Inclusions plus the background conductivity.
 
-    Enforces a minimum clearance between inclusions and to the unit
-    circle, and a genuine contrast gamma != gamma0 for every item.
+    Enforces the clearance MIN_CLEARANCE between inclusions and to the
+    unit circle, and a genuine contrast gamma != gamma0 for every item.
     """
 
     items: tuple
     gamma0: float = 1.0
-    min_separation: float = 0.05
 
     def __post_init__(self):
         object.__setattr__(self, "items", tuple(self.items))
         if self.gamma0 <= 0.0:
             raise ConfigError(f"background conductivity must be positive, got {self.gamma0}")
-        if self.min_separation <= 0.0:
-            raise ConfigError("min_separation must be positive")
         for idx, inc in enumerate(self.items):
             if not isinstance(inc, Inclusion):
                 raise ConfigError("items must be Inclusion instances")
             if inc.gamma == self.gamma0:
                 raise ConfigError(f"inclusion {idx} has no contrast (gamma == gamma0)")
             clearance = 1.0 - math.hypot(*inc.center) - inc.max_radius
-            if clearance < self.min_separation:
+            if clearance < MIN_CLEARANCE:
                 raise ConfigError(
                     f"inclusion {idx} too close to the boundary (clearance {clearance:.4f})"
                 )
@@ -141,11 +134,8 @@ class InclusionSet:
                     - a.max_radius
                     - b.max_radius
                 )
-                if gap < self.min_separation:
+                if gap < MIN_CLEARANCE:
                     raise ConfigError(f"inclusions {i} and {j} too close (gap {gap:.4f})")
-
-    def __len__(self) -> int:
-        return len(self.items)
 
     def gamma_of_tag(self, tags) -> np.ndarray:
         """Per-triangle conductivity from region tags (-1 = background)."""
@@ -202,28 +192,6 @@ class Mesh:
             fh.write("%d %d %d %d\n" * len(self.triangles) % tuple(rows))
             edges = self.boundary_edges.ravel().tolist()
             fh.write("%d %d\n" * len(self.boundary_edges) % tuple(edges))
-
-    @classmethod
-    def load(cls, path) -> "Mesh":
-        with open(path, "r", encoding="ascii") as fh:
-            lines = [ln for ln in fh if ln.strip() and not ln.startswith("#")]
-        nv, nt, nb = (int(v) for v in lines[0].split())
-        if len(lines) != 1 + nv + nt + nb:
-            raise MeshError(f"mesh file has {len(lines) - 1} records, expected {nv + nt + nb}")
-        verts = np.array([[float(v) for v in ln.split()] for ln in lines[1 : 1 + nv]])
-        tri_rows = np.array(
-            [[int(v) for v in ln.split()] for ln in lines[1 + nv : 1 + nv + nt]], dtype=int
-        )
-        edges = np.array(
-            [[int(v) for v in ln.split()] for ln in lines[1 + nv + nt :]], dtype=int
-        )
-        return cls(
-            vertices=verts,
-            triangles=tri_rows[:, :3],
-            region_tag=tri_rows[:, 3],
-            boundary_edges=edges,
-            boundary_normals=_edge_normals(verts, edges),
-        )
 
 
 def _edge_normals(vertices: np.ndarray, edges: np.ndarray) -> np.ndarray:

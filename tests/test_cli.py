@@ -335,6 +335,27 @@ class TestExitCodes:
         cfg = write_config(tmp_path / "c.json", output_dir=str(tmp_path / "o"))
         assert cli.main(["forward", "--config", cfg, "--jobs", "0"]) == 2
 
+    @pytest.mark.parametrize(
+        "command, name",
+        [("forward", "mesh.txt"), ("locate-one", "reconstruction.csv"), ("forward", "manifest.json")],
+    )
+    def test_output_path_is_directory_is_2(self, tmp_path, capsys, cheap_one, command, name):
+        (tmp_path / "out" / name).mkdir(parents=True)
+        assert cli.main([command, "--config", cheap_one]) == 2
+        assert name in capsys.readouterr().err
+
+    def test_probe_distance_checked_before_march(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "solve_block", lambda *args: pytest.fail("marched"))
+        cfg = write_config(
+            tmp_path / "c.json",
+            mesh={"h_far": 0.3},
+            inclusions=[{"center": [0.2, 0.3], "eps": 0.1, "gamma": 50.0}],
+            probe={"distance": 0.5},
+            output_dir=str(tmp_path / "o"),
+        )
+        assert cli.main(["locate-one", "--config", cfg]) == 2
+        assert "segment distance must exceed 1" in capsys.readouterr().err
+
 
 class TestForwardCommand:
     def test_background_only_outputs(self, tmp_path):

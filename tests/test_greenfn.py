@@ -196,10 +196,6 @@ class TestFit:
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            fit_green_coeffs(0.5, n_terms=0)
-        with pytest.raises(ConfigError):
-            fit_green_coeffs(0.5, n_terms=9)
-        with pytest.raises(ConfigError):
             fit_green_coeffs(1.5)
 
 

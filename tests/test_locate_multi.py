@@ -34,7 +34,6 @@ class TestSourceSet:
         assert np.allclose(np.linalg.norm(pts, axis=1), 2.0)
         gaps = np.diff(np.sort(src.angles))
         assert np.allclose(gaps, 2.0 * np.pi / 10)
-        assert np.isclose(src.cell_measure, 2.0 * np.pi * 2.0 / 10)
 
     def test_limited_aperture_defaults(self):
         half = source_configuration("half")
@@ -44,9 +43,8 @@ class TestSourceSet:
         assert np.isclose(quarter.aperture, 0.5 * np.pi)
         # all angles fall inside the stated arc
         for src in (half, quarter):
-            lo = src.center_angle - 0.5 * src.aperture
-            hi = src.center_angle + 0.5 * src.aperture
-            assert np.all((src.angles > lo) & (src.angles < hi))
+            half_width = 0.5 * src.aperture
+            assert np.all(np.abs(src.angles) < half_width)
 
     def test_points_pairwise_distinct(self):
         pts = source_configuration("quarter").points
@@ -218,6 +216,18 @@ class TestGMatrix:
         with pytest.raises(ConfigError):
             g_matrix(np.array([[0.1, 0.0], [0.0, 1.0]]), src, 0.5, coeffs_half)
 
+    def test_alpha_must_match_the_coefficients(self, coeffs_half, monkeypatch):
+        src = source_configuration("full")
+        with pytest.raises(ConfigError, match="alpha 0.9"):
+            g_matrix(np.array([0.1, 0.2]), src, 0.9, coeffs_half)
+        with pytest.raises(ConfigError, match="alpha 0.9"):
+            scan_indicator(DataMatrix(np.eye(src.n)), src, 0.9, coeffs_half, k=1)
+        monkeypatch.setattr(locate_multi, "solve_pair", lambda *a: pytest.fail("marched"))
+        incs = InclusionSet(items=(Inclusion((0.2, 0.3), 0.1, 50.0),))
+        mesh = build_mesh(incs, 0.3, 0.025)
+        with pytest.raises(ConfigError, match="alpha 0.9"):
+            build_data_matrix(src, incs, 0.9, coeffs_half, mesh, TimeGrid(8, 1.0))
+
 
 class TestDataMatrix:
     def test_svd_sorted_nonnegative(self):
@@ -291,6 +301,20 @@ class TestBuildMarch:
         build_data_matrix(SourceSet(n=5), incs, 0.5, coeffs_half, mesh, grid)
         # the initial datum once; the flux at both edge endpoints per step
         assert counts == {"value": 1, "grad": 2 * grid.n_steps}
+
+    def test_kernels_take_the_set_gamma0(self, coeffs_half, monkeypatch):
+        seen = set()
+        real = locate_multi.grad_approx_fundamental
+
+        def recording(*args, **kwargs):
+            seen.add(kwargs["gamma0"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(locate_multi, "grad_approx_fundamental", recording)
+        incs = InclusionSet(items=(Inclusion((0.2, 0.3), 0.1, 50.0),), gamma0=2.0)
+        mesh = build_mesh(incs, 0.3, 0.025)
+        build_data_matrix(SourceSet(n=5), incs, 0.5, coeffs_half, mesh, TimeGrid(8, 1.0))
+        assert seen == {2.0}
 
 
 class TestBuildNoise:
@@ -406,14 +430,13 @@ class TestIndicator:
 class TestIndicatorGrid:
     def test_shape_validation(self):
         with pytest.raises(ConfigError):
-            IndicatorGrid(xs=np.arange(3.0), ys=np.arange(4.0), values=np.ones((3, 3)), k=1)
+            IndicatorGrid(xs=np.arange(3.0), ys=np.arange(4.0), values=np.ones((3, 3)))
 
     def test_csv_layout(self, tmp_path):
         grid = IndicatorGrid(
             xs=np.array([0.0, 0.1]),
             ys=np.array([-0.1, 0.0, 0.1]),
             values=np.arange(6.0).reshape(3, 2) + 1.0,
-            k=2,
         )
         out = tmp_path / "w.csv"
         grid.to_csv(out)
@@ -480,21 +503,21 @@ class TestPeakExtract:
 
     def test_two_bumps_found(self):
         v = bump_field([(0.3, 0.2, 5.0), (-0.4, 0.0, 3.0)], self.xs, self.ys)
-        grid = IndicatorGrid(xs=self.xs, ys=self.ys, values=v, k=1)
+        grid = IndicatorGrid(xs=self.xs, ys=self.ys, values=v)
         peaks = peak_extract(grid, 2, min_separation=0.1)
         # strongest bump first
         assert np.linalg.norm(peaks[0] - [0.3, 0.2]) < 0.03
         assert np.linalg.norm(peaks[1] - [-0.4, 0.0]) < 0.03
 
     def test_uniform_field_has_no_peaks(self):
-        grid = IndicatorGrid(xs=self.xs, ys=self.ys, values=np.ones((41, 41)), k=1)
+        grid = IndicatorGrid(xs=self.xs, ys=self.ys, values=np.ones((41, 41)))
         with pytest.raises(ReconstructionError):
             peak_extract(grid, 1)
 
     def test_min_separation_suppresses_twin(self):
         # two bumps 0.06 apart merge under a 0.1 separation radius
         v = bump_field([(0.0, 0.0, 5.0), (0.06, 0.0, 4.0)], self.xs, self.ys, width=0.02)
-        grid = IndicatorGrid(xs=self.xs, ys=self.ys, values=v, k=1)
+        grid = IndicatorGrid(xs=self.xs, ys=self.ys, values=v)
         with pytest.raises(ReconstructionError):
             peak_extract(grid, 2, min_separation=0.1)
         peaks = peak_extract(grid, 2, min_separation=0.01)
@@ -502,12 +525,12 @@ class TestPeakExtract:
 
     def test_too_many_requested(self):
         v = bump_field([(0.0, 0.0, 5.0)], self.xs, self.ys)
-        grid = IndicatorGrid(xs=self.xs, ys=self.ys, values=v, k=1)
+        grid = IndicatorGrid(xs=self.xs, ys=self.ys, values=v)
         with pytest.raises(ReconstructionError):
             peak_extract(grid, 4)
 
     def test_bad_count(self):
-        grid = IndicatorGrid(xs=self.xs, ys=self.ys, values=np.ones((41, 41)), k=1)
+        grid = IndicatorGrid(xs=self.xs, ys=self.ys, values=np.ones((41, 41)))
         with pytest.raises(ConfigError):
             peak_extract(grid, 0)
 

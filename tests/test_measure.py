@@ -176,7 +176,7 @@ class TestMeasurementInterior:
 
 class TestKernelProbe:
     def test_zero_at_and_beyond_final_time(self, coeffs_half):
-        probe = KernelProbe(coeffs=coeffs_half, d=2, n_terms=3, source=(2.0, 0.0), t_final=1.0)
+        probe = KernelProbe(coeffs=coeffs_half, n_terms=3, source=(2.0, 0.0), t_final=1.0)
         pts = np.array([[0.3, 0.1], [-0.5, 0.4]])
         np.testing.assert_array_equal(probe.value(pts, 1.0), 0.0)
         np.testing.assert_array_equal(probe.gradient(pts, 1.2), 0.0)
@@ -185,14 +185,14 @@ class TestKernelProbe:
         )
 
     def test_time_reversal_matches_kernel(self, coeffs_half):
-        probe = KernelProbe(coeffs=coeffs_half, d=2, n_terms=3, source=(2.0, 0.0), t_final=1.0)
+        probe = KernelProbe(coeffs=coeffs_half, n_terms=3, source=(2.0, 0.0), t_final=1.0)
         pts = np.array([[0.3, 0.1]])
         t = 0.25
         direct = approx_fundamental(coeffs_half, 2, 3, pts, 1.0 - t, np.array([2.0, 0.0]))
         np.testing.assert_allclose(probe.value(pts, t), direct, rtol=1e-14)
 
     def test_normal_derivative_is_projected_gradient(self, coeffs_half):
-        probe = KernelProbe(coeffs=coeffs_half, d=2, n_terms=3, source=(2.0, 0.0), t_final=1.0)
+        probe = KernelProbe(coeffs=coeffs_half, n_terms=3, source=(2.0, 0.0), t_final=1.0)
         pts = np.array([[0.9, 0.0], [0.0, -0.9]])
         normals = pts / np.linalg.norm(pts, axis=1)[:, None]
         grad = probe.gradient(pts, 0.5)
@@ -202,9 +202,10 @@ class TestKernelProbe:
 
     def test_validation(self, coeffs_half):
         with pytest.raises(ConfigError):
-            KernelProbe(coeffs=coeffs_half, d=2, n_terms=3, source=(2.0, 0.0, 0.0), t_final=1.0)
+            KernelProbe(coeffs=coeffs_half, n_terms=3, source=(2.0, 0.0, 0.0, 0.0), t_final=1.0)
+        assert KernelProbe(coeffs=coeffs_half, n_terms=3, source=(2.0, 0.0, 0.0), t_final=1.0).d == 3
         with pytest.raises(ConfigError):
-            KernelProbe(coeffs=coeffs_half, d=2, n_terms=3, source=(2.0, 0.0), t_final=0.0)
+            KernelProbe(coeffs=coeffs_half, n_terms=3, source=(2.0, 0.0), t_final=0.0)
 
 
 class TestHandleContract:
@@ -214,7 +215,7 @@ class TestHandleContract:
     def any_probe(self, request, coeffs_half):
         src = (2.0 * math.cos(0.7), 2.0 * math.sin(0.7))
         if request.param == "series":
-            return KernelProbe(coeffs=coeffs_half, d=2, n_terms=3, source=src, t_final=1.0)
+            return KernelProbe(coeffs=coeffs_half, n_terms=3, source=src, t_final=1.0)
         return OracleKernelProbe(2, 0.5, src, 1.0)
 
     def test_array_of_times_matches_scalar_calls(self, any_probe):
@@ -396,7 +397,7 @@ class TestBoundaryInteriorEquivalence:
         in sign and to leading order."""
         incs, u, diff, src = pipeline
         exact = OracleKernelProbe(2, 0.5, src, 1.0)
-        series = KernelProbe(coeffs=coeffs_half, d=2, n_terms=3, source=src, t_final=1.0)
+        series = KernelProbe(coeffs=coeffs_half, n_terms=3, source=src, t_final=1.0)
         I_exact = measurement_boundary(diff, exact.normal_derivative, 1.0).value
         I_series = measurement_boundary(diff, series.normal_derivative, 1.0).value
         assert np.sign(I_exact) == np.sign(I_series)
