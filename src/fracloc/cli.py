@@ -43,8 +43,9 @@ from .forward import (
 )
 from .fracmath import TimeGrid, _check_alpha
 from .greenfn import fit_green_coeffs
-from .locate_one import default_segments, locate_one_inclusion
+from .locate_one import _check_tol, default_segments, locate_one_inclusion
 from .locate_multi import (
+    _check_scan,
     build_data_matrix,
     peak_extract,
     scan_indicator,
@@ -319,6 +320,8 @@ def _locate_one_run(cfg, incs, mesh, grid, coeffs):
     if not incs.items:
         raise ConfigError("locate-one needs at least one inclusion in the config")
     segments = default_segments(distance=float(cfg["probe"]["distance"]))
+    tol = float(cfg["probe"]["tol"])
+    _check_tol(tol)
     diffs = boundary_diffs(
         mesh,
         grid,
@@ -331,7 +334,7 @@ def _locate_one_run(cfg, incs, mesh, grid, coeffs):
         coeffs,
         segments=segments,
         n_terms=int(cfg["series_terms"]),
-        tol=float(cfg["probe"]["tol"]),
+        tol=tol,
         gamma0=float(cfg["gamma0"]),
     )
 
@@ -361,6 +364,14 @@ def _locate_multi_run(cfg, incs, mesh, grid, coeffs):
         n=src_cfg["n"],
         radius=float(src_cfg["radius"]),
     )
+    scan_cfg = cfg["scan"]
+    region = tuple(scan_cfg["region"])
+    resolution = int(scan_cfg["resolution"])
+    peaks = int(scan_cfg["peaks"])
+    k = scan_cfg["k"]
+    tau = float(scan_cfg["tau"])
+    # every scan range is checked before the data matrix is marched
+    _check_scan(sources, region, resolution, peaks, k, tau)
     data = build_data_matrix(
         sources,
         incs,
@@ -372,21 +383,18 @@ def _locate_multi_run(cfg, incs, mesh, grid, coeffs):
         sigma=float(cfg["noise"]["sigma"]),
         seed=int(cfg["noise"]["seed"]),
     )
-    scan_cfg = cfg["scan"]
-    peaks = int(scan_cfg["peaks"])
-    k = scan_cfg["k"]
     if k is None:
         # a point inclusion's kernel matrix has 2 dominant directions and
         # secondary ones near tau, so keep at least 2 per sought peak
-        k = select_truncation(data.singular_values, float(scan_cfg["tau"]))
+        k = select_truncation(data.singular_values, tau)
         k = min(max(k, 2 * peaks + 1), data.n - 1)
     igrid = scan_indicator(
         data,
         sources,
         float(cfg["alpha"]),
         coeffs,
-        region=tuple(scan_cfg["region"]),
-        resolution=int(scan_cfg["resolution"]),
+        region=region,
+        resolution=resolution,
         k=int(k),
         n_terms=int(cfg["series_terms"]),
         t_final=float(cfg["t_final"]),

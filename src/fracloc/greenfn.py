@@ -22,6 +22,13 @@ This module provides:
 * ``approx_fundamental`` / ``grad_approx_fundamental``: space-time
   kernels built from the truncated expansion by the similarity scaling.
 
+Each truncated profile is exp(-a0 y^p) sum_j kappa_j y^(e_j) in y = r^2,
+p = 1/(2 - alpha), e_j = e_0 - j p, and the gradient profile's monomials
+are the value profile's differentiated termwise.  A space-time kernel
+takes y = rho^2 / lam times lam^(-s), and each monomial splits into a
+factor of the point and one of the time, (rho^2)^(e_j) * kappa_j
+lam^(-e_j - s), so per (point, time) pair it takes one exp and no power.
+
 Numerical notes on the profiles.  psi_1 = M_nu / 2 with nu = alpha/2,
 where M_nu is the M-Wright function, and Zolotarev's integral for the
 one-sided stable density gives it as a smooth positive integral,
@@ -52,6 +59,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -255,37 +263,79 @@ def fit_green_coeffs(alpha: float) -> GreenCoeffs:
 # ---------------------------------------------------------------------------
 
 
-def _check_terms(coeffs: GreenCoeffs, d: int, n_terms: int) -> None:
-    stored = len(coeffs.a1) if d in (1, 3) else len(coeffs.a2)
-    if not (1 <= n_terms <= stored):
-        raise ConfigError(f"series order {n_terms} outside 1..{stored}")
+def _derivative(coeffs: GreenCoeffs, terms):
+    """2 d/dy of exp(-a0 y^p) sum_k c_k y^(g_k), g_k = g_0 - k p, in the same form.
+
+    2 d/dy (exp(-a0 y^p) y^g) = 2 exp(-a0 y^p) (g y^(g-1) - a0 p y^(g+p-1)),
+    and g_k - 1 = g_(k+1) + p - 1, so term k feeds the monomials j = k
+    and j = k + 1 of e_j = g_0 + p - 1 - j p.
+    """
+    c, g0 = terms
+    p = 1.0 / (2.0 - coeffs.alpha)
+    kappa = np.zeros(c.size + 1)
+    kappa[:-1] -= coeffs.a0 * p * c
+    kappa[1:] += (g0 - p * np.arange(c.size)) * c
+    return 2.0 * kappa, g0 + p - 1.0
+
+
+def _value_terms(coeffs: GreenCoeffs, d: int, n_terms: int):
+    """(kappa, e_0) of psi_{d,N}(sqrt(y)) exp(a0 y^p) = sum_j kappa_j y^(e_0 - j p)."""
+    if d == 3:
+        # termwise psi_3(r) = -(2 pi r)^(-1) d/dr psi_1 = -(1/pi) d/dy psi_1
+        kappa, e0 = _derivative(coeffs, _value_terms(coeffs, 1, n_terms))
+        return -kappa / (2.0 * math.pi), e0
+    if d not in (1, 2):
+        raise ConfigError(f"dimension must be 1, 2 or 3, got {d}")
+    a = coeffs.a1 if d == 1 else coeffs.a2
+    if not 1 <= n_terms <= len(a):
+        raise ConfigError(f"series order {n_terms} outside 1..{len(a)}")
+    return np.array(a[:n_terms]), -0.5 * _prefactor_exponent(d, coeffs.alpha)
+
+
+def _gradient_terms(coeffs: GreenCoeffs, d: int, n_terms: int):
+    """(kappa, e_0) of S_{d,N}(y) exp(a0 y^p); S = 2 d/dy psi_{d,N}(sqrt(y))."""
+    if d not in (2, 3):
+        raise ConfigError(f"s_kernel defined for d in {{2, 3}}, got {d}")
+    return _derivative(coeffs, _value_terms(coeffs, d, n_terms))
+
+
+class _TimeFactors(NamedTuple):
+    """A separated kernel with its time half taken, at one time or a 1-D array of times."""
+
+    power: float  # p = 1/(2 - alpha)
+    exponents: np.ndarray  # (J,) e_j
+    rate: np.ndarray  # lam.shape: a0 lam^-p
+    weights: np.ndarray  # lam.shape + (J,): kappa_j lam^(-e_j - shift)
+
+
+def _time_factors(coeffs: GreenCoeffs, terms, lam, shift: float) -> _TimeFactors:
+    kappa, e0 = terms
+    p = 1.0 / (2.0 - coeffs.alpha)
+    e = e0 - p * np.arange(kappa.size)
+    lam = np.asarray(lam, dtype=float)
+    return _TimeFactors(p, e, coeffs.a0 * lam**-p, kappa * lam[..., None] ** -(e + shift))
+
+
+def _separated(rho2, times: _TimeFactors):
+    """exp(-a0 (rho2/lam)^p) sum_j kappa_j (rho2/lam)^(e_j) lam^-shift.
+
+    The result has shape rho2.shape + lam.shape.  rho2 = 0 is the pole,
+    where the monomials blow up, so it is an error, as is any rho2 <= 0.
+    """
+    rho2 = np.asarray(rho2, dtype=float)
+    if not np.all(rho2 > 0.0):
+        raise ConfigError("kernel evaluated at its pole: squared radius must be positive")
+    decay = np.exp(-np.multiply.outer(rho2**times.power, times.rate))
+    return decay * (rho2[..., None] ** times.exponents @ times.weights.T)
 
 
 def reduced_green_series(coeffs: GreenCoeffs, d: int, n_terms: int, r):
     """Truncated large-argument expansion of psi_d at radius r (vectorized)."""
-    _check_terms(coeffs, d, n_terms)
+    terms = _value_terms(coeffs, d, n_terms)
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr <= 0.0):
         raise ConfigError("series radius must be positive")
-    alpha = coeffs.alpha
-    q = 2.0 / (2.0 - alpha)
-    expfac = np.exp(-coeffs.a0 * r_arr**q)
-    if d in (1, 2):
-        p = _prefactor_exponent(d, alpha)
-        a = coeffs.a1 if d == 1 else coeffs.a2
-        acc = np.zeros_like(r_arr)
-        for k in range(n_terms - 1, -1, -1):
-            acc = acc * r_arr ** (-q) + a[k]
-        return expfac * r_arr ** (-p) * acc
-    if d != 3:
-        raise ConfigError(f"dimension must be 1, 2 or 3, got {d}")
-    # termwise -(2 pi r)^(-1) d/dr of the d=1 expansion
-    acc = np.zeros_like(r_arr)
-    a0q = coeffs.a0 * q
-    for k in range(n_terms):
-        m_k = (1.0 - alpha + 2.0 * k) / (2.0 - alpha)
-        acc = acc + coeffs.a1[k] * (a0q * r_arr ** (q - 1.0 - m_k) + m_k * r_arr ** (-m_k - 1.0))
-    return expfac * acc / (2.0 * math.pi * r_arr)
+    return _separated(r_arr * r_arr, _time_factors(coeffs, terms, 1.0, 0.0))[()]
 
 
 def s_kernel(coeffs: GreenCoeffs, d: int, n_terms: int, y):
@@ -295,63 +345,30 @@ def s_kernel(coeffs: GreenCoeffs, d: int, n_terms: int, y):
     S is negative for n_terms = 1 and, for higher orders, negative
     outside a bounded set; the locators rely on that sign.
     """
-    scaled = _s_kernel_scaled(coeffs, d, n_terms, y)
-    y = np.asarray(y, dtype=float)
-    return np.exp(-coeffs.a0 * y ** (1.0 / (2.0 - coeffs.alpha))) * scaled
+    terms = _gradient_terms(coeffs, d, n_terms)
+    return _separated(y, _time_factors(coeffs, terms, 1.0, 0.0))[()]
 
 
-def _s_kernel_scaled(coeffs: GreenCoeffs, d: int, n_terms: int, y):
-    """S_{d,N}(y) exp(a0 y^(1/(2-alpha))): the profile without its decay factor.
+def _kernel_factor(coeffs: GreenCoeffs, terms, shift: float, rho2, t, t0: float, gamma0: float):
+    """The separated profile at lam = gamma0 (t - t0)^alpha, one row per time.
 
-    What is left is a sum of powers of y, so it varies over a few orders
-    of magnitude where S itself spans hundreds, and it stays finite where
-    S underflows.
-    """
-    r_arr = np.asarray(y, dtype=float)
-    if np.any(r_arr <= 0.0):
-        raise ConfigError("s_kernel argument must be positive")
-    alpha = coeffs.alpha
-    ia = 1.0 / (2.0 - alpha)
-    if d == 2:
-        _check_terms(coeffs, 2, n_terms)
-        acc = np.zeros_like(r_arr)
-        for k in range(n_terms):
-            inner = (
-                -(coeffs.a0 * ia) * r_arr ** ((alpha - 1.0) * ia)
-                + ((alpha - 1.0 - k) * ia) / r_arr
-            )
-            acc = acc + coeffs.a2[k] * inner * r_arr ** ((alpha - 1.0 - k) * ia)
-        return 2.0 * acc
-    if d == 3:
-        _check_terms(coeffs, 3, n_terms)
-        acc = np.zeros_like(r_arr)
-        g = 2.0 * ia  # 2/(2-alpha)
-        for k in range(n_terms):
-            t1 = (coeffs.a0 * g) ** 2 * r_arr ** ((5.0 * alpha - 5.0 - 2.0 * k) * ia / 2.0)
-            t2 = (
-                8.0 * coeffs.a0 * (k + 1.0 - alpha) * ia**2
-            ) * r_arr ** ((5.0 * alpha - 7.0 - 2.0 * k) * ia / 2.0)
-            t3 = (
-                (2.0 * k + 1.0 - alpha) * (2.0 * k + 5.0 - 3.0 * alpha) * ia**2
-            ) * r_arr ** ((5.0 * alpha - 9.0 - 2.0 * k) * ia / 2.0)
-            acc = acc + coeffs.a1[k] * (t1 + t2 + t3)
-        return -acc / (2.0 * math.pi)
-    raise ConfigError(f"s_kernel defined for d in {{2, 3}}, got {d}")
-
-
-def _scaled_offsets(coeffs: GreenCoeffs, x, t, src, t0: float, gamma0: float):
-    """lam = gamma0 (t - t0)^alpha and xi = (x - src) / sqrt(lam) per time.
-
-    t is a scalar or a 1-D array of times; lam has t's shape and xi the
-    shape t.shape + (m, d) for an (m, d) batch of points.
+    t is a scalar or a 1-D array of times; the result has shape
+    t.shape + rho2.shape.
     """
     t = np.asarray(t, dtype=float)
     if not np.all(t > t0):
         raise ConfigError(f"kernel requires t > t0, got t={np.min(t)}, t0={t0}")
-    x_arr = np.atleast_2d(np.asarray(x, dtype=float))
-    lam = gamma0 * (t - t0) ** coeffs.alpha
-    scaled = (x_arr - np.asarray(src, dtype=float)) / np.sqrt(lam)[..., None, None]
-    return lam, scaled
+    f = _separated(rho2, _time_factors(coeffs, terms, gamma0 * (t - t0) ** coeffs.alpha, shift))
+    return np.moveaxis(f, -1, 0) if t.ndim else f
+
+
+def _gradient_factor(coeffs: GreenCoeffs, d: int, n_terms: int, rho2, t, t0: float, gamma0: float):
+    """f with grad Psi(x, t) = (x - src) f(|x - src|^2, t); shape t.shape + rho2.shape.
+
+    f = lam^(-(d+2)/2) S_{d,N}(rho2 / lam), lam = gamma0 (t - t0)^alpha.
+    """
+    terms = _gradient_terms(coeffs, d, n_terms)
+    return _kernel_factor(coeffs, terms, (d + 2) / 2.0, rho2, t, t0, gamma0)
 
 
 def approx_fundamental(
@@ -366,14 +383,16 @@ def approx_fundamental(
 ):
     """Truncated fundamental-solution kernel with pole (src, t0).
 
-    x: point array of shape (d,) or batch (m, d); t: a time or a 1-D
-    array of times, each > t0.  The result has shape t.shape + (m,) for
-    a batch and t.shape for one point, one row per time.  With one time,
-    a stack of poles src of shape (n, 1, d) gives one row per pole.
+    Equals lam^(-d/2) psi_{d,N}(|x - src| / sqrt(lam)) with
+    lam = gamma0 (t - t0)^alpha.  x: point array of shape (d,) or batch
+    (m, d); t: a time or a 1-D array of times, each > t0.  The result has
+    shape t.shape + (m,) for a batch and t.shape for one point, one row
+    per time.  With one time, a stack of poles src of shape (n, 1, d)
+    gives one row per pole.
     """
-    lam, scaled = _scaled_offsets(coeffs, x, t, src, t0, gamma0)
-    rr = np.sqrt((scaled**2).sum(axis=-1))
-    vals = reduced_green_series(coeffs, d, n_terms, rr) * lam[..., None] ** (-d / 2.0)
+    rel = np.atleast_2d(np.asarray(x, dtype=float)) - np.asarray(src, dtype=float)
+    terms = _value_terms(coeffs, d, n_terms)
+    vals = _kernel_factor(coeffs, terms, d / 2.0, np.sum(rel * rel, axis=-1), t, t0, gamma0)
     return vals[..., 0] if np.asarray(x).ndim == 1 else vals
 
 
@@ -390,15 +409,12 @@ def grad_approx_fundamental(
     """Spatial gradient of the truncated kernel at (x, t).
 
     Equals lam^(-(d+1)/2) xi S_{d,N}(|xi|^2) with xi = (x-src)/sqrt(lam),
-    lam = gamma0 (t-t0)^alpha.  t is a time or a 1-D array of times;
+    lam = gamma0 (t-t0)^alpha, evaluated as (x - src) times the separated
+    factor of ``_gradient_factor``.  t is a time or a 1-D array of times;
     the result has shape t.shape + x.shape: (d,) -> (d,), (m,d) -> (m,d)
     per time.
     """
-    lam, scaled = _scaled_offsets(coeffs, x, t, src, t0, gamma0)
-    y = (scaled**2).sum(axis=-1)
-    grads = (
-        lam[..., None, None] ** (-(d + 1) / 2.0)
-        * scaled
-        * s_kernel(coeffs, d, n_terms, y)[..., None]
-    )
+    rel = np.atleast_2d(np.asarray(x, dtype=float)) - np.asarray(src, dtype=float)
+    f = _gradient_factor(coeffs, d, n_terms, np.sum(rel * rel, axis=-1), t, t0, gamma0)
+    grads = rel * f[..., None]
     return grads[..., 0, :] if np.asarray(x).ndim == 1 else grads

@@ -13,22 +13,17 @@ take one point or a whole row of points, and the scan evaluates one
 grid row per call.
 
 G(z) is a time integral of two copies of one kernel factor f(rho, t),
-rho = |z - x_i|, and for every z inside the unit disk rho lies in
-[R - 1, R + 1] for sources on the circle of radius R.  So the profile
-is never evaluated per scan point: a scan tabulates f once, as its
-exponential decay in closed form times a Chebyshev series in rho for
-the algebraic rest, and every point reads the table.  The table size
-doubles from 16 radii until the series passes an error check on the
-time integral of every pair of radii (relative 1e-8 at the half-size
-table, which leaves the kept table near rounding; see
-``_profile_table``).  A profile that does not pass by 256 radii raises
-QuadratureError.
+rho = |z - x_i|, which separates (see greenfn): every term of the
+truncated gradient profile is a power of rho^2 times a power of the
+time scale lam = gamma0 t^alpha.  A scan takes the time half once, on
+the quadrature nodes; each grid row then takes the powers of rho^2 per
+(point, source), one exp per (point, source, node) and a product with
+the time half, so no power is taken per (point, time) pair.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebpts1, chebvander
 
 from .errors import ConfigError, QuadratureError, ReconstructionError, SolverError
 from .forward import boundary_diffs, solve_pair
@@ -36,16 +31,19 @@ from .forward import boundary_diffs, solve_pair
 # bound here though unused: perfbench's tracer test checks that its wrapper
 # reaches every module that binds the single-march solver
 from .forward import solve_subdiffusion  # noqa: F401
-from .greenfn import _s_kernel_scaled, approx_fundamental, grad_approx_fundamental
+from .greenfn import (
+    _gradient_terms,
+    _separated,
+    _time_factors,
+    approx_fundamental,
+    grad_approx_fundamental,
+)
 from .measure import KernelProbe, tabulate_normal_derivative
 
 GAUSS_POINTS_PER_PANEL = 8
 REFINEMENT_LEVELS = 6
 SENTINEL_RATIO = 1e-14
 SENTINEL_VALUE = 1e14
-TABLE_START = 16
-TABLE_CAP = 256
-TABLE_TOL = 1e-8
 _LEGENDRE = np.polynomial.legendre.leggauss(GAUSS_POINTS_PER_PANEL)
 
 
@@ -221,88 +219,22 @@ def _gauss_panels(t_final):
     return nodes.ravel(), weights.ravel()
 
 
-@dataclass(frozen=True)
-class _ProfileTable:
-    """The forward time factor of G as a Chebyshev series in rho.
+def _forward_time_factors(sources, alpha, coeffs, n_terms, t_final, gamma0):
+    """The time half of G's forward factor on the Gauss nodes, and their weights.
 
     The factor is f(rho, t) = S(rho^2 / lam) lam^{-(d+2)/2} with
-    lam = gamma0 t^alpha.  For a scan point inside the unit disk,
-    rho = |z - x_i| lies in [R - 1, R + 1] for every source on the circle
-    of radius R.  On that interval f(rho, t_q) = exp(-rate_q rho^(2p))
-    h(rho, t_q): the decay of S in closed form, with p = 1/(2 - alpha)
-    and rate = a0 lam^-p, and h = sum_k coef[k, q] T_k(rho - R), which is
-    algebraic in rho.
-    """
-
-    radius: float
-    power: float  # p = 1/(2 - alpha)
-    rate: np.ndarray  # (q,)
-    coef: np.ndarray  # (L, q)
-    weights: np.ndarray  # (q,) Gauss weights of the time integral
-
-    def decay(self, rho2):
-        return np.exp(-(rho2**self.power)[..., None] * self.rate)
-
-    def forward(self, rho2):
-        """f at squared radii rho2, shape rho2.shape + (q,)."""
-        basis = chebvander(np.sqrt(rho2) - self.radius, self.coef.shape[0] - 1)
-        return self.decay(rho2) * (basis @ self.coef)
-
-
-def _profile_table(sources, alpha, coeffs, n_terms, t_final, gamma0):
-    """Tabulate the forward factor on [R - 1, R + 1] to a checked accuracy.
-
-    Interpolating f itself would leave a rounding floor of eps times its
-    largest value over rho, which at early times exceeds its smallest by
-    hundreds of orders of magnitude; only the algebraic part h is
-    interpolated.  The table at L Chebyshev points (first kind) is
-    checked against the exact factor at the 2L points of the next table.
-    With delta the difference there and f the exact factor, the
-    first-order bound on the time integral of every pair of radii (a, b),
-
-        sum_q w_q (|delta(a, T - t_q)| |f(b, t_q)| + |f(a, T - t_q)| |delta(b, t_q)|),
-
-    must be at most TABLE_TOL times sum_q w_q |f(a, T - t_q)| |f(b, t_q)|.
-    The first L that passes keeps the 2L table, the more accurate of the
-    two.  L starts at TABLE_START and doubles; past TABLE_CAP the profile
-    counts as unresolved and QuadratureError is raised rather than a
-    coarser table returned.
+    lam = gamma0 t^alpha, the factor of grad_approx_fundamental; its
+    time half is a0 lam^-p and kappa_j lam^(-e_j - (d+2)/2) per node.
     """
     _check_order(alpha, coeffs)
-    R = sources.radius
     d = sources.points.shape[1]
-    p = 1.0 / (2.0 - alpha)
     t_nodes, t_weights = _gauss_panels(t_final)
-    lam = gamma0 * t_nodes**alpha
-    rate = coeffs.a0 * lam**-p
-
-    def level(L):
-        x = chebpts1(L)
-        rho2 = (R + x) ** 2
-        h = _s_kernel_scaled(coeffs, d, n_terms, rho2[:, None] / lam) * lam ** (-(d + 2) / 2.0)
-        # a solve reproduces the small node values far better than the
-        # discrete orthogonality sum, whose rounding is eps * max |h|
-        coef = np.linalg.solve(chebvander(x, L - 1), h)
-        table = _ProfileTable(R, p, rate, coef, t_weights)
-        return table, table.decay(rho2) * h, rho2
-
-    table, _, _ = level(TABLE_START)
-    while table.coef.shape[0] <= TABLE_CAP:
-        finer, exact, rho2 = level(2 * table.coef.shape[0])
-        delta = np.abs(table.forward(rho2) - exact)
-        exact = np.abs(exact)
-        bound = (delta[:, ::-1] * t_weights) @ exact.T
-        scale = (exact[:, ::-1] * t_weights) @ exact.T
-        if np.all(bound + bound.T <= TABLE_TOL * scale):
-            return finer
-        table = finer
-    raise QuadratureError(
-        f"kernel profile unresolved at {TABLE_CAP} Chebyshev radii for source radius {R}"
-    )
+    terms = _gradient_terms(coeffs, d, n_terms)
+    return _time_factors(coeffs, terms, gamma0 * t_nodes**alpha, (d + 2) / 2.0), t_weights
 
 
-def _kernel_matrix(z, sources, table):
-    """g_matrix with the forward factor read from a profile table."""
+def _kernel_matrix(z, sources, time_factors, t_weights):
+    """g_matrix with the forward factor's time half already taken."""
     z = np.asarray(z, dtype=float)
     pts = sources.points
     if z.ndim not in (1, 2) or z.shape[-1] != pts.shape[1]:
@@ -313,8 +245,8 @@ def _kernel_matrix(z, sources, table):
         bad = z.reshape(-1, d)[np.argmax(r2)]
         raise ConfigError(f"scan point {bad} must be strictly inside the unit disk")
     rel = z[..., None, :] - pts
-    fwd = table.forward(np.sum(rel * rel, axis=-1))
-    C = (fwd[..., ::-1] * table.weights) @ np.swapaxes(fwd, -1, -2)
+    fwd = _separated(np.sum(rel * rel, axis=-1), time_factors)
+    C = (fwd[..., ::-1] * t_weights) @ np.swapaxes(fwd, -1, -2)
     if not np.all(np.isfinite(C)):
         raise QuadratureError(f"kernel integrand not finite at z={z}")
     return (rel @ np.swapaxes(rel, -1, -2)) * C
@@ -330,19 +262,56 @@ def g_matrix(z, sources, alpha, coeffs, n_terms=3, t_final=1.0, gamma0=1.0):
     are symmetric about T/2, so the backward factor is the forward one
     reversed in time.
 
-    The forward factor depends on z only through rho = |z - x_i|, which
-    lies in [R - 1, R + 1].  It is read from a Chebyshev table in rho
-    (``_profile_table``), not evaluated at every point: the profile's
-    exponential decay is kept in closed form and the algebraic rest is
-    interpolated, with the table size fixed by a stated error check.
-    Each call builds its own table; ``scan_indicator`` builds one per
-    scan.
+    The forward factor is evaluated exactly, in separated form: its time
+    half once per call (``_forward_time_factors``; ``scan_indicator``
+    takes it once per scan), and per point only powers of rho^2 and one
+    exp per (point, source, node).
 
     z is one point, shape (d,), giving an (n, n) matrix, or a row of
     points, shape (m, d), giving an (m, n, n) stack.
     """
-    table = _profile_table(sources, alpha, coeffs, n_terms, t_final, gamma0)
-    return _kernel_matrix(z, sources, table)
+    time = _forward_time_factors(sources, alpha, coeffs, n_terms, t_final, gamma0)
+    return _kernel_matrix(z, sources, *time)
+
+
+def _check_tau(tau):
+    if not 0.0 < tau < 1.0:
+        raise ConfigError(f"threshold {tau} outside (0, 1)")
+
+
+def _check_truncation(k, n):
+    if not 0 <= k <= n:
+        raise ConfigError(f"truncation level {k} outside [0, {n}]")
+
+
+def _scan_axes(region, resolution):
+    """x and y nodes of the scan grid over a region strictly inside the unit disk."""
+    xmin, xmax, ymin, ymax = region
+    if not (xmin < xmax and ymin < ymax):
+        raise ConfigError(f"degenerate scan region {region}")
+    corner = max(abs(xmin), abs(xmax)) ** 2 + max(abs(ymin), abs(ymax)) ** 2
+    if corner >= 1.0:
+        raise ConfigError(f"scan region {region} reaches outside the unit disk")
+    if resolution < 2:
+        raise ConfigError(f"resolution {resolution} too small")
+    return np.linspace(xmin, xmax, resolution), np.linspace(ymin, ymax, resolution)
+
+
+def _check_peak_request(m, shape):
+    if m < 1:
+        raise ConfigError(f"peak count {m} must be positive")
+    if min(shape) < 3:
+        raise ConfigError("grid too small for peak extraction")
+
+
+def _check_scan(sources, region, resolution, peaks, k, tau):
+    """The scan's and peak search's range checks; k None means tau sets k."""
+    _scan_axes(region, resolution)
+    _check_peak_request(peaks, (resolution, resolution))
+    if k is None:
+        _check_tau(tau)
+    else:
+        _check_truncation(k, sources.n)
 
 
 def select_truncation(singular_values, tau=1e-6):
@@ -354,8 +323,7 @@ def select_truncation(singular_values, tau=1e-6):
     s = np.asarray(singular_values, dtype=float)
     if s.size == 0 or s[0] <= 0.0:
         raise ConfigError("spectrum is identically zero, nothing to truncate")
-    if not 0.0 < tau < 1.0:
-        raise ConfigError(f"threshold {tau} outside (0, 1)")
+    _check_tau(tau)
     k = int(np.sum(s / s[0] >= tau))
     return max(k, 1)
 
@@ -370,8 +338,7 @@ def indicator(z, data, k, g):
     finite sentinel so downstream CSV stays finite.
     """
     g = np.asarray(g, dtype=float)
-    if not 0 <= k <= data.n:
-        raise ConfigError(f"truncation level {k} outside [0, {data.n}]")
+    _check_truncation(k, data.n)
     Vk = data.left_vectors[:, :k]
     num = np.linalg.norm(g, axis=(-2, -1))
     den = np.linalg.norm(g - Vk @ (Vk.T @ g), axis=(-2, -1))
@@ -426,23 +393,14 @@ def scan_indicator(
     """Evaluate the indicator on a resolution x resolution interior grid.
 
     k is the truncation level, chosen by the caller (the CLI floors
-    select_truncation's count; see cli._locate_multi_run).  The profile
-    table is built once per scan, and each grid row is one kernel-matrix
-    and one indicator call in the calling process.
+    select_truncation's count; see cli._locate_multi_run).  The time half
+    of the kernel factor is taken once per scan, and each grid row is one
+    kernel-matrix and one indicator call in the calling process.
     """
-    xmin, xmax, ymin, ymax = region
-    if not (xmin < xmax and ymin < ymax):
-        raise ConfigError(f"degenerate scan region {region}")
-    corner = max(abs(xmin), abs(xmax)) ** 2 + max(abs(ymin), abs(ymax)) ** 2
-    if corner >= 1.0:
-        raise ConfigError(f"scan region {region} reaches outside the unit disk")
-    if resolution < 2:
-        raise ConfigError(f"resolution {resolution} too small")
-    xs = np.linspace(xmin, xmax, resolution)
-    ys = np.linspace(ymin, ymax, resolution)
-    table = _profile_table(sources, alpha, coeffs, n_terms, t_final, gamma0)
+    xs, ys = _scan_axes(region, resolution)
+    time = _forward_time_factors(sources, alpha, coeffs, n_terms, t_final, gamma0)
     points = np.stack(np.meshgrid(xs, ys), axis=-1)
-    rows = [indicator(zs, data, k, _kernel_matrix(zs, sources, table)) for zs in points]
+    rows = [indicator(zs, data, k, _kernel_matrix(zs, sources, *time)) for zs in points]
     return IndicatorGrid(xs=xs, ys=ys, values=np.stack(rows))
 
 
@@ -453,11 +411,8 @@ def peak_extract(grid, m, min_separation=0.0):
     border nodes are excluded.  Peaks closer than ``min_separation`` to
     an already accepted stronger peak are suppressed.
     """
-    if m < 1:
-        raise ConfigError(f"peak count {m} must be positive")
     v = grid.values
-    if v.shape[0] < 3 or v.shape[1] < 3:
-        raise ConfigError("grid too small for peak extraction")
+    _check_peak_request(m, v.shape)
     core = v[1:-1, 1:-1]
     mask = np.ones(core.shape, dtype=bool)
     for di in (-1, 0, 1):

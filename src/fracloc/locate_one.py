@@ -173,12 +173,16 @@ def _bisect(f, fa: float, fb: float, tol: float):
     return 0.5 * (a + b)
 
 
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol < 1.0:
+        raise ConfigError(f"tolerance must lie in (0, 1), got {tol}")
+
+
 def root_on_segment(segment: ProbeSegment, probe, tol: float = 1e-6) -> np.ndarray:
     """Bisection root of the probe along a one-span segment."""
     if len(segment.spans) != 1:
         raise ConfigError("root_on_segment needs a one-span segment")
-    if not 0.0 < tol < 1.0:
-        raise ConfigError(f"tolerance must lie in (0, 1), got {tol}")
+    _check_tol(tol)
 
     def f(s):
         return probe(segment.point_at(s))
@@ -198,8 +202,7 @@ def root_on_patch(
     """
     if len(segment.spans) != 2:
         raise ConfigError("root_on_patch needs a two-span rectangle")
-    if not 0.0 < tol < 1.0:
-        raise ConfigError(f"tolerance must lie in (0, 1), got {tol}")
+    _check_tol(tol)
 
     def inner(s):
         def g(w):

@@ -9,6 +9,8 @@ Test functions enter through handles producing values, gradients and
 normal derivatives at arbitrary (x, t); KernelProbe wraps the
 approximate fundamental solution run backwards in time, which is the
 only Phi the algorithms use, but tests may pass exact oracles.
+KernelProbe's normal derivative is ((x - source).n) times greenfn's
+separated gradient factor, with no gradient array in between.
 
 Handle contract: a handle takes k points (and, for the normal
 derivative, k normals) and t, either one time or a 1-D array of times,
@@ -34,6 +36,7 @@ from .forward import BoundaryTrace, SpaceTimeField
 from .fracmath import TimeGrid
 from .greenfn import (
     GreenCoeffs,
+    _gradient_factor,
     approx_fundamental,
     grad_approx_fundamental,
     log_reduced_green,
@@ -157,7 +160,17 @@ class KernelProbe:
         )
 
     def normal_derivative(self, points, t, normals) -> np.ndarray:
-        return (self.gradient(points, t) * np.asarray(normals, dtype=float)).sum(axis=-1)
+        """((x - source) . n) f: the gradient's one scalar factor, no gradient array."""
+        rel = np.atleast_2d(np.asarray(points, dtype=float)) - self.source
+        proj = np.sum(rel * np.asarray(normals, dtype=float), axis=-1)
+        rho2 = np.sum(rel * rel, axis=-1)
+        return _backward(
+            self.t_final,
+            t,
+            proj.shape,
+            lambda s: proj
+            * _gradient_factor(self.coeffs, self.d, self.n_terms, rho2, s, 0.0, self.gamma0),
+        )
 
 
 class OracleKernelProbe:

@@ -356,6 +356,19 @@ class TestExitCodes:
         assert cli.main(["locate-one", "--config", cfg]) == 2
         assert "segment distance must exceed 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", [0.0, 1.0, 2.0])
+    def test_probe_tol_checked_before_march(self, tmp_path, monkeypatch, capsys, tol):
+        monkeypatch.setattr(cli, "solve_block", lambda *args: pytest.fail("marched"))
+        cfg = write_config(
+            tmp_path / "c.json",
+            mesh={"h_far": 0.3},
+            inclusions=[{"center": [0.2, 0.3], "eps": 0.1, "gamma": 50.0}],
+            probe={"tol": tol},
+            output_dir=str(tmp_path / "o"),
+        )
+        assert cli.main(["locate-one", "--config", cfg]) == 2
+        assert "tolerance must lie in (0, 1)" in capsys.readouterr().err
+
 
 class TestForwardCommand:
     def test_background_only_outputs(self, tmp_path):
@@ -493,7 +506,7 @@ class TestLocateOneCommand:
         assert cli.main(["locate-one", "--config", cfg]) == 2
 
     def test_one_factorization_and_one_kernel_call_per_probe(self, cheap_one, monkeypatch):
-        from fracloc import forward, locate_one, measure
+        from fracloc import forward, greenfn, locate_one
 
         counts = {"splu": 0, "kernel": 0, "probe": 0}
 
@@ -505,9 +518,8 @@ class TestLocateOneCommand:
             return wrapper
 
         monkeypatch.setattr(forward, "splu", counting("splu", forward.splu))
-        monkeypatch.setattr(
-            measure, "grad_approx_fundamental", counting("kernel", measure.grad_approx_fundamental)
-        )
+        # every kernel of the pipeline goes through the separated evaluator
+        monkeypatch.setattr(greenfn, "_separated", counting("kernel", greenfn._separated))
         monkeypatch.setattr(locate_one, "probe_value", counting("probe", locate_one.probe_value))
         assert cli.main(["locate-one", "--config", cheap_one]) == 0
         # both directions march as one block; U = a.x is not marched
@@ -626,9 +638,9 @@ class TestLocateMultiCommand:
         peak = (out / "peaks.csv").read_text().splitlines()[1]
         assert [float(v) for v in peak.split(",")][:2] == [0.20000000000000007, 0.30000000000000004]
 
-    def test_unresolved_kernel_table_is_3(self, tmp_path, monkeypatch, capsys):
-        # sources at radius 1.2 need more than 16 table radii
-        monkeypatch.setattr(locate_multi, "TABLE_CAP", 16)
+    def test_close_sources_run_and_nonfinite_kernel_is_3(self, tmp_path, monkeypatch, capsys):
+        # sources at radius 1.2 come within 0.7 of the scan region
+        out = tmp_path / "out"
         cfg = write_config(
             tmp_path / "c.json",
             time_steps=16,
@@ -636,10 +648,51 @@ class TestLocateMultiCommand:
             inclusions=[{"center": [0.2, 0.3], "eps": 0.1, "gamma": 50.0}],
             sources={"kind": "full", "n": 6, "radius": 1.2},
             scan={"region": [-0.5, 0.5, -0.5, 0.5], "resolution": 11, "peaks": 1, "k": 3},
-            output_dir=str(tmp_path / "out"),
+            output_dir=str(out),
+        )
+        assert cli.main(["locate-multi", "--config", cfg]) == 0
+        w = np.loadtxt(out / "w_grid.csv", delimiter=",", skiprows=1)
+        assert w.shape == (121, 3) and np.all(np.isfinite(w))
+        # a factor that is not finite stops the scan as a quadrature error
+        monkeypatch.setattr(
+            locate_multi,
+            "_separated",
+            lambda rho2, times: np.full(np.shape(rho2) + times.rate.shape, np.inf),
         )
         assert cli.main(["locate-multi", "--config", cfg]) == 3
-        assert "unresolved" in capsys.readouterr().err
+        assert "not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "scan",
+        [
+            {"peaks": 0},
+            {"region": [-0.9, 0.9, -0.9, 0.9]},
+            {"region": [0.3, 0.3, -0.2, 0.2]},
+            {"resolution": 1},
+            {"resolution": 2},
+            {"k": 7},
+            {"k": -1},
+            {"tau": 0.0},
+            {"tau": 1.5},
+        ],
+        ids=[
+            "no-peaks", "region-outside", "region-degenerate", "resolution-1",
+            "resolution-2", "k-above-n", "k-negative", "tau-0", "tau-above-1",
+        ],
+    )
+    def test_scan_ranges_checked_before_march(self, tmp_path, monkeypatch, scan):
+        monkeypatch.setattr(locate_multi, "solve_pair", lambda *args: pytest.fail("marched"))
+        monkeypatch.setattr(cli, "solve_block", lambda *args: pytest.fail("marched"))
+        cfg = write_config(
+            tmp_path / "c.json",
+            time_steps=16,
+            mesh={"h_far": 0.3},
+            inclusions=[{"center": [0.2, 0.3], "eps": 0.1, "gamma": 50.0}],
+            sources={"kind": "full", "n": 6},
+            scan=scan,
+            output_dir=str(tmp_path / "o"),
+        )
+        assert cli.main(["locate-multi", "--config", cfg]) == 2
 
     def test_jobs_flag_matches_serial(self, tmp_path, cheap_multi):
         cli.main(["locate-multi", "--config", cheap_multi, "--out", str(tmp_path / "a")])

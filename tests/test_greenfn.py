@@ -225,6 +225,32 @@ class TestSeries:
             sk = r * s_kernel(coeffs_half, d, 3, r * r)
             assert der == pytest.approx(sk, rel=1e-9), (d, r)
 
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.8, 1.0])
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_gradient_profile_matches_written_out_sum(self, alpha, n):
+        # S_{d,N}(y) exp(a0 y^p), p = 1/(2 - alpha), differentiated by hand
+        # term by term: from the psi_2 series for d = 2, from the psi_1
+        # series through psi_3 = -(2 pi r)^(-1) psi_1' for d = 3
+        c = fit_green_coeffs(alpha)
+        y = np.geomspace(1e-2, 1e4, 200)
+        p = 1.0 / (2.0 - alpha)
+        d2 = np.zeros_like(y)
+        d3 = np.zeros_like(y)
+        for k in range(n):
+            d2 += c.a2[k] * (
+                -c.a0 * p * y ** ((alpha - 1.0) * p) + (alpha - 1.0 - k) * p / y
+            ) * y ** ((alpha - 1.0 - k) * p)
+            d3 += c.a1[k] * (
+                (2.0 * c.a0 * p) ** 2 * y ** ((5.0 * alpha - 5.0 - 2.0 * k) * p / 2.0)
+                + 8.0 * c.a0 * (k + 1.0 - alpha) * p**2
+                * y ** ((5.0 * alpha - 7.0 - 2.0 * k) * p / 2.0)
+                + (2.0 * k + 1.0 - alpha) * (2.0 * k + 5.0 - 3.0 * alpha) * p**2
+                * y ** ((5.0 * alpha - 9.0 - 2.0 * k) * p / 2.0)
+            )
+        decay = np.exp(-c.a0 * y**p)
+        np.testing.assert_allclose(s_kernel(c, 2, n, y), decay * 2.0 * d2, rtol=1e-13)
+        np.testing.assert_allclose(s_kernel(c, 3, n, y), -decay * d3 / (2.0 * math.pi), rtol=1e-13)
+
     def test_classical_gradient_profile_exact(self, coeffs_one):
         # grad of (4 pi)^(-1) exp(-|x|^2/4) is x * (-(8 pi)^(-1) exp(-y/4))
         y = np.array([0.5, 1.0, 4.0, 25.0])
@@ -352,6 +378,15 @@ class TestSpaceTimeKernel:
             )
             assert got.shape == (len(times),) + ref.shape[1:]
             np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0.0)
+
+    def test_pole_is_a_config_error(self, coeffs_half):
+        src = np.array([0.3, -0.2])
+        batch = np.array([[1.0, 1.0], src])
+        for kernel in (approx_fundamental, grad_approx_fundamental):
+            with pytest.raises(ConfigError, match="pole"):
+                kernel(coeffs_half, 2, 3, src, 0.5, src)
+            with pytest.raises(ConfigError, match="pole"):
+                kernel(coeffs_half, 2, 3, batch, np.array([0.2, 0.5]), src, t0=-0.01)
 
     def test_stack_of_poles_matches_per_pole_calls(self, coeffs_half):
         # the data matrix evaluates every source's kernel in one call

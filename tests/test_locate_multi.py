@@ -200,14 +200,38 @@ class TestGMatrix:
             err = np.linalg.norm(got - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
             assert err.max() <= rtol, (kind, err.max())
 
-    def test_unresolved_table_raises(self, coeffs_half, monkeypatch):
-        monkeypatch.setattr(locate_multi, "TABLE_CAP", 16)
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.8, 1.0])
+    def test_separated_factor_matches_direct_profile(self, alpha):
+        # from sources almost on the unit circle to far ones, where the
+        # decay underflows: G from the separated factor against s_kernel
+        # at every point and time node
+        rng = np.random.default_rng(11)
+        r = 0.99 * np.sqrt(rng.uniform(0.0, 1.0, 60))
+        r[:12] = 0.99
+        th = rng.uniform(0.0, 2.0 * np.pi, r.size)
+        zs = np.column_stack([r * np.cos(th), r * np.sin(th)])
+        coeffs = fit_green_coeffs(alpha)
+        for radius in (1.01, 1.05, 1.2, 1.5, 2.0, 4.0, 10.0, 60.0):
+            for kind in ("full", "quarter"):
+                src = source_configuration(kind, radius=radius)
+                want = direct_g_matrix(zs, src, alpha, coeffs)
+                got = g_matrix(zs, src, alpha, coeffs)
+                assert np.all(np.isfinite(got)), (radius, kind)
+                err = np.linalg.norm(got - want, axis=(1, 2))
+                scale = np.linalg.norm(want, axis=(1, 2))
+                assert np.all(err <= 1e-13 * scale), (radius, kind, np.max(err / scale))
+
+    def test_nonfinite_factor_raises(self, coeffs_half, monkeypatch):
         src = source_configuration("full", radius=1.2)
+        z = np.array([0.1, 0.2])
+        assert np.all(np.isfinite(g_matrix(z, src, 0.5, coeffs_half)))
+        monkeypatch.setattr(
+            locate_multi,
+            "_separated",
+            lambda rho2, times: np.full(np.shape(rho2) + times.rate.shape, np.nan),
+        )
         with pytest.raises(QuadratureError):
-            g_matrix(np.array([0.1, 0.2]), src, 0.5, coeffs_half)
-        # the same profile resolves under the shipped cap
-        monkeypatch.undo()
-        g_matrix(np.array([0.1, 0.2]), src, 0.5, coeffs_half)
+            g_matrix(z, src, 0.5, coeffs_half)
 
     def test_scan_point_outside_rejected(self, coeffs_half):
         src = source_configuration("full")
@@ -459,23 +483,30 @@ class TestScanValidation:
             scan_indicator(data, src, 0.5, coeffs_half, k=1, region=(0.3, 0.3, -0.2, 0.2))
 
     def test_kernel_points_independent_of_resolution(self, coeffs_half, monkeypatch):
-        # the scan evaluates the profile only to build its table
-        points = []
-        real = locate_multi._s_kernel_scaled
+        # the scan takes the kernel's time half once, on the Gauss nodes,
+        # and each grid row only its point half
+        times, rows = [], []
+        real_times, real_rows = locate_multi._time_factors, locate_multi._separated
 
-        def counting(coeffs, d, n_terms, y):
-            points.append(np.size(y))
-            return real(coeffs, d, n_terms, y)
+        def counting_times(coeffs, terms, lam, shift):
+            times.append(np.size(lam))
+            return real_times(coeffs, terms, lam, shift)
 
-        monkeypatch.setattr(locate_multi, "_s_kernel_scaled", counting)
+        def counting_rows(rho2, factors):
+            rows.append(np.shape(rho2))
+            return real_rows(rho2, factors)
+
+        monkeypatch.setattr(locate_multi, "_time_factors", counting_times)
+        monkeypatch.setattr(locate_multi, "_separated", counting_rows)
         data = DataMatrix(np.random.default_rng(1).standard_normal((10, 10)))
         src = source_configuration("full")
-        totals = []
+        n_nodes = _gauss_panels(1.0)[0].size
         for resolution in (3, 41):
-            points.clear()
+            times.clear()
+            rows.clear()
             scan_indicator(data, src, 0.5, coeffs_half, k=3, resolution=resolution)
-            totals.append(sum(points))
-        assert totals[0] == totals[1] > 0
+            assert times == [n_nodes]
+            assert rows == [(resolution, src.n)] * resolution
 
     def test_small_scan_runs(self, coeffs_half):
         rng = np.random.default_rng(1)

@@ -200,6 +200,12 @@ class TestKernelProbe:
             probe.normal_derivative(pts, 0.5, normals), (grad * normals).sum(1), rtol=1e-14
         )
 
+    def test_normal_derivative_at_the_source_is_a_config_error(self, coeffs_half):
+        probe = KernelProbe(coeffs=coeffs_half, n_terms=3, source=(2.0, 0.0), t_final=1.0)
+        pts = np.array([[0.9, 0.0], [2.0, 0.0]])
+        with pytest.raises(ConfigError, match="pole"):
+            probe.normal_derivative(pts, np.array([0.2, 0.5]), np.ones_like(pts))
+
     def test_validation(self, coeffs_half):
         with pytest.raises(ConfigError):
             KernelProbe(coeffs=coeffs_half, n_terms=3, source=(2.0, 0.0, 0.0, 0.0), t_final=1.0)
