@@ -18,6 +18,7 @@ measure       boundary/interior measurement functionals, polarization tensor
 locate_one    single-inclusion reconstruction from two probe segments
 locate_multi  multi-inclusion reconstruction (data matrix, SVD projection,
               indicator-function scan)
+textfile      output files written and hashed in one pass
 cli           command-line entry points
 """
 

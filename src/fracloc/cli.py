@@ -7,6 +7,8 @@ missing keys, non-finite numbers, non-integral counts, counts above
 their cap (MAX_COUNTS), negative seeds and noise levels
 (NONNEGATIVE_KEYS) and values of the wrong kind (INTEGER_KEYS,
 NULLABLE_KEYS, LIST_KEYS) are config errors, all raised at load time.
+Each command then checks its mesh size (MAX_MESH_VERTICES) and the
+memory its march keeps (MAX_MARCH_BYTES) before it builds a mesh.
 Every run writes its outputs plus a manifest.json capturing the
 resolved configuration and content hashes, so a rerun with the same
 config on the same build reproduces the files byte for byte.
@@ -17,7 +19,6 @@ Exit codes: 0 success, 2 config error, 3 solver/mesh/quadrature error,
 
 import argparse
 import copy
-import hashlib
 import json
 import math
 import sys
@@ -59,6 +60,7 @@ from .measure import (
     measurement_interior,
 )
 from .mesh import Inclusion, InclusionSet, build_mesh, vertex_estimate
+from .textfile import table_lines, write_hashed
 
 CONFIG_VERSION = 1
 
@@ -113,10 +115,18 @@ NULLABLE_KEYS = {
 LIST_KEYS = {"background.direction": 2, "scan.region": 4, "sweep.values": None}
 # Keys whose values must not be negative.
 NONNEGATIVE_KEYS = frozenset({"noise.seed", "noise.sigma"})
-# Caps far above every shipped config, each on one count alone, not on its
-# product with others in the march; the mesh's cap is on mesh.vertex_estimate.
+# Caps far above every shipped config, each on one count alone; the mesh's
+# cap is on mesh.vertex_estimate, and MAX_MARCH_BYTES caps their product.
 MAX_COUNTS = {"time_steps": 4096, "scan.resolution": 1001, "sources.n": 256}
 MAX_MESH_VERTICES = 200_000
+# The march keeps every level of every marched field in memory: 8 B x
+# (time_steps + 1) x vertex_estimate x fields (columns times conductivities).
+# A config over this cap exits 2 at once, rather than running for minutes
+# and then running out of memory.  example43's locate-multi (20 fields,
+# about 1,200 estimated vertices, 128 steps) needs 24 MiB and the perfbench
+# workloads at most 15 MiB; example43 at 4096 steps, or with 256 sources,
+# would need 790 or 640 MiB and is refused.
+MAX_MARCH_BYTES = 512 * 2**20
 
 
 def _is_number(val):
@@ -226,20 +236,47 @@ def _inclusion_set(cfg):
     return InclusionSet(items=tuple(items), gamma0=float(cfg["gamma0"]))
 
 
-def _build_setting(cfg):
-    """Inclusions, mesh and time grid; the kernel coefficients are fitted
-    only by the commands that evaluate kernels (see _coeffs).  alpha is
-    checked here, since forward without inclusions marches nothing."""
-    _check_alpha(float(cfg["alpha"]))
+def _mesh_plan(cfg):
+    """Inclusions, h_far, h_near and mesh.vertex_estimate, which must not
+    exceed MAX_MESH_VERTICES; the estimate is 0 for sizes build_mesh rejects."""
     incs = _inclusion_set(cfg)
     h_far = float(cfg["mesh"]["h_far"])
     h_near = cfg["mesh"]["h_near"]
     if h_near is None:
         h_near = min((i.eps for i in incs.items), default=h_far * 4.0) / 4.0
         h_near = min(h_near, h_far)
-    if min(h_far, h_near) > 0.0 and vertex_estimate(incs, h_far, h_near) > MAX_MESH_VERTICES:
+    h_near = float(h_near)
+    if min(h_far, h_near) <= 0.0:
+        return incs, h_far, h_near, 0.0
+    vertices = vertex_estimate(incs, h_far, h_near)
+    if vertices > MAX_MESH_VERTICES:
         raise ConfigError(f"mesh sizes {h_far}, {h_near} need over {MAX_MESH_VERTICES} vertices")
-    mesh = build_mesh(incs, h_far, float(h_near))
+    return incs, h_far, h_near, vertices
+
+
+def _check_march(cfg, fields):
+    """Config error unless the march's stored levels fit in MAX_MARCH_BYTES.
+
+    fields is the number of nodal fields the command marches, columns
+    times conductivities; the march keeps each of them at every level.
+    """
+    vertices = _mesh_plan(cfg)[3]
+    size = 8.0 * (int(cfg["time_steps"]) + 1) * vertices * fields
+    if size > MAX_MARCH_BYTES:
+        raise ConfigError(
+            f"the march would keep about {size / 2**20:.0f} MiB of levels "
+            f"(time_steps {cfg['time_steps']}, about {vertices:.0f} vertices, {fields} fields), "
+            f"over {MAX_MARCH_BYTES // 2**20} MiB"
+        )
+
+
+def _build_setting(cfg):
+    """Inclusions, mesh and time grid; the kernel coefficients are fitted
+    only by the commands that evaluate kernels (see _coeffs).  alpha is
+    checked here, since forward without inclusions marches nothing."""
+    _check_alpha(float(cfg["alpha"]))
+    incs, h_far, h_near, _ = _mesh_plan(cfg)
+    mesh = build_mesh(incs, h_far, h_near)
     grid = TimeGrid(int(cfg["time_steps"]), float(cfg["t_final"]))
     return incs, mesh, grid
 
@@ -263,29 +300,25 @@ def _axis_fields(cfg, incs, mesh, grid):
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(f"{float(v):.17g}" for v in row) + "\n")
+    """Header (none if None), then each row's values at %.17g; returns the
+    file's sha256 hex digest."""
+    return write_hashed(path, table_lines(header, "%.17g", rows))
 
 
-def _write_manifest(out_dir, command, cfg, files):
-    hashes = {}
-    for name in files:
-        digest = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
-        hashes[name] = digest
+def _write_manifest(out_dir, command, cfg, hashes):
+    """manifest.json: the command, the resolved config and the digest of each output."""
     manifest = {
         "command": command,
         "fracloc_version": __version__,
         "config": cfg,
         "outputs": hashes,
     }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_hashed(out_dir / "manifest.json", [json.dumps(manifest, indent=2, sort_keys=True), "\n"])
 
 
 def cmd_forward(cfg, out_dir):
+    # u alone is marched, and only with inclusions; U = a.x is exact
+    _check_march(cfg, 1 if cfg["inclusions"] else 0)
     incs, mesh, grid = _build_setting(cfg)
     a = np.asarray(cfg["background"]["direction"], dtype=float)
     gamma0 = float(cfg["gamma0"])
@@ -300,19 +333,30 @@ def cmd_forward(cfg, out_dir):
     U = SpaceTimeField(
         mesh, grid, np.broadcast_to(u0(mesh.vertices), (grid.n_steps + 1, len(mesh.vertices)))
     )
-    files = ["mesh.txt", "background_trace.csv", "background_field.csv"]
-    mesh.save(out_dir / "mesh.txt")
-    boundary_restrict(U).to_csv(out_dir / "background_trace.csv")
-    U.to_csv(out_dir / "background_field.csv")
+    files = {
+        "mesh.txt": mesh.save(out_dir / "mesh.txt"),
+        "background_trace.csv": boundary_restrict(U).to_csv(out_dir / "background_trace.csv"),
+        "background_field.csv": U.to_csv(out_dir / "background_field.csv"),
+    }
     if incs.items:
         u = solve_subdiffusion(mesh, float(cfg["alpha"]), incs, None, u0, g, grid)
         trace = boundary_restrict(u)
         sigma = float(cfg["noise"]["sigma"])
         if sigma != 0.0:
             trace = add_noise(trace, sigma, int(cfg["noise"]["seed"]))
-        trace.to_csv(out_dir / "solution_trace.csv")
-        files.append("solution_trace.csv")
+        files["solution_trace.csv"] = trace.to_csv(out_dir / "solution_trace.csv")
     return files
+
+
+def _sources(cfg):
+    src_cfg = cfg["sources"]
+    return source_configuration(src_cfg["kind"], n=src_cfg["n"], radius=float(src_cfg["radius"]))
+
+
+def _march_fields(cfg, algorithm):
+    """Nodal fields the locator marches: u for both axis directions
+    (U = a.x is exact), or u and U for every source."""
+    return 2 if algorithm == "one" else 2 * _sources(cfg).n
 
 
 def _locate_one_run(cfg, incs, mesh, grid, coeffs):
@@ -346,24 +390,20 @@ def _center_error(rec_point, incs):
 
 
 def cmd_locate_one(cfg, out_dir):
+    _check_march(cfg, _march_fields(cfg, "one"))
     incs, mesh, grid = _build_setting(cfg)
     rec = _locate_one_run(cfg, incs, mesh, grid, _coeffs(cfg))
     err = _center_error(rec.P, incs)
-    _write_csv(
+    digest = _write_csv(
         out_dir / "reconstruction.csv",
         "Px,Py,P1x,P1y,P2x,P2y,rho0,err",
         [list(rec.P) + list(rec.P1) + list(rec.P2) + [rec.rho0, err]],
     )
-    return ["reconstruction.csv"]
+    return {"reconstruction.csv": digest}
 
 
 def _locate_multi_run(cfg, incs, mesh, grid, coeffs):
-    src_cfg = cfg["sources"]
-    sources = source_configuration(
-        src_cfg["kind"],
-        n=src_cfg["n"],
-        radius=float(src_cfg["radius"]),
-    )
+    sources = _sources(cfg)
     scan_cfg = cfg["scan"]
     region = tuple(scan_cfg["region"])
     resolution = int(scan_cfg["resolution"])
@@ -411,21 +451,23 @@ def _nearest_center(p, incs):
 
 
 def cmd_locate_multi(cfg, out_dir):
+    _check_march(cfg, _march_fields(cfg, "multi"))
     incs, mesh, grid = _build_setting(cfg)
     sources, data, igrid, peaks = _locate_multi_run(cfg, incs, mesh, grid, _coeffs(cfg))
-    np.savetxt(out_dir / "data_matrix.csv", data.B, delimiter=",", fmt="%.17g")
-    _write_csv(
-        out_dir / "singular_values.csv",
-        "index,value",
-        [(j + 1, s) for j, s in enumerate(data.singular_values)],
-    )
-    igrid.to_csv(out_dir / "w_grid.csv")
-    _write_csv(
-        out_dir / "peaks.csv",
-        "x,y,err",
-        [[p[0], p[1], _nearest_center(p, incs)] for p in peaks],
-    )
-    return ["data_matrix.csv", "singular_values.csv", "w_grid.csv", "peaks.csv"]
+    return {
+        "data_matrix.csv": _write_csv(out_dir / "data_matrix.csv", None, data.B),
+        "singular_values.csv": _write_csv(
+            out_dir / "singular_values.csv",
+            "index,value",
+            [(j + 1, s) for j, s in enumerate(data.singular_values)],
+        ),
+        "w_grid.csv": igrid.to_csv(out_dir / "w_grid.csv"),
+        "peaks.csv": _write_csv(
+            out_dir / "peaks.csv",
+            "x,y,err",
+            [[p[0], p[1], _nearest_center(p, incs)] for p in peaks],
+        ),
+    }
 
 
 def cmd_oracle_check(cfg, out_dir):
@@ -437,6 +479,7 @@ def cmd_oracle_check(cfg, out_dir):
     relative difference reports the discretization quality of the
     pipeline.
     """
+    _check_march(cfg, _march_fields(cfg, "one"))
     incs, mesh, grid = _build_setting(cfg)
     if not incs.items:
         raise ConfigError("oracle-check needs at least one inclusion in the config")
@@ -470,11 +513,9 @@ def cmd_oracle_check(cfg, out_dir):
         denom = max(abs(via_boundary), abs(via_interior))
         rel = abs(via_boundary - via_interior) / denom if denom > 0 else 0.0
         rows.append((f"U{j + 1}", via_boundary, via_interior, rel))
-    with open(out_dir / "equivalence.csv", "w", encoding="ascii") as fh:
-        fh.write("background,boundary,interior,rel_diff\n")
-        for label, b, i, r in rows:
-            fh.write(f"{label},{b:.17g},{i:.17g},{r:.17g}\n")
-    return ["equivalence.csv"]
+    lines = ["background,boundary,interior,rel_diff\n"]
+    lines += [f"{label},{b:.17g},{i:.17g},{r:.17g}\n" for label, b, i, r in rows]
+    return {"equivalence.csv": write_hashed(out_dir / "equivalence.csv", lines)}
 
 
 def _apply_sweep_value(cfg, parameter, value):
@@ -503,10 +544,13 @@ def cmd_sweep(cfg, out_dir):
     algorithm = sweep["algorithm"]
     if algorithm not in ("one", "multi"):
         raise ConfigError(f"sweep.algorithm must be 'one' or 'multi', got {algorithm!r}")
+    swept_cfgs = [_apply_sweep_value(cfg, sweep["parameter"], value) for value in values]
+    # every value's march is checked before the first one runs
+    for swept in swept_cfgs:
+        _check_march(swept, _march_fields(swept, algorithm))
     rows = []
     failed = 0
-    for value in values:
-        swept = _apply_sweep_value(cfg, sweep["parameter"], value)
+    for value, swept in zip(values, swept_cfgs):
         incs, mesh, grid = _build_setting(swept)
         coeffs = _coeffs(swept)
         try:
@@ -527,8 +571,7 @@ def cmd_sweep(cfg, out_dir):
     header = (
         "value,err,rho0" if algorithm == "one" else "value,max_err,peaks_found"
     )
-    _write_csv(out_dir / "sweep.csv", header, rows)
-    return ["sweep.csv"]
+    return {"sweep.csv": _write_csv(out_dir / "sweep.csv", header, rows)}
 
 
 COMMANDS = {
@@ -582,7 +625,7 @@ def main(argv=None):
     except ReconstructionError as exc:
         print(f"fracloc: reconstruction failed: {exc}", file=sys.stderr)
         return 4
-    for name in files + ["manifest.json"]:
+    for name in [*files, "manifest.json"]:
         print(out_dir / name)
     return 0
 

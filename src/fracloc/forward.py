@@ -57,32 +57,32 @@ from scipy.sparse.linalg import splu
 from .errors import ConfigError, SolverError
 from .fracmath import TimeGrid, _check_alpha, l1_weights
 from .mesh import InclusionSet, Mesh
+from .textfile import write_hashed
 
 
-# values per block of columns formatted at once in _write_rows
-_ROW_BLOCK = 1 << 16
-
-
-def _write_rows(path, label_name, labels, values) -> None:
+def _write_rows(path, label_name, labels, values) -> str:
     """One CSV line per column of values (levels x columns): its label, then each level.
 
-    Every value is written as repr of its Python float.  Per block of
-    columns, repr runs once per bitwise-distinct value (0.0 and -0.0 stay
-    apart), so a field that repeats its values, such as U = a.x over the
-    levels, formats one string per node instead of one per entry.  A
-    block holds at most _ROW_BLOCK values' strings at once.
+    Every value is written as repr of its Python float.  A column whose
+    levels are bitwise equal (0.0 and -0.0 stay apart) is formatted
+    once and repeated, so U = a.x costs one repr per node instead of one
+    per node and level.  Each line goes to the file as it is made.
+    Returns the sha256 hex digest of the file.
     """
-    n_levels, n_columns = values.shape
-    step = max(1, _ROW_BLOCK // n_levels)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{label_name}," + ",".join(f"t{j}" for j in range(n_levels)) + "\n")
-        for start in range(0, n_columns, step):
-            block = np.ascontiguousarray(values[:, start : start + step].T, dtype=float)
-            keys, inverse = np.unique(block.view(np.int64), return_inverse=True)
-            text = np.array(list(map(repr, keys.view(float).tolist())), dtype=object)
-            rows = (row.tolist() for row in text[inverse.reshape(block.shape)])
-            for label, row in zip(labels[start : start + step], rows):
-                fh.write(label + "," + ",".join(row) + "\n")
+    values = np.asarray(values, dtype=float)
+    n_levels = values.shape[0]
+    bits = values.view(np.int64)
+    constant = (bits.min(axis=0) == bits.max(axis=0)).tolist()
+
+    def lines():
+        yield f"{label_name}," + ",".join(f"t{j}" for j in range(n_levels)) + "\n"
+        for label, same, first, column in zip(labels, constant, values[0].tolist(), values.T):
+            if same:
+                yield label + ("," + repr(first)) * n_levels + "\n"
+            else:
+                yield label + "," + ",".join(map(repr, column.tolist())) + "\n"
+
+    return write_hashed(path, lines())
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,12 @@ class SpaceTimeField:
         if not np.all(np.isfinite(self.values)):
             raise SolverError("field contains non-finite values")
 
-    def to_csv(self, path) -> None:
-        _write_rows(path, "node", [str(i) for i in range(self.values.shape[1])], self.values)
+    def to_csv(self, path) -> str:
+        """One line per node: its value at every level.
+
+        Returns the sha256 hex digest of the file.
+        """
+        return _write_rows(path, "node", map(str, range(self.values.shape[1])), self.values)
 
 
 @dataclass(frozen=True)
@@ -142,9 +146,13 @@ class BoundaryTrace:
             raise ConfigError("traces come from different boundary node sets")
         return replace(self, values=self.values - other.values)
 
-    def to_csv(self, path) -> None:
+    def to_csv(self, path) -> str:
+        """One line per node: its angle, then its value at every level.
+
+        Returns the sha256 hex digest of the file.
+        """
         angles = np.asarray(self.angles, dtype=float).tolist()
-        _write_rows(path, "angle", list(map(repr, angles)), self.values)
+        return _write_rows(path, "angle", map(repr, angles), self.values)
 
 
 def assemble_matrices(mesh: Mesh, gamma_tri: np.ndarray):

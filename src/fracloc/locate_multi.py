@@ -39,6 +39,7 @@ from .greenfn import (
     grad_approx_fundamental,
 )
 from .measure import KernelProbe, tabulate_normal_derivative
+from .textfile import table_lines, write_hashed
 
 GAUSS_POINTS_PER_PANEL = 8
 REFINEMENT_LEVELS = 6
@@ -371,10 +372,18 @@ class IndicatorGrid:
         object.__setattr__(self, "ys", ys)
         object.__setattr__(self, "values", values)
 
-    def to_csv(self, path):
-        x, y = np.meshgrid(self.xs, self.ys)
-        table = np.column_stack([x.ravel(), y.ravel(), self.values.ravel()])
-        np.savetxt(path, table, delimiter=",", header="x,y,W", comments="")
+    def to_csv(self, path) -> str:
+        """Header x,y,W, then one %.18e line per grid point, x fastest.
+
+        Returns the sha256 hex digest of the file.
+        """
+        xs = self.xs.tolist()
+        rows = (
+            (x, y, w)
+            for y, line in zip(self.ys.tolist(), self.values.tolist())
+            for x, w in zip(xs, line)
+        )
+        return write_hashed(path, table_lines("x,y,W", "%.18e", rows))
 
 
 def scan_indicator(

@@ -22,6 +22,7 @@ from scipy.interpolate import interp1d
 from scipy.spatial import Delaunay, cKDTree
 
 from .errors import ConfigError, MeshError
+from .textfile import write_hashed
 
 _RING_STEP = 0.85  # radial ring spacing as a fraction of the local size
 _RING_GROWTH = 1.45  # geometric growth of offset rings beyond 2 eps
@@ -182,16 +183,22 @@ class Mesh:
     def region_area(self, tag: int) -> float:
         return float(self.triangle_areas()[self.region_tag == tag].sum())
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("# disk mesh: nv nt nbe, then vertices, triangles+tag, edges\n")
-            fh.write(f"{len(self.vertices)} {len(self.triangles)} {len(self.boundary_edges)}\n")
-            coords = list(map(repr, np.asarray(self.vertices, dtype=float).ravel().tolist()))
-            fh.write("".join(f"{x} {y}\n" for x, y in zip(coords[0::2], coords[1::2])))
-            rows = np.column_stack([self.triangles, self.region_tag]).ravel().tolist()
-            fh.write("%d %d %d %d\n" * len(self.triangles) % tuple(rows))
-            edges = self.boundary_edges.ravel().tolist()
-            fh.write("%d %d\n" * len(self.boundary_edges) % tuple(edges))
+    def save(self, path) -> str:
+        """Counts, vertices, triangles with their tags, then boundary edges, as text.
+
+        Returns the sha256 hex digest of the file.
+        """
+        return write_hashed(path, self._text())
+
+    def _text(self):
+        yield "# disk mesh: nv nt nbe, then vertices, triangles+tag, edges\n"
+        yield f"{len(self.vertices)} {len(self.triangles)} {len(self.boundary_edges)}\n"
+        coords = list(map(repr, np.asarray(self.vertices, dtype=float).ravel().tolist()))
+        yield "".join(f"{x} {y}\n" for x, y in zip(coords[0::2], coords[1::2]))
+        rows = np.column_stack([self.triangles, self.region_tag]).ravel().tolist()
+        yield "%d %d %d %d\n" * len(self.triangles) % tuple(rows)
+        edges = self.boundary_edges.ravel().tolist()
+        yield "%d %d\n" * len(self.boundary_edges) % tuple(edges)
 
 
 def _edge_normals(vertices: np.ndarray, edges: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Tests for the command-line driver."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -368,6 +369,82 @@ class TestExitCodes:
         )
         assert cli.main(["locate-one", "--config", cfg]) == 2
         assert "tolerance must lie in (0, 1)" in capsys.readouterr().err
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        run=st.sampled_from(
+            ["forward", "locate-one", "oracle-check", "locate-multi", "sweep:one", "sweep:multi"]
+        ),
+        # draws near the top of each range too, where the caps bind
+        time_steps=st.integers(1, 4096) | st.integers(2048, 4096),
+        n_sources=st.integers(2, 256),
+        h_far=st.floats(0.005, 0.3) | st.floats(0.0045, 0.02),
+        eps=st.lists(st.floats(0.01, 0.2), min_size=1, max_size=3),
+    )
+    def test_march_over_the_cap_is_2_before_any_work(
+        self, tmp_path_factory, run, time_steps, n_sources, h_far, eps
+    ):
+        # the estimate, 8 B x levels x estimated vertices x marched fields,
+        # is checked for every sweep value before any mesh or march
+        class MeshReached(Exception):
+            pass
+
+        def mesh_reached(*args):
+            raise MeshReached
+
+        command, algorithm = run.split(":") if ":" in run else (run, "one")
+        # u alone; u for both axis directions; u and U for every source
+        fields = 1 if command == "forward" else 2 * n_sources if "multi" in run else 2
+        sizes = []
+        for e in eps[-1:] if command != "sweep" else eps:
+            incs = mesh.InclusionSet(items=(mesh.Inclusion((0.2, 0.3), e, 5.0),))
+            vertices = mesh.vertex_estimate(incs, h_far, min(e / 4.0, h_far))
+            sizes.append((vertices, 8.0 * (time_steps + 1) * vertices * fields))
+        tmp = tmp_path_factory.mktemp("cap")
+        cfg = write_config(
+            tmp / "c.json",
+            time_steps=time_steps,
+            mesh={"h_far": h_far},
+            inclusions=[{"center": [0.2, 0.3], "eps": eps[-1], "gamma": 5.0}],
+            sources={"n": n_sources},
+            sweep={"parameter": "eps", "values": eps, "algorithm": algorithm},
+            output_dir=str(tmp / "o"),
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "build_mesh", mesh_reached)
+            patch.setattr(cli, "solve_block", lambda *args: pytest.fail("marched"))
+            patch.setattr(cli, "solve_subdiffusion", lambda *args: pytest.fail("marched"))
+            patch.setattr(locate_multi, "solve_pair", lambda *args: pytest.fail("marched"))
+            if all(v <= cli.MAX_MESH_VERTICES and b <= cli.MAX_MARCH_BYTES for v, b in sizes):
+                with pytest.raises(MeshReached):
+                    cli.main([command, "--config", cfg])
+            else:
+                assert cli.main([command, "--config", cfg]) == 2
+
+    def test_sweep_checks_every_value_before_the_first(self, tmp_path, monkeypatch, capsys):
+        # eps 0.05 marches about 381 MiB of levels, eps 0.3 about 651 MiB:
+        # with h_near = h_far, a larger inclusion zone needs more vertices
+        monkeypatch.setattr(cli, "build_mesh", lambda *args: pytest.fail("meshed"))
+        cfg = write_config(
+            tmp_path / "c.json",
+            time_steps=2600,
+            mesh={"h_far": 0.02},
+            inclusions=[{"center": [0.2, 0.3], "eps": 0.05, "gamma": 5.0}],
+            sweep={"parameter": "eps", "values": [0.05, 0.3], "algorithm": "one"},
+            output_dir=str(tmp_path / "o"),
+        )
+        assert cli.main(["sweep", "--config", cfg]) == 2
+        assert "about 651 MiB" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", [{"time_steps": 4096}, {"sources": {"n": 256}}])
+    def test_example43_march_over_the_cap_is_2(self, tmp_path, monkeypatch, capsys, override):
+        monkeypatch.setattr(cli, "build_mesh", lambda *args: pytest.fail("meshed"))
+        root = Path(__file__).resolve().parents[1]
+        doc = json.loads((root / "configs" / "example43.json").read_text())
+        doc.update(override, output_dir=str(tmp_path / "o"))
+        cfg = write_config(tmp_path / "c.json", **doc)
+        assert cli.main(["locate-multi", "--config", cfg]) == 2
+        assert f"over {cli.MAX_MARCH_BYTES // 2**20} MiB" in capsys.readouterr().err
 
 
 class TestForwardCommand:
@@ -787,6 +864,62 @@ def test_one_factorization_per_conductivity(request, monkeypatch, command, confi
     monkeypatch.setattr(forward, "splu", counting)
     assert cli.main([command, "--config", request.getfixturevalue(config)]) == 0
     assert len(calls) == factorizations
+
+
+CHEAP_INCLUSION = {"center": [0.2, 0.3], "eps": 0.1, "gamma": 50.0}
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("forward", {}),
+        ("forward", {"inclusions": [CHEAP_INCLUSION]}),
+        ("locate-one", {"inclusions": [CHEAP_INCLUSION]}),
+        (
+            "locate-multi",
+            {
+                "inclusions": [CHEAP_INCLUSION],
+                "sources": {"n": 6},
+                "scan": {"region": [-0.5, 0.5, -0.5, 0.5], "resolution": 11, "k": 3},
+            },
+        ),
+        ("oracle-check", {"inclusions": [CHEAP_INCLUSION]}),
+        (
+            "sweep",
+            {
+                "inclusions": [CHEAP_INCLUSION],
+                "sweep": {"parameter": "sigma", "values": [0.0, 0.01], "algorithm": "one"},
+            },
+        ),
+    ],
+    ids=["forward-background", "forward", "locate-one", "locate-multi", "oracle-check", "sweep"],
+)
+def test_manifest_digests_are_of_the_bytes_written(tmp_path, monkeypatch, command, overrides):
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path / "c.json",
+        time_steps=16,
+        mesh={"h_far": 0.25},
+        probe={"tol": 1e-3},
+        output_dir=str(out),
+        **overrides,
+    )
+    assert cli.main([command, "--config", cfg]) == 0
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert outputs
+    assert sorted(outputs) == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+    for name, digest in outputs.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    # a rerun reads no output back: each digest comes from the bytes as written
+    def read_back(self):
+        pytest.fail(f"{self} read back")
+
+    monkeypatch.setattr(Path, "read_bytes", read_back)
+    assert cli.main([command, "--config", cfg]) == 0
+    monkeypatch.undo()
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first
 
 
 class TestSweepCommand:

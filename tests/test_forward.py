@@ -1,5 +1,6 @@
 """Tests for the L1 / P1 forward solver and the boundary data model."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -451,14 +452,14 @@ class TestContainers:
         assert tlines[0].startswith("angle,")
         assert len(tlines) == 1 + len(trace.node_ids)
 
-    @pytest.mark.parametrize("row_block", [forward._ROW_BLOCK, 7])
+    @pytest.mark.parametrize("case", ["constant", "signed-zero", "broadcast"])
     @pytest.mark.parametrize("repeated", [0.9, 0.2])
-    def test_csv_is_repr_of_every_value(
-        self, coarse_mesh, tmp_path, monkeypatch, row_block, repeated
-    ):
-        # the text of one repr per entry, for blocks of mostly repeated and
-        # mostly distinct values, also across blocks of columns
-        monkeypatch.setattr(forward, "_ROW_BLOCK", row_block)
+    def test_csv_is_repr_of_every_value(self, coarse_mesh, tmp_path, case, repeated):
+        # the text of one repr per entry, for mostly repeated and mostly
+        # distinct values, with columns whose levels are bitwise equal
+        # (written from one repr), columns that mix 0.0 and -0.0 (equal
+        # as floats but not bitwise, so one repr per value), and a
+        # broadcast field like forward's U = a.x
         grid = TimeGrid(3, 1.0)
         n = len(coarse_mesh.vertices)
         special = [0.0, -0.0, 1.0, -3.0, 2.0**60, 1e16, -1.5e22, 9.999e-5, -3e-300, 5e-324, 0.1]
@@ -468,10 +469,19 @@ class TestContainers:
             rng.choice(special, size=(4, n)),
             rng.standard_normal((4, n)),
         )
+        if case == "constant":
+            values[:, ::3] = values[0, ::3]
+            values[:, [1, 4]] = [0.0, -0.0]
+        elif case == "signed-zero":
+            values[:, ::3] = [[0.0], [-0.0], [0.0], [0.0]]
+            values[:, 1::3] = [[-0.0], [-0.0], [0.0], [-0.0]]
+        else:
+            row = values[0].copy()
+            row[[1, 4]] = [0.0, -0.0]
+            values = np.broadcast_to(row, (4, n))
         field = SpaceTimeField(coarse_mesh, grid, values)
         trace = boundary_restrict(field)
-        field.to_csv(tmp_path / "field.csv")
-        trace.to_csv(tmp_path / "trace.csv")
+        digests = [field.to_csv(tmp_path / "field.csv"), trace.to_csv(tmp_path / "trace.csv")]
 
         def per_value(label, labels, block):
             lines = [label + ",t0,t1,t2,t3"]
@@ -485,3 +495,7 @@ class TestContainers:
         )
         angles = [repr(v) for v in trace.angles.tolist()]
         assert (tmp_path / "trace.csv").read_bytes() == per_value("angle", angles, trace.values)
+        assert digests == [
+            hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("field.csv", "trace.csv")
+        ]
