@@ -12,23 +12,36 @@ matrix beta M + K.  It is factored once per conductivity, by SuperLU
 with a symmetric minimum-degree ordering of A + A^T and diagonal pivots,
 which fills in less than the default COLAMD ordering with partial
 pivoting.  A step then does three things per conductivity: the history
-sum as one product of that step's row of L1 weights with the stored
+sum as a product of that step's row of L1 weights with the stored
 levels (O(n^2) in the step count, fine at the default 2^7 steps), one
 product with beta M and one solve.  The Neumann load is a sparse
 edge-to-node operator, built once per march, applied to the flux at
 both endpoints of every boundary edge.  Every march runs through the one
-function ``_march_block``, which assembles, factors and runs the L1 loop:
+function ``_march_block``, which evaluates the data of every step once,
+then assembles, factors and runs the L1 loop of each conductivity: the
+first on the calling thread, each further one on a worker thread of its
+own, all at the same time:
 
 * ``solve_subdiffusion``: one data set at the conductivity of an
   inclusion set, with an optional volumetric source; the ``forward``
   command marches u this way, and ``solve_background`` is the same
   march with an empty set;
 * ``solve_block``: a block of data sets at the perturbed conductivity,
-  one factorization and one load per step for the block; ``locate-one``
-  and ``oracle-check`` march u for both axis directions this way;
+  one factorization and one flux evaluation per step for the block;
+  ``locate-one`` and ``oracle-check`` march u for both axis directions
+  this way;
 * ``solve_pair``: a block against the perturbed and the background
-  conductivity, one factorization per conductivity and one load per
-  step for both; the multi-inclusion data matrix is built this way.
+  conductivity, one factorization per conductivity and one flux
+  evaluation per step for both; the two conductivities march at the
+  same time on two threads.  The multi-inclusion data matrix is built
+  this way.
+
+The threads overlap because SuperLU releases the GIL in ``splu`` and in
+``solve``, and numpy does in its products.  The history product is taken
+in column chunks small enough that OpenBLAS runs each one on the calling
+thread (see _history): its threads then neither contend with the march
+for the cores nor change the rounding, so every march gives the same
+bits under any BLAS thread count.
 
 ``forward``, ``locate-one`` and ``oracle-check`` take the harmonic
 background U = a.x as it is at every level, without a march: with
@@ -48,6 +61,7 @@ harmonic background a.x) are reproduced exactly in P1.
 """
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -253,58 +267,99 @@ def solve_subdiffusion(
     return SpaceTimeField(mesh=mesh, grid=grid, values=values)
 
 
+# OpenBLAS takes a gemv on the calling thread when it has fewer than
+# 115200 * GEMM_MULTITHREAD_THRESHOLD (4 by default) = 460800 entries and
+# splits it over its threads from there on (interface/gemv.c).
+# Measured with numpy's OpenBLAS 0.3.31: products of 460275 entries gave
+# the one-thread bits under any thread count, products of 461025 did not.
+_ONE_THREAD_ENTRIES = 460_800
+
+
+def _history(row, levels):
+    """row @ levels for levels of shape (n, width), as column chunks.
+
+    The chunks make the product's bits independent of the BLAS thread
+    count: each has fewer than _ONE_THREAD_ENTRIES entries, so OpenBLAS
+    runs it on the calling thread, and each but the last is a multiple
+    of 4 columns wide, the block its gemv kernel takes at a time, so
+    every column is rounded as in one whole product on one thread.  A
+    threaded split of a larger product rounds the columns beside its cut
+    differently, and its idle threads spin while the march threads
+    solve.  The last chunk is never one column wide, because numpy takes
+    a one-column product as a dot product, which rounds differently.
+    """
+    n, width = levels.shape
+    # the last chunk may be one column wider than step
+    step = max(4, ((_ONE_THREAD_ENTRIES - 1) // n - 1) // 4 * 4)
+    bounds = [*range(0, width - 1, step), width]
+    out = np.empty(width)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        np.matmul(row, levels[:, lo:hi], out=out[lo:hi])
+    return out
+
+
 def _march_block(mesh: Mesh, alpha: float, gammas, u0, g, grid: TimeGrid, f=None):
     """March one block of data sets at each per-triangle conductivity in gammas.
 
     The one setup and L1 time loop of every march.  u0(points) -> (k,)
     or (k, m) and g(points, t, normals) -> the same shape give one
     column per data set; u0 = None is a zero start of one data set, and
-    f adds the volumetric load M f(points, t).  Each conductivity is
-    assembled and factored once (see _factor); beta M and the Neumann
-    operator are formed once per march, and each step's load is computed
-    once for all conductivities.  A step then takes, per conductivity,
-    the L1 history as one product of that step's weight row with the
-    stored levels, one product with beta M and one solve.  The levels
-    are checked for finiteness once, after the loop.  Returns one array
-    of shape (n_steps + 1, n_nodes) or (n_steps + 1, n_nodes, m) per
-    conductivity.
+    f adds the volumetric load M f(points, t).  The edge fluxes g and
+    the source values f of every step are evaluated once, before the
+    march, for all conductivities.  The first conductivity then marches
+    on the calling thread and each further one on a worker thread of its
+    own, at the same time, since SuperLU releases the GIL; no worker
+    outlives the call, and an error reaches the caller once every march
+    has stopped, the first conductivity's first.  Each conductivity is
+    assembled and factored once (see _factor), and a step takes the L1
+    history as one product of that step's weight row with the stored
+    levels (see _history), one product with beta M, the Neumann load
+    and one solve.  The levels are checked for finiteness once, after
+    the loop.  Returns one array of shape (n_steps + 1, n_nodes) or
+    (n_steps + 1, n_nodes, m) per conductivity.
     """
     beta, b = _l1_constants(alpha, grid)
     vertices = mesh.vertices
     init = np.zeros(len(vertices)) if u0 is None else np.asarray(u0(vertices), dtype=float)
     n_levels = grid.n_steps + 1
-    marches = []
-    for gamma_tri in gammas:
-        M, K = assemble_matrices(mesh, gamma_tri)
-        values = np.zeros((n_levels,) + init.shape)
-        values[0] = init
-        marches.append((_factor(M, K, beta), values))
-    # the mass matrix M does not depend on the conductivity
-    beta_m = beta * M
+    steps = grid.nodes[1:]
     to_load = None if g is None else _neumann_operator(mesh)
+    fluxes = None if g is None else [_edge_fluxes(mesh, g, t) for t in steps]
+    sources = None if f is None else [np.asarray(f(vertices, t), dtype=float) for t in steps]
     # step n's history weights: u^0 gets b[n-1] and u^j, 1 <= j < n,
     # gets b[n-1-j] - b[n-j]; the latter are the last n - 1 entries of
     # the reversed differences
     diffs = (b[:-1] - b[1:])[::-1]
-    row = np.empty(n_levels)
-    nodes_t = grid.nodes
-    for n in range(1, n_levels):
-        load = 0.0
-        if g is not None:
-            load = to_load @ _edge_fluxes(mesh, g, nodes_t[n])
-        if f is not None:
-            load = load + M @ np.asarray(f(vertices, nodes_t[n]), dtype=float)
-        row[0] = b[n - 1]
-        row[1:n] = diffs[len(diffs) - (n - 1) :]
-        for lu, values in marches:
-            hist = (row[:n] @ values[:n].reshape(n, -1)).reshape(init.shape)
+
+    def march(gamma_tri):
+        M, K = assemble_matrices(mesh, gamma_tri)
+        lu = _factor(M, K, beta)
+        beta_m = beta * M
+        values = np.zeros((n_levels,) + init.shape)
+        values[0] = init
+        levels = values.reshape(n_levels, -1)
+        row = np.empty(n_levels)
+        for n in range(1, n_levels):
+            load = 0.0
+            if g is not None:
+                load = to_load @ fluxes[n - 1]
+            if f is not None:
+                load = load + M @ sources[n - 1]
+            row[0] = b[n - 1]
+            row[1:n] = diffs[len(diffs) - (n - 1) :]
+            hist = _history(row[:n], levels[:n]).reshape(init.shape)
             values[n] = lu.solve(load + beta_m @ hist)
-    finite = np.all(
-        [np.isfinite(values.reshape(n_levels, -1)).all(axis=1) for _, values in marches], axis=0
-    )
+        return values
+
+    # a worker thread raised the peak RSS of a one-conductivity op by
+    # 1-2 MB, so the calling thread marches the first conductivity itself
+    with ThreadPoolExecutor(max_workers=max(len(gammas) - 1, 1)) as pool:
+        futures = [pool.submit(march, gamma_tri) for gamma_tri in gammas[1:]]
+        fields = [march(gammas[0])] + [future.result() for future in futures]
+    finite = np.all([np.isfinite(v.reshape(n_levels, -1)).all(axis=1) for v in fields], axis=0)
     if not finite.all():
         raise SolverError(f"non-finite solution at time step {int(np.argmin(finite))}")
-    return [values for _, values in marches]
+    return fields
 
 
 def solve_block(mesh: Mesh, alpha: float, inclusions: InclusionSet, u0, g, grid: TimeGrid):
@@ -321,9 +376,13 @@ def solve_block(mesh: Mesh, alpha: float, inclusions: InclusionSet, u0, g, grid:
 def solve_pair(mesh: Mesh, alpha: float, inclusions: InclusionSet, u0, g, grid: TimeGrid):
     """Perturbed and background marches of a block of m data sets.
 
-    The background conductivity is inclusions.gamma0 everywhere; both
-    marches share each step's load (see _march_block).  Returns the
-    nodal values (u, U), each of shape (n_steps + 1, n_nodes, m).
+    The background conductivity is inclusions.gamma0 everywhere.  Both
+    marches share each step's edge fluxes, evaluated once, and run at
+    the same time, u on the calling thread and U on a worker thread,
+    each with its own assembly, factorization and L1 loop (see
+    _march_block); the result is bitwise that of marching them one after
+    the other.  Returns the nodal values
+    (u, U), each of shape (n_steps + 1, n_nodes, m).
     """
     gammas = [
         inclusions.gamma_of_tag(mesh.region_tag),
@@ -340,21 +399,26 @@ def solve_background(
     return solve_subdiffusion(mesh, alpha, InclusionSet(items=(), gamma0=gamma0), f, u0, g, grid)
 
 
-def boundary_restrict(field: SpaceTimeField) -> BoundaryTrace:
-    """Restrict a field to the ordered boundary nodes of its mesh."""
-    mesh = field.mesh
+def _boundary_trace(mesh: Mesh, grid: TimeGrid, values) -> BoundaryTrace:
+    """The trace of rows already restricted to mesh.boundary_nodes."""
     ids = mesh.boundary_nodes
     pts = mesh.vertices[ids]
     lengths = mesh.edge_lengths()
     # trapezoid weight per node: half the two adjacent edge lengths
     weights = 0.5 * (lengths + np.roll(lengths, 1))
     return BoundaryTrace(
-        grid=field.grid,
+        grid=grid,
         node_ids=ids.copy(),
         angles=np.arctan2(pts[:, 1], pts[:, 0]),
         arc_weights=weights,
-        values=field.values[:, ids].copy(),
+        values=values,
     )
+
+
+def boundary_restrict(field: SpaceTimeField) -> BoundaryTrace:
+    """Restrict a field to the ordered boundary nodes of its mesh."""
+    mesh = field.mesh
+    return _boundary_trace(mesh, field.grid, field.values[:, mesh.boundary_nodes].copy())
 
 
 def add_noise(trace: BoundaryTrace, sigma: float, seed) -> BoundaryTrace:
@@ -388,10 +452,15 @@ def boundary_diffs(mesh: Mesh, grid: TimeGrid, u, U, sigma: float = 0.0, seed=No
     list of m BoundaryTraces.
     """
     children = np.random.SeedSequence(seed).spawn(u.shape[-1])
+    # the boundary rows of every column at once; the march has checked
+    # that the levels are finite
+    ids = mesh.boundary_nodes
+    u_rows, U_rows = u[:, ids], U[:, ids]
+    reference = _boundary_trace(mesh, grid, U_rows[..., 0])
     diffs = []
     for j, child in enumerate(children):
-        tr = boundary_restrict(SpaceTimeField(mesh, grid, u[..., j]))
+        tr = replace(reference, values=u_rows[..., j])
         if sigma != 0.0:
             tr = add_noise(tr, sigma, child)
-        diffs.append(tr.diff(boundary_restrict(SpaceTimeField(mesh, grid, U[..., j]))))
+        diffs.append(tr.diff(replace(reference, values=U_rows[..., j])))
     return diffs

@@ -391,11 +391,12 @@ def _check_conforming(verts, simplices, tags, inclusions) -> None:
 
 def _check_boundary_edges(simplices, n_far: int) -> None:
     """The outer polygon edges must appear in the triangulation."""
-    edges = np.sort(simplices[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    edges = simplices[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    # a polygon edge joins two outer-polygon nodes, the first n_far
+    edges = np.sort(edges[(edges < n_far).all(axis=1)], axis=1)
     nodes = np.arange(n_far)
     wanted = np.sort(np.column_stack([nodes, (nodes + 1) % n_far]), axis=1)
-    base = max(int(simplices.max()), n_far - 1) + 1
-    missing = ~np.isin(wanted @ [base, 1], edges @ [base, 1])
+    missing = ~np.isin(wanted @ [n_far, 1], edges @ [n_far, 1])
     if missing.any():
         k = int(np.argmax(missing))
         raise MeshError(f"outer boundary edge ({k}, {(k + 1) % n_far}) missing from mesh")

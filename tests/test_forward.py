@@ -1,7 +1,13 @@
 """Tests for the L1 / P1 forward solver and the boundary data model."""
 
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -256,20 +262,43 @@ class TestMarchSteps:
         assert "non-finite solution at time step 3" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def pair_case():
+    """A three-column block around one inclusion, with gamma0 = 2."""
+    incs = InclusionSet(items=(Inclusion((0.3, 0.2), 0.1, 50.0),), gamma0=2.0)
+    mesh = build_mesh(incs, 0.25, 0.025)
+    grid = TimeGrid(12, 1.0)
+    dirs = np.array([[1.0, 0.0], [0.6, -0.8], [-0.3, 0.5]])
+
+    def u0(p):
+        return np.exp(-(p**2).sum(1))[:, None] * (1.0 + p @ dirs.T)
+
+    def g(p, t, n):
+        return (1.0 + t) * (n @ dirs.T)
+
+    return mesh, incs, u0, g, grid
+
+
+def second_factorization_fails(monkeypatch, error):
+    """Make the second _factor call of any thread raise error."""
+    factor = forward._factor
+    calls = []
+    lock = threading.Lock()
+
+    def failing(*args):
+        with lock:
+            calls.append(1)
+            if len(calls) == 2:
+                raise error
+        return factor(*args)
+
+    monkeypatch.setattr(forward, "_factor", failing)
+
+
 class TestSolvePair:
-    def test_columns_match_single_marches(self):
+    def test_columns_match_single_marches(self, pair_case):
         # gamma0 = 2 also checks that the background takes the set's gamma0
-        incs = InclusionSet(items=(Inclusion((0.3, 0.2), 0.1, 50.0),), gamma0=2.0)
-        mesh = build_mesh(incs, 0.25, 0.025)
-        grid = TimeGrid(12, 1.0)
-        dirs = np.array([[1.0, 0.0], [0.6, -0.8], [-0.3, 0.5]])
-
-        def u0(p):
-            return np.exp(-(p**2).sum(1))[:, None] * (1.0 + p @ dirs.T)
-
-        def g(p, t, n):
-            return (1.0 + t) * (n @ dirs.T)
-
+        mesh, incs, u0, g, grid = pair_case
         u, U = solve_pair(mesh, 0.5, incs, u0, g, grid)
         assert u.shape == U.shape == (grid.n_steps + 1, len(mesh.vertices), 3)
         for j in range(3):
@@ -284,6 +313,106 @@ class TestSolvePair:
             bg = solve_background(mesh, 0.5, None, u0_j, g_j, grid, gamma0=2.0).values
             assert np.max(np.abs(u[..., j] - one)) <= 1e-12 * np.max(np.abs(one))
             assert np.max(np.abs(U[..., j] - bg)) <= 1e-12 * np.max(np.abs(bg))
+
+    def test_pair_is_bitwise_two_separate_marches(self, pair_case):
+        mesh, incs, u0, g, grid = pair_case
+        start = threading.active_count()
+        u, U = solve_pair(mesh, 0.5, incs, u0, g, grid)
+        # the pool's workers are gone once the march returns
+        assert threading.active_count() == start
+        gammas = [incs.gamma_of_tag(mesh.region_tag), np.full(len(mesh.triangles), 2.0)]
+        for field, gamma_tri in zip((u, U), gammas):
+            (alone,) = forward._march_block(mesh, 0.5, [gamma_tri], u0, g, grid)
+            assert np.array_equal(field, alone)
+
+    def test_worker_error_reaches_the_caller(self, pair_case, monkeypatch):
+        # either worker may make the second call; its error must reach
+        # the caller as it was raised, after both workers have stopped
+        mesh, incs, u0, g, grid = pair_case
+        error = SolverError("factorization of the time-step matrix failed: injected")
+        second_factorization_fails(monkeypatch, error)
+        start = threading.active_count()
+        with pytest.raises(SolverError) as info:
+            solve_pair(mesh, 0.5, incs, u0, g, grid)
+        assert info.value is error
+        assert threading.active_count() == start
+
+    def test_worker_error_exits_3(self, tmp_path, monkeypatch, capsys):
+        from fracloc import cli
+
+        config = tmp_path / "c.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "config_version": 1,
+                    "time_steps": 8,
+                    "mesh": {"h_far": 0.25},
+                    "inclusions": [{"center": [0.2, 0.3], "eps": 0.1, "gamma": 50.0}],
+                    "sources": {"n": 6},
+                    "scan": {"region": [-0.5, 0.5, -0.5, 0.5], "resolution": 11, "k": 3},
+                }
+            )
+        )
+        second_factorization_fails(monkeypatch, SolverError("injected"))
+        out = tmp_path / "out"
+        assert cli.main(["locate-multi", "--config", str(config), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == "fracloc: solver error: injected\n"
+
+
+class TestThreadCountDeterminism:
+    """The march's bits do not depend on the number of BLAS threads."""
+
+    @staticmethod
+    def _env(one_thread):
+        env = dict(os.environ, PYTHONPATH=str(Path(forward.__file__).parents[1]))
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            env.pop(var, None)
+        if one_thread:
+            env["OPENBLAS_NUM_THREADS"] = "1"
+        return env
+
+    def test_history_product_is_the_one_thread_product(self, tmp_path):
+        # 7137 = 2 * 3568 + 1 leaves a last chunk of one column at 129 levels
+        shapes = [(n, w) for n in (2, 17, 129, 513) for w in (1805, 18050, 36100)]
+        shapes.append((129, 7137))
+
+        def case(n, w):
+            rng = np.random.default_rng([n, w])
+            return rng.standard_normal(n), rng.standard_normal((n, w))
+
+        # the one-thread product, unchunked, in a process of its own
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            f"for n, w in {shapes!r}:\n"
+            "    rng = np.random.default_rng([n, w])\n"
+            "    row, levels = rng.standard_normal(n), rng.standard_normal((n, w))\n"
+            "    np.save(f'{sys.argv[1]}/{n}-{w}.npy', row @ levels)\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path)], env=self._env(True), timeout=300
+        )
+        assert run.returncode == 0
+        for n, w in shapes:
+            row, levels = case(n, w)
+            assert np.array_equal(forward._history(row, levels), np.load(tmp_path / f"{n}-{w}.npy"))
+
+    def test_locate_multi_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        config = Path(__file__).parents[1] / "configs" / "example43.json"
+        outputs = []
+        for one_thread in (True, False):
+            out = tmp_path / f"threads-{'one' if one_thread else 'default'}"
+            argv = ["locate-multi", "--config", str(config), "--out", str(out)]
+            run = subprocess.run(
+                [sys.executable, "-m", "fracloc.cli", *argv],
+                env=self._env(one_thread),
+                capture_output=True,
+                timeout=300,
+            )
+            assert run.returncode == 0, run.stderr
+            outputs.append(json.loads((out / "manifest.json").read_text())["outputs"])
+        assert outputs[0] == outputs[1]
 
 
 class TestFundamentalTracking:
