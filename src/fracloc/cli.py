@@ -13,6 +13,14 @@ Every run writes its outputs plus a manifest.json capturing the
 resolved configuration and content hashes, so a rerun with the same
 config on the same build reproduces the files byte for byte.
 
+Work that does not depend on the march runs beside it on one worker
+thread: locate-multi (and each value of a multi sweep) computes the
+indicator scan's kernel rows from before the mesh is built
+(locate_multi.KernelRows), and forward writes mesh.txt and the
+background files while u marches.  Each worker has stopped when its
+command returns, the outputs are those of a run without it, and errors
+come in the same order.
+
 Exit codes: 0 success, 2 config error, 3 solver/mesh/quadrature error,
 4 reconstruction failure.
 """
@@ -22,6 +30,7 @@ import copy
 import json
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +55,7 @@ from .fracmath import TimeGrid, _check_alpha
 from .greenfn import fit_green_coeffs
 from .locate_one import _check_tol, default_segments, locate_one_inclusion
 from .locate_multi import (
+    KernelRows,
     _check_scan,
     build_data_matrix,
     peak_extract,
@@ -329,22 +339,35 @@ def cmd_forward(cfg, out_dir):
     def g(p, t, nrm):
         return gamma0 * (nrm @ a)
 
-    # U = a.x solves the background problem exactly in P1 at every level
-    U = SpaceTimeField(
-        mesh, grid, np.broadcast_to(u0(mesh.vertices), (grid.n_steps + 1, len(mesh.vertices)))
-    )
-    files = {
-        "mesh.txt": mesh.save(out_dir / "mesh.txt"),
-        "background_trace.csv": boundary_restrict(U).to_csv(out_dir / "background_trace.csv"),
-        "background_field.csv": U.to_csv(out_dir / "background_field.csv"),
-    }
-    if incs.items:
-        u = solve_subdiffusion(mesh, float(cfg["alpha"]), incs, None, u0, g, grid)
-        trace = boundary_restrict(u)
-        sigma = float(cfg["noise"]["sigma"])
-        if sigma != 0.0:
-            trace = add_noise(trace, sigma, int(cfg["noise"]["seed"]))
-        files["solution_trace.csv"] = trace.to_csv(out_dir / "solution_trace.csv")
+    def write_background():
+        # U = a.x solves the background problem exactly in P1 at every level
+        U = SpaceTimeField(
+            mesh, grid, np.broadcast_to(u0(mesh.vertices), (grid.n_steps + 1, len(mesh.vertices)))
+        )
+        return {
+            "mesh.txt": mesh.save(out_dir / "mesh.txt"),
+            "background_trace.csv": boundary_restrict(U).to_csv(out_dir / "background_trace.csv"),
+            "background_field.csv": U.to_csv(out_dir / "background_field.csv"),
+        }
+
+    if not incs.items:
+        return write_background()
+    # none of the background files depends on u, so a worker writes them
+    # while u marches; the worker has stopped when this block is left
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        written = pool.submit(write_background)
+        try:
+            u = solve_subdiffusion(mesh, float(cfg["alpha"]), incs, None, u0, g, grid)
+        except BaseException:
+            # a write error goes first, as when the files were written before the march
+            written.result()
+            raise
+        files = written.result()
+    trace = boundary_restrict(u)
+    sigma = float(cfg["noise"]["sigma"])
+    if sigma != 0.0:
+        trace = add_noise(trace, sigma, int(cfg["noise"]["seed"]))
+    files["solution_trace.csv"] = trace.to_csv(out_dir / "solution_trace.csv")
     return files
 
 
@@ -402,7 +425,17 @@ def cmd_locate_one(cfg, out_dir):
     return {"reconstruction.csv": digest}
 
 
-def _locate_multi_run(cfg, incs, mesh, grid, coeffs):
+def _locate_multi_run(cfg):
+    """Inclusions, data matrix, indicator grid and peaks of one locate-multi run.
+
+    The scan's kernel rows depend on the sources and the scan grid, not
+    on the data, so a worker thread computes them (KernelRows.ahead) from
+    before the mesh is built until the scan takes them.  The calling
+    thread fits the kernel coefficients first, since the rows need them,
+    and then builds the mesh, marches the data matrix and takes the
+    indicator as before, so its errors come in the same order.
+    """
+    coeffs = _coeffs(cfg)
     sources = _sources(cfg)
     scan_cfg = cfg["scan"]
     region = tuple(scan_cfg["region"])
@@ -410,38 +443,39 @@ def _locate_multi_run(cfg, incs, mesh, grid, coeffs):
     peaks = int(scan_cfg["peaks"])
     k = scan_cfg["k"]
     tau = float(scan_cfg["tau"])
-    # every scan range is checked before the data matrix is marched
-    _check_scan(sources, region, resolution, peaks, k, tau)
-    data = build_data_matrix(
-        sources,
-        incs,
-        float(cfg["alpha"]),
-        coeffs,
-        mesh,
-        grid,
-        n_terms=int(cfg["series_terms"]),
-        sigma=float(cfg["noise"]["sigma"]),
-        seed=int(cfg["noise"]["seed"]),
-    )
-    if k is None:
-        # a point inclusion's kernel matrix has 2 dominant directions and
-        # secondary ones near tau, so keep at least 2 per sought peak
-        k = select_truncation(data.singular_values, tau)
-        k = min(max(k, 2 * peaks + 1), data.n - 1)
-    igrid = scan_indicator(
-        data,
+    rows = KernelRows(
         sources,
         float(cfg["alpha"]),
         coeffs,
         region=region,
         resolution=resolution,
-        k=int(k),
         n_terms=int(cfg["series_terms"]),
         t_final=float(cfg["t_final"]),
         gamma0=float(cfg["gamma0"]),
     )
+    with rows.ahead():
+        incs, mesh, grid = _build_setting(cfg)
+        # every scan range is checked before the data matrix is marched
+        _check_scan(sources, region, resolution, peaks, k, tau)
+        data = build_data_matrix(
+            sources,
+            incs,
+            float(cfg["alpha"]),
+            coeffs,
+            mesh,
+            grid,
+            n_terms=int(cfg["series_terms"]),
+            sigma=float(cfg["noise"]["sigma"]),
+            seed=int(cfg["noise"]["seed"]),
+        )
+        if k is None:
+            # a point inclusion's kernel matrix has 2 dominant directions and
+            # secondary ones near tau, so keep at least 2 per sought peak
+            k = select_truncation(data.singular_values, tau)
+            k = min(max(k, 2 * peaks + 1), data.n - 1)
+        igrid = scan_indicator(data, k=int(k), rows=rows, **rows.scan)
     located = peak_extract(igrid, peaks, min_separation=float(scan_cfg["min_separation"]))
-    return sources, data, igrid, located
+    return incs, data, igrid, located
 
 
 def _nearest_center(p, incs):
@@ -452,8 +486,7 @@ def _nearest_center(p, incs):
 
 def cmd_locate_multi(cfg, out_dir):
     _check_march(cfg, _march_fields(cfg, "multi"))
-    incs, mesh, grid = _build_setting(cfg)
-    sources, data, igrid, peaks = _locate_multi_run(cfg, incs, mesh, grid, _coeffs(cfg))
+    incs, data, igrid, peaks = _locate_multi_run(cfg)
     return {
         "data_matrix.csv": _write_csv(out_dir / "data_matrix.csv", None, data.B),
         "singular_values.csv": _write_csv(
@@ -551,14 +584,13 @@ def cmd_sweep(cfg, out_dir):
     rows = []
     failed = 0
     for value, swept in zip(values, swept_cfgs):
-        incs, mesh, grid = _build_setting(swept)
-        coeffs = _coeffs(swept)
         try:
             if algorithm == "one":
-                rec = _locate_one_run(swept, incs, mesh, grid, coeffs)
+                incs, mesh, grid = _build_setting(swept)
+                rec = _locate_one_run(swept, incs, mesh, grid, _coeffs(swept))
                 rows.append((value, _center_error(rec.P, incs), rec.rho0))
             else:
-                _, _, _, peaks = _locate_multi_run(swept, incs, mesh, grid, coeffs)
+                incs, _, _, peaks = _locate_multi_run(swept)
                 worst = max(_nearest_center(p, incs) for p in peaks)
                 rows.append((value, worst, float(len(peaks))))
         except ReconstructionError as exc:

@@ -19,8 +19,17 @@ time scale lam = gamma0 t^alpha.  A scan takes the time half once, on
 the quadrature nodes; each grid row then takes the powers of rho^2 per
 (point, source), one exp per (point, source, node) and a product with
 the time half, so no power is taken per (point, time) pair.
+
+G(z) depends on the sources and z only, not on the data, so a scan's
+kernel rows can be computed before B exists: ``KernelRows.ahead``
+computes them on one worker thread, up to SCAN_AHEAD_BYTES of them,
+while the caller builds the mesh and marches the data matrix, and
+``scan_indicator`` takes the indicator over the rows done ahead and
+computes the rest itself, through the same row function.
 """
 
+import threading
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,13 +48,20 @@ from .greenfn import (
     grad_approx_fundamental,
 )
 from .measure import KernelProbe, tabulate_normal_derivative
-from .textfile import table_lines, write_hashed
+from .textfile import write_hashed
 
 GAUSS_POINTS_PER_PANEL = 8
 REFINEMENT_LEVELS = 6
 SENTINEL_RATIO = 1e-14
 SENTINEL_VALUE = 1e14
 _LEGENDRE = np.polynomial.legendre.leggauss(GAUSS_POINTS_PER_PANEL)
+# The most bytes of kernel rows that KernelRows.ahead holds before their
+# indicator is taken: 8 B x resolution x n^2 per grid row.  It holds a
+# whole 101x101 scan against the default 10 sources (8.2 MB, example43)
+# or a 41x41 one (1.3 MB); held rows add their size to the peak RSS.
+# Against the 20 sources of a quarter arc a 101x101 scan needs 33 MB, and
+# the rows past the budget are computed when the scan is taken.
+SCAN_AHEAD_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True)
@@ -298,6 +314,11 @@ def _scan_axes(region, resolution):
     return np.linspace(xmin, xmax, resolution), np.linspace(ymin, ymax, resolution)
 
 
+def _scan_points(xs, ys):
+    """The scan grid's points, shape (ys.size, xs.size, 2): one grid row per y."""
+    return np.stack(np.meshgrid(xs, ys), axis=-1)
+
+
 def _check_peak_request(m, shape):
     if m < 1:
         raise ConfigError(f"peak count {m} must be positive")
@@ -375,15 +396,110 @@ class IndicatorGrid:
     def to_csv(self, path) -> str:
         """Header x,y,W, then one %.18e line per grid point, x fastest.
 
-        Returns the sha256 hex digest of the file.
+        Returns the sha256 hex digest of the file.  Each grid row is
+        formatted by one % operation and written as it is made, so the
+        file is never held whole.
         """
-        xs = self.xs.tolist()
-        rows = (
-            (x, y, w)
-            for y, line in zip(self.ys.tolist(), self.values.tolist())
-            for x, w in zip(xs, line)
+        line = "%.18e,%.18e,%.18e\n" * self.xs.size
+        block = np.empty((self.xs.size, 3))
+        block[:, 0] = self.xs
+
+        def chunks():
+            yield "x,y,W\n"
+            for y, row in zip(self.ys, self.values):
+                block[:, 1] = y
+                block[:, 2] = row
+                yield line % tuple(block.ravel().tolist())
+
+        return write_hashed(path, chunks())
+
+
+class KernelRows:
+    """The kernel matrices of a scan grid, one grid row at a time, in order.
+
+    Iterating yields each grid row's stack of G(z), shape (resolution,
+    n, n), computed by _kernel_matrix with the time half taken once.
+    ``ahead()`` starts one worker thread that computes them while the
+    caller goes on: the time half, then one row after another, until the
+    last row or until one more would take the rows it holds over
+    SCAN_AHEAD_BYTES, so no row is held if one row is over it.
+    Iterating stops and joins the worker, yields the rows it has done,
+    dropping each as it goes, and computes the rest itself.  The worker
+    raises nothing: at its first error it stops, and iterating computes
+    that row again, so the error is raised where a scan without a worker
+    raises it.  ``close()``, or leaving a ``with`` block, stops and joins
+    the worker.
+    """
+
+    def __init__(self, sources, alpha, coeffs, *, region, resolution, n_terms, t_final, gamma0):
+        # the keyword arguments of scan_indicator that fix the rows
+        self.scan = dict(
+            sources=sources,
+            alpha=alpha,
+            coeffs=coeffs,
+            region=tuple(region),
+            resolution=resolution,
+            n_terms=n_terms,
+            t_final=t_final,
+            gamma0=gamma0,
         )
-        return write_hashed(path, table_lines("x,y,W", "%.18e", rows))
+        self._time = None
+        self._done = deque()
+        self._stop = threading.Event()
+        self._worker = None
+
+    def _points(self):
+        return _scan_points(*_scan_axes(self.scan["region"], self.scan["resolution"]))
+
+    def _time_half(self):
+        s = self.scan
+        return _forward_time_factors(
+            s["sources"], s["alpha"], s["coeffs"], s["n_terms"], s["t_final"], s["gamma0"]
+        )
+
+    def ahead(self):
+        """Start computing the rows on a worker thread; returns self."""
+        self._worker = threading.Thread(target=self._compute_ahead, name="fracloc-kernel-rows")
+        self._worker.start()
+        return self
+
+    def _compute_ahead(self):
+        try:
+            points = self._points()
+            self._time = self._time_half()
+            sources = self.scan["sources"]
+            row_bytes = 8 * points.shape[1] * sources.n**2
+            for zs in points[: SCAN_AHEAD_BYTES // row_bytes]:
+                if self._stop.is_set():
+                    return
+                self._done.append(_kernel_matrix(zs, sources, *self._time))
+        except Exception:
+            # iterating computes this row again and raises the error there
+            return
+
+    def close(self):
+        """Stop the worker after its current row and wait for it."""
+        self._stop.set()
+        if self._worker is not None:
+            self._worker.join()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def __iter__(self):
+        self.close()
+        points = self._points()
+        done = self._done
+        start = len(done)
+        while done:
+            yield done.popleft()
+        if start < len(points):
+            time = self._time_half() if self._time is None else self._time
+            for zs in points[start:]:
+                yield _kernel_matrix(zs, self.scan["sources"], *time)
 
 
 def scan_indicator(
@@ -398,19 +514,35 @@ def scan_indicator(
     n_terms=3,
     t_final=1.0,
     gamma0=1.0,
+    rows=None,
 ):
     """Evaluate the indicator on a resolution x resolution interior grid.
 
     k is the truncation level, chosen by the caller (the CLI floors
     select_truncation's count; see cli._locate_multi_run).  The time half
     of the kernel factor is taken once per scan, and each grid row is one
-    kernel-matrix and one indicator call in the calling process.
+    kernel-matrix and one indicator call.  rows, if given, is a
+    KernelRows made with the same arguments, whose worker may have
+    computed the first rows ahead (the CLI starts it before the mesh);
+    by default every row is computed here.
     """
     xs, ys = _scan_axes(region, resolution)
-    time = _forward_time_factors(sources, alpha, coeffs, n_terms, t_final, gamma0)
-    points = np.stack(np.meshgrid(xs, ys), axis=-1)
-    rows = [indicator(zs, data, k, _kernel_matrix(zs, sources, *time)) for zs in points]
-    return IndicatorGrid(xs=xs, ys=ys, values=np.stack(rows))
+    scan = KernelRows(
+        sources,
+        alpha,
+        coeffs,
+        region=region,
+        resolution=resolution,
+        n_terms=n_terms,
+        t_final=t_final,
+        gamma0=gamma0,
+    )
+    if rows is None:
+        rows = scan
+    elif rows.scan != scan.scan:
+        raise ConfigError("kernel rows were made for another scan")
+    values = [indicator(zs, data, k, g) for zs, g in zip(_scan_points(xs, ys), rows)]
+    return IndicatorGrid(xs=xs, ys=ys, values=np.stack(values))
 
 
 def peak_extract(grid, m, min_separation=0.0):

@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracloc import cli, locate_multi, mesh
+from fracloc import cli, forward, locate_multi, mesh
 from fracloc.errors import ConfigError, ReconstructionError, SolverError
 
 
@@ -780,6 +782,214 @@ class TestLocateMultiCommand:
         a = (tmp_path / "a" / "w_grid.csv").read_bytes()
         b = (tmp_path / "b" / "w_grid.csv").read_bytes()
         assert a == b
+
+
+def manifest_outputs(out):
+    return json.loads((out / "manifest.json").read_text())["outputs"]
+
+
+def on_worker():
+    return threading.current_thread() is not threading.main_thread()
+
+
+def no_march(*args, **kwargs):
+    raise SolverError("injected")
+
+
+class TestWorkBesideTheMarch:
+    """locate-multi computes the scan's kernel rows and forward writes the
+    background files on a worker thread while the calling thread marches."""
+
+    @pytest.mark.parametrize("worker", ["after", "before"])
+    def test_locate_multi_outputs_do_not_depend_on_timing(
+        self, tmp_path, monkeypatch, cheap_multi, worker
+    ):
+        start = threading.active_count()
+        assert cli.main(["locate-multi", "--config", cheap_multi, "--out", str(tmp_path / "a")]) == 0
+        row_fn, march, build = locate_multi._kernel_matrix, locate_multi.solve_pair, cli.build_data_matrix
+        ahead = []  # rows the worker has made
+        built = threading.Event()
+        all_rows = threading.Event()
+        at_data_matrix = []
+
+        def rows(*args):
+            if on_worker() and worker == "after":
+                assert built.wait(timeout=60)
+            g = row_fn(*args)
+            if on_worker():
+                ahead.append(1)
+                if len(ahead) == 21:
+                    all_rows.set()
+            return g
+
+        def late_march(*args):
+            if worker == "before":
+                assert all_rows.wait(timeout=60)
+            return march(*args)
+
+        def data_matrix(*args, **kwargs):
+            data = build(*args, **kwargs)
+            at_data_matrix.append(len(ahead))
+            built.set()
+            return data
+
+        monkeypatch.setattr(locate_multi, "_kernel_matrix", rows)
+        monkeypatch.setattr(locate_multi, "solve_pair", late_march)
+        monkeypatch.setattr(cli, "build_data_matrix", data_matrix)
+        assert cli.main(["locate-multi", "--config", cheap_multi, "--out", str(tmp_path / "b")]) == 0
+        # the worker had made no row, or every row, when the data matrix was built
+        assert at_data_matrix == [0 if worker == "after" else 21]
+        assert manifest_outputs(tmp_path / "b") == manifest_outputs(tmp_path / "a")
+        assert threading.active_count() == start
+
+    @pytest.mark.parametrize("worker", ["after", "before"])
+    def test_forward_outputs_do_not_depend_on_timing(self, tmp_path, monkeypatch, cheap_one, worker):
+        start = threading.active_count()
+        assert cli.main(["forward", "--config", cheap_one, "--out", str(tmp_path / "a")]) == 0
+        save, write_field, march = mesh.Mesh.save, forward.SpaceTimeField.to_csv, cli.solve_subdiffusion
+        events = []
+        marched = threading.Event()
+        written = threading.Event()
+
+        def late_save(self, path):
+            if worker == "after":
+                assert marched.wait(timeout=60)
+            events.append("write")
+            return save(self, path)
+
+        def field_csv(self, path):
+            digest = write_field(self, path)
+            written.set()
+            return digest
+
+        def late_march(*args):
+            if worker == "before":
+                assert written.wait(timeout=60)
+            u = march(*args)
+            events.append("march")
+            marched.set()
+            return u
+
+        monkeypatch.setattr(mesh.Mesh, "save", late_save)
+        monkeypatch.setattr(forward.SpaceTimeField, "to_csv", field_csv)
+        monkeypatch.setattr(cli, "solve_subdiffusion", late_march)
+        assert cli.main(["forward", "--config", cheap_one, "--out", str(tmp_path / "b")]) == 0
+        assert events == (["march", "write"] if worker == "after" else ["write", "march"])
+        assert manifest_outputs(tmp_path / "b") == manifest_outputs(tmp_path / "a")
+        assert threading.active_count() == start
+
+    def test_locate_multi_march_error_beats_scan_error(self, monkeypatch, capsys, cheap_multi):
+        start = threading.active_count()
+        scanned = threading.Event()
+
+        def infinite(rho2, times):
+            scanned.set()
+            return np.full(np.shape(rho2) + times.rate.shape, np.inf)
+
+        def march_after_scan(*args, **kwargs):
+            assert scanned.wait(timeout=60)
+            no_march()
+
+        monkeypatch.setattr(locate_multi, "_separated", infinite)
+        monkeypatch.setattr(forward, "_march_block", march_after_scan)
+        assert cli.main(["locate-multi", "--config", cheap_multi]) == 3
+        assert capsys.readouterr().err == "fracloc: solver error: injected\n"
+        assert threading.active_count() == start
+
+    def test_march_error_stops_a_busy_worker(self, monkeypatch, capsys, cheap_multi):
+        start = threading.active_count()
+        row_fn = locate_multi._kernel_matrix
+        made = []
+
+        def slow_rows(*args):
+            if on_worker():
+                time.sleep(0.05)
+                made.append(1)
+            return row_fn(*args)
+
+        monkeypatch.setattr(locate_multi, "_kernel_matrix", slow_rows)
+        monkeypatch.setattr(forward, "_march_block", no_march)
+        assert cli.main(["locate-multi", "--config", cheap_multi]) == 3
+        assert capsys.readouterr().err == "fracloc: solver error: injected\n"
+        # the worker stopped after the row it was making, of 21
+        assert threading.active_count() == start
+        assert len(made) < 21
+
+    def test_forward_write_error_beats_march_error(self, tmp_path, monkeypatch, capsys, cheap_one):
+        start = threading.active_count()
+        out = tmp_path / "out"
+        (out / "background_field.csv").mkdir(parents=True)
+        assert cli.main(["forward", "--config", cheap_one]) == 2
+        expected = capsys.readouterr().err
+        assert expected.startswith(f"fracloc: config error: cannot write the outputs in {out}: ")
+        assert "background_field.csv" in expected
+        monkeypatch.setattr(forward, "_march_block", no_march)
+        assert cli.main(["forward", "--config", cheap_one]) == 2
+        assert capsys.readouterr().err == expected
+        assert threading.active_count() == start
+
+    def test_kernel_rows_held_within_budget(self, tmp_path, monkeypatch, cheap_multi):
+        start = threading.active_count()
+        assert cli.main(["locate-multi", "--config", cheap_multi, "--out", str(tmp_path / "a")]) == 0
+        # 21 grid rows of 21 points against 6 sources
+        monkeypatch.setattr(locate_multi, "SCAN_AHEAD_BYTES", 2 * 8 * 21 * 6**2)
+        row_fn, compute_ahead = locate_multi._kernel_matrix, locate_multi.KernelRows._compute_ahead
+        march, build = locate_multi.solve_pair, cli.build_data_matrix
+        calls = []
+        at_data_matrix = []
+        stopped = threading.Event()
+
+        def rows(*args):
+            calls.append(on_worker())
+            return row_fn(*args)
+
+        def worker(self):
+            compute_ahead(self)
+            stopped.set()
+
+        def late_march(*args):
+            # the worker has stopped on its own before the march starts
+            assert stopped.wait(timeout=60)
+            return march(*args)
+
+        def data_matrix(*args, **kwargs):
+            data = build(*args, **kwargs)
+            at_data_matrix.append(len(calls))
+            return data
+
+        monkeypatch.setattr(locate_multi, "_kernel_matrix", rows)
+        monkeypatch.setattr(locate_multi.KernelRows, "_compute_ahead", worker)
+        monkeypatch.setattr(locate_multi, "solve_pair", late_march)
+        monkeypatch.setattr(cli, "build_data_matrix", data_matrix)
+        assert cli.main(["locate-multi", "--config", cheap_multi, "--out", str(tmp_path / "b")]) == 0
+        assert at_data_matrix == [2]
+        assert calls == [True] * 2 + [False] * 19
+        assert manifest_outputs(tmp_path / "b") == manifest_outputs(tmp_path / "a")
+        assert threading.active_count() == start
+
+    def test_sweep_runs_one_worker_per_value(self, tmp_path, monkeypatch):
+        start = threading.active_count()
+        workers = []
+        compute_ahead = locate_multi.KernelRows._compute_ahead
+
+        def worker(self):
+            workers.append(threading.current_thread())
+            compute_ahead(self)
+
+        monkeypatch.setattr(locate_multi.KernelRows, "_compute_ahead", worker)
+        cfg = write_config(
+            tmp_path / "c.json",
+            time_steps=16,
+            mesh={"h_far": 0.25},
+            inclusions=[CHEAP_INCLUSION],
+            sources={"n": 6},
+            scan={"region": [-0.5, 0.5, -0.5, 0.5], "resolution": 11, "k": 3},
+            sweep={"parameter": "sigma", "values": [0.0, 0.01], "algorithm": "multi"},
+            output_dir=str(tmp_path / "out"),
+        )
+        assert cli.main(["sweep", "--config", cfg]) == 0
+        assert len(workers) == 2 and not any(t.is_alive() for t in workers)
+        assert threading.active_count() == start
 
 
 class TestOracleCheckCommand:

@@ -1,5 +1,9 @@
 """Tests for the multi-inclusion data matrix, kernels and indicator scan."""
 
+import hashlib
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -467,6 +471,101 @@ class TestIndicatorGrid:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "x,y,W"
         assert len(lines) == 7
+
+    def test_csv_bytes(self, tmp_path):
+        # one "%.18e,%.18e,%.18e" line per point, x fastest
+        xs = np.array([-0.5, -0.0, 5e-324, 0.25])
+        ys = np.array([-0.7, 1e-3, 0.6])
+        values = np.array(
+            [
+                [1.0, -0.0, 5e-324, 1e16],
+                [locate_multi.SENTINEL_VALUE, 1.0 + 2.0**-52, 3.5, -2.0],
+                [np.pi, 1e-300, 7.0, 1.0],
+            ]
+        )
+        out = tmp_path / "w.csv"
+        digest = IndicatorGrid(xs=xs, ys=ys, values=values).to_csv(out)
+        expected = "x,y,W\n" + "".join(
+            "%.18e,%.18e,%.18e\n" % (x, y, w)
+            for y, row in zip(ys.tolist(), values.tolist())
+            for x, w in zip(xs.tolist(), row)
+        )
+        assert out.read_bytes() == expected.encode("ascii")
+        for text in ("\n-0.000000000000000000e+00,", ",4.940656458412465442e-324\n", ",1.000000000000000000e+14\n"):
+            assert text in expected
+        assert digest == hashlib.sha256(expected.encode("ascii")).hexdigest()
+
+
+class TestKernelRows:
+    """Kernel rows computed ahead on a worker thread are those of a plain scan."""
+
+    SCAN = dict(region=(-0.4, 0.4, -0.3, 0.3), resolution=7, n_terms=3, t_final=1.0, gamma0=1.0)
+
+    def rows(self, coeffs):
+        return locate_multi.KernelRows(SourceSet(n=5), 0.5, coeffs, **self.SCAN)
+
+    @pytest.mark.parametrize("held", [0, 1, 3, 7])
+    def test_rows_ahead_are_the_inline_rows(self, coeffs_half, monkeypatch, held):
+        start = threading.active_count()
+        row_bytes = 8 * 7 * 5**2
+        monkeypatch.setattr(locate_multi, "SCAN_AHEAD_BYTES", held * row_bytes + row_bytes - 1)
+        inline = list(self.rows(coeffs_half))
+        with self.rows(coeffs_half).ahead() as rows:
+            rows._worker.join(timeout=60)
+            assert not rows._worker.is_alive()
+            assert len(rows._done) == held
+            ahead = list(rows)
+        assert threading.active_count() == start
+        assert len(ahead) == len(inline) == 7
+        for a, b in zip(ahead, inline):
+            assert a.tobytes() == b.tobytes()
+
+    def test_rows_taken_while_workers_run(self, coeffs_half):
+        # four workers on two cores, each stopped at whatever row it has
+        # reached when its rows are taken, with a thread switch every 1 us
+        start = threading.active_count()
+        inline = [g.tobytes() for g in self.rows(coeffs_half)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                workers = [self.rows(coeffs_half).ahead() for _ in range(4)]
+                for rows in workers:
+                    with rows:
+                        assert [g.tobytes() for g in rows] == inline
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == start
+
+    def test_scan_over_rows_ahead_is_the_plain_scan(self, coeffs_half):
+        src = SourceSet(n=5)
+        data = DataMatrix(np.random.default_rng(2).standard_normal((5, 5)))
+        plain = scan_indicator(data, src, 0.5, coeffs_half, k=2, **self.SCAN)
+        with self.rows(coeffs_half).ahead() as rows:
+            grid = scan_indicator(data, k=2, rows=rows, **rows.scan)
+        assert grid.values.tobytes() == plain.values.tobytes()
+        assert np.array_equal(grid.xs, plain.xs) and np.array_equal(grid.ys, plain.ys)
+
+    def test_rows_of_another_scan_are_rejected(self, coeffs_half):
+        data = DataMatrix(np.eye(5))
+        scan = dict(self.SCAN, resolution=9)
+        with pytest.raises(ConfigError, match="another scan"):
+            scan_indicator(data, SourceSet(n=5), 0.5, coeffs_half, k=2, rows=self.rows(coeffs_half), **scan)
+
+    def test_worker_error_is_raised_by_the_scan(self, coeffs_half, monkeypatch):
+        start = threading.active_count()
+        monkeypatch.setattr(
+            locate_multi,
+            "_separated",
+            lambda rho2, times: np.full(np.shape(rho2) + times.rate.shape, np.nan),
+        )
+        with self.rows(coeffs_half).ahead() as rows:
+            rows._worker.join(timeout=60)
+            assert not rows._worker.is_alive()
+            assert not rows._done
+            with pytest.raises(QuadratureError, match="not finite"):
+                scan_indicator(DataMatrix(np.eye(5)), k=2, rows=rows, **rows.scan)
+        assert threading.active_count() == start
 
 
 class TestScanValidation:
