@@ -60,7 +60,6 @@ integrated, so fluxes defined through the normal (e.g. gamma0 a.n for a
 harmonic background a.x) are reproduced exactly in P1.
 """
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -69,7 +68,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
 from .errors import ConfigError, SolverError
-from .fracmath import TimeGrid, _check_alpha, l1_weights
+from .fracmath import TimeGrid, l1_constants
 from .mesh import InclusionSet, Mesh
 from .textfile import write_hashed
 
@@ -228,13 +227,6 @@ def _edge_fluxes(mesh: Mesh, g, t: float) -> np.ndarray:
     )
 
 
-def _l1_constants(alpha: float, grid: TimeGrid):
-    """beta = dt^(-alpha) / Gamma(2 - alpha) and the L1 weights b."""
-    _check_alpha(alpha)
-    beta = grid.dt ** (-alpha) / math.gamma(2.0 - alpha)
-    return beta, l1_weights(alpha, grid.n_steps)
-
-
 def _factor(M, K, beta):
     """Sparse LU of the SPD time-step matrix beta M + K.
 
@@ -318,7 +310,7 @@ def _march_block(mesh: Mesh, alpha: float, gammas, u0, g, grid: TimeGrid, f=None
     the loop.  Returns one array of shape (n_steps + 1, n_nodes) or
     (n_steps + 1, n_nodes, m) per conductivity.
     """
-    beta, b = _l1_constants(alpha, grid)
+    beta, b = l1_constants(alpha, grid)
     vertices = mesh.vertices
     init = np.zeros(len(vertices)) if u0 is None else np.asarray(u0(vertices), dtype=float)
     n_levels = grid.n_steps + 1

@@ -1,9 +1,11 @@
 """Fractional-calculus primitives on uniform time grids.
 
-The uniform time grid and the L1 weights drive the forward march; the
-L1 Caputo derivative and the Riemann-Liouville integral built on them
-are the discrete operators the acceptance criteria check against
-monomials.  Everything here is scalar/ndarray numpy code; no mesh or PDE knowledge.
+The uniform time grid and the L1 scale and weights (``l1_constants``,
+the one copy of beta = dt^(-alpha) / Gamma(2 - alpha)) drive the forward
+march; the L1 Caputo derivative and the Riemann-Liouville integral built
+on them are the discrete operators the acceptance criteria check against
+monomials.  Everything here is scalar/ndarray numpy code with ``math.gamma``
+(nothing from SciPy); no mesh or PDE knowledge.
 Conventions:
 
 * the fractional order ``alpha`` lives in (0, 1); ``alpha = 1`` is accepted
@@ -24,13 +26,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .errors import ConfigError
 
 __all__ = [
     "TimeGrid",
     "l1_weights",
+    "l1_constants",
     "caputo_l1_apply",
     "rl_integral",
 ]
@@ -87,6 +89,17 @@ def l1_weights(alpha: float, n: int) -> np.ndarray:
     return lead - trail
 
 
+def l1_constants(alpha: float, grid: TimeGrid):
+    """The L1 scale beta = dt^(-alpha) / Gamma(2 - alpha) and the weights b.
+
+    The L1 derivative at t_j is beta * sum_{k=1}^{j} b_{j-k} (w_k - w_{k-1});
+    the forward march and caputo_l1_apply both take beta and b from here.
+    """
+    _check_alpha(alpha)
+    beta = grid.dt ** (-alpha) / math.gamma(2.0 - alpha)
+    return beta, l1_weights(alpha, grid.n_steps)
+
+
 def caputo_l1_apply(alpha: float, values: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """L1 approximation of the Caputo derivative of order alpha.
 
@@ -109,9 +122,7 @@ def caputo_l1_apply(alpha: float, values: np.ndarray, grid: TimeGrid) -> np.ndar
         raise ConfigError(
             f"values has leading dimension {w.shape[0]}, expected n_steps+1 = {n + 1}"
         )
-    tau = grid.dt
-    scale = tau ** (-alpha) / _gamma(2.0 - alpha)
-    b = l1_weights(alpha, n)
+    scale, b = l1_constants(alpha, grid)
     dw = np.diff(w, axis=0)  # dw[k] = w_{k+1} - w_{k}, k = 0..n-1
     out = np.empty_like(dw)
     for j in range(1, n + 1):
@@ -137,7 +148,7 @@ def rl_integral(alpha: float, values: np.ndarray, grid: TimeGrid) -> np.ndarray:
         )
     tau = grid.dt
     out = np.zeros_like(w)
-    inv_gamma = 1.0 / _gamma(alpha)
+    inv_gamma = 1.0 / math.gamma(alpha)
     for i in range(1, n + 1):
         # interval [t_k, t_{k+1}] contributes with sigma = t_i - s in [B, A]
         k = np.arange(i)

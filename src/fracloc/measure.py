@@ -23,13 +23,16 @@ An equivalent interior form (conductivity-contrast weighted gradient
 coupling over the inclusions) serves as a cross-check, and leading_term
 evaluates the first-order small-volume model driven by polarization
 tensors.
+
+Importing this module loads no ``scipy.interpolate``: OracleKernelProbe,
+the cross-check probe only ``oracle-check`` builds, imports its cubic
+spline when it is constructed.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError
 from .forward import BoundaryTrace, SpaceTimeField
@@ -184,7 +187,10 @@ class OracleKernelProbe:
     algorithms use the truncated-series KernelProbe.
 
     Construction costs one profile evaluation per table node, a fraction
-    of a second for the 420-node d = 2 table at any alpha.
+    of a second for the 420-node d = 2 table at any alpha.  The first
+    construction in a process also imports ``scipy.interpolate`` (and the
+    ``scipy.optimize`` and ``scipy.fft`` it pulls in), about 0.15 s and
+    12 MB on a 2-core x86 VM.
     """
 
     def __init__(self, d: int, alpha: float, source, t_final: float, gamma0: float = 1.0):
@@ -199,6 +205,9 @@ class OracleKernelProbe:
             raise ConfigError(f"source must be a point in R^{d}")
         self.t_final = float(t_final)
         self.gamma0 = float(gamma0)
+        # only oracle-check builds this probe, so only it loads scipy.interpolate
+        from scipy.interpolate import CubicSpline
+
         log_r = np.linspace(math.log(ORACLE_R_MIN), math.log(ORACLE_R_MAX), ORACLE_NODES)
         self._spline = CubicSpline(log_r, log_reduced_green(d, self.alpha, np.exp(log_r)))
 

@@ -12,13 +12,15 @@ every triangle ends up wholly inside or wholly outside each inclusion
 
 Conductivity regions are tagged per triangle: -1 for background, the
 inclusion index otherwise.
+
+The module needs numpy and ``scipy.spatial`` (Delaunay, cKDTree) only;
+every arc-length equidistribution is one ``np.interp`` call.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import interp1d
 from scipy.spatial import Delaunay, cKDTree
 
 from .errors import ConfigError, MeshError
@@ -75,7 +77,14 @@ class Inclusion:
         return self.scaled_dist2(points) < 1.0 + tol
 
     def boundary_points(self, n: int, scale: float = 1.0) -> np.ndarray:
-        """n arc-equidistributed points on the (scaled) interface curve."""
+        """n arc-equidistributed points on the (scaled) interface curve.
+
+        A disk takes n equal angles.  An ellipse takes the angles at n
+        equal steps of a 720-node trapezoid arc-length table, linearly
+        interpolated with ``np.interp``: the same bits as
+        ``scipy.interpolate.interp1d``, whose linear float64 path is that
+        call, without loading ``scipy.interpolate``.
+        """
         ax, ay = self.semi_axes
         if self.aspect == 1.0:
             th = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
@@ -85,7 +94,7 @@ class Inclusion:
             speed = np.hypot(-ax * np.sin(fine), ay * np.cos(fine))
             arc = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(fine) * (speed[1:] + speed[:-1]))])
             targets = np.linspace(0.0, arc[-1], n, endpoint=False)
-            th = interp1d(arc, fine)(targets)
+            th = np.interp(targets, arc, fine)
         return np.column_stack(
             [
                 self.center[0] + scale * ax * np.cos(th),

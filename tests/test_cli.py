@@ -69,6 +69,71 @@ def test_cli_starts_no_process_pool():
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
+# scipy.interpolate and what it pulls in; only oracle-check's spline needs them
+SPLINE_MODULES = ("scipy.interpolate", "scipy.optimize", "scipy.fft")
+
+
+def loaded_after_each(*runs):
+    """Run cli.main on each (command, config) in order in one fresh
+    interpreter; return (exit code, SPLINE_MODULES loaded) after the
+    import and after each run."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    code = (
+        "import json, sys\n"
+        "from fracloc import cli\n"
+        f"guarded = {SPLINE_MODULES!r}\n"
+        "def loaded():\n"
+        "    return [m for m in guarded if m in sys.modules]\n"
+        "seen = [[None, loaded()]]\n"
+        "for command, cfg in json.loads(sys.argv[1]):\n"
+        "    seen.append([cli.main([command, '--config', cfg]), loaded()])\n"
+        "print(json.dumps(seen))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(runs)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return [tuple(step) for step in json.loads(proc.stdout.splitlines()[-1])]
+
+
+def test_cli_commands_load_no_spline_modules(tmp_path):
+    # the ellipse exercises the arc-length equidistribution in mesh
+    common = dict(
+        time_steps=16,
+        mesh={"h_far": 0.25},
+        inclusions=[{"center": [0.2, 0.3], "eps": 0.1, "gamma": 50.0, "aspect": 2.0}],
+        probe={"tol": 1e-3},
+        sources={"n": 6},
+        scan={"region": [-0.5, 0.5, -0.5, 0.5], "resolution": 11, "k": 3},
+    )
+    runs = [
+        (command, write_config(tmp_path / f"{command}.json", **common, **extra,
+                               output_dir=str(tmp_path / command)))
+        for command, extra in [
+            ("forward", {}),
+            ("locate-one", {}),
+            ("locate-multi", {}),
+            ("sweep", {"sweep": {"parameter": "sigma", "values": [0, 0.01], "algorithm": "multi"}}),
+        ]
+    ]
+    assert loaded_after_each(*runs) == [(None, [])] + [(0, [])] * len(runs)
+
+
+def test_oracle_check_imports_its_spline_on_first_use(tmp_path):
+    cfg = write_config(
+        tmp_path / "c.json",
+        time_steps=8,
+        mesh={"h_far": 0.3},
+        inclusions=[{"center": [0.2, 0.3], "eps": 0.1, "gamma": 50.0}],
+        output_dir=str(tmp_path / "out"),
+    )
+    (_, before), (code, after) = loaded_after_each(("oracle-check", cfg))
+    assert before == []
+    assert code == 0
+    assert "scipy.interpolate" in after
+
+
 class TestLoadConfig:
     def test_defaults_filled(self, tmp_path):
         cfg = cli.load_config(write_config(tmp_path / "c.json"))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import interp1d
 from scipy.special import ellipe
 
 from fracloc.errors import ConfigError, MeshError
@@ -60,6 +61,31 @@ class TestInclusion:
         # arc-length equidistribution: neighbour spacings stay near the mean
         d = np.linalg.norm(np.diff(np.vstack([pts, pts[:1]]), axis=0), axis=1)
         assert d.max() / d.min() < 1.25
+
+    def test_ellipse_points_match_interp1d_bitwise(self):
+        # np.interp must give every mesh the bits interp1d gave it
+        def reference(inc, n, scale):
+            ax, ay = inc.semi_axes
+            fine = np.linspace(0.0, 2.0 * math.pi, 720)
+            speed = np.hypot(-ax * np.sin(fine), ay * np.cos(fine))
+            arc = np.concatenate(
+                [[0.0], np.cumsum(0.5 * np.diff(fine) * (speed[1:] + speed[:-1]))]
+            )
+            th = interp1d(arc, fine)(np.linspace(0.0, arc[-1], n, endpoint=False))
+            return np.column_stack(
+                [inc.center[0] + scale * ax * np.cos(th), inc.center[1] + scale * ay * np.sin(th)]
+            )
+
+        rng = np.random.default_rng(20)
+        cases = [(4.0, 6, 1.0), (4.0, 400, 0.5), (1.0 + 1e-9, 6, 2.5), (2.0, 40, 1.0)]
+        cases += [
+            (float(rng.uniform(1.0, 4.0)), int(rng.integers(6, 401)), float(rng.uniform(0.2, 3.0)))
+            for _ in range(300)
+        ]
+        for aspect, n, scale in cases:
+            center = tuple(rng.uniform(-0.3, 0.3, 2))
+            inc = Inclusion(center, float(rng.uniform(0.02, 0.2)), 5.0, aspect)
+            assert np.array_equal(inc.boundary_points(n, scale), reference(inc, n, scale))
 
     def test_validation(self):
         with pytest.raises(ConfigError):
