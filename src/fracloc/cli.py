@@ -4,18 +4,21 @@ All experiment input comes from a JSON config document (see DEFAULTS for
 the full key set and built-in values, INCLUSION_DEFAULTS for the keys of
 one inclusion spec, where None marks a required key).  Unknown or
 missing keys, non-finite numbers, non-integral counts, counts above
-their cap (MAX_COUNTS), negative seeds and noise levels
-(NONNEGATIVE_KEYS) and values of the wrong kind (INTEGER_KEYS,
+their cap (MAX_COUNTS), negative seeds, noise levels and peak
+separations (NONNEGATIVE_KEYS) and values of the wrong kind (INTEGER_KEYS,
 NULLABLE_KEYS, LIST_KEYS) are config errors, all raised at load time.
-Each command then checks its mesh size (MAX_MESH_VERTICES) and the
-memory its march keeps (MAX_MARCH_BYTES) before it builds a mesh.
-Every run writes its outputs plus a manifest.json capturing the
-resolved configuration and content hashes, so a rerun with the same
-config on the same build reproduces the files byte for byte.
+main then builds the command's RunPlan (plan_run), which runs every
+range check of the run, the caps on the mesh (MAX_MESH_VERTICES) and on
+the march's memory (MAX_MARCH_BYTES) among them, before any mesh; a
+sweep checks every value's plan before the first runs, and values that
+share a march key share one mesh, fit and march.  Every run writes its
+outputs plus a manifest.json capturing the resolved configuration and
+content hashes, so a rerun with the same config on the same build
+reproduces the files byte for byte.
 
 Work that does not depend on the march runs beside it on one worker
 thread: locate-multi (and each value of a multi sweep) computes the
-indicator scan's kernel rows from before the mesh is built
+indicator scan's kernel rows from before the march is taken
 (locate_multi.KernelRows), and forward writes mesh.txt and the
 background files while u marches.  Each worker has stopped when its
 command returns, the outputs are those of a run without it, and errors
@@ -31,6 +34,8 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, replace
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +50,7 @@ from .errors import (
 )
 from .forward import (
     SpaceTimeField,
+    _check_sigma,
     add_noise,
     boundary_diffs,
     boundary_restrict,
@@ -52,12 +58,14 @@ from .forward import (
     solve_subdiffusion,
 )
 from .fracmath import TimeGrid, _check_alpha
-from .greenfn import fit_green_coeffs
-from .locate_one import _check_tol, default_segments, locate_one_inclusion
+from .greenfn import _check_series_order, fit_green_coeffs
+from .locate_one import _check_distance, _check_tol, default_segments, locate_one_inclusion
 from .locate_multi import (
     KernelRows,
+    SourceSet,
     _check_scan,
-    build_data_matrix,
+    march_sources,
+    measure_data_matrix,
     peak_extract,
     scan_indicator,
     select_truncation,
@@ -69,7 +77,7 @@ from .measure import (
     measurement_boundary,
     measurement_interior,
 )
-from .mesh import Inclusion, InclusionSet, build_mesh, vertex_estimate
+from .mesh import Inclusion, InclusionSet, _check_sizes, build_mesh, vertex_estimate
 from .textfile import table_lines, write_hashed
 
 CONFIG_VERSION = 1
@@ -124,7 +132,7 @@ NULLABLE_KEYS = {
 # List-valued keys of finite numbers, with their length (None: any).
 LIST_KEYS = {"background.direction": 2, "scan.region": 4, "sweep.values": None}
 # Keys whose values must not be negative.
-NONNEGATIVE_KEYS = frozenset({"noise.seed", "noise.sigma"})
+NONNEGATIVE_KEYS = frozenset({"noise.seed", "noise.sigma", "scan.min_separation"})
 # Caps far above every shipped config, each on one count alone; the mesh's
 # cap is on mesh.vertex_estimate, and MAX_MARCH_BYTES caps their product.
 MAX_COUNTS = {"time_steps": 4096, "scan.resolution": 1001, "sources.n": 256}
@@ -233,80 +241,155 @@ def load_config(path):
     return cfg
 
 
-def _inclusion_set(cfg):
-    items = [
-        Inclusion(
-            center=tuple(spec["center"]),
-            eps=float(spec["eps"]),
-            gamma=float(spec["gamma"]),
-            aspect=float(spec.get("aspect", 1.0)),
-        )
-        for spec in cfg["inclusions"]
-    ]
-    return InclusionSet(items=tuple(items), gamma0=float(cfg["gamma0"]))
-
-
-def _mesh_plan(cfg):
-    """Inclusions, h_far, h_near and mesh.vertex_estimate, which must not
-    exceed MAX_MESH_VERTICES; the estimate is 0 for sizes build_mesh rejects."""
-    incs = _inclusion_set(cfg)
-    h_far = float(cfg["mesh"]["h_far"])
-    h_near = cfg["mesh"]["h_near"]
+def _mesh_sizes(incs, h_far, h_near):
+    """(h_far, h_near) as build_mesh takes them; h_near None is a quarter
+    of the smallest eps, at most h_far."""
     if h_near is None:
-        h_near = min((i.eps for i in incs.items), default=h_far * 4.0) / 4.0
-        h_near = min(h_near, h_far)
-    h_near = float(h_near)
-    if min(h_far, h_near) <= 0.0:
-        return incs, h_far, h_near, 0.0
-    vertices = vertex_estimate(incs, h_far, h_near)
-    if vertices > MAX_MESH_VERTICES:
-        raise ConfigError(f"mesh sizes {h_far}, {h_near} need over {MAX_MESH_VERTICES} vertices")
-    return incs, h_far, h_near, vertices
+        h_near = min(min((i.eps for i in incs.items), default=h_far * 4.0) / 4.0, h_far)
+    return h_far, float(h_near)
 
 
-def _check_march(cfg, fields):
-    """Config error unless the march's stored levels fit in MAX_MARCH_BYTES.
+@dataclass(frozen=True)
+class RunPlan:
+    """One command's run: every object it needs, built once from the config.
 
-    fields is the number of nodal fields the command marches, columns
-    times conductivities; the march keeps each of them at every level.
+    Constructing a plan, also by dataclasses.replace, runs every range
+    check of the run.  A field a command does not use is None: direction
+    is forward's, segments and tol locate-one's, probe_source and
+    probe_kind oracle-check's, sources and the scan keys locate-multi's.
     """
-    vertices = _mesh_plan(cfg)[3]
-    size = 8.0 * (int(cfg["time_steps"]) + 1) * vertices * fields
-    if size > MAX_MARCH_BYTES:
-        raise ConfigError(
-            f"the march would keep about {size / 2**20:.0f} MiB of levels "
-            f"(time_steps {cfg['time_steps']}, about {vertices:.0f} vertices, {fields} fields), "
-            f"over {MAX_MARCH_BYTES // 2**20} MiB"
-        )
+
+    command: str
+    incs: InclusionSet
+    mesh_sizes: tuple
+    grid: TimeGrid
+    alpha: float
+    series_terms: int
+    sigma: float
+    seed: int
+    direction: tuple = None
+    segments: tuple = None
+    tol: float = None
+    probe_source: tuple = None
+    probe_kind: str = None
+    sources: SourceSet = None
+    region: tuple = None
+    resolution: int = None
+    tau: float = None
+    k: int = None
+    peaks: int = None
+    min_separation: float = None
+
+    def __post_init__(self):
+        _check_alpha(self.alpha)
+        _check_series_order(self.series_terms)
+        _check_sigma(self.sigma)
+        if self.command != "forward" and not self.incs.items:
+            raise ConfigError(f"{self.command} needs at least one inclusion in the config")
+        if self.tol is not None:
+            _check_tol(self.tol)
+        if self.sources is not None:
+            _check_scan(self.sources, self.region, self.resolution, self.peaks, self.k, self.tau)
+        _check_sizes(self.incs, *self.mesh_sizes)
+        vertices = vertex_estimate(self.incs, *self.mesh_sizes)
+        if vertices > MAX_MESH_VERTICES:
+            h_far, h_near = self.mesh_sizes
+            raise ConfigError(f"mesh sizes {h_far}, {h_near} need over {MAX_MESH_VERTICES} vertices")
+        if self.command == "forward":
+            fields = min(len(self.incs.items), 1)  # u, marched only with inclusions
+        else:  # u and U per source, or u for both axis directions (U = a.x is exact)
+            fields = 2 * self.sources.n if self.sources else 2
+        size = 8.0 * (self.grid.n_steps + 1) * vertices * fields
+        if size > MAX_MARCH_BYTES:
+            raise ConfigError(
+                f"the march would keep about {size / 2**20:.0f} MiB of levels "
+                f"(time_steps {self.grid.n_steps}, about {vertices:.0f} vertices, {fields} fields), "
+                f"over {MAX_MARCH_BYTES // 2**20} MiB"
+            )
+
+    @property
+    def march_key(self):
+        """What fixes the march: plans with equal keys share one mesh and one march."""
+        multi = (self.sources, self.series_terms) if self.sources else ()
+        return (self.incs, self.mesh_sizes, self.grid, self.alpha, *multi)
 
 
-def _build_setting(cfg):
-    """Inclusions, mesh and time grid; the kernel coefficients are fitted
-    only by the commands that evaluate kernels (see _coeffs).  alpha is
-    checked here, since forward without inclusions marches nothing."""
-    _check_alpha(float(cfg["alpha"]))
-    incs, h_far, h_near, _ = _mesh_plan(cfg)
-    mesh = build_mesh(incs, h_far, h_near)
-    grid = TimeGrid(int(cfg["time_steps"]), float(cfg["t_final"]))
-    return incs, mesh, grid
-
-
-def _coeffs(cfg):
-    return fit_green_coeffs(float(cfg["alpha"]))
-
-
-def _axis_fields(cfg, incs, mesh, grid):
-    """Blocks (u, U) for the backgrounds a = (1, 0) and (0, 1), column j for a = e_j.
-
-    u is marched for both directions as one block.  The background
-    U = a.x, that is x_j, solves the background problem exactly in P1
-    for any gamma0, so it is taken as it is, not marched.
-    """
-    gamma0 = float(cfg["gamma0"])
-    u = solve_block(
-        mesh, float(cfg["alpha"]), incs, lambda p: p, lambda p, t, nrm: gamma0 * nrm, grid
+def plan_run(command, cfg):
+    """The checked RunPlan of command on cfg; for sweep, one (value, RunPlan)
+    pair per value, every one checked before any value runs."""
+    if command == "sweep":
+        return _sweep_plans(cfg)
+    probe, scan, src = cfg["probe"], cfg["scan"], cfg["sources"]
+    if command == "forward":
+        extra = dict(direction=tuple(cfg["background"]["direction"]))
+    elif command == "locate-one":
+        extra = dict(segments=default_segments(float(probe["distance"])), tol=float(probe["tol"]))
+    elif command == "oracle-check":
+        if probe["kind"] not in (None, "exact", "series"):
+            raise ConfigError(f"probe kind must be 'exact' or 'series', got {probe['kind']!r}")
+        radius, angle = float(probe["distance"]), np.deg2rad(float(probe["source_angle"]))
+        _check_distance(radius)
+        source = (radius * np.cos(angle), radius * np.sin(angle))
+        extra = dict(probe_source=source, probe_kind=probe["kind"] or "exact")
+    else:
+        sources = source_configuration(src["kind"], n=src["n"], radius=float(src["radius"]))
+        extra = dict(scan, region=tuple(scan["region"]), sources=sources)
+    items = [
+        Inclusion(tuple(i["center"]), float(i["eps"]), float(i["gamma"]), float(i.get("aspect", 1.0)))
+        for i in cfg["inclusions"]
+    ]
+    incs = InclusionSet(items=tuple(items), gamma0=float(cfg["gamma0"]))
+    return RunPlan(
+        command=command,
+        incs=incs,
+        mesh_sizes=_mesh_sizes(incs, float(cfg["mesh"]["h_far"]), cfg["mesh"]["h_near"]),
+        grid=TimeGrid(cfg["time_steps"], float(cfg["t_final"])),
+        alpha=float(cfg["alpha"]),
+        series_terms=cfg["series_terms"],
+        sigma=float(cfg["noise"]["sigma"]),
+        seed=cfg["noise"]["seed"],
+        **extra,
     )
-    return u, np.broadcast_to(mesh.vertices, u.shape)
+
+
+def _sweep_plans(cfg):
+    """The config's plan as a run of the sweep's locator, with the swept
+    parameter replaced by each value: one (value, RunPlan) pair per value."""
+    sweep = cfg["sweep"]
+    values, algorithm, parameter = sweep["values"], sweep["algorithm"], sweep["parameter"]
+    if not values:
+        raise ConfigError("sweep.values is empty")
+    if algorithm not in ("one", "multi"):
+        raise ConfigError(f"sweep.algorithm must be 'one' or 'multi', got {algorithm!r}")
+    if parameter not in ("eps", "sigma", "aspect"):
+        raise ConfigError(f"sweep parameter must be eps, sigma or aspect, got {parameter!r}")
+    base = plan_run(f"locate-{algorithm}", cfg)
+
+    def swept(value):
+        if parameter == "sigma":
+            return replace(base, sigma=float(value))
+        items = [replace(inc, **{parameter: float(value)}) for inc in base.incs.items]
+        incs = replace(base.incs, items=items)
+        # each eps meshes at the h_near it implies, whatever mesh.h_near says
+        sizes = _mesh_sizes(incs, base.mesh_sizes[0], None) if parameter == "eps" else base.mesh_sizes
+        return replace(base, incs=incs, mesh_sizes=sizes)
+
+    return [(value, swept(value)) for value in values]
+
+
+def _march(plan, coeffs):
+    """Mesh and noiseless blocks (u, U) of the march that plan.march_key fixes:
+    u and U of every source for locate-multi (march_sources), else u for the
+    backgrounds a = e_1, e_2 as one block, column j for e_j, and U = a.x,
+    which solves the background problem exactly in P1 for any gamma0 and so
+    is not marched.  Only the source march uses coeffs."""
+    mesh = build_mesh(plan.incs, *plan.mesh_sizes)
+    if plan.sources:
+        args = (plan.sources, plan.incs, plan.alpha, coeffs, mesh, plan.grid, plan.series_terms)
+        return (mesh, *march_sources(*args))
+    gamma0 = plan.incs.gamma0
+    u = solve_block(mesh, plan.alpha, plan.incs, lambda p: p, lambda p, t, nrm: gamma0 * nrm, plan.grid)
+    return mesh, u, np.broadcast_to(mesh.vertices, u.shape)
 
 
 def _write_csv(path, header, rows):
@@ -326,12 +409,11 @@ def _write_manifest(out_dir, command, cfg, hashes):
     write_hashed(out_dir / "manifest.json", [json.dumps(manifest, indent=2, sort_keys=True), "\n"])
 
 
-def cmd_forward(cfg, out_dir):
-    # u alone is marched, and only with inclusions; U = a.x is exact
-    _check_march(cfg, 1 if cfg["inclusions"] else 0)
-    incs, mesh, grid = _build_setting(cfg)
-    a = np.asarray(cfg["background"]["direction"], dtype=float)
-    gamma0 = float(cfg["gamma0"])
+def cmd_forward(plan, out_dir):
+    mesh = build_mesh(plan.incs, *plan.mesh_sizes)
+    grid = plan.grid
+    a = np.asarray(plan.direction, dtype=float)
+    gamma0 = plan.incs.gamma0
 
     def u0(p):
         return p @ a
@@ -350,59 +432,33 @@ def cmd_forward(cfg, out_dir):
             "background_field.csv": U.to_csv(out_dir / "background_field.csv"),
         }
 
-    if not incs.items:
+    if not plan.incs.items:
         return write_background()
     # none of the background files depends on u, so a worker writes them
     # while u marches; the worker has stopped when this block is left
     with ThreadPoolExecutor(max_workers=1) as pool:
         written = pool.submit(write_background)
         try:
-            u = solve_subdiffusion(mesh, float(cfg["alpha"]), incs, None, u0, g, grid)
+            u = solve_subdiffusion(mesh, plan.alpha, plan.incs, None, u0, g, grid)
         except BaseException:
             # a write error goes first, as when the files were written before the march
             written.result()
             raise
         files = written.result()
     trace = boundary_restrict(u)
-    sigma = float(cfg["noise"]["sigma"])
-    if sigma != 0.0:
-        trace = add_noise(trace, sigma, int(cfg["noise"]["seed"]))
+    if plan.sigma != 0.0:
+        trace = add_noise(trace, plan.sigma, plan.seed)
     files["solution_trace.csv"] = trace.to_csv(out_dir / "solution_trace.csv")
     return files
 
 
-def _sources(cfg):
-    src_cfg = cfg["sources"]
-    return source_configuration(src_cfg["kind"], n=src_cfg["n"], radius=float(src_cfg["radius"]))
-
-
-def _march_fields(cfg, algorithm):
-    """Nodal fields the locator marches: u for both axis directions
-    (U = a.x is exact), or u and U for every source."""
-    return 2 if algorithm == "one" else 2 * _sources(cfg).n
-
-
-def _locate_one_run(cfg, incs, mesh, grid, coeffs):
-    """Locate one inclusion from the backgrounds a = (1, 0) and (0, 1)."""
-    if not incs.items:
-        raise ConfigError("locate-one needs at least one inclusion in the config")
-    segments = default_segments(distance=float(cfg["probe"]["distance"]))
-    tol = float(cfg["probe"]["tol"])
-    _check_tol(tol)
-    diffs = boundary_diffs(
-        mesh,
-        grid,
-        *_axis_fields(cfg, incs, mesh, grid),
-        sigma=float(cfg["noise"]["sigma"]),
-        seed=int(cfg["noise"]["seed"]),
-    )
+def _locate_one_run(plan, coeffs, marched):
+    """Locate one inclusion from the backgrounds a = (1, 0) and (0, 1);
+    marched() returns the mesh and blocks of _march."""
+    mesh, u, U = marched()
+    diffs = boundary_diffs(mesh, plan.grid, u, U, sigma=plan.sigma, seed=plan.seed)
     return locate_one_inclusion(
-        diffs,
-        coeffs,
-        segments=segments,
-        n_terms=int(cfg["series_terms"]),
-        tol=tol,
-        gamma0=float(cfg["gamma0"]),
+        diffs, coeffs, plan.segments, n_terms=plan.series_terms, tol=plan.tol, gamma0=plan.incs.gamma0
     )
 
 
@@ -412,11 +468,10 @@ def _center_error(rec_point, incs):
     return float(np.linalg.norm(rec_point - np.array(incs.items[0].center)))
 
 
-def cmd_locate_one(cfg, out_dir):
-    _check_march(cfg, _march_fields(cfg, "one"))
-    incs, mesh, grid = _build_setting(cfg)
-    rec = _locate_one_run(cfg, incs, mesh, grid, _coeffs(cfg))
-    err = _center_error(rec.P, incs)
+def cmd_locate_one(plan, out_dir):
+    coeffs = fit_green_coeffs(plan.alpha)
+    rec = _locate_one_run(plan, coeffs, partial(_march, plan, coeffs))
+    err = _center_error(rec.P, plan.incs)
     digest = _write_csv(
         out_dir / "reconstruction.csv",
         "Px,Py,P1x,P1y,P2x,P2y,rho0,err",
@@ -425,85 +480,53 @@ def cmd_locate_one(cfg, out_dir):
     return {"reconstruction.csv": digest}
 
 
-def _locate_multi_run(cfg):
-    """Inclusions, data matrix, indicator grid and peaks of one locate-multi run.
+def _locate_multi_run(plan, coeffs, marched):
+    """Data matrix, indicator grid and peaks of one locate-multi run, from
+    the mesh and noiseless source blocks that marched() returns (_march).
 
-    The scan's kernel rows depend on the sources and the scan grid, not
-    on the data, so a worker thread computes them (KernelRows.ahead) from
-    before the mesh is built until the scan takes them.  The calling
-    thread fits the kernel coefficients first, since the rows need them,
-    and then builds the mesh, marches the data matrix and takes the
-    indicator as before, so its errors come in the same order.
+    A worker thread computes the scan's kernel rows (KernelRows.ahead),
+    which do not depend on the data, from before marched() is called until
+    the scan takes them; errors come in the order of a run without it.
     """
-    coeffs = _coeffs(cfg)
-    sources = _sources(cfg)
-    scan_cfg = cfg["scan"]
-    region = tuple(scan_cfg["region"])
-    resolution = int(scan_cfg["resolution"])
-    peaks = int(scan_cfg["peaks"])
-    k = scan_cfg["k"]
-    tau = float(scan_cfg["tau"])
     rows = KernelRows(
-        sources,
-        float(cfg["alpha"]),
-        coeffs,
-        region=region,
-        resolution=resolution,
-        n_terms=int(cfg["series_terms"]),
-        t_final=float(cfg["t_final"]),
-        gamma0=float(cfg["gamma0"]),
+        plan.sources, plan.alpha, coeffs, region=plan.region, resolution=plan.resolution,
+        n_terms=plan.series_terms, t_final=plan.grid.t_final, gamma0=plan.incs.gamma0,
     )
     with rows.ahead():
-        incs, mesh, grid = _build_setting(cfg)
-        # every scan range is checked before the data matrix is marched
-        _check_scan(sources, region, resolution, peaks, k, tau)
-        data = build_data_matrix(
-            sources,
-            incs,
-            float(cfg["alpha"]),
-            coeffs,
-            mesh,
-            grid,
-            n_terms=int(cfg["series_terms"]),
-            sigma=float(cfg["noise"]["sigma"]),
-            seed=int(cfg["noise"]["seed"]),
+        mesh, u, U = marched()
+        data = measure_data_matrix(
+            plan.sources, coeffs, mesh, plan.grid, u, U, plan.series_terms,
+            gamma0=plan.incs.gamma0, sigma=plan.sigma, seed=plan.seed,
         )
+        k = plan.k
         if k is None:
             # a point inclusion's kernel matrix has 2 dominant directions and
             # secondary ones near tau, so keep at least 2 per sought peak
-            k = select_truncation(data.singular_values, tau)
-            k = min(max(k, 2 * peaks + 1), data.n - 1)
+            k = select_truncation(data.singular_values, plan.tau)
+            k = min(max(k, 2 * plan.peaks + 1), data.n - 1)
         igrid = scan_indicator(data, k=int(k), rows=rows, **rows.scan)
-    located = peak_extract(igrid, peaks, min_separation=float(scan_cfg["min_separation"]))
-    return incs, data, igrid, located
+    located = peak_extract(igrid, plan.peaks, min_separation=plan.min_separation)
+    return data, igrid, located
 
 
 def _nearest_center(p, incs):
-    if not incs.items:
-        return float("nan")
     return min(np.linalg.norm(p - np.array(i.center)) for i in incs.items)
 
 
-def cmd_locate_multi(cfg, out_dir):
-    _check_march(cfg, _march_fields(cfg, "multi"))
-    incs, data, igrid, peaks = _locate_multi_run(cfg)
+def cmd_locate_multi(plan, out_dir):
+    coeffs = fit_green_coeffs(plan.alpha)
+    data, igrid, peaks = _locate_multi_run(plan, coeffs, partial(_march, plan, coeffs))
+    spectrum = [(j + 1, s) for j, s in enumerate(data.singular_values)]
+    located = [[p[0], p[1], _nearest_center(p, plan.incs)] for p in peaks]
     return {
         "data_matrix.csv": _write_csv(out_dir / "data_matrix.csv", None, data.B),
-        "singular_values.csv": _write_csv(
-            out_dir / "singular_values.csv",
-            "index,value",
-            [(j + 1, s) for j, s in enumerate(data.singular_values)],
-        ),
+        "singular_values.csv": _write_csv(out_dir / "singular_values.csv", "index,value", spectrum),
         "w_grid.csv": igrid.to_csv(out_dir / "w_grid.csv"),
-        "peaks.csv": _write_csv(
-            out_dir / "peaks.csv",
-            "x,y,err",
-            [[p[0], p[1], _nearest_center(p, incs)] for p in peaks],
-        ),
+        "peaks.csv": _write_csv(out_dir / "peaks.csv", "x,y,err", located),
     }
 
 
-def cmd_oracle_check(cfg, out_dir):
+def cmd_oracle_check(plan, out_dir):
     """Boundary vs interior route for the measurement functional.
 
     probe.kind null or "exact" uses the exact profile (OracleKernelProbe),
@@ -512,36 +535,18 @@ def cmd_oracle_check(cfg, out_dir):
     relative difference reports the discretization quality of the
     pipeline.
     """
-    _check_march(cfg, _march_fields(cfg, "one"))
-    incs, mesh, grid = _build_setting(cfg)
-    if not incs.items:
-        raise ConfigError("oracle-check needs at least one inclusion in the config")
-    alpha = float(cfg["alpha"])
-    gamma0 = float(cfg["gamma0"])
-    angle = np.deg2rad(float(cfg["probe"]["source_angle"]))
-    radius = float(cfg["probe"]["distance"])
-    src = (radius * np.cos(angle), radius * np.sin(angle))
-    kind = cfg["probe"]["kind"]
-    if kind in (None, "exact"):
-        probe = OracleKernelProbe(
-            d=2, alpha=alpha, source=src, t_final=grid.t_final, gamma0=gamma0
-        )
-    elif kind == "series":
-        probe = KernelProbe(
-            coeffs=_coeffs(cfg),
-            n_terms=int(cfg["series_terms"]),
-            source=src,
-            t_final=grid.t_final,
-            gamma0=gamma0,
-        )
+    gamma0, t_final, source = plan.incs.gamma0, plan.grid.t_final, plan.probe_source
+    if plan.probe_kind == "exact":
+        probe = OracleKernelProbe(d=2, alpha=plan.alpha, source=source, t_final=t_final, gamma0=gamma0)
     else:
-        raise ConfigError(f"probe kind must be 'exact' or 'series', got {kind!r}")
-    u, U = _axis_fields(cfg, incs, mesh, grid)
+        coeffs = fit_green_coeffs(plan.alpha)
+        probe = KernelProbe(coeffs, plan.series_terms, source, t_final=t_final, gamma0=gamma0)
+    mesh, u, U = _march(plan, None)
     rows = []
-    for j, diff in enumerate(boundary_diffs(mesh, grid, u, U)):
+    for j, diff in enumerate(boundary_diffs(mesh, plan.grid, u, U)):
         via_boundary = measurement_boundary(diff, probe.normal_derivative, gamma0).value
         via_interior = measurement_interior(
-            SpaceTimeField(mesh, grid, u[..., j]), probe.gradient, incs
+            SpaceTimeField(mesh, plan.grid, u[..., j]), probe.gradient, plan.incs
         ).value
         denom = max(abs(via_boundary), abs(via_interior))
         rel = abs(via_boundary - via_interior) / denom if denom > 0 else 0.0
@@ -551,58 +556,38 @@ def cmd_oracle_check(cfg, out_dir):
     return {"equivalence.csv": write_hashed(out_dir / "equivalence.csv", lines)}
 
 
-def _apply_sweep_value(cfg, parameter, value):
-    swept = copy.deepcopy(cfg)
-    if parameter == "eps":
-        for spec in swept["inclusions"]:
-            spec["eps"] = float(value)
-        swept["mesh"]["h_near"] = None
-    elif parameter == "sigma":
-        swept["noise"]["sigma"] = float(value)
-    elif parameter == "aspect":
-        for spec in swept["inclusions"]:
-            spec["aspect"] = float(value)
-    else:
-        raise ConfigError(
-            f"sweep parameter must be eps, sigma or aspect, got {parameter!r}"
-        )
-    return swept
-
-
-def cmd_sweep(cfg, out_dir):
-    sweep = cfg["sweep"]
-    values = sweep["values"]
-    if not values:
-        raise ConfigError("sweep.values is empty")
-    algorithm = sweep["algorithm"]
-    if algorithm not in ("one", "multi"):
-        raise ConfigError(f"sweep.algorithm must be 'one' or 'multi', got {algorithm!r}")
-    swept_cfgs = [_apply_sweep_value(cfg, sweep["parameter"], value) for value in values]
-    # every value's march is checked before the first one runs
-    for swept in swept_cfgs:
-        _check_march(swept, _march_fields(swept, algorithm))
-    rows = []
+def cmd_sweep(plans, out_dir):
+    """One sweep.csv row per (value, RunPlan) pair.  Values whose plans share
+    a march key share one mesh and one march, taken when the first of them
+    runs; the groups run in the order of their first value."""
+    one = plans[0][1].command == "locate-one"
+    coeffs = fit_green_coeffs(plans[0][1].alpha)
+    groups = {}
+    for i, (_, plan) in enumerate(plans):
+        groups.setdefault(plan.march_key, []).append(i)
+    rows = [None] * len(plans)
     failed = 0
-    for value, swept in zip(values, swept_cfgs):
-        try:
-            if algorithm == "one":
-                incs, mesh, grid = _build_setting(swept)
-                rec = _locate_one_run(swept, incs, mesh, grid, _coeffs(swept))
-                rows.append((value, _center_error(rec.P, incs), rec.rho0))
-            else:
-                incs, _, _, peaks = _locate_multi_run(swept)
-                worst = max(_nearest_center(p, incs) for p in peaks)
-                rows.append((value, worst, float(len(peaks))))
-        except ReconstructionError as exc:
-            # one failed value must not discard the rest of the sweep
-            print(f"fracloc: sweep value {value!r} failed: {exc}", file=sys.stderr)
-            rows.append((value, float("nan"), float("nan")))
-            failed += 1
-    if failed == len(values):
+    for group in groups.values():
+        # rebinding drops the previous group's march, so one is held at a time
+        marched = cache(partial(_march, plans[group[0]][1], coeffs))
+        for i in group:
+            value, plan = plans[i]
+            try:
+                if one:
+                    rec = _locate_one_run(plan, coeffs, marched)
+                    rows[i] = (value, _center_error(rec.P, plan.incs), rec.rho0)
+                else:
+                    _, _, peaks = _locate_multi_run(plan, coeffs, marched)
+                    worst = max(_nearest_center(p, plan.incs) for p in peaks)
+                    rows[i] = (value, worst, float(len(peaks)))
+            except ReconstructionError as exc:
+                # one failed value must not discard the rest of the sweep
+                print(f"fracloc: sweep value {value!r} failed: {exc}", file=sys.stderr)
+                rows[i] = (value, float("nan"), float("nan"))
+                failed += 1
+    if failed == len(plans):
         raise ReconstructionError(f"all {failed} sweep values failed")
-    header = (
-        "value,err,rho0" if algorithm == "one" else "value,max_err,peaks_found"
-    )
+    header = "value,err,rho0" if one else "value,max_err,peaks_found"
     return {"sweep.csv": _write_csv(out_dir / "sweep.csv", header, rows)}
 
 
@@ -638,13 +623,14 @@ def main(argv=None):
             cfg["output_dir"] = args.out
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+        plan = plan_run(args.command, cfg)
         out_dir = Path(cfg["output_dir"])
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {out_dir}: {exc}")
         try:
-            files = COMMANDS[args.command](cfg, out_dir)
+            files = COMMANDS[args.command](plan, out_dir)
             _write_manifest(out_dir, args.command, cfg, files)
         except OSError as exc:
             raise ConfigError(f"cannot write the outputs in {out_dir}: {exc}")

@@ -413,6 +413,11 @@ def boundary_restrict(field: SpaceTimeField) -> BoundaryTrace:
     return _boundary_trace(mesh, field.grid, field.values[:, mesh.boundary_nodes].copy())
 
 
+def _check_sigma(sigma: float) -> None:
+    if sigma < 0.0:
+        raise ConfigError(f"noise level must be nonnegative, got {sigma}")
+
+
 def add_noise(trace: BoundaryTrace, sigma: float, seed) -> BoundaryTrace:
     """Additive nodal Gaussian noise with a prescribed relative L1 level.
 
@@ -422,8 +427,7 @@ def add_noise(trace: BoundaryTrace, sigma: float, seed) -> BoundaryTrace:
     seed numpy.random.default_rng takes); sigma = 0 returns the trace
     unchanged.
     """
-    if sigma < 0.0:
-        raise ConfigError(f"noise level must be nonnegative, got {sigma}")
+    _check_sigma(sigma)
     rng = np.random.default_rng(seed)
     zeta = rng.standard_normal(trace.values.shape)
     delta = rng.normal(0.0, sigma)

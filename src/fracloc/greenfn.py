@@ -278,6 +278,11 @@ def _derivative(coeffs: GreenCoeffs, terms):
     return 2.0 * kappa, g0 + p - 1.0
 
 
+def _check_series_order(n_terms: int, available: int = MAX_SERIES_TERMS) -> None:
+    if not 1 <= n_terms <= available:
+        raise ConfigError(f"series order {n_terms} outside 1..{available}")
+
+
 def _value_terms(coeffs: GreenCoeffs, d: int, n_terms: int):
     """(kappa, e_0) of psi_{d,N}(sqrt(y)) exp(a0 y^p) = sum_j kappa_j y^(e_0 - j p)."""
     if d == 3:
@@ -287,8 +292,7 @@ def _value_terms(coeffs: GreenCoeffs, d: int, n_terms: int):
     if d not in (1, 2):
         raise ConfigError(f"dimension must be 1, 2 or 3, got {d}")
     a = coeffs.a1 if d == 1 else coeffs.a2
-    if not 1 <= n_terms <= len(a):
-        raise ConfigError(f"series order {n_terms} outside 1..{len(a)}")
+    _check_series_order(n_terms, len(a))
     return np.array(a[:n_terms]), -0.5 * _prefactor_exponent(d, coeffs.alpha)
 
 

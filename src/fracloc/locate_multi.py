@@ -152,18 +152,17 @@ def _check_order(alpha, coeffs):
         raise ConfigError(f"alpha {alpha} differs from the kernel coefficients' {coeffs.alpha}")
 
 
-def build_data_matrix(
-    sources,
-    inclusions,
-    alpha,
-    coeffs,
-    mesh,
-    grid,
-    n_terms=3,
-    sigma=0.0,
-    seed=None,
-):
-    """Solve the forward pairs for every source and fill the matrix.
+def build_data_matrix(sources, inclusions, alpha, coeffs, mesh, grid, n_terms=3, sigma=0.0, seed=None):
+    """Data matrix of the sources: march_sources, then measure_data_matrix
+    at noise level sigma; a caller that measures one march at several
+    noise levels or seeds takes the two steps itself."""
+    u, U = march_sources(sources, inclusions, alpha, coeffs, mesh, grid, n_terms)
+    gamma0 = inclusions.gamma0
+    return measure_data_matrix(sources, coeffs, mesh, grid, u, U, n_terms, gamma0, sigma, seed)
+
+
+def march_sources(sources, inclusions, alpha, coeffs, mesh, grid, n_terms=3):
+    """Perturbed and background blocks (u, U) of every source, column j for source j.
 
     For source j the background is the order-``n_terms`` approximate
     fundamental solution launched at that source, with the background
@@ -173,14 +172,7 @@ def build_data_matrix(
     domain.  alpha must be the order coeffs were fitted for, since it
     sets the march.  All sources march as one block, one
     factorization per conductivity, and each kernel call of the initial
-    datum and the flux covers every source.  Noise, if any, is applied
-    to the perturbed trace only, independently per source (see
-    forward.boundary_diffs).  B is one contraction of the stacked
-    traces Delta_j with the probes' normal derivatives,
-
-        B[i, j] = gamma0 sum_{levels, nodes} dPhi_i/dn w_t w_arc Delta_j,
-
-    the boundary measurement of every pair at once.
+    datum and the flux covers every source.  No noise enters here.
     """
     _check_order(alpha, coeffs)
     gamma0 = inclusions.gamma0
@@ -197,19 +189,25 @@ def build_data_matrix(
         grads = grad_approx_fundamental(coeffs, d, n_terms, p, t, poles, t0=-t_init, gamma0=gamma0)
         return gamma0 * np.sum(grads * nrm, axis=-1).T
 
-    u, U = solve_pair(mesh, alpha, inclusions, u0, g, grid)
+    return solve_pair(mesh, alpha, inclusions, u0, g, grid)
+
+
+def measure_data_matrix(sources, coeffs, mesh, grid, u, U, n_terms=3, gamma0=1.0, sigma=0.0, seed=None):
+    """The data matrix of the blocks (u, U) of march_sources.  Noise, if any,
+    is applied to the perturbed trace only, independently per source (see
+    forward.boundary_diffs).  B is one contraction of the stacked traces
+    Delta_j with the probes' normal derivatives,
+
+        B[i, j] = gamma0 sum_{levels, nodes} dPhi_i/dn w_t w_arc Delta_j,
+
+    the boundary measurement of every pair at once.
+    """
     diffs = boundary_diffs(mesh, grid, u, U, sigma=sigma, seed=seed)
 
     # every trace shares the boundary nodes and time levels
     phin = np.empty((sources.n,) + diffs[0].values.shape)
-    for i, src in enumerate(pts):
-        probe = KernelProbe(
-            coeffs=coeffs,
-            n_terms=n_terms,
-            source=tuple(src),
-            t_final=grid.t_final,
-            gamma0=gamma0,
-        )
+    for i, src in enumerate(sources.points):
+        probe = KernelProbe(coeffs, n_terms, tuple(src), t_final=grid.t_final, gamma0=gamma0)
         phin[i] = tabulate_normal_derivative(probe.normal_derivative, diffs[0])
     weights = np.outer(grid.weights, diffs[0].arc_weights)
     deltas = np.stack([diff.values for diff in diffs])

@@ -104,6 +104,11 @@ class Reconstruction1:
             )
 
 
+def _check_distance(distance: float) -> None:
+    if distance <= 1.0:
+        raise ConfigError(f"segment distance must exceed 1, got {distance}")
+
+
 def default_segments(distance: float = 2.0) -> tuple:
     """Axis-aligned probe segments at the given coordinate distance.
 
@@ -111,8 +116,7 @@ def default_segments(distance: float = 2.0) -> tuple:
     vertical (paired with (0,1).x); each spans the projection [-1, 1]
     of the unit disk.
     """
-    if distance <= 1.0:
-        raise ConfigError(f"segment distance must exceed 1, got {distance}")
+    _check_distance(distance)
     seg1 = ProbeSegment(
         index=0,
         direction=(1.0, 0.0),

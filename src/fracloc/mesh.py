@@ -270,13 +270,7 @@ def vertex_estimate(inclusions: InclusionSet, h_far: float, h_near: float) -> fl
     return 2.0 / math.sqrt(3.0) * (math.pi / h_far / h_far + zones / h_near / h_near)
 
 
-def build_mesh(inclusions: InclusionSet, h_far: float, h_near: float) -> Mesh:
-    """Graded Delaunay mesh of the unit disk resolving every interface.
-
-    Element size is ~h_near within distance 2 eps of each inclusion and
-    grows geometrically to ~h_far in the background.  With no inclusions
-    the mesh is quasi-uniform at h_far.
-    """
+def _check_sizes(inclusions: InclusionSet, h_far: float, h_near: float) -> None:
     if h_far <= 0.0 or h_near <= 0.0:
         raise ConfigError("mesh sizes must be positive")
     if h_near > h_far:
@@ -287,6 +281,15 @@ def build_mesh(inclusions: InclusionSet, h_far: float, h_near: float) -> Mesh:
                 f"h_near = {h_near} does not resolve inclusion {idx} (needs <= eps/4 = {inc.eps / 4.0})"
             )
 
+
+def build_mesh(inclusions: InclusionSet, h_far: float, h_near: float) -> Mesh:
+    """Graded Delaunay mesh of the unit disk resolving every interface.
+
+    Element size is ~h_near within distance 2 eps of each inclusion and
+    grows geometrically to ~h_far in the background.  With no inclusions
+    the mesh is quasi-uniform at h_far.
+    """
+    _check_sizes(inclusions, h_far, h_near)
     accepted = []  # (points, own-spacing) batches in priority order
     protected = 0  # leading batches that must never be dropped
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracloc import cli, forward, locate_multi, mesh
+from fracloc import cli, forward, greenfn, locate_multi, mesh
 from fracloc.errors import ConfigError, ReconstructionError, SolverError
 
 
@@ -269,6 +269,115 @@ def test_main_exits_with_a_code(tmp_path_factory, command, doc):
     assert cli.main([command, "--config", cfg]) in (0, 2, 3, 4)
 
 
+def below(bound, inclusive=True):
+    return st.floats(-10.0, bound, exclude_max=not inclusive)
+
+
+def above(bound, inclusive=True):
+    return st.floats(bound, 10.0, exclude_min=not inclusive)
+
+
+def outside_disk_or_degenerate(region):
+    xmin, xmax, ymin, ymax = region
+    corner = max(abs(xmin), abs(xmax)) ** 2 + max(abs(ymin), abs(ymax)) ** 2
+    return not (xmin < xmax and ymin < ymax and corner < 1.0)
+
+
+RUNS = ["forward", "locate-one", "oracle-check", "locate-multi", "sweep:one", "sweep:multi"]
+LOCATORS = RUNS[1:]
+ONE = ["locate-one", "sweep:one"]
+MULTI = ["locate-multi", "sweep:multi"]
+# a run every command completes, and each checked key with the runs that
+# read it and overrides that put it out of range
+PLAN_BASE = {
+    "time_steps": 8,
+    "mesh": {"h_far": 0.3},
+    "inclusions": [{"center": [0.2, 0.3], "eps": 0.1, "gamma": 50.0}],
+    "sources": {"n": 6},
+    "scan": {"region": [-0.5, 0.5, -0.5, 0.5], "resolution": 11, "k": 3},
+}
+OUT_OF_RANGE = {
+    "t_final": (RUNS, st.builds(lambda v: {"t_final": v}, below(0.0))),
+    "time_steps": (RUNS, st.builds(lambda v: {"time_steps": v}, st.integers(-50, 0))),
+    "series_terms": (
+        RUNS,
+        st.builds(
+            lambda v: {"series_terms": v},
+            st.integers(-5, 0) | st.integers(greenfn.MAX_SERIES_TERMS + 1, 50),
+        ),
+    ),
+    "alpha": (RUNS, st.builds(lambda v: {"alpha": v}, below(0.0) | above(1.0, inclusive=False))),
+    "gamma0": (RUNS, st.builds(lambda v: {"gamma0": v}, below(0.0) | st.just(50.0))),
+    "mesh.h_far": (RUNS, st.builds(lambda v: {"mesh": {"h_far": v}}, below(0.0))),
+    # h_near must be positive, at most h_far and at most eps / 4
+    "mesh.h_near": (
+        RUNS,
+        st.builds(lambda v: {"mesh": {"h_near": v}}, below(0.0) | st.floats(0.026, 0.3)),
+    ),
+    "inclusions": (
+        RUNS,
+        st.builds(
+            lambda key, v: {"inclusions": [{"center": [0.2, 0.3], "eps": 0.1, "gamma": 50.0, key: v}]},
+            st.sampled_from(["eps", "gamma", "aspect"]),
+            below(0.0),
+        )
+        | st.just({"inclusions": [{"center": [0.9, 0.0], "eps": 0.1, "gamma": 50.0}]}),
+    ),
+    "no inclusions": (LOCATORS, st.just({"inclusions": []})),
+    "probe.tol": (ONE, st.builds(lambda v: {"probe": {"tol": v}}, below(0.0) | above(1.0))),
+    "probe.distance": (
+        ONE + ["oracle-check"],
+        st.builds(lambda v: {"probe": {"distance": v}}, below(1.0)),
+    ),
+    "probe.kind": (
+        ["oracle-check"],
+        st.builds(lambda v: {"probe": {"kind": v}}, st.text(max_size=6).filter(
+            lambda v: v not in ("exact", "series")
+        )),
+    ),
+    "sources": (
+        MULTI,
+        st.builds(lambda v: {"sources": {"n": v}}, st.integers(-5, 1))
+        | st.builds(lambda v: {"sources": {"radius": v}}, below(1.0))
+        | st.just({"sources": {"kind": "bogus"}}),
+    ),
+    "scan.region": (
+        MULTI,
+        st.builds(
+            lambda v: {"scan": {"region": v}},
+            st.lists(st.floats(-1.5, 1.5), min_size=4, max_size=4).filter(outside_disk_or_degenerate),
+        ),
+    ),
+    "scan.resolution": (MULTI, st.builds(lambda v: {"scan": {"resolution": v}}, st.integers(-5, 2))),
+    "scan.peaks": (MULTI, st.builds(lambda v: {"scan": {"peaks": v}}, st.integers(-5, 0))),
+    # 6 sources: k from 0 to 6
+    "scan.k": (
+        MULTI,
+        st.builds(lambda v: {"scan": {"k": v}}, st.integers(-20, -1) | st.integers(7, 100)),
+    ),
+    "scan.tau": (
+        MULTI,
+        st.builds(lambda v: {"scan": {"k": None, "tau": v}}, below(0.0) | above(1.0)),
+    ),
+    "scan.min_separation": (
+        MULTI,
+        st.builds(lambda v: {"scan": {"min_separation": v}}, below(0.0, inclusive=False)),
+    ),
+    "sweep.values": (
+        ["sweep:one", "sweep:multi"],
+        st.builds(
+            lambda parameter, v: {"sweep": {"parameter": parameter, "values": [0.1, v]}},
+            st.sampled_from(["sigma", "eps"]),
+            below(0.0, inclusive=False),
+        )
+        | st.builds(
+            lambda v: {"sweep": {"parameter": "aspect", "values": [2.0, v]}},
+            below(1.0, inclusive=False),
+        ),
+    ),
+}
+
+
 class TestExitCodes:
     def test_missing_config_is_2(self, capsys):
         assert cli.main(["forward", "--config", "/nonexistent/c.json"]) == 2
@@ -318,7 +427,10 @@ class TestExitCodes:
             raise ReconstructionError("no sign change")
 
         monkeypatch.setitem(cli.COMMANDS, "locate-one", boom)
-        cfg = write_config(tmp_path / "c.json", output_dir=str(tmp_path / "o"))
+        # the plan, built before the command runs, needs an inclusion to locate
+        cfg = write_config(
+            tmp_path / "c.json", inclusions=[CHEAP_INCLUSION], output_dir=str(tmp_path / "o")
+        )
         assert cli.main(["locate-one", "--config", cfg]) == 4
 
     @pytest.mark.parametrize(
@@ -345,6 +457,7 @@ class TestExitCodes:
             {"sources": {"n": cli.MAX_COUNTS["sources.n"] + 1}},
             {"alpha": 1.5},
             {"alpha": 0.0},
+            {"scan": {"min_separation": -0.1}},
             {"output_dir": os.devnull},
             {"output_dir": os.path.join(os.devnull, "o")},
         ],
@@ -370,6 +483,7 @@ class TestExitCodes:
             "huge-source-count",
             "alpha-above-one",
             "zero-alpha",
+            "negative-min-separation",
             "output-dir-is-file",
             "output-dir-below-file",
         ],
@@ -488,6 +602,53 @@ class TestExitCodes:
             else:
                 assert cli.main([command, "--config", cfg]) == 2
 
+    @settings(max_examples=200, deadline=None)
+    @given(run=st.sampled_from(RUNS), data=st.data())
+    def test_out_of_range_value_is_2_before_any_mesh(self, tmp_path_factory, run, data):
+        # the plan checks every range before the output directory, any mesh or march
+        key = data.draw(st.sampled_from([k for k, (runs, _) in OUT_OF_RANGE.items() if run in runs]))
+        overrides = data.draw(OUT_OF_RANGE[key][1])
+        command, algorithm = run.split(":") if ":" in run else (run, "one")
+        doc = {k: dict(v) if isinstance(v, dict) else v for k, v in PLAN_BASE.items()}
+        doc["sweep"] = {"parameter": "sigma", "values": [0.0, 0.01], "algorithm": algorithm}
+        for section, value in overrides.items():
+            doc[section] = {**doc.get(section, {}), **value} if isinstance(value, dict) else value
+        tmp = tmp_path_factory.mktemp("range")
+        cfg = write_config(tmp / "c.json", output_dir=str(tmp / "o"), **doc)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "build_mesh", lambda *args: pytest.fail("meshed"))
+            assert cli.main([command, "--config", cfg]) == 2
+        assert not (tmp / "o").exists()
+
+    @pytest.mark.parametrize("command", ["locate-one", "locate-multi", "oracle-check", "sweep"])
+    def test_no_inclusions_is_2_before_any_mesh(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.setattr(cli, "build_mesh", lambda *args: pytest.fail("meshed"))
+        cfg = write_config(
+            tmp_path / "c.json",
+            sweep={"parameter": "sigma", "values": [0.0], "algorithm": "multi"},
+            output_dir=str(tmp_path / "o"),
+        )
+        assert cli.main([command, "--config", cfg]) == 2
+        name = "locate-multi" if command == "sweep" else command
+        expected = f"fracloc: config error: {name} needs at least one inclusion in the config\n"
+        assert capsys.readouterr().err == expected
+
+    @pytest.mark.parametrize("algorithm", ["one", "multi"])
+    def test_sweep_checks_every_noise_level_before_the_first(
+        self, tmp_path, monkeypatch, capsys, algorithm
+    ):
+        monkeypatch.setattr(cli, "build_mesh", lambda *args: pytest.fail("meshed"))
+        cfg = write_config(
+            tmp_path / "c.json",
+            inclusions=[CHEAP_INCLUSION],
+            sweep={"parameter": "sigma", "values": [0.0, -0.01], "algorithm": algorithm},
+            output_dir=str(tmp_path / "o"),
+        )
+        assert cli.main(["sweep", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "fracloc: config error: noise level must be nonnegative, got -0.01\n"
+        )
+
     def test_sweep_checks_every_value_before_the_first(self, tmp_path, monkeypatch, capsys):
         # eps 0.05 marches about 381 MiB of levels, eps 0.3 about 651 MiB:
         # with h_near = h_far, a larger inclusion zone needs more vertices
@@ -598,7 +759,8 @@ class TestForwardCommand:
             output_dir=str(out),
         )
         assert cli.main(["forward", "--config", cfg]) == 0
-        _, mesh, _ = cli._build_setting(cli.load_config(cfg))
+        plan = cli.plan_run("forward", cli.load_config(cfg))
+        mesh = cli.build_mesh(plan.incs, *plan.mesh_sizes)
         ax = mesh.vertices @ np.array([0.6, -0.8])
         np.testing.assert_allclose(
             ax, 0.6 * mesh.vertices[:, 0] - 0.8 * mesh.vertices[:, 1], rtol=0.0, atol=1e-15
@@ -871,7 +1033,7 @@ class TestWorkBesideTheMarch:
     ):
         start = threading.active_count()
         assert cli.main(["locate-multi", "--config", cheap_multi, "--out", str(tmp_path / "a")]) == 0
-        row_fn, march, build = locate_multi._kernel_matrix, locate_multi.solve_pair, cli.build_data_matrix
+        row_fn, march, build = locate_multi._kernel_matrix, locate_multi.solve_pair, cli.measure_data_matrix
         ahead = []  # rows the worker has made
         built = threading.Event()
         all_rows = threading.Event()
@@ -900,7 +1062,7 @@ class TestWorkBesideTheMarch:
 
         monkeypatch.setattr(locate_multi, "_kernel_matrix", rows)
         monkeypatch.setattr(locate_multi, "solve_pair", late_march)
-        monkeypatch.setattr(cli, "build_data_matrix", data_matrix)
+        monkeypatch.setattr(cli, "measure_data_matrix", data_matrix)
         assert cli.main(["locate-multi", "--config", cheap_multi, "--out", str(tmp_path / "b")]) == 0
         # the worker had made no row, or every row, when the data matrix was built
         assert at_data_matrix == [0 if worker == "after" else 21]
@@ -999,7 +1161,7 @@ class TestWorkBesideTheMarch:
         # 21 grid rows of 21 points against 6 sources
         monkeypatch.setattr(locate_multi, "SCAN_AHEAD_BYTES", 2 * 8 * 21 * 6**2)
         row_fn, compute_ahead = locate_multi._kernel_matrix, locate_multi.KernelRows._compute_ahead
-        march, build = locate_multi.solve_pair, cli.build_data_matrix
+        march, build = locate_multi.solve_pair, cli.measure_data_matrix
         calls = []
         at_data_matrix = []
         stopped = threading.Event()
@@ -1025,7 +1187,7 @@ class TestWorkBesideTheMarch:
         monkeypatch.setattr(locate_multi, "_kernel_matrix", rows)
         monkeypatch.setattr(locate_multi.KernelRows, "_compute_ahead", worker)
         monkeypatch.setattr(locate_multi, "solve_pair", late_march)
-        monkeypatch.setattr(cli, "build_data_matrix", data_matrix)
+        monkeypatch.setattr(cli, "measure_data_matrix", data_matrix)
         assert cli.main(["locate-multi", "--config", cheap_multi, "--out", str(tmp_path / "b")]) == 0
         assert at_data_matrix == [2]
         assert calls == [True] * 2 + [False] * 19
@@ -1216,19 +1378,69 @@ class TestSweepCommand:
         errs = [float(ln.split(",")[1]) for ln in lines[1:]]
         assert all(np.isfinite(e) for e in errs)
 
+    @pytest.mark.parametrize("algorithm", ["one", "multi"])
+    def test_sigma_sweep_marches_once(self, tmp_path, monkeypatch, algorithm):
+        # every value shares the march key, so one mesh and one march serve
+        # both; each row equals that of a separate run at its sigma
+        common = dict(
+            time_steps=16,
+            mesh={"h_far": 0.25},
+            inclusions=[CHEAP_INCLUSION],
+            probe={"tol": 1e-3},
+            sources={"n": 6},
+            scan={"region": [-0.5, 0.5, -0.5, 0.5], "resolution": 11, "k": 3},
+        )
+        sigmas = [0.0, 0.01]
+        expected = []
+        for sigma in sigmas:
+            out = tmp_path / f"sigma{sigma}"
+            cfg = write_config(
+                out.with_suffix(".json"), noise={"sigma": sigma, "seed": 5}, output_dir=str(out), **common
+            )
+            if algorithm == "one":
+                assert cli.main(["locate-one", "--config", cfg]) == 0
+                rec = np.loadtxt(out / "reconstruction.csv", delimiter=",", skiprows=1)
+                expected.append([sigma, rec[7], rec[6]])
+            else:
+                assert cli.main(["locate-multi", "--config", cfg]) == 0
+                peaks = np.loadtxt(out / "peaks.csv", delimiter=",", skiprows=1, ndmin=2)
+                expected.append([sigma, peaks[:, 2].max(), len(peaks)])
+        counts = {"mesh": 0, "march": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(cli, "build_mesh", counting("mesh", cli.build_mesh))
+        monkeypatch.setattr(forward, "_march_block", counting("march", forward._march_block))
+        out = tmp_path / "sweep"
+        cfg = write_config(
+            tmp_path / "sweep.json",
+            noise={"sigma": 0.0, "seed": 5},
+            sweep={"parameter": "sigma", "values": sigmas, "algorithm": algorithm},
+            output_dir=str(out),
+            **common,
+        )
+        assert cli.main(["sweep", "--config", cfg]) == 0
+        assert counts == {"mesh": 1, "march": 1}
+        rows = np.loadtxt(out / "sweep.csv", delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(rows, expected)
+
     @pytest.mark.parametrize("failing", [[0.01], [0.0, 0.01, 0.02]])
     def test_failed_value_keeps_sweep(self, tmp_path, monkeypatch, capsys, failing):
-        # stand-in setting and locator: the value 0.01 has no reconstruction
-        incs = cli.InclusionSet(items=(cli.Inclusion((0.2, 0.3), 0.1, 50.0),))
-        monkeypatch.setattr(cli, "_build_setting", lambda cfg: (incs, None, None))
-        monkeypatch.setattr(cli, "_coeffs", lambda cfg: None)
+        # stand-in march, fit and locator: the value 0.01 has no reconstruction
+        monkeypatch.setattr(cli, "_march", lambda plan, coeffs: None)
+        monkeypatch.setattr(cli, "fit_green_coeffs", lambda alpha: None)
 
         class Rec:
             P = np.array([0.2, 0.3])
             rho0 = 0.5
 
-        def locate(cfg, *setting):
-            if cfg["noise"]["sigma"] in failing:
+        def locate(plan, coeffs, marched):
+            if plan.sigma in failing:
                 raise ReconstructionError("no sign change")
             return Rec()
 
