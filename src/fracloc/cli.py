@@ -74,6 +74,7 @@ from .locate_multi import (
 from .measure import (
     KernelProbe,
     OracleKernelProbe,
+    _check_oracle_reach,
     measurement_boundary,
     measurement_interior,
 )
@@ -255,8 +256,9 @@ class RunPlan:
 
     Constructing a plan, also by dataclasses.replace, runs every range
     check of the run.  A field a command does not use is None: direction
-    is forward's, segments and tol locate-one's, probe_source and
-    probe_kind oracle-check's, sources and the scan keys locate-multi's.
+    is forward's, segments and tol locate-one's, probe_at (the source's
+    distance from the origin and its angle in radians) and probe_kind
+    oracle-check's, sources and the scan keys locate-multi's.
     """
 
     command: str
@@ -270,7 +272,7 @@ class RunPlan:
     direction: tuple = None
     segments: tuple = None
     tol: float = None
-    probe_source: tuple = None
+    probe_at: tuple = None
     probe_kind: str = None
     sources: SourceSet = None
     region: tuple = None
@@ -288,6 +290,8 @@ class RunPlan:
             raise ConfigError(f"{self.command} needs at least one inclusion in the config")
         if self.tol is not None:
             _check_tol(self.tol)
+        if self.probe_kind == "exact":
+            _check_oracle_reach(self.probe_at[0], self.alpha, self.grid.t_final, self.incs.gamma0)
         if self.sources is not None:
             _check_scan(self.sources, self.region, self.resolution, self.peaks, self.k, self.tau)
         _check_sizes(self.incs, *self.mesh_sizes)
@@ -306,6 +310,12 @@ class RunPlan:
                 f"(time_steps {self.grid.n_steps}, about {vertices:.0f} vertices, {fields} fields), "
                 f"over {MAX_MARCH_BYTES // 2**20} MiB"
             )
+
+    @property
+    def probe_source(self):
+        """oracle-check's source point (x, y)."""
+        radius, angle = self.probe_at
+        return (radius * np.cos(angle), radius * np.sin(angle))
 
     @property
     def march_key(self):
@@ -329,8 +339,7 @@ def plan_run(command, cfg):
             raise ConfigError(f"probe kind must be 'exact' or 'series', got {probe['kind']!r}")
         radius, angle = float(probe["distance"]), np.deg2rad(float(probe["source_angle"]))
         _check_distance(radius)
-        source = (radius * np.cos(angle), radius * np.sin(angle))
-        extra = dict(probe_source=source, probe_kind=probe["kind"] or "exact")
+        extra = dict(probe_at=(radius, angle), probe_kind=probe["kind"] or "exact")
     else:
         sources = source_configuration(src["kind"], n=src["n"], radius=float(src["radius"]))
         extra = dict(scan, region=tuple(scan["region"]), sources=sources)

@@ -11,16 +11,19 @@ which yields one linear solve per step with the time-independent SPD
 matrix beta M + K.  It is factored once per conductivity, by SuperLU
 with a symmetric minimum-degree ordering of A + A^T and diagonal pivots,
 which fills in less than the default COLAMD ordering with partial
-pivoting.  A step then does three things per conductivity: the history
-sum as a product of that step's row of L1 weights with the stored
-levels (O(n^2) in the step count, fine at the default 2^7 steps), one
-product with beta M and one solve.  The Neumann load is a sparse
-edge-to-node operator, built once per march, applied to the flux at
-both endpoints of every boundary edge.  Every march runs through the one
-function ``_march_block``, which evaluates the data of every step once,
-then assembles, factors and runs the L1 loop of each conductivity: the
-first on the calling thread, each further one on a worker thread of its
-own, all at the same time:
+pivoting.  The history sum of step n weighs every stored level before
+it, so the march does O(n^2) work in the step count; it takes it in
+blocks of steps, as in the far/near split of Hairer, Lubich and
+Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985): one matrix product per
+block sums the levels before the block for all its steps at once, and a
+step then adds only the levels inside its block, takes one product with
+beta M and one solve.  The Neumann load is a sparse edge-to-node
+operator applied to the flux at both endpoints of every boundary edge;
+it reaches the boundary nodes only, so one product before the march
+takes it there for every step.  Every march runs through the one function ``_march_block``, which
+evaluates the data of every step once, then assembles, factors and runs
+the L1 loop of each conductivity: the first on the calling thread, each
+further one on a worker thread of its own, all at the same time:
 
 * ``solve_subdiffusion``: one data set at the conductivity of an
   inclusion set, with an optional volumetric source; the ``forward``
@@ -36,12 +39,14 @@ own, all at the same time:
   same time on two threads.  The multi-inclusion data matrix is built
   this way.
 
-The threads overlap because SuperLU releases the GIL in ``splu`` and in
-``solve``, and numpy does in its products.  The history product is taken
-in column chunks small enough that OpenBLAS runs each one on the calling
-thread (see _history): its threads then neither contend with the march
-for the cores nor change the rounding, so every march gives the same
-bits under any BLAS thread count.
+The two threads overlap only in part: on a 2-core x86 VM with 2,580
+nodes, two threads of one-column SuperLU solves, each with its own
+factor, took as long as the same solves one after the other, while
+ten-column solves overlapped about 1.6x.  Every BLAS product of the
+march is taken in chunks small enough that OpenBLAS runs each one on
+the calling thread (see _history and _block_history): its threads then
+neither contend with the march for the cores nor change the rounding,
+so every march gives the same bits under any BLAS thread count.
 
 ``forward``, ``locate-one`` and ``oracle-check`` take the harmonic
 background U = a.x as it is at every level, without a march: with
@@ -227,6 +232,19 @@ def _edge_fluxes(mesh: Mesh, g, t: float) -> np.ndarray:
     )
 
 
+def _boundary_loads(mesh: Mesh, g, times) -> np.ndarray:
+    """The Neumann load of flux g at each time, on mesh.boundary_nodes.
+
+    The load reaches no other node, so one sparse product of the edge
+    fluxes of every time takes it, and it holds half as many values as
+    the fluxes.  Shape (n_boundary, len(times)) or (n_boundary,
+    len(times), m).
+    """
+    fluxes = np.stack([_edge_fluxes(mesh, g, t) for t in times], axis=1)
+    loads = _neumann_operator(mesh)[mesh.boundary_nodes] @ fluxes.reshape(len(fluxes), -1)
+    return loads.reshape((len(mesh.boundary_nodes),) + fluxes.shape[1:])
+
+
 def _factor(M, K, beta):
     """Sparse LU of the SPD time-step matrix beta M + K.
 
@@ -266,6 +284,13 @@ def solve_subdiffusion(
 # the one-thread bits under any thread count, products of 461025 did not.
 _ONE_THREAD_ENTRIES = 460_800
 
+# OpenBLAS takes a gemm (m x k) @ (k x n) on the calling thread when
+# m n k <= 65536 * GEMM_MULTITHREAD_THRESHOLD = 262144 (interface/gemm.c).
+_ONE_THREAD_GEMM = 262_144
+
+# Levels per block of the blocked history (see _march_block).
+_BLOCK = 16
+
 
 def _history(row, levels):
     """row @ levels for levels of shape (n, width), as column chunks.
@@ -290,6 +315,20 @@ def _history(row, levels):
     return out
 
 
+def _block_history(weights, levels, out):
+    """out = weights @ levels for weights (m, k) and levels (k, width).
+
+    Zeros for k = 0.  The product is taken in column chunks of
+    m n k <= _ONE_THREAD_GEMM, so OpenBLAS runs each on the calling
+    thread and the bits do not depend on the BLAS thread count, as in
+    _history.
+    """
+    m, k = weights.shape
+    step = max(1, _ONE_THREAD_GEMM // max(m * k, 1))
+    for lo in range(0, levels.shape[1], step):
+        np.matmul(weights, levels[:, lo : lo + step], out=out[:, lo : lo + step])
+
+
 def _march_block(mesh: Mesh, alpha: float, gammas, u0, g, grid: TimeGrid, f=None):
     """March one block of data sets at each per-triangle conductivity in gammas.
 
@@ -300,28 +339,36 @@ def _march_block(mesh: Mesh, alpha: float, gammas, u0, g, grid: TimeGrid, f=None
     the source values f of every step are evaluated once, before the
     march, for all conductivities.  The first conductivity then marches
     on the calling thread and each further one on a worker thread of its
-    own, at the same time, since SuperLU releases the GIL; no worker
-    outlives the call, and an error reaches the caller once every march
-    has stopped, the first conductivity's first.  Each conductivity is
-    assembled and factored once (see _factor), and a step takes the L1
-    history as one product of that step's weight row with the stored
-    levels (see _history), one product with beta M, the Neumann load
-    and one solve.  The levels are checked for finiteness once, after
-    the loop.  Returns one array of shape (n_steps + 1, n_nodes) or
-    (n_steps + 1, n_nodes, m) per conductivity.
+    own, at the same time; no worker outlives the call, and an error
+    reaches the caller once every march has stopped, the first
+    conductivity's first.  Each conductivity is assembled and factored
+    once (see _factor).
+
+    The L1 history of step n is the sum of w[n, j] u^j over the levels
+    j < n.  It is taken in blocks of _BLOCK levels [n0, n1): at the start
+    of a block, one matrix product of its steps' weight rows with the
+    levels before n0 (see _block_history) sums those far levels for all
+    its steps at once, into the block's rows of the levels, which no
+    step has solved yet (the far sums of the first block, n0 = 0, are
+    0).  Step n then adds its near levels n0..n-1 to the far sum in its
+    own row, in one product of (w[n, n0:n], 1) with levels n0..n (see
+    _history), and takes one product with beta M, its Neumann load on the
+    boundary nodes (see _boundary_loads, taken for every step before the
+    march), the product of M with its f values, if any, and one solve.
+    The levels are checked for finiteness once, after the loop.  Returns
+    one array of shape (n_steps + 1, n_nodes) or (n_steps + 1, n_nodes,
+    m) per conductivity.
     """
     beta, b = l1_constants(alpha, grid)
     vertices = mesh.vertices
     init = np.zeros(len(vertices)) if u0 is None else np.asarray(u0(vertices), dtype=float)
     n_levels = grid.n_steps + 1
     steps = grid.nodes[1:]
-    to_load = None if g is None else _neumann_operator(mesh)
-    fluxes = None if g is None else [_edge_fluxes(mesh, g, t) for t in steps]
     sources = None if f is None else [np.asarray(f(vertices, t), dtype=float) for t in steps]
-    # step n's history weights: u^0 gets b[n-1] and u^j, 1 <= j < n,
-    # gets b[n-1-j] - b[n-j]; the latter are the last n - 1 entries of
-    # the reversed differences
-    diffs = (b[:-1] - b[1:])[::-1]
+    rim = mesh.boundary_nodes
+    rim_loads = None if g is None else _boundary_loads(mesh, g, steps)
+    # d[k] = b[k] - b[k+1], with b[n_steps] taken as 0
+    d = -np.diff(b, append=0.0)
 
     def march(gamma_tri):
         M, K = assemble_matrices(mesh, gamma_tri)
@@ -330,17 +377,28 @@ def _march_block(mesh: Mesh, alpha: float, gammas, u0, g, grid: TimeGrid, f=None
         values = np.zeros((n_levels,) + init.shape)
         values[0] = init
         levels = values.reshape(n_levels, -1)
-        row = np.empty(n_levels)
-        for n in range(1, n_levels):
-            load = 0.0
-            if g is not None:
-                load = to_load @ fluxes[n - 1]
-            if f is not None:
-                load = load + M @ sources[n - 1]
-            row[0] = b[n - 1]
-            row[1:n] = diffs[len(diffs) - (n - 1) :]
-            hist = _history(row[:n], levels[:n]).reshape(init.shape)
-            values[n] = lu.solve(load + beta_m @ hist)
+        for n0 in range(0, n_levels, _BLOCK):
+            n1 = min(n0 + _BLOCK, n_levels)
+            first = max(n0, 1)
+            # row n - first weighs u^0 by b[n-1] and u^j, 0 < j < n, by
+            # d[n-1-j]; its column n, where step n finds the far sum
+            # (0 in the first block), by 1, and its later columns by 0
+            lag = np.arange(first, n1)[:, None] - np.arange(n1)
+            w = np.where(lag > 0, d[np.maximum(lag, 1) - 1], lag == 0)
+            w[:, 0] = b[first - 1 : n1 - 1]
+            # the first block has no far levels, but its rows are still
+            # written (as zeros) before its steps read them: reading a
+            # page of the fresh levels before writing it costs two page
+            # faults instead of one
+            _block_history(w[:, :n0], levels[:n0], levels[first:n1])
+            for n in range(first, n1):
+                hist = _history(w[n - first, n0 : n + 1], levels[n0 : n + 1])
+                rhs = beta_m @ hist.reshape(init.shape)
+                if rim_loads is not None:
+                    rhs[rim] += rim_loads[:, n - 1]
+                if f is not None:
+                    rhs += M @ sources[n - 1]
+                values[n] = lu.solve(rhs)
         return values
 
     # a worker thread raised the peak RSS of a one-conductivity op by

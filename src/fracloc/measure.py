@@ -52,6 +52,23 @@ ORACLE_R_MAX = 80.0
 ORACLE_NODES = 420
 
 
+def _check_oracle_reach(distance: float, alpha: float, t_final: float, gamma0: float) -> None:
+    """The exact probe's table reaches every point of the closed unit disk.
+
+    A point of the disk lies at least distance - 1 from a source that far
+    from the origin, and the elapsed time is at most t_final, so its
+    scaled radius is at least (distance - 1) / sqrt(gamma0 t_final^alpha),
+    which must not fall below ORACLE_R_MIN.
+    """
+    scale = math.sqrt(gamma0 * t_final**alpha)
+    if distance < 1.0 + ORACLE_R_MIN * scale:
+        raise ConfigError(
+            f"probe distance {distance} is too close to the unit disk for the exact probe: "
+            f"scaled radius {(distance - 1.0) / scale:.3g} is below the tabulated range "
+            f"{ORACLE_R_MIN}; it needs a distance of at least {1.0 + ORACLE_R_MIN * scale:.6g}"
+        )
+
+
 @dataclass(frozen=True)
 class Measurement:
     """One finite measurement value."""

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -328,6 +329,15 @@ OUT_OF_RANGE = {
     "probe.distance": (
         ONE + ["oracle-check"],
         st.builds(lambda v: {"probe": {"distance": v}}, below(1.0)),
+    ),
+    # the exact probe's table needs (distance - 1) / sqrt(gamma0 T^alpha) >= 0.4
+    "probe.distance, exact probe": (
+        ["oracle-check"],
+        st.builds(
+            lambda v, kind: {"probe": {"distance": v, "kind": kind}},
+            st.floats(1.0, 1.4, exclude_min=True, exclude_max=True),
+            st.sampled_from([None, "exact"]),
+        ),
     ),
     "probe.kind": (
         ["oracle-check"],
@@ -1254,6 +1264,30 @@ class TestOracleCheckCommand:
         assert cli.main(["oracle-check", "--config", cfg]) == 0
 
 
+    @pytest.mark.parametrize("distance", [1.05, 1.2])
+    def test_exact_probe_out_of_reach_is_2_before_any_mesh(
+        self, tmp_path, monkeypatch, capsys, distance
+    ):
+        monkeypatch.setattr(cli, "build_mesh", lambda *args: pytest.fail("meshed"))
+        cfg = json.loads((Path(__file__).parents[1] / "configs" / "example41.json").read_text())
+        cfg["probe"]["distance"] = distance
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert cli.main(["oracle-check", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"probe distance {distance} is too close to the unit disk" in err
+        assert "at least 1.4" in err
+        assert not out.exists()
+
+    def test_replaced_plan_checks_the_exact_probe_reach(self):
+        cfg = cli.load_config(Path(__file__).parents[1] / "configs" / "example41.json")
+        plan = cli.plan_run("oracle-check", cfg)
+        assert replace(plan, probe_at=(1.4, 0.3)).probe_at == (1.4, 0.3)
+        with pytest.raises(ConfigError, match="too close to the unit disk"):
+            replace(plan, probe_at=(1.2, 0.3))
+        replace(plan, probe_at=(1.2, 0.3), probe_kind="series")
+
     def test_example41_is_frozen(self, tmp_path):
         # the interior route reads u alone and is frozen exactly; the
         # allclose bounds its drift from the values of the march before
@@ -1267,7 +1301,7 @@ class TestOracleCheckCommand:
         assert [r[0] for r in rows] == ["U1", "U2"]
         boundary = [float(r[1]) for r in rows]
         interior = [float(r[2]) for r in rows]
-        assert interior == [-0.00051374323854431136, -0.00038004950456734725]
+        assert interior == [-0.00051374323854431114, -0.00038004950456734725]
         np.testing.assert_allclose(
             interior, [-0.00051374323854427211, -0.00038004950456728523], rtol=1e-12, atol=0.0
         )

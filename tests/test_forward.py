@@ -25,7 +25,7 @@ from fracloc.forward import (
     solve_pair,
     solve_subdiffusion,
 )
-from fracloc.fracmath import TimeGrid
+from fracloc.fracmath import TimeGrid, caputo_l1_apply, l1_constants
 from fracloc.greenfn import approx_fundamental, grad_approx_fundamental
 from fracloc.mesh import Inclusion, InclusionSet, build_mesh
 
@@ -413,6 +413,110 @@ class TestThreadCountDeterminism:
             assert run.returncode == 0, run.stderr
             outputs.append(json.loads((out / "manifest.json").read_text())["outputs"])
         assert outputs[0] == outputs[1]
+
+
+class TestBlockedHistoryThreadCount:
+    """The blocked history product and the outputs of a one-conductivity
+    march have the bits of one BLAS thread under the default thread count."""
+
+    def test_block_product_is_the_one_thread_product(self, tmp_path):
+        shapes = [(k, w) for k in (1, 2, 17, 129, 512) for w in (1805, 18050, 51600)]
+        # the blocked product of each shape, in a process of its own per thread setting
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from fracloc import forward\n"
+            f"for k, w in {shapes!r}:\n"
+            "    rng = np.random.default_rng([k, w])\n"
+            "    weights = rng.standard_normal((forward._BLOCK, k))\n"
+            "    levels = rng.standard_normal((k, w))\n"
+            "    out = np.empty((forward._BLOCK, w))\n"
+            "    forward._block_history(weights, levels, out)\n"
+            "    np.save(f'{sys.argv[1]}/{k}-{w}.npy', out)\n"
+        )
+        for one_thread in (True, False):
+            out = tmp_path / ("one" if one_thread else "default")
+            out.mkdir()
+            env = TestThreadCountDeterminism._env(one_thread)
+            run = subprocess.run([sys.executable, "-c", code, str(out)], env=env, timeout=300)
+            assert run.returncode == 0
+        for k, w in shapes:
+            name = f"{k}-{w}.npy"
+            assert np.array_equal(np.load(tmp_path / "one" / name), np.load(tmp_path / "default" / name))
+
+    def test_locate_one_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        config = Path(__file__).parents[1] / "configs" / "example41.json"
+        outputs = []
+        for one_thread in (True, False):
+            out = tmp_path / f"threads-{'one' if one_thread else 'default'}"
+            argv = ["locate-one", "--config", str(config), "--out", str(out)]
+            run = subprocess.run(
+                [sys.executable, "-m", "fracloc.cli", *argv],
+                env=TestThreadCountDeterminism._env(one_thread),
+                capture_output=True,
+                timeout=300,
+            )
+            assert run.returncode == 0, run.stderr
+            outputs.append(json.loads((out / "manifest.json").read_text())["outputs"])
+        assert outputs[0] == outputs[1]
+
+
+def l1_residual(mesh, alpha, gamma_tri, values, grid, g, f=None):
+    """The largest relative residual over the steps n of the L1 equations
+
+        M L1(u)^n + K u^n = load^n,
+
+    L1 being caputo_l1_apply.  A step's residual is taken relative to the
+    largest entry of beta |M| |u^n|, |K| |u^n| and |load^n|, the sizes
+    of the terms before they cancel."""
+    M, K = assemble_matrices(mesh, gamma_tri)
+    beta, _ = l1_constants(alpha, grid)
+    levels = values.reshape(len(values), len(mesh.vertices), -1)
+    caputo = caputo_l1_apply(alpha, levels.reshape(len(levels), -1), grid).reshape(levels[1:].shape)
+    worst = 0.0
+    for n, t in enumerate(grid.nodes[1:], start=1):
+        load = neumann_load(mesh, g, t).reshape(len(mesh.vertices), -1)
+        if f is not None:
+            load = load + M @ f(mesh.vertices, t).reshape(len(mesh.vertices), -1)
+        residual = M @ caputo[n - 1] + K @ levels[n] - load
+        size = abs(beta * M) @ abs(levels[n]) + abs(K) @ abs(levels[n]) + abs(load)
+        worst = max(worst, np.abs(residual).max() / size.max())
+    return worst
+
+
+class TestBlockedHistory:
+    """The march solves the L1 equations at every step, before, across and
+    after block boundaries, in whatever order it sums the history."""
+
+    @pytest.mark.parametrize("columns", [1, 3])
+    @pytest.mark.parametrize(
+        "n_steps", [1, forward._BLOCK - 1, forward._BLOCK, forward._BLOCK + 1, 129]
+    )
+    def test_pair_solves_the_l1_equations(self, pair_case, n_steps, columns):
+        mesh, incs, u0, g, _ = pair_case
+        grid = TimeGrid(n_steps, 1.0)
+        if columns == 1:
+            u0_, g_ = (lambda p: u0(p)[:, 1]), (lambda p, t, n: g(p, t, n)[:, 1])
+        else:
+            u0_, g_ = u0, g
+        u, U = solve_pair(mesh, 0.5, incs, u0_, g_, grid)
+        gammas = [incs.gamma_of_tag(mesh.region_tag), np.full(len(mesh.triangles), incs.gamma0)]
+        for values, gamma_tri in zip((u, U), gammas):
+            assert l1_residual(mesh, 0.5, gamma_tri, values, grid, g_) <= 1e-12
+
+    def test_source_march_solves_the_l1_equations(self, pair_case):
+        mesh, incs, u0, g, _ = pair_case
+        grid = TimeGrid(forward._BLOCK + 5, 1.0)
+
+        def f(p, t):
+            return (1.0 + t**2) * np.cos(p[:, 0] + 2.0 * p[:, 1])
+
+        def g1(p, t, n):
+            return g(p, t, n)[:, 0]
+
+        field = solve_subdiffusion(mesh, 0.5, incs, f, lambda p: u0(p)[:, 0], g1, grid)
+        gamma_tri = incs.gamma_of_tag(mesh.region_tag)
+        assert l1_residual(mesh, 0.5, gamma_tri, field.values, grid, g1, f) <= 1e-12
 
 
 class TestFundamentalTracking:
