@@ -513,7 +513,7 @@ def _locate_multi_run(plan, coeffs, marched):
             # secondary ones near tau, so keep at least 2 per sought peak
             k = select_truncation(data.singular_values, plan.tau)
             k = min(max(k, 2 * plan.peaks + 1), data.n - 1)
-        igrid = scan_indicator(data, k=int(k), rows=rows, **rows.scan)
+        igrid = scan_indicator(data, rows, int(k))
     located = peak_extract(igrid, plan.peaks, min_separation=plan.min_separation)
     return data, igrid, located
 

@@ -20,10 +20,11 @@ step then adds only the levels inside its block, takes one product with
 beta M and one solve.  The Neumann load is a sparse edge-to-node
 operator applied to the flux at both endpoints of every boundary edge;
 it reaches the boundary nodes only, so one product before the march
-takes it there for every step.  Every march runs through the one function ``_march_block``, which
-evaluates the data of every step once, then assembles, factors and runs
-the L1 loop of each conductivity: the first on the calling thread, each
-further one on a worker thread of its own, all at the same time:
+takes it there for every step.  Every march runs through the one
+function ``_march_block``, which evaluates the data of every step once,
+then assembles, factors and runs the L1 loop of each conductivity: the
+first on the calling thread, each further one on a worker thread of its
+own, all at the same time:
 
 * ``solve_subdiffusion``: one data set at the conductivity of an
   inclusion set, with an optional volumetric source; the ``forward``
@@ -44,9 +45,9 @@ nodes, two threads of one-column SuperLU solves, each with its own
 factor, took as long as the same solves one after the other, while
 ten-column solves overlapped about 1.6x.  Every BLAS product of the
 march is taken in chunks small enough that OpenBLAS runs each one on
-the calling thread (see _history and _block_history): its threads then
-neither contend with the march for the cores nor change the rounding,
-so every march gives the same bits under any BLAS thread count.
+the calling thread (see _block_history): its threads then neither
+contend with the march for the cores nor change the rounding, so every
+march gives the same bits under any BLAS thread count.
 
 ``forward``, ``locate-one`` and ``oracle-check`` take the harmonic
 background U = a.x as it is at every level, without a march: with
@@ -277,13 +278,6 @@ def solve_subdiffusion(
     return SpaceTimeField(mesh=mesh, grid=grid, values=values)
 
 
-# OpenBLAS takes a gemv on the calling thread when it has fewer than
-# 115200 * GEMM_MULTITHREAD_THRESHOLD (4 by default) = 460800 entries and
-# splits it over its threads from there on (interface/gemv.c).
-# Measured with numpy's OpenBLAS 0.3.31: products of 460275 entries gave
-# the one-thread bits under any thread count, products of 461025 did not.
-_ONE_THREAD_ENTRIES = 460_800
-
 # OpenBLAS takes a gemm (m x k) @ (k x n) on the calling thread when
 # m n k <= 65536 * GEMM_MULTITHREAD_THRESHOLD = 262144 (interface/gemm.c).
 _ONE_THREAD_GEMM = 262_144
@@ -292,36 +286,15 @@ _ONE_THREAD_GEMM = 262_144
 _BLOCK = 16
 
 
-def _history(row, levels):
-    """row @ levels for levels of shape (n, width), as column chunks.
-
-    The chunks make the product's bits independent of the BLAS thread
-    count: each has fewer than _ONE_THREAD_ENTRIES entries, so OpenBLAS
-    runs it on the calling thread, and each but the last is a multiple
-    of 4 columns wide, the block its gemv kernel takes at a time, so
-    every column is rounded as in one whole product on one thread.  A
-    threaded split of a larger product rounds the columns beside its cut
-    differently, and its idle threads spin while the march threads
-    solve.  The last chunk is never one column wide, because numpy takes
-    a one-column product as a dot product, which rounds differently.
-    """
-    n, width = levels.shape
-    # the last chunk may be one column wider than step
-    step = max(4, ((_ONE_THREAD_ENTRIES - 1) // n - 1) // 4 * 4)
-    bounds = [*range(0, width - 1, step), width]
-    out = np.empty(width)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        np.matmul(row, levels[:, lo:hi], out=out[lo:hi])
-    return out
-
-
 def _block_history(weights, levels, out):
     """out = weights @ levels for weights (m, k) and levels (k, width).
 
     Zeros for k = 0.  The product is taken in column chunks of
     m n k <= _ONE_THREAD_GEMM, so OpenBLAS runs each on the calling
-    thread and the bits do not depend on the BLAS thread count, as in
-    _history.
+    thread (numpy takes a one-row chunk as a gemv, whose threads start
+    only from 460800 entries): the bits do not depend on the BLAS thread
+    count, and idle BLAS threads do not spin while the march threads
+    solve.
     """
     m, k = weights.shape
     step = max(1, _ONE_THREAD_GEMM // max(m * k, 1))
@@ -351,10 +324,11 @@ def _march_block(mesh: Mesh, alpha: float, gammas, u0, g, grid: TimeGrid, f=None
     its steps at once, into the block's rows of the levels, which no
     step has solved yet (the far sums of the first block, n0 = 0, are
     0).  Step n then adds its near levels n0..n-1 to the far sum in its
-    own row, in one product of (w[n, n0:n], 1) with levels n0..n (see
-    _history), and takes one product with beta M, its Neumann load on the
-    boundary nodes (see _boundary_loads, taken for every step before the
-    march), the product of M with its f values, if any, and one solve.
+    own row, in a one-row product of (w[n, n0:n], 1) with levels n0..n
+    (see _block_history) into one buffer of the march, and takes one
+    product with beta M, its Neumann load on the boundary nodes (see
+    _boundary_loads, taken for every step before the march), the
+    product of M with its f values, if any, and one solve.
     The levels are checked for finiteness once, after the loop.  Returns
     one array of shape (n_steps + 1, n_nodes) or (n_steps + 1, n_nodes,
     m) per conductivity.
@@ -377,6 +351,7 @@ def _march_block(mesh: Mesh, alpha: float, gammas, u0, g, grid: TimeGrid, f=None
         values = np.zeros((n_levels,) + init.shape)
         values[0] = init
         levels = values.reshape(n_levels, -1)
+        near = np.empty((1, levels.shape[1]))
         for n0 in range(0, n_levels, _BLOCK):
             n1 = min(n0 + _BLOCK, n_levels)
             first = max(n0, 1)
@@ -392,8 +367,8 @@ def _march_block(mesh: Mesh, alpha: float, gammas, u0, g, grid: TimeGrid, f=None
             # faults instead of one
             _block_history(w[:, :n0], levels[:n0], levels[first:n1])
             for n in range(first, n1):
-                hist = _history(w[n - first, n0 : n + 1], levels[n0 : n + 1])
-                rhs = beta_m @ hist.reshape(init.shape)
+                _block_history(w[n - first : n - first + 1, n0 : n + 1], levels[n0 : n + 1], near)
+                rhs = beta_m @ near.reshape(init.shape)
                 if rim_loads is not None:
                     rhs[rim] += rim_loads[:, n - 1]
                 if f is not None:

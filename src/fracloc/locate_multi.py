@@ -8,9 +8,9 @@ column space encodes the inclusion centers: scanning the indicator
 
 over interior points z lights up near the centers, where G(z) is the
 kernel matrix a point inclusion at z would produce and V_k holds the
-leading k left singular vectors of B.  ``g_matrix`` and ``indicator``
-take one point or a whole row of points, and the scan evaluates one
-grid row per call.
+leading k left singular vectors of B.  ``g_matrix`` takes one point
+or a whole row of points and ``indicator`` one kernel matrix or a
+stack of them, and the scan evaluates one grid row per call.
 
 G(z) is a time integral of two copies of one kernel factor f(rho, t),
 rho = |z - x_i|, which separates (see greenfn): every term of the
@@ -262,8 +262,10 @@ def _kernel_matrix(z, sources, time_factors, t_weights):
     rel = z[..., None, :] - pts
     fwd = _separated(np.sum(rel * rel, axis=-1), time_factors)
     C = (fwd[..., ::-1] * t_weights) @ np.swapaxes(fwd, -1, -2)
-    if not np.all(np.isfinite(C)):
-        raise QuadratureError(f"kernel integrand not finite at z={z}")
+    finite = np.isfinite(C).all(axis=(-2, -1))
+    if not finite.all():
+        bad = z.reshape(-1, d)[np.argmin(finite)]
+        raise QuadratureError(f"kernel integrand not finite at scan point {bad}")
     return (rel @ np.swapaxes(rel, -1, -2)) * C
 
 
@@ -348,8 +350,8 @@ def select_truncation(singular_values, tau=1e-6):
     return max(k, 1)
 
 
-def indicator(z, data, k, g):
-    """Frobenius-norm ratio ||G|| / ||Q_k G|| at scan point z.
+def indicator(data, k, g):
+    """Frobenius-norm ratio ||G|| / ||Q_k G|| of a kernel matrix G = g.
 
     g is one kernel matrix (n, n), giving a float, or a stack (m, n, n)
     from a row of points, giving an (m,) array.  A zero G gives 1.  A
@@ -415,6 +417,8 @@ class IndicatorGrid:
 class KernelRows:
     """The kernel matrices of a scan grid, one grid row at a time, in order.
 
+    The grid is resolution x resolution points over region, strictly
+    inside the unit disk; xs and ys, its nodes, are computed here.
     Iterating yields each grid row's stack of G(z), shape (resolution,
     n, n), computed by _kernel_matrix with the time half taken once.
     ``ahead()`` starts one worker thread that computes them while the
@@ -429,31 +433,17 @@ class KernelRows:
     the worker.
     """
 
-    def __init__(self, sources, alpha, coeffs, *, region, resolution, n_terms, t_final, gamma0):
-        # the keyword arguments of scan_indicator that fix the rows
-        self.scan = dict(
-            sources=sources,
-            alpha=alpha,
-            coeffs=coeffs,
-            region=tuple(region),
-            resolution=resolution,
-            n_terms=n_terms,
-            t_final=t_final,
-            gamma0=gamma0,
-        )
+    def __init__(
+        self, sources, alpha, coeffs, *, region=(-0.7, 0.7, -0.7, 0.7), resolution=101,
+        n_terms=3, t_final=1.0, gamma0=1.0,
+    ):
+        self.sources = sources
+        self.xs, self.ys = _scan_axes(region, resolution)
+        self._time_args = (sources, alpha, coeffs, n_terms, t_final, gamma0)
         self._time = None
         self._done = deque()
         self._stop = threading.Event()
         self._worker = None
-
-    def _points(self):
-        return _scan_points(*_scan_axes(self.scan["region"], self.scan["resolution"]))
-
-    def _time_half(self):
-        s = self.scan
-        return _forward_time_factors(
-            s["sources"], s["alpha"], s["coeffs"], s["n_terms"], s["t_final"], s["gamma0"]
-        )
 
     def ahead(self):
         """Start computing the rows on a worker thread; returns self."""
@@ -463,14 +453,12 @@ class KernelRows:
 
     def _compute_ahead(self):
         try:
-            points = self._points()
-            self._time = self._time_half()
-            sources = self.scan["sources"]
-            row_bytes = 8 * points.shape[1] * sources.n**2
-            for zs in points[: SCAN_AHEAD_BYTES // row_bytes]:
+            self._time = _forward_time_factors(*self._time_args)
+            row_bytes = 8 * self.xs.size * self.sources.n**2
+            for zs in _scan_points(self.xs, self.ys)[: SCAN_AHEAD_BYTES // row_bytes]:
                 if self._stop.is_set():
                     return
-                self._done.append(_kernel_matrix(zs, sources, *self._time))
+                self._done.append(_kernel_matrix(zs, self.sources, *self._time))
         except Exception:
             # iterating computes this row again and raises the error there
             return
@@ -489,58 +477,28 @@ class KernelRows:
 
     def __iter__(self):
         self.close()
-        points = self._points()
         done = self._done
         start = len(done)
         while done:
             yield done.popleft()
-        if start < len(points):
-            time = self._time_half() if self._time is None else self._time
-            for zs in points[start:]:
-                yield _kernel_matrix(zs, self.scan["sources"], *time)
+        if start < self.ys.size:
+            time = _forward_time_factors(*self._time_args) if self._time is None else self._time
+            for zs in _scan_points(self.xs, self.ys)[start:]:
+                yield _kernel_matrix(zs, self.sources, *time)
 
 
-def scan_indicator(
-    data,
-    sources,
-    alpha,
-    coeffs,
-    *,
-    k,
-    region=(-0.7, 0.7, -0.7, 0.7),
-    resolution=101,
-    n_terms=3,
-    t_final=1.0,
-    gamma0=1.0,
-    rows=None,
-):
-    """Evaluate the indicator on a resolution x resolution interior grid.
+def scan_indicator(data, rows, k):
+    """Evaluate the indicator over the scan grid of rows, a KernelRows.
 
     k is the truncation level, chosen by the caller (the CLI floors
     select_truncation's count; see cli._locate_multi_run).  The time half
     of the kernel factor is taken once per scan, and each grid row is one
-    kernel-matrix and one indicator call.  rows, if given, is a
-    KernelRows made with the same arguments, whose worker may have
-    computed the first rows ahead (the CLI starts it before the mesh);
-    by default every row is computed here.
+    kernel-matrix and one indicator call.  The worker of rows, if
+    started, may have computed the first rows ahead (the CLI starts it
+    before the mesh); the rest are computed here.
     """
-    xs, ys = _scan_axes(region, resolution)
-    scan = KernelRows(
-        sources,
-        alpha,
-        coeffs,
-        region=region,
-        resolution=resolution,
-        n_terms=n_terms,
-        t_final=t_final,
-        gamma0=gamma0,
-    )
-    if rows is None:
-        rows = scan
-    elif rows.scan != scan.scan:
-        raise ConfigError("kernel rows were made for another scan")
-    values = [indicator(zs, data, k, g) for zs, g in zip(_scan_points(xs, ys), rows)]
-    return IndicatorGrid(xs=xs, ys=ys, values=np.stack(values))
+    values = np.stack([indicator(data, k, g) for g in rows])
+    return IndicatorGrid(xs=rows.xs, ys=rows.ys, values=values)
 
 
 def peak_extract(grid, m, min_separation=0.0):

@@ -43,6 +43,7 @@ from fracloc.locate_one import (
 )
 from fracloc.locate_multi import (
     DataMatrix,
+    KernelRows,
     build_data_matrix,
     g_matrix,
     indicator,
@@ -363,7 +364,7 @@ def test_criterion_09_multi_recovery(coeffs):
             assert s[6] / s[0] <= 1e-2, s[6] / s[0]
         if k is None:
             k = select_truncation(data.singular_values, tau=1e-3)
-        igrid = scan_indicator(data, src, ALPHA, coeffs, resolution=101, k=k)
+        igrid = scan_indicator(data, KernelRows(src, ALPHA, coeffs, resolution=101), k)
         peaks = peak_extract(igrid, m, min_separation=0.1)
         errs = [
             min(np.linalg.norm(p - np.array(c)) for c in centers[m]) for p in peaks
@@ -386,6 +387,6 @@ def test_criterion_10_indicator_invariants(coeffs):
         for _ in range(4):
             z = rng.uniform(-0.6, 0.6, size=2)
             g = g_matrix(z, src, ALPHA, coeffs)
-            ws = [indicator(z, data, k, g) for k in range(n + 1)]
+            ws = [indicator(data, k, g) for k in range(n + 1)]
             assert min(ws) >= 1.0 - 1e-12
             assert np.all(np.diff(ws) >= -1e-12), ws

@@ -372,32 +372,6 @@ class TestThreadCountDeterminism:
             env["OPENBLAS_NUM_THREADS"] = "1"
         return env
 
-    def test_history_product_is_the_one_thread_product(self, tmp_path):
-        # 7137 = 2 * 3568 + 1 leaves a last chunk of one column at 129 levels
-        shapes = [(n, w) for n in (2, 17, 129, 513) for w in (1805, 18050, 36100)]
-        shapes.append((129, 7137))
-
-        def case(n, w):
-            rng = np.random.default_rng([n, w])
-            return rng.standard_normal(n), rng.standard_normal((n, w))
-
-        # the one-thread product, unchunked, in a process of its own
-        code = (
-            "import sys\n"
-            "import numpy as np\n"
-            f"for n, w in {shapes!r}:\n"
-            "    rng = np.random.default_rng([n, w])\n"
-            "    row, levels = rng.standard_normal(n), rng.standard_normal((n, w))\n"
-            "    np.save(f'{sys.argv[1]}/{n}-{w}.npy', row @ levels)\n"
-        )
-        run = subprocess.run(
-            [sys.executable, "-c", code, str(tmp_path)], env=self._env(True), timeout=300
-        )
-        assert run.returncode == 0
-        for n, w in shapes:
-            row, levels = case(n, w)
-            assert np.array_equal(forward._history(row, levels), np.load(tmp_path / f"{n}-{w}.npy"))
-
     def test_locate_multi_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         config = Path(__file__).parents[1] / "configs" / "example43.json"
         outputs = []
@@ -420,19 +394,25 @@ class TestBlockedHistoryThreadCount:
     march have the bits of one BLAS thread under the default thread count."""
 
     def test_block_product_is_the_one_thread_product(self, tmp_path):
-        shapes = [(k, w) for k in (1, 2, 17, 129, 512) for w in (1805, 18050, 51600)]
+        # a block's far product (forward._BLOCK rows) and a step's near one (1 row)
+        shapes = [
+            (m, k, w)
+            for m in (forward._BLOCK, 1)
+            for k in (1, 2, 17, 129, 512)
+            for w in (1805, 18050, 51600)
+        ]
         # the blocked product of each shape, in a process of its own per thread setting
         code = (
             "import sys\n"
             "import numpy as np\n"
             "from fracloc import forward\n"
-            f"for k, w in {shapes!r}:\n"
-            "    rng = np.random.default_rng([k, w])\n"
-            "    weights = rng.standard_normal((forward._BLOCK, k))\n"
+            f"for m, k, w in {shapes!r}:\n"
+            "    rng = np.random.default_rng([m, k, w])\n"
+            "    weights = rng.standard_normal((m, k))\n"
             "    levels = rng.standard_normal((k, w))\n"
-            "    out = np.empty((forward._BLOCK, w))\n"
+            "    out = np.empty((m, w))\n"
             "    forward._block_history(weights, levels, out)\n"
-            "    np.save(f'{sys.argv[1]}/{k}-{w}.npy', out)\n"
+            "    np.save(f'{sys.argv[1]}/{m}-{k}-{w}.npy', out)\n"
         )
         for one_thread in (True, False):
             out = tmp_path / ("one" if one_thread else "default")
@@ -440,8 +420,8 @@ class TestBlockedHistoryThreadCount:
             env = TestThreadCountDeterminism._env(one_thread)
             run = subprocess.run([sys.executable, "-c", code, str(out)], env=env, timeout=300)
             assert run.returncode == 0
-        for k, w in shapes:
-            name = f"{k}-{w}.npy"
+        for m, k, w in shapes:
+            name = f"{m}-{k}-{w}.npy"
             assert np.array_equal(np.load(tmp_path / "one" / name), np.load(tmp_path / "default" / name))
 
     def test_locate_one_bytes_do_not_depend_on_blas_threads(self, tmp_path):

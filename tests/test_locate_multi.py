@@ -17,6 +17,7 @@ from fracloc.greenfn import fit_green_coeffs, grad_approx_fundamental, s_kernel
 from fracloc.locate_multi import (
     DataMatrix,
     IndicatorGrid,
+    KernelRows,
     SourceSet,
     _gauss_panels,
     build_data_matrix,
@@ -28,6 +29,11 @@ from fracloc.locate_multi import (
     source_configuration,
 )
 from fracloc.mesh import Inclusion, InclusionSet, build_mesh
+
+
+def nan_factor(rho2, times):
+    """A kernel factor that is NaN at every point and time node."""
+    return np.full(np.shape(rho2) + times.rate.shape, np.nan)
 
 
 class TestSourceSet:
@@ -178,12 +184,12 @@ class TestGMatrix:
         assert rows.shape == (7, src.n, src.n)
         rng = np.random.default_rng(4)
         data = DataMatrix(rng.standard_normal((src.n, src.n)))
-        w_row = indicator(zs, data, 4, rows)
+        w_row = indicator(data, 4, rows)
         assert w_row.shape == (7,)
         for m, z in enumerate(zs):
             g = g_matrix(z, src, 0.5, coeffs_half)
             assert np.max(np.abs(rows[m] - g)) <= 1e-13 * np.max(np.abs(g))
-            w = indicator(z, data, 4, g)
+            w = indicator(data, 4, g)
             assert abs(w_row[m] - w) <= 1e-12 * w
 
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.8, 1.0])
@@ -229,11 +235,7 @@ class TestGMatrix:
         src = source_configuration("full", radius=1.2)
         z = np.array([0.1, 0.2])
         assert np.all(np.isfinite(g_matrix(z, src, 0.5, coeffs_half)))
-        monkeypatch.setattr(
-            locate_multi,
-            "_separated",
-            lambda rho2, times: np.full(np.shape(rho2) + times.rate.shape, np.nan),
-        )
+        monkeypatch.setattr(locate_multi, "_separated", nan_factor)
         with pytest.raises(QuadratureError):
             g_matrix(z, src, 0.5, coeffs_half)
 
@@ -249,7 +251,7 @@ class TestGMatrix:
         with pytest.raises(ConfigError, match="alpha 0.9"):
             g_matrix(np.array([0.1, 0.2]), src, 0.9, coeffs_half)
         with pytest.raises(ConfigError, match="alpha 0.9"):
-            scan_indicator(DataMatrix(np.eye(src.n)), src, 0.9, coeffs_half, k=1)
+            scan_indicator(DataMatrix(np.eye(src.n)), KernelRows(src, 0.9, coeffs_half), 1)
         monkeypatch.setattr(locate_multi, "solve_pair", lambda *a: pytest.fail("marched"))
         incs = InclusionSet(items=(Inclusion((0.2, 0.3), 0.1, 50.0),))
         mesh = build_mesh(incs, 0.3, 0.025)
@@ -400,7 +402,7 @@ class TestIndicator:
         rng = np.random.default_rng(0)
         data = DataMatrix(rng.standard_normal((6, 6)))
         G = rng.standard_normal((6, 6))
-        assert indicator(np.zeros(2), data, 0, G) == 1.0
+        assert indicator(data, 0, G) == 1.0
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10**6))
@@ -408,7 +410,7 @@ class TestIndicator:
         rng = np.random.default_rng(seed)
         data = DataMatrix(rng.standard_normal((6, 6)))
         G = rng.standard_normal((6, 6))
-        ws = [indicator(np.zeros(2), data, k, G) for k in range(7)]
+        ws = [indicator(data, k, G) for k in range(7)]
         assert min(ws) >= 1.0 - 1e-12
         assert all(ws[k + 1] >= ws[k] - 1e-12 for k in range(6))
 
@@ -429,12 +431,12 @@ class TestIndicator:
         rng = np.random.default_rng(2)
         G = rng.standard_normal((5, 5))
         data = DataMatrix(G)
-        v = indicator(np.zeros(2), data, 5, G)
+        v = indicator(data, 5, G)
         assert v == 1e14
 
     def test_zero_g_is_one(self):
         data = DataMatrix(np.eye(4))
-        assert indicator(np.zeros(2), data, 2, np.zeros((4, 4))) == 1.0
+        assert indicator(data, 2, np.zeros((4, 4))) == 1.0
 
     def test_stack_applies_the_same_rule(self):
         # sentinel, zero and ordinary matrices in one stack
@@ -443,16 +445,16 @@ class TestIndicator:
         data = DataMatrix(G)
         H = rng.standard_normal((5, 5))
         stack = np.stack([G, np.zeros((5, 5)), H])
-        w = indicator(np.zeros((3, 2)), data, 3, stack)
-        assert w[0] == indicator(np.zeros(2), data, 3, G)
+        w = indicator(data, 3, stack)
+        assert w[0] == indicator(data, 3, G)
         assert w[1] == 1.0
-        assert w[2] == pytest.approx(indicator(np.zeros(2), data, 3, H), rel=1e-14)
-        assert indicator(np.zeros((3, 2)), data, 5, stack)[0] == 1e14
+        assert w[2] == pytest.approx(indicator(data, 3, H), rel=1e-14)
+        assert indicator(data, 5, stack)[0] == 1e14
 
     def test_k_out_of_range(self):
         data = DataMatrix(np.eye(4))
         with pytest.raises(ConfigError):
-            indicator(np.zeros(2), data, 5, np.eye(4))
+            indicator(data, 5, np.eye(4))
 
 
 class TestIndicatorGrid:
@@ -502,7 +504,7 @@ class TestKernelRows:
     SCAN = dict(region=(-0.4, 0.4, -0.3, 0.3), resolution=7, n_terms=3, t_final=1.0, gamma0=1.0)
 
     def rows(self, coeffs):
-        return locate_multi.KernelRows(SourceSet(n=5), 0.5, coeffs, **self.SCAN)
+        return KernelRows(SourceSet(n=5), 0.5, coeffs, **self.SCAN)
 
     @pytest.mark.parametrize("held", [0, 1, 3, 7])
     def test_rows_ahead_are_the_inline_rows(self, coeffs_half, monkeypatch, held):
@@ -538,33 +540,22 @@ class TestKernelRows:
         assert threading.active_count() == start
 
     def test_scan_over_rows_ahead_is_the_plain_scan(self, coeffs_half):
-        src = SourceSet(n=5)
         data = DataMatrix(np.random.default_rng(2).standard_normal((5, 5)))
-        plain = scan_indicator(data, src, 0.5, coeffs_half, k=2, **self.SCAN)
+        plain = scan_indicator(data, self.rows(coeffs_half), 2)
         with self.rows(coeffs_half).ahead() as rows:
-            grid = scan_indicator(data, k=2, rows=rows, **rows.scan)
+            grid = scan_indicator(data, rows, 2)
         assert grid.values.tobytes() == plain.values.tobytes()
         assert np.array_equal(grid.xs, plain.xs) and np.array_equal(grid.ys, plain.ys)
 
-    def test_rows_of_another_scan_are_rejected(self, coeffs_half):
-        data = DataMatrix(np.eye(5))
-        scan = dict(self.SCAN, resolution=9)
-        with pytest.raises(ConfigError, match="another scan"):
-            scan_indicator(data, SourceSet(n=5), 0.5, coeffs_half, k=2, rows=self.rows(coeffs_half), **scan)
-
     def test_worker_error_is_raised_by_the_scan(self, coeffs_half, monkeypatch):
         start = threading.active_count()
-        monkeypatch.setattr(
-            locate_multi,
-            "_separated",
-            lambda rho2, times: np.full(np.shape(rho2) + times.rate.shape, np.nan),
-        )
+        monkeypatch.setattr(locate_multi, "_separated", nan_factor)
         with self.rows(coeffs_half).ahead() as rows:
             rows._worker.join(timeout=60)
             assert not rows._worker.is_alive()
             assert not rows._done
             with pytest.raises(QuadratureError, match="not finite"):
-                scan_indicator(DataMatrix(np.eye(5)), k=2, rows=rows, **rows.scan)
+                scan_indicator(DataMatrix(np.eye(5)), rows, 2)
         assert threading.active_count() == start
 
 
@@ -573,13 +564,13 @@ class TestScanValidation:
         data = DataMatrix(np.eye(4))
         src = SourceSet(n=4)
         with pytest.raises(ConfigError):
-            scan_indicator(data, src, 0.5, coeffs_half, k=1, region=(-0.9, 0.9, -0.9, 0.9))
+            scan_indicator(data, KernelRows(src, 0.5, coeffs_half, region=(-0.9, 0.9, -0.9, 0.9)), 1)
 
     def test_degenerate_region(self, coeffs_half):
         data = DataMatrix(np.eye(4))
         src = SourceSet(n=4)
         with pytest.raises(ConfigError):
-            scan_indicator(data, src, 0.5, coeffs_half, k=1, region=(0.3, 0.3, -0.2, 0.2))
+            scan_indicator(data, KernelRows(src, 0.5, coeffs_half, region=(0.3, 0.3, -0.2, 0.2)), 1)
 
     def test_kernel_points_independent_of_resolution(self, coeffs_half, monkeypatch):
         # the scan takes the kernel's time half once, on the Gauss nodes,
@@ -603,7 +594,7 @@ class TestScanValidation:
         for resolution in (3, 41):
             times.clear()
             rows.clear()
-            scan_indicator(data, src, 0.5, coeffs_half, k=3, resolution=resolution)
+            scan_indicator(data, KernelRows(src, 0.5, coeffs_half, resolution=resolution), 3)
             assert times == [n_nodes]
             assert rows == [(resolution, src.n)] * resolution
 
@@ -611,12 +602,21 @@ class TestScanValidation:
         rng = np.random.default_rng(1)
         data = DataMatrix(rng.standard_normal((4, 4)))
         src = SourceSet(n=4)
-        grid = scan_indicator(
-            data, src, 0.5, coeffs_half, region=(-0.3, 0.3, -0.3, 0.3),
-            resolution=5, k=2,
-        )
+        rows = KernelRows(src, 0.5, coeffs_half, region=(-0.3, 0.3, -0.3, 0.3), resolution=5)
+        grid = scan_indicator(data, rows, 2)
         assert grid.values.shape == (5, 5)
         assert np.all(grid.values >= 1.0 - 1e-12)
+
+    def test_nonfinite_kernel_names_one_point(self, coeffs_half, monkeypatch):
+        # a 41x41 scan whose kernel is NaN everywhere names its first
+        # point on one line, not the whole grid row
+        monkeypatch.setattr(locate_multi, "_separated", nan_factor)
+        rows = KernelRows(source_configuration("full"), 0.5, coeffs_half, resolution=41)
+        with pytest.raises(QuadratureError) as info:
+            scan_indicator(DataMatrix(np.eye(10)), rows, 3)
+        point = np.array([rows.xs[0], rows.ys[0]])
+        assert str(info.value) == f"kernel integrand not finite at scan point {point}"
+        assert "\n" not in str(info.value)
 
 
 def bump_field(centers, xs, ys, width=0.05):
@@ -677,7 +677,7 @@ class TestEndToEnd:
         assert s[6] / s[0] <= 1e-2
         k = select_truncation(s, tau=1e-3)
         assert 4 <= k <= 6
-        igrid = scan_indicator(data, src, 0.5, coeffs_half, resolution=61, k=k)
+        igrid = scan_indicator(data, KernelRows(src, 0.5, coeffs_half, resolution=61), k)
         peaks = peak_extract(igrid, 2, min_separation=0.1)
         errs = [min(np.linalg.norm(p - np.array(c)) for c in centers) for p in peaks]
         assert max(errs) <= 0.05
