@@ -17,10 +17,10 @@ blocks of steps, as in the far/near split of Hairer, Lubich and
 Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985): one matrix product per
 block sums the levels before the block for all its steps at once, and a
 step then adds only the levels inside its block, takes one product with
-beta M and one solve.  The Neumann load is a sparse edge-to-node
-operator applied to the flux at both endpoints of every boundary edge;
-it reaches the boundary nodes only, so one product before the march
-takes it there for every step.  Every march runs through the one
+beta M and one solve.  The Neumann load reaches the boundary nodes
+only; before the march, one call of the flux per step, at both endpoints
+of every boundary edge, and one array expression along the boundary loop
+take it there for every step.  Every march runs through the one
 function ``_march_block``, which evaluates the data of every step once,
 then assembles, factors and runs the L1 loop of each conductivity: the
 first on the calling thread, each further one on a worker thread of its
@@ -204,46 +204,27 @@ def assemble_matrices(mesh: Mesh, gamma_tri: np.ndarray):
     return M, K
 
 
-def _neumann_operator(mesh: Mesh):
-    """Sparse (n_nodes, 2 n_edges) map from edge-endpoint fluxes to the boundary load.
-
-    Column e takes the flux at the first endpoint of boundary edge e and
-    column n_edges + e the flux at its second; an edge of length L adds
-    L (2 g_i + g_j) / 6 to its first node and L (g_i + 2 g_j) / 6 to its
-    second, the exact load of a flux linear along the edge.
-    """
-    i = mesh.boundary_edges[:, 0]
-    j = mesh.boundary_edges[:, 1]
-    pi = mesh.vertices[i]
-    pj = mesh.vertices[j]
-    sixth = np.hypot(pj[:, 0] - pi[:, 0], pj[:, 1] - pi[:, 1]) / 6.0
-    e = np.arange(len(i))
-    rows = np.concatenate([i, j, i, j])
-    cols = np.concatenate([e, e, e + len(e), e + len(e)])
-    vals = np.concatenate([2.0 * sixth, sixth, sixth, 2.0 * sixth])
-    n = len(mesh.vertices)
-    return coo_matrix((vals, (rows, cols)), shape=(n, 2 * len(e))).tocsr()
-
-
-def _edge_fluxes(mesh: Mesh, g, t: float) -> np.ndarray:
-    """g at the first endpoints of the boundary edges, then at the second ones."""
-    ends = mesh.vertices[mesh.boundary_edges.T]
-    return np.concatenate(
-        [np.asarray(g(p, t, mesh.boundary_normals), dtype=float) for p in ends]
-    )
-
-
 def _boundary_loads(mesh: Mesh, g, times) -> np.ndarray:
     """The Neumann load of flux g at each time, on mesh.boundary_nodes.
 
-    The load reaches no other node, so one sparse product of the edge
-    fluxes of every time takes it, and it holds half as many values as
-    the fluxes.  Shape (n_boundary, len(times)) or (n_boundary,
+    An edge of length L with fluxes g_i, g_j at its ends adds
+    L (2 g_i + g_j) / 6 to its first node and L (g_i + 2 g_j) / 6 to its
+    second, the exact load of a flux linear along the edge; the load
+    reaches no other node.  This relies on boundary edge e running from
+    boundary node e to node e + 1, the last one back to node 0, as
+    build_mesh makes them, so the second node's share is a roll by one
+    along the loop.  Each time takes one call of g, at the first
+    endpoints of every edge stacked over the second ones, each with its
+    edge's normal.  Shape (n_boundary, len(times)) or (n_boundary,
     len(times), m).
     """
-    fluxes = np.stack([_edge_fluxes(mesh, g, t) for t in times], axis=1)
-    loads = _neumann_operator(mesh)[mesh.boundary_nodes] @ fluxes.reshape(len(fluxes), -1)
-    return loads.reshape((len(mesh.boundary_nodes),) + fluxes.shape[1:])
+    nb = len(mesh.boundary_edges)
+    ends = mesh.vertices[mesh.boundary_edges.T].reshape(2 * nb, 2)
+    normals = np.tile(mesh.boundary_normals, (2, 1))
+    fluxes = np.stack([np.asarray(g(ends, t, normals), dtype=float) for t in times], axis=1)
+    first, second = fluxes[:nb], fluxes[nb:]
+    sixth = (mesh.edge_lengths() / 6.0).reshape((nb,) + (1,) * (fluxes.ndim - 1))
+    return sixth * (2 * first + second) + np.roll(sixth * (first + 2 * second), 1, axis=0)
 
 
 def _factor(M, K, beta):
@@ -308,8 +289,8 @@ def _march_block(mesh: Mesh, alpha: float, gammas, u0, g, grid: TimeGrid, f=None
     The one setup and L1 time loop of every march.  u0(points) -> (k,)
     or (k, m) and g(points, t, normals) -> the same shape give one
     column per data set; u0 = None is a zero start of one data set, and
-    f adds the volumetric load M f(points, t).  The edge fluxes g and
-    the source values f of every step are evaluated once, before the
+    f adds the volumetric load M f(points, t).  The fluxes g and the
+    source values f of every step are evaluated once, before the
     march, for all conductivities.  The first conductivity then marches
     on the calling thread and each further one on a worker thread of its
     own, at the same time; no worker outlives the call, and an error
@@ -327,8 +308,8 @@ def _march_block(mesh: Mesh, alpha: float, gammas, u0, g, grid: TimeGrid, f=None
     own row, in a one-row product of (w[n, n0:n], 1) with levels n0..n
     (see _block_history) into one buffer of the march, and takes one
     product with beta M, its Neumann load on the boundary nodes (see
-    _boundary_loads, taken for every step before the march), the
-    product of M with its f values, if any, and one solve.
+    _boundary_loads, one flux call per step, all taken before the
+    march), the product of M with its f values, if any, and one solve.
     The levels are checked for finiteness once, after the loop.  Returns
     one array of shape (n_steps + 1, n_nodes) or (n_steps + 1, n_nodes,
     m) per conductivity.
@@ -402,7 +383,7 @@ def solve_pair(mesh: Mesh, alpha: float, inclusions: InclusionSet, u0, g, grid: 
     """Perturbed and background marches of a block of m data sets.
 
     The background conductivity is inclusions.gamma0 everywhere.  Both
-    marches share each step's edge fluxes, evaluated once, and run at
+    marches share each step's Neumann load, evaluated once, and run at
     the same time, u on the calling thread and U on a worker thread,
     each with its own assembly, factorization and L1 loop (see
     _march_block); the result is bitwise that of marching them one after
@@ -481,15 +462,16 @@ def boundary_diffs(mesh: Mesh, grid: TimeGrid, u, U, sigma: float = 0.0, seed=No
     list of m BoundaryTraces.
     """
     children = np.random.SeedSequence(seed).spawn(u.shape[-1])
-    # the boundary rows of every column at once; the march has checked
-    # that the levels are finite
+    # the boundary rows of every column at once, column j C-ordered in
+    # rows[j] like the trace boundary_restrict makes, since l1_norm rounds
+    # by memory order; the march has checked that the levels are finite
     ids = mesh.boundary_nodes
-    u_rows, U_rows = u[:, ids], U[:, ids]
-    reference = _boundary_trace(mesh, grid, U_rows[..., 0])
+    u_rows, U_rows = (np.ascontiguousarray(np.moveaxis(v[:, ids], -1, 0)) for v in (u, U))
+    reference = _boundary_trace(mesh, grid, U_rows[0])
     diffs = []
     for j, child in enumerate(children):
-        tr = replace(reference, values=u_rows[..., j])
+        tr = replace(reference, values=u_rows[j])
         if sigma != 0.0:
             tr = add_noise(tr, sigma, child)
-        diffs.append(tr.diff(replace(reference, values=U_rows[..., j])))
+        diffs.append(tr.diff(replace(reference, values=U_rows[j])))
     return diffs

@@ -337,10 +337,11 @@ def _check_scan(sources, region, resolution, peaks, k, tau):
 
 
 def select_truncation(singular_values, tau=1e-6):
-    """Largest k with s_k / s_1 >= tau; never less than 1.
+    """Largest k with s_k / s_1 >= tau, or 1 if no k passes.
 
-    Under noise of relative level sigma, pass tau around 10*sigma so the
-    noise floor of the spectrum is excluded.
+    The count of singular values at or above tau times the largest one;
+    ``cli._locate_multi_run`` then floors it at 2 peaks + 1 and caps it
+    at n - 1.
     """
     s = np.asarray(singular_values, dtype=float)
     if s.size == 0 or s[0] <= 0.0:

@@ -219,14 +219,13 @@ def _edge_normals(vertices: np.ndarray, edges: np.ndarray) -> np.ndarray:
 def _hex_lattice(h: float) -> np.ndarray:
     """Hexagonal lattice with spacing h covering the unit disk."""
     rows = int(math.ceil(2.2 / (h * math.sqrt(3.0) / 2.0)))
-    pts = []
-    for r in range(-rows, rows + 1):
-        y = r * h * math.sqrt(3.0) / 2.0
-        off = 0.5 * h if r % 2 else 0.0
-        cols = int(math.ceil(2.2 / h))
-        for c in range(-cols, cols + 1):
-            pts.append((c * h + off, y))
-    arr = np.array(pts)
+    cols = int(math.ceil(2.2 / h))
+    # row by row, the order the dedup pass takes the points in; odd rows
+    # are shifted by h / 2
+    r, c = np.meshgrid(np.arange(-rows, rows + 1), np.arange(-cols, cols + 1), indexing="ij")
+    x = c * h + 0.5 * h * (r % 2)
+    y = r * h * math.sqrt(3.0) / 2.0
+    arr = np.column_stack([x.ravel(), y.ravel()])
     return arr[np.hypot(arr[:, 0], arr[:, 1]) < 1.0]
 
 

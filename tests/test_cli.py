@@ -1301,7 +1301,7 @@ class TestOracleCheckCommand:
         assert [r[0] for r in rows] == ["U1", "U2"]
         boundary = [float(r[1]) for r in rows]
         interior = [float(r[2]) for r in rows]
-        assert interior == [-0.00051374323854431114, -0.00038004950456734725]
+        assert interior == [-0.00051374323854431146, -0.00038004950456734730]
         np.testing.assert_allclose(
             interior, [-0.00051374323854427211, -0.00038004950456728523], rtol=1e-12, atol=0.0
         )

@@ -31,8 +31,11 @@ from fracloc.mesh import Inclusion, InclusionSet, build_mesh
 
 
 def neumann_load(mesh, g, t):
-    """The march's boundary load of flux g at time t."""
-    return forward._neumann_operator(mesh) @ forward._edge_fluxes(mesh, g, t)
+    """The march's boundary load of flux g at time t, on every node."""
+    rim = forward._boundary_loads(mesh, g, [t])[:, 0]
+    load = np.zeros((len(mesh.vertices),) + rim.shape[1:])
+    load[mesh.boundary_nodes] = rim
+    return load
 
 
 @pytest.fixture(scope="module")
@@ -627,6 +630,23 @@ class TestBoundaryDiffs:
         clean = boundary_diffs(*block)
         noise = [d.values - c.values for d, c in zip(diffs, clean)]
         assert not np.allclose(noise[0], noise[1])
+
+    def test_noise_does_not_depend_on_memory_order(self, coarse_mesh):
+        # every column's noise is scaled as add_noise scales the trace
+        # boundary_restrict makes of that column, bit for bit, whatever
+        # the rounding of the L1 norms over the block's memory order
+        grid = TimeGrid(16, 1.0)
+        rng = np.random.default_rng(11)
+        for seed in range(20):
+            u, U = rng.standard_normal((2, grid.n_steps + 1, len(coarse_mesh.vertices), 3))
+            diffs = boundary_diffs(coarse_mesh, grid, u, U, sigma=0.05, seed=seed)
+            children = np.random.SeedSequence(seed).spawn(3)
+            for j, diff in enumerate(diffs):
+                u_j, U_j = (
+                    boundary_restrict(SpaceTimeField(coarse_mesh, grid, v[..., j])) for v in (u, U)
+                )
+                expected = add_noise(u_j, 0.05, children[j]).diff(U_j)
+                np.testing.assert_array_equal(diff.values, expected.values)
 
     def test_negative_sigma_rejected(self, block):
         with pytest.raises(ConfigError):

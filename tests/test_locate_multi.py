@@ -329,8 +329,9 @@ class TestBuildMarch:
         mesh = build_mesh(incs, 0.3, 0.025)
         grid = TimeGrid(8, 1.0)
         build_data_matrix(SourceSet(n=5), incs, 0.5, coeffs_half, mesh, grid)
-        # the initial datum once; the flux at both edge endpoints per step
-        assert counts == {"value": 1, "grad": 2 * grid.n_steps}
+        # the initial datum once; the flux once per step, at both endpoints
+        # of every boundary edge
+        assert counts == {"value": 1, "grad": grid.n_steps}
 
     def test_kernels_take_the_set_gamma0(self, coeffs_half, monkeypatch):
         seen = set()
