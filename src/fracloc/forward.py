@@ -320,7 +320,7 @@ def _march_block(mesh: Mesh, alpha: float, gammas, u0, g, grid: TimeGrid, f=None
     n_levels = grid.n_steps + 1
     steps = grid.nodes[1:]
     sources = None if f is None else [np.asarray(f(vertices, t), dtype=float) for t in steps]
-    rim = mesh.boundary_nodes
+    # the boundary nodes are the first ones (see Mesh), so rhs[:nb] is the rim
     rim_loads = None if g is None else _boundary_loads(mesh, g, steps)
     # d[k] = b[k] - b[k+1], with b[n_steps] taken as 0
     d = -np.diff(b, append=0.0)
@@ -351,7 +351,7 @@ def _march_block(mesh: Mesh, alpha: float, gammas, u0, g, grid: TimeGrid, f=None
                 _block_history(w[n - first : n - first + 1, n0 : n + 1], levels[n0 : n + 1], near)
                 rhs = beta_m @ near.reshape(init.shape)
                 if rim_loads is not None:
-                    rhs[rim] += rim_loads[:, n - 1]
+                    rhs[: len(rim_loads)] += rim_loads[:, n - 1]
                 if f is not None:
                     rhs += M @ sources[n - 1]
                 values[n] = lu.solve(rhs)

@@ -47,7 +47,7 @@ from .greenfn import (
     approx_fundamental,
     grad_approx_fundamental,
 )
-from .measure import KernelProbe, tabulate_normal_derivative
+from .measure import ProbeTable
 from .textfile import write_hashed
 
 GAUSS_POINTS_PER_PANEL = 8
@@ -200,15 +200,13 @@ def measure_data_matrix(sources, coeffs, mesh, grid, u, U, n_terms=3, gamma0=1.0
 
         B[i, j] = gamma0 sum_{levels, nodes} dPhi_i/dn w_t w_arc Delta_j,
 
-    the boundary measurement of every pair at once.
+    the boundary measurement of every pair at once; every dPhi_i/dn comes
+    from one ProbeTable call.
     """
     diffs = boundary_diffs(mesh, grid, u, U, sigma=sigma, seed=seed)
 
     # every trace shares the boundary nodes and time levels
-    phin = np.empty((sources.n,) + diffs[0].values.shape)
-    for i, src in enumerate(sources.points):
-        probe = KernelProbe(coeffs, n_terms, tuple(src), t_final=grid.t_final, gamma0=gamma0)
-        phin[i] = tabulate_normal_derivative(probe.normal_derivative, diffs[0])
+    phin = ProbeTable(diffs[0], coeffs, n_terms, gamma0).normal_derivative(sources.points)
     weights = np.outer(grid.weights, diffs[0].arc_weights)
     deltas = np.stack([diff.values for diff in diffs])
     B = gamma0 * ((phin * weights).reshape(sources.n, -1) @ deltas.reshape(sources.n, -1).T)
@@ -397,20 +395,18 @@ class IndicatorGrid:
     def to_csv(self, path) -> str:
         """Header x,y,W, then one %.18e line per grid point, x fastest.
 
-        Returns the sha256 hex digest of the file.  Each grid row is
-        formatted by one % operation and written as it is made, so the
-        file is never held whole.
+        Returns the sha256 hex digest of the file.  Each x is formatted
+        once and each y once per grid row, so a row takes one % operation
+        over its W values; each row is written as it is made, so the file
+        is never held whole.
         """
-        line = "%.18e,%.18e,%.18e\n" * self.xs.size
-        block = np.empty((self.xs.size, 3))
-        block[:, 0] = self.xs
+        xs = ["%.18e," % x for x in self.xs.tolist()]
 
         def chunks():
             yield "x,y,W\n"
-            for y, row in zip(self.ys, self.values):
-                block[:, 1] = y
-                block[:, 2] = row
-                yield line % tuple(block.ravel().tolist())
+            for y, row in zip(self.ys.tolist(), self.values.tolist()):
+                tail = "%.18e,%%.18e\n" % y
+                yield "".join([x + tail for x in xs]) % tuple(row)
 
         return write_hashed(path, chunks())
 

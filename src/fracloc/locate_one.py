@@ -8,16 +8,23 @@ center onto the segment.  Bisection finds that root on each of two
 non-parallel segments, and the center is recovered by intersecting the
 perpendicular axes through the roots (in 3D, the midpoint of the common
 perpendicular of two skew axes, whose half-distance rho0 is reported).
+
+root_on_segment and root_on_patch take a probe handle, which maps an
+anchor P to the measurement against the test function anchored there.
+locate_one_inclusion bisects both segments in lockstep instead: it
+makes one ProbeTable (measure) per run, which takes the kernel's time
+half once, and each bisection round takes dPhi/dn at both anchors in
+one table call, then each segment's measurement from its own trace.
+All three go through one bisection, _bisect, of k brackets at once.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ReconstructionError
 from .greenfn import GreenCoeffs
-from .measure import KernelProbe, measurement_boundary
+from .measure import ProbeTable, measurement_boundary
 
 
 @dataclass(frozen=True)
@@ -132,6 +139,21 @@ def default_segments(distance: float = 2.0) -> tuple:
     return seg1, seg2
 
 
+def _probe_values(table: ProbeTable, anchors, diffs, gamma0: float) -> np.ndarray:
+    """I_Phi of diffs[j] against the test function anchored at anchors[j].
+
+    One table call gives dPhi/dn at every anchor; each trace then takes
+    its own contraction (measurement_boundary).
+    """
+    anchors = np.asarray(anchors, dtype=float)
+    outside = np.linalg.norm(anchors, axis=-1) > 1.0
+    if not outside.all():
+        P = anchors[np.argmin(outside)]
+        raise ConfigError(f"probe anchor {P} must lie outside the closed domain")
+    phin = table.normal_derivative(anchors)
+    return np.array([measurement_boundary(diff, p, gamma0).value for diff, p in zip(diffs, phin)])
+
+
 def probe_value(
     P,
     diff,
@@ -140,41 +162,45 @@ def probe_value(
     gamma0: float = 1.0,
 ) -> float:
     """Measurement against the test function anchored at exterior point P."""
-    P = np.asarray(P, dtype=float)
-    if np.linalg.norm(P) <= 1.0:
-        raise ConfigError(f"probe anchor {P} must lie outside the closed domain")
-    probe = KernelProbe(
-        coeffs=coeffs,
-        n_terms=n_terms,
-        source=P,
-        t_final=diff.grid.t_final,
-        gamma0=gamma0,
-    )
-    return measurement_boundary(diff, probe.normal_derivative, gamma0).value
+    table = ProbeTable(diff, coeffs, n_terms, gamma0)
+    return float(_probe_values(table, [P], [diff], gamma0)[0])
 
 
-def _bisect(f, fa: float, fb: float, tol: float):
-    """Sign-change bisection on [0, 1]; returns the bracket midpoint."""
-    if fa == 0.0:
-        return 0.0
-    if fb == 0.0:
-        return 1.0
-    if math.copysign(1.0, fa) == math.copysign(1.0, fb):
+def _bisect(f, fa, fb, tol: float) -> np.ndarray:
+    """Sign-change bisection on [0, 1] of k brackets in lockstep.
+
+    f maps k parameters, one per bracket, to the k values there; fa and
+    fb are its k values at 0 and 1.  Each round halves every open bracket
+    with one call of f, so all open brackets have the same width.  A
+    bracket whose value is exactly 0 at an end or a midpoint closes
+    there and keeps that parameter in later calls, whose values it
+    ignores.  Returns the k roots: where a value was 0, else the final
+    bracket midpoint; bracket j gets the root it gets bisected alone.
+    """
+    fa = np.asarray(fa, dtype=float)
+    fb = np.asarray(fb, dtype=float)
+    root = np.where(fa == 0.0, 0.0, np.where(fb == 0.0, 1.0, np.nan))
+    live = np.isnan(root)
+    # the value at a keeps the sign of fa
+    sign = np.copysign(1.0, fa)
+    for j in np.flatnonzero(live & (sign == np.copysign(1.0, fb))):
         raise ReconstructionError(
             "probe values do not change sign over the patch "
-            f"({fa:.3e} and {fb:.3e}); the projection falls outside or noise dominates"
+            f"({fa[j]:.3e} and {fb[j]:.3e}); the projection falls outside or noise dominates"
         )
-    a, b = 0.0, 1.0
-    while b - a > tol:
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if math.copysign(1.0, fm) == math.copysign(1.0, fa):
-            a, fa = m, fm
-        else:
-            b = m
-    return 0.5 * (a + b)
+    a, b = np.zeros(fa.size), np.ones(fa.size)
+    width = 1.0
+    while width > tol and live.any():
+        m = np.where(live, 0.5 * (a + b), root)
+        fm = np.asarray(f(m), dtype=float)
+        zero = live & (fm == 0.0)
+        root[zero] = m[zero]
+        live &= ~zero
+        left = np.copysign(1.0, fm) == sign
+        a, b = np.where(left, m, a), np.where(left, b, m)
+        width *= 0.5
+    root[live] = 0.5 * (a + b)[live]
+    return root
 
 
 def _check_tol(tol: float) -> None:
@@ -182,16 +208,20 @@ def _check_tol(tol: float) -> None:
         raise ConfigError(f"tolerance must lie in (0, 1), got {tol}")
 
 
+def _check_one_span(segment: ProbeSegment) -> None:
+    if len(segment.spans) != 1:
+        raise ConfigError(f"bisection along a segment needs one span, got {len(segment.spans)}")
+
+
 def root_on_segment(segment: ProbeSegment, probe, tol: float = 1e-6) -> np.ndarray:
     """Bisection root of the probe along a one-span segment."""
-    if len(segment.spans) != 1:
-        raise ConfigError("root_on_segment needs a one-span segment")
+    _check_one_span(segment)
     _check_tol(tol)
 
-    def f(s):
-        return probe(segment.point_at(s))
+    def f(params):
+        return [probe(segment.point_at(s)) for s in params]
 
-    s_star = _bisect(f, f(0.0), f(1.0), tol)
+    (s_star,) = _bisect(f, f([0.0]), f([1.0]), tol)
     return segment.point_at(s_star)
 
 
@@ -209,15 +239,16 @@ def root_on_patch(
     _check_tol(tol)
 
     def inner(s):
-        def g(w):
-            return probe_inner(segment.point_at(s, w))
+        def g(params):
+            return [probe_inner(segment.point_at(s, w)) for w in params]
 
-        return _bisect(g, g(0.0), g(1.0), tol)
+        (w_star,) = _bisect(g, g([0.0]), g([1.0]), tol)
+        return w_star
 
-    def outer(s):
-        return probe_outer(segment.point_at(s, inner(s)))
+    def outer(params):
+        return [probe_outer(segment.point_at(s, inner(s))) for s in params]
 
-    s_star = _bisect(outer, outer(0.0), outer(1.0), tol)
+    (s_star,) = _bisect(outer, outer([0.0]), outer([1.0]), tol)
     return segment.point_at(s_star, inner(s_star))
 
 
@@ -257,15 +288,30 @@ def locate_one_inclusion(
     """Full 2D pipeline: per-segment roots of the measured data, then intersect.
 
     diffs[j] is the boundary trace of u - U for the background paired
-    with segments[j].
+    with segments[j]; all of them lie on the same boundary nodes and
+    time grid.  The segments are bisected in lockstep (_bisect): one
+    ProbeTable per run, and per round one table call for every anchor
+    and one measurement per segment from its own trace.  Each root is
+    the one root_on_segment finds with that segment's probe_value.
     """
     if segments is None:
         segments = default_segments()
     if len(diffs) != len(segments):
         raise ConfigError(f"{len(diffs)} data traces for {len(segments)} segments")
-    roots = []
-    for seg, diff in zip(segments, diffs):
-        roots.append(
-            root_on_segment(seg, lambda P: probe_value(P, diff, coeffs, n_terms, gamma0), tol)
-        )
-    return intersect(roots[0], roots[1], segments)
+    for seg in segments:
+        _check_one_span(seg)
+    _check_tol(tol)
+    first = diffs[0]
+    for diff in diffs[1:]:
+        if diff.grid != first.grid or not np.array_equal(diff.angles, first.angles):
+            raise ConfigError("data traces lie on different boundary nodes or time grids")
+    table = ProbeTable(first, coeffs, n_terms, gamma0)
+
+    def f(params):
+        anchors = [seg.point_at(s) for seg, s in zip(segments, params)]
+        return _probe_values(table, anchors, diffs, gamma0)
+
+    k = len(segments)
+    params = _bisect(f, f(np.zeros(k)), f(np.ones(k)), tol)
+    P1, P2 = (seg.point_at(s) for seg, s in zip(segments, params))
+    return intersect(P1, P2, segments)

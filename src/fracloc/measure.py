@@ -19,6 +19,15 @@ t.shape + (k,), gradient t.shape + (k, d).  A scalar t is the 0-d case.
 The measurements call a handle once for all time levels (the interior
 form once per inclusion).
 
+The locators take KernelProbe's normal derivative on a boundary trace
+from a ProbeTable instead, made once per run.  It holds what does not
+depend on the source: the trace's node points, which are also their
+outward normals, the levels with positive elapsed time T - t, and the
+time half of the gradient factor there.  One call then gives dPhi/dn
+for a whole stack of sources, with only rel, proj, rho^2 and one
+separated evaluation per call.  KernelProbe.normal_derivative and the
+table share that formula (_normal_derivative), so it exists once.
+
 An equivalent interior form (conductivity-contrast weighted gradient
 coupling over the inclusions) serves as a cross-check, and leading_term
 evaluates the first-order small-volume model driven by polarization
@@ -39,7 +48,9 @@ from .forward import BoundaryTrace, SpaceTimeField
 from .fracmath import TimeGrid
 from .greenfn import (
     GreenCoeffs,
-    _gradient_factor,
+    _gradient_terms,
+    _separated,
+    _time_factors,
     approx_fundamental,
     grad_approx_fundamental,
     log_reduced_green,
@@ -181,16 +192,42 @@ class KernelProbe:
 
     def normal_derivative(self, points, t, normals) -> np.ndarray:
         """((x - source) . n) f: the gradient's one scalar factor, no gradient array."""
-        rel = np.atleast_2d(np.asarray(points, dtype=float)) - self.source
-        proj = np.sum(rel * np.asarray(normals, dtype=float), axis=-1)
-        rho2 = np.sum(rel * rel, axis=-1)
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        normals = np.asarray(normals, dtype=float)
         return _backward(
             self.t_final,
             t,
-            proj.shape,
-            lambda s: proj
-            * _gradient_factor(self.coeffs, self.d, self.n_terms, rho2, s, 0.0, self.gamma0),
+            (len(points),),
+            lambda s: _normal_derivative(
+                points,
+                normals,
+                self.source[None],
+                _gradient_time_half(self.coeffs, self.d, self.n_terms, s, self.gamma0),
+            )[0],
         )
+
+
+def _gradient_time_half(coeffs: GreenCoeffs, d: int, n_terms: int, s, gamma0: float):
+    """The time half of greenfn's gradient factor at elapsed times s > 0.
+
+    The factor is f(rho2, s) = lam^(-(d+2)/2) S_{d,N}(rho2 / lam) with
+    lam = gamma0 s^alpha, as in grad_approx_fundamental.
+    """
+    terms = _gradient_terms(coeffs, d, n_terms)
+    return _time_factors(coeffs, terms, gamma0 * s**coeffs.alpha, (d + 2) / 2.0)
+
+
+def _normal_derivative(points, normals, sources, times) -> np.ndarray:
+    """((x - source) . n) f(|x - source|^2, s) of the probe at each source.
+
+    points and normals are (m, d), sources (k, d), and times the gradient
+    factor's time half at n elapsed times (_gradient_time_half); the
+    result has shape (k, n, m).
+    """
+    rel = points - sources[:, None, :]
+    proj = np.sum(rel * normals, axis=-1)
+    rho2 = np.sum(rel * rel, axis=-1)
+    return np.swapaxes(proj[..., None] * _separated(rho2, times), -1, -2)
 
 
 class OracleKernelProbe:
@@ -269,13 +306,46 @@ class OracleKernelProbe:
         return (self.gradient(points, t) * np.asarray(normals, dtype=float)).sum(axis=-1)
 
 
+def _trace_points(trace: BoundaryTrace) -> np.ndarray:
+    """The trace's nodes; they sit on the unit circle, so the outward
+    normal at a node is its position."""
+    return np.column_stack([np.cos(trace.angles), np.sin(trace.angles)])
+
+
 def tabulate_normal_derivative(phi, trace: BoundaryTrace) -> np.ndarray:
     """dPhi/dn of a handle (points, t, normals) on the nodes and time
-    levels of ``trace``, in one handle call over all levels; the nodes
-    sit on the unit circle, so the outward normal at a node is its
-    position."""
-    pts = np.column_stack([np.cos(trace.angles), np.sin(trace.angles)])
+    levels of ``trace``, in one handle call over all levels."""
+    pts = _trace_points(trace)
     return np.asarray(phi(pts, trace.grid.nodes, pts), dtype=float)
+
+
+class ProbeTable:
+    """KernelProbe's dPhi/dn on the nodes and levels of one trace, for any sources.
+
+    Made once per run: it takes the trace's node points (also their
+    normals), the levels where the elapsed time s = T - t is positive
+    and the gradient factor's time half there, for d = 2.  Every trace
+    on the same boundary nodes and time grid shares the table.
+    """
+
+    def __init__(self, trace: BoundaryTrace, coeffs: GreenCoeffs, n_terms: int, gamma0: float = 1.0):
+        s = trace.grid.t_final - trace.grid.nodes
+        self.points = _trace_points(trace)
+        # s falls along the levels, so those with s > 0 come first
+        self.live = slice(0, np.count_nonzero(s > 0.0))
+        self.shape = trace.values.shape
+        self.times = _gradient_time_half(coeffs, 2, n_terms, s[self.live], gamma0)
+
+    def normal_derivative(self, sources) -> np.ndarray:
+        """dPhi/dn of the probe at each of the sources (k, 2), shape
+        (k, n_levels, n_nodes): the values KernelProbe(source=sources[i])
+        tabulates, 0 where s <= 0, in one separated evaluation."""
+        sources = np.atleast_2d(np.asarray(sources, dtype=float))
+        if sources.ndim != 2 or sources.shape[1] != 2:
+            raise ConfigError(f"probe sources must be points in R^2, got shape {sources.shape}")
+        out = np.zeros((len(sources),) + self.shape)
+        out[:, self.live] = _normal_derivative(self.points, self.points, sources, self.times)
+        return out
 
 
 def measurement_boundary(diff: BoundaryTrace, phi, gamma0: float) -> Measurement:

@@ -164,6 +164,11 @@ class Mesh:
     for background; boundary_edges: (nb, 2) consecutive CCW node pairs on
     the outer polygon; boundary_normals: (nb, 2) outward unit normals per
     edge.
+
+    The outer polygon's nodes come first: boundary edge e runs from node
+    e to node e + 1, and the last one back to node 0, so the boundary
+    nodes are 0..nb-1 in CCW order.  The march and the Neumann load rely
+    on it, and construction checks it.
     """
 
     vertices: np.ndarray
@@ -171,6 +176,11 @@ class Mesh:
     region_tag: np.ndarray
     boundary_edges: np.ndarray
     boundary_normals: np.ndarray
+
+    def __post_init__(self):
+        loop = np.arange(len(self.boundary_edges))
+        if not np.array_equal(self.boundary_edges, np.column_stack([loop, np.roll(loop, -1)])):
+            raise MeshError("boundary edge e must run from node e to node e + 1, the last back to 0")
 
     @property
     def boundary_nodes(self) -> np.ndarray:

@@ -822,9 +822,9 @@ class TestLocateOneCommand:
         assert cli.main(["locate-one", "--config", cfg]) == 2
 
     def test_one_factorization_and_one_kernel_call_per_probe(self, cheap_one, monkeypatch):
-        from fracloc import forward, greenfn, locate_one
+        from fracloc import forward, greenfn, measure
 
-        counts = {"splu": 0, "kernel": 0, "probe": 0}
+        counts = {"splu": 0, "kernel": 0, "time_half": 0}
 
         def counting(key, fn):
             def wrapper(*args, **kwargs):
@@ -834,15 +834,20 @@ class TestLocateOneCommand:
             return wrapper
 
         monkeypatch.setattr(forward, "splu", counting("splu", forward.splu))
-        # every kernel of the pipeline goes through the separated evaluator
-        monkeypatch.setattr(greenfn, "_separated", counting("kernel", greenfn._separated))
-        monkeypatch.setattr(locate_one, "probe_value", counting("probe", locate_one.probe_value))
+        # every kernel of the pipeline goes through the separated evaluator;
+        # the probe table binds it, and the time half, in measure
+        separated, time_factors = greenfn._separated, greenfn._time_factors
+        for module in (greenfn, measure):
+            monkeypatch.setattr(module, "_separated", counting("kernel", separated))
+            monkeypatch.setattr(module, "_time_factors", counting("time_half", time_factors))
         assert cli.main(["locate-one", "--config", cheap_one]) == 0
         # both directions march as one block; U = a.x is not marched
         assert counts["splu"] == 1
-        # two segments at tol 1e-3: 2 endpoints and 10 halvings each
-        assert counts["probe"] == 24
-        assert counts["kernel"] == counts["probe"]
+        # two segments at tol 1e-3, bisected in lockstep: 2 endpoint rounds
+        # and 10 halvings, each one kernel call for both anchors
+        assert counts["kernel"] == 12
+        # one probe table per run takes the kernel's time half once
+        assert counts["time_half"] == 1
 
     # reconstruction.csv rows of the bundled examples, frozen at full precision
     FROZEN = {

@@ -23,11 +23,14 @@ from fracloc.locate_multi import (
     build_data_matrix,
     g_matrix,
     indicator,
+    march_sources,
+    measure_data_matrix,
     peak_extract,
     scan_indicator,
     select_truncation,
     source_configuration,
 )
+from fracloc.measure import KernelProbe, tabulate_normal_derivative
 from fracloc.mesh import Inclusion, InclusionSet, build_mesh
 
 
@@ -287,6 +290,29 @@ class TestDataMatrix:
         data = build_data_matrix(src, empty, 0.5, coeffs_half, mesh, grid, n_terms=1)
         assert np.all(data.B == 0.0)
         assert data.singular_values[0] == 0.0
+
+
+    @pytest.mark.parametrize("sigma, gamma0", [(0.0, 1.0), (0.01, 2.0)])
+    def test_matches_a_per_probe_reference(self, coeffs_half, sigma, gamma0):
+        incs = InclusionSet(items=(Inclusion((0.2, 0.3), 0.1, 50.0),))
+        mesh = build_mesh(incs, 0.3, 0.025)
+        grid = TimeGrid(8, 1.0)
+        src = SourceSet(n=5)
+        u, U = march_sources(src, incs, 0.5, coeffs_half, mesh, grid)
+        data = measure_data_matrix(src, coeffs_half, mesh, grid, u, U, 3, gamma0, sigma, seed=4)
+        # each probe tabulated on its own, then the same contraction
+        diffs = forward.boundary_diffs(mesh, grid, u, U, sigma=sigma, seed=4)
+        phin = np.stack([
+            tabulate_normal_derivative(
+                KernelProbe(coeffs_half, 3, p, t_final=1.0, gamma0=gamma0).normal_derivative, diffs[0]
+            )
+            for p in src.points
+        ])
+        weights = np.outer(grid.weights, diffs[0].arc_weights)
+        deltas = np.stack([d.values for d in diffs]).reshape(src.n, -1)
+        B = gamma0 * ((phin * weights).reshape(src.n, -1) @ deltas.T)
+        assert np.array_equal(data.B, B)
+        assert np.any(B != 0.0)
 
 
 class TestBuildMarch:

@@ -6,12 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracloc.errors import ConfigError, ReconstructionError
-from fracloc.forward import boundary_restrict, solve_background, solve_subdiffusion
+from fracloc.forward import (
+    boundary_diffs,
+    boundary_restrict,
+    solve_background,
+    solve_block,
+    solve_subdiffusion,
+)
 from fracloc.fracmath import TimeGrid
 from fracloc.greenfn import s_kernel
 from fracloc.locate_one import (
     ProbeSegment,
     Reconstruction1,
+    _bisect,
     default_segments,
     intersect,
     locate_one_inclusion,
@@ -151,6 +158,14 @@ class TestRootOnSegment:
         # parameter tolerance maps to coordinates through the span length
         assert errs[2] < 2.0 * 1e-6
 
+    def test_tolerance_below_double_spacing_ends(self):
+        # near the root, s = 0.65, the bracket stops shrinking at one ulp
+        # (1.1e-16), above this tolerance; the bisection still stops once
+        # its rounds have halved the width below it
+        seg = default_segments()[0]
+        root = root_on_segment(seg, lambda P: P[0] - 0.3, tol=1e-17)
+        assert abs(root[0] - 0.3) <= 1e-15
+
     def test_descending_sign_change(self):
         seg = default_segments()[0]
         root = root_on_segment(seg, lambda P: 0.3 - P[0], tol=1e-8)
@@ -167,6 +182,53 @@ class TestRootOnSegment:
         )
         with pytest.raises(ConfigError):
             root_on_segment(seg, lambda P: P[0], tol=1e-6)
+
+
+def linear_brackets(roots, slopes, calls):
+    """f for _bisect over brackets j with values slopes[j] (s - roots[j])."""
+    roots = np.asarray(roots, dtype=float)
+    slopes = np.asarray(slopes, dtype=float)
+
+    def f(params):
+        calls.append(len(params))
+        return slopes * (np.asarray(params, dtype=float) - roots)
+
+    return f
+
+
+class TestLockstepBisect:
+    # dyadic roots j/64 are hit exactly at a midpoint (or an end) within
+    # six rounds, the others only bracketed
+    root = st.one_of(st.integers(0, 64).map(lambda j: j / 64.0), st.floats(0.0, 1.0))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        brackets=st.lists(st.tuples(root, st.sampled_from([-1.0, 1.0])), min_size=1, max_size=4),
+        tol=st.sampled_from([0.3, 1e-2, 1e-4, 1e-7, 1e-12]),
+    )
+    def test_equals_separate_runs(self, brackets, tol):
+        roots, slopes = zip(*brackets)
+        calls = []
+        f = linear_brackets(roots, slopes, calls)
+        k = len(roots)
+        got = _bisect(f, f(np.zeros(k)), f(np.ones(k)), tol)
+        alone = []
+        for r, sl in brackets:
+            one = []
+            g = linear_brackets([r], [sl], one)
+            (root,) = _bisect(g, g([0.0]), g([1.0]), tol)
+            alone.append((root, len(one)))
+            assert one == [1] * len(one)
+            exact = (r * 64.0).is_integer() and tol < 1.0 / 64
+            assert root == r if exact else abs(root - r) <= tol
+        assert got.tolist() == [root for root, _ in alone]
+        # one call of f per round, for every bracket
+        assert calls == [k] * max(n for _, n in alone)
+
+    def test_no_sign_change_names_its_bracket(self):
+        f = linear_brackets([0.4, 1.5], [1.0, 1.0], [])
+        with pytest.raises(ReconstructionError, match=r"-1\.500e\+00 and -5\.000e-01"):
+            _bisect(f, f(np.zeros(2)), f(np.ones(2)), 1e-6)
 
 
 class TestIntersect:
@@ -329,6 +391,27 @@ class TestEndToEnd:
             diffs.append(boundary_restrict(u).diff(boundary_restrict(U)))
         rec = locate_one_inclusion(diffs, coeffs_half, tol=1e-4)
         assert np.linalg.norm(rec.P - z1) <= eps
+
+    def test_lockstep_roots_are_the_per_segment_roots(self, coeffs_half):
+        incs = InclusionSet(items=(Inclusion((0.2, 0.3), 0.1, 50.0),))
+        mesh = build_mesh(incs, 0.3, 0.025)
+        grid = TimeGrid(16, 1.0)
+        u = solve_block(mesh, 0.5, incs, lambda p: p, lambda p, t, n: n, grid)
+        diffs = boundary_diffs(mesh, grid, u, np.broadcast_to(mesh.vertices, u.shape))
+        rec = locate_one_inclusion(diffs, coeffs_half, tol=1e-3)
+        for seg, diff, root in zip(default_segments(), diffs, (rec.P1, rec.P2)):
+            alone = root_on_segment(seg, lambda P: probe_value(P, diff, coeffs_half), tol=1e-3)
+            assert np.array_equal(root, alone)
+
+    def test_traces_on_other_nodes_rejected(self, coeffs_half):
+        grid = TimeGrid(8, 1.0)
+        traces = []
+        for h in (0.3, 0.25):
+            mesh = build_mesh(InclusionSet(items=()), h, h)
+            U = solve_background(mesh, 0.5, None, lambda p: p[:, 0], lambda p, t, n: n[:, 0], grid)
+            traces.append(boundary_restrict(U).diff(boundary_restrict(U)))
+        with pytest.raises(ConfigError, match="different boundary nodes"):
+            locate_one_inclusion(traces, coeffs_half)
 
     def test_probe_value_rejects_interior_point(self, coeffs_half):
         grid = TimeGrid(8, 1.0)

@@ -15,11 +15,13 @@ from fracloc.forward import (
     solve_subdiffusion,
 )
 from fracloc.fracmath import TimeGrid
-from fracloc.greenfn import approx_fundamental, reduced_green_oracle
+from fracloc import measure
+from fracloc.greenfn import _gradient_factor, approx_fundamental, reduced_green_oracle
 from fracloc.measure import (
     KernelProbe,
     Measurement,
     OracleKernelProbe,
+    ProbeTable,
     leading_term,
     measurement_boundary,
     measurement_interior,
@@ -252,6 +254,56 @@ class TestHandleContract:
         tab = tabulate_normal_derivative(phi, flat_trace)
         assert calls == [(flat_trace.grid.n_steps + 1,)]
         assert tab.shape == flat_trace.values.shape
+
+
+class TestProbeTable:
+    """One table per trace; each call takes dPhi/dn for a stack of sources."""
+
+    @staticmethod
+    def sources(n, seed):
+        rng = np.random.default_rng(seed)
+        angle = rng.uniform(0.0, 2.0 * math.pi, n)
+        return rng.uniform(1.02, 4.0, n)[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+
+    @pytest.mark.parametrize("n_terms, gamma0", [(3, 1.0), (1, 2.5), (5, 0.4)])
+    def test_matches_kernel_probe_bitwise(self, flat_trace, coeffs_half, n_terms, gamma0):
+        sources = self.sources(9, n_terms)
+        got = ProbeTable(flat_trace, coeffs_half, n_terms, gamma0).normal_derivative(sources)
+        assert got.shape == (9,) + flat_trace.values.shape
+        # the formula as KernelProbe took it before the table: ((x - P).n)
+        # times greenfn's gradient factor at the live elapsed times
+        pts = np.column_stack([np.cos(flat_trace.angles), np.sin(flat_trace.angles)])
+        s = flat_trace.grid.t_final - flat_trace.grid.nodes
+        live = s > 0.0
+        for src, row in zip(sources, got):
+            probe = KernelProbe(coeffs_half, n_terms, src, t_final=1.0, gamma0=gamma0)
+            assert np.array_equal(row, tabulate_normal_derivative(probe.normal_derivative, flat_trace))
+            rel = pts - src
+            ref = np.zeros_like(row)
+            ref[live] = np.sum(rel * pts, axis=-1) * _gradient_factor(
+                coeffs_half, 2, n_terms, np.sum(rel * rel, axis=-1), s[live], 0.0, gamma0
+            )
+            assert np.array_equal(row, ref)
+        assert np.all(got[:, ~live] == 0.0) and np.all(got[:, live] != 0.0)
+
+    def test_time_half_is_taken_once(self, flat_trace, coeffs_half, monkeypatch):
+        calls = []
+        real = measure._time_factors
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(measure, "_time_factors", counting)
+        table = ProbeTable(flat_trace, coeffs_half, 3)
+        for seed in (1, 2, 3):
+            table.normal_derivative(self.sources(seed, seed))
+        assert len(calls) == 1
+
+    def test_sources_must_be_planar(self, flat_trace, coeffs_half):
+        table = ProbeTable(flat_trace, coeffs_half, 3)
+        with pytest.raises(ConfigError, match="R\\^2"):
+            table.normal_derivative([[2.0, 0.0, 0.0]])
 
 
 def _psi_half_quad(d: int, r: float) -> float:

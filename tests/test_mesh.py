@@ -185,6 +185,20 @@ class TestBuildMesh:
         assert np.all((mesh.boundary_normals * mid).sum(1) > 0.0)
         np.testing.assert_allclose(np.linalg.norm(mesh.boundary_normals, axis=1), 1.0)
 
+    def test_boundary_nodes_come_first(self):
+        mesh = build_mesh(InclusionSet(items=(Inclusion((0.2, 0.1), 0.1, 5.0),)), 0.2, 0.025)
+        nb = len(mesh.boundary_edges)
+        np.testing.assert_array_equal(mesh.boundary_nodes, np.arange(nb))
+        # any other boundary numbering is refused when the mesh is made
+        fields = dict(vars(mesh))
+        for edges in (
+            np.roll(mesh.boundary_edges, 1, axis=0),
+            mesh.boundary_edges[:, ::-1],
+            mesh.boundary_edges + 1,
+        ):
+            with pytest.raises(MeshError, match="boundary edge e"):
+                Mesh(**{**fields, "boundary_edges": edges})
+
     def test_min_angle_across_configs(self):
         configs = [
             (InclusionSet(items=(Inclusion((0.6, 0.6), 0.05, 50.0),)), 0.15, 0.0125),
