@@ -11,18 +11,19 @@ main then builds the command's RunPlan (plan_run), which runs every
 range check of the run, the caps on the mesh (MAX_MESH_VERTICES) and on
 the march's memory (MAX_MARCH_BYTES) among them, before any mesh; a
 sweep checks every value's plan before the first runs, and values that
-share a march key share one mesh, fit and march.  Every run writes its
-outputs plus a manifest.json capturing the resolved configuration and
-content hashes, so a rerun with the same config on the same build
-reproduces the files byte for byte.
+share a march key share one mesh, fit and march (_each_march).  Every
+run writes its outputs plus a manifest.json capturing the resolved
+configuration and content hashes, so a rerun with the same config on
+the same build reproduces the files byte for byte.
 
 Work that does not depend on the march runs beside it on one worker
-thread: locate-multi (and each value of a multi sweep) computes the
-indicator scan's kernel rows from before the march is taken
-(locate_multi.KernelRows), and forward writes mesh.txt and the
-background files while u marches.  Each worker has stopped when its
-command returns, the outputs are those of a run without it, and errors
-come in the same order.
+thread: locate-multi, and a multi sweep for all its values at once,
+computes the indicator scan's kernel rows from before the first march
+is taken (locate_multi.KernelRows, _locate_multi_runs), and forward
+writes mesh.txt and the background files while u marches.  Each
+command starts at most one worker, which has stopped when the command
+returns; the outputs are those of a run without it, and errors come in
+the same order.
 
 Exit codes: 0 success, 2 config error, 3 solver/mesh/quadrature error,
 4 reconstruction failure.
@@ -35,7 +36,6 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -67,7 +67,7 @@ from .locate_multi import (
     march_sources,
     measure_data_matrix,
     peak_extract,
-    scan_indicator,
+    scan_indicators,
     select_truncation,
     source_configuration,
 )
@@ -401,6 +401,21 @@ def _march(plan, coeffs):
     return mesh, u, np.broadcast_to(mesh.vertices, u.shape)
 
 
+def _each_march(plans, coeffs, take):
+    """Call take(i, mesh, u, U) for each plan i, with the mesh and blocks
+    of _march.  Plans with equal march keys share one march, the keys
+    march in the order of their first plans, and a march is dropped
+    before the next one is taken."""
+    groups = {}
+    for i, plan in enumerate(plans):
+        groups.setdefault(plan.march_key, []).append(i)
+    for group in groups.values():
+        march = _march(plans[group[0]], coeffs)
+        for i in group:
+            take(i, *march)
+        del march
+
+
 def _write_csv(path, header, rows):
     """Header (none if None), then each row's values at %.17g; returns the
     file's sha256 hex digest."""
@@ -461,25 +476,26 @@ def cmd_forward(plan, out_dir):
     return files
 
 
-def _locate_one_run(plan, coeffs, marched):
-    """Locate one inclusion from the backgrounds a = (1, 0) and (0, 1);
-    marched() returns the mesh and blocks of _march."""
-    mesh, u, U = marched()
+def _locate_one_run(plan, coeffs, mesh, u, U):
+    """Locate one inclusion from the mesh and blocks of _march, the
+    backgrounds a = (1, 0) and (0, 1)."""
     diffs = boundary_diffs(mesh, plan.grid, u, U, sigma=plan.sigma, seed=plan.seed)
     return locate_one_inclusion(
         diffs, coeffs, plan.segments, n_terms=plan.series_terms, tol=plan.tol, gamma0=plan.incs.gamma0
     )
 
 
+def _nearest_center(p, incs):
+    return min(np.linalg.norm(p - np.array(i.center)) for i in incs.items)
+
+
 def _center_error(rec_point, incs):
-    if len(incs.items) != 1:
-        return float("nan")
-    return float(np.linalg.norm(rec_point - np.array(incs.items[0].center)))
+    return _nearest_center(rec_point, incs) if len(incs.items) == 1 else float("nan")
 
 
 def cmd_locate_one(plan, out_dir):
     coeffs = fit_green_coeffs(plan.alpha)
-    rec = _locate_one_run(plan, coeffs, partial(_march, plan, coeffs))
+    rec = _locate_one_run(plan, coeffs, *_march(plan, coeffs))
     err = _center_error(rec.P, plan.incs)
     digest = _write_csv(
         out_dir / "reconstruction.csv",
@@ -489,20 +505,27 @@ def cmd_locate_one(plan, out_dir):
     return {"reconstruction.csv": digest}
 
 
-def _locate_multi_run(plan, coeffs, marched):
-    """Data matrix, indicator grid and peaks of one locate-multi run, from
-    the mesh and noiseless source blocks that marched() returns (_march).
+def _locate_multi_runs(plans, coeffs):
+    """Data matrix and indicator grid of each locate-multi plan, as
+    (i, data, igrid) in the order _each_march takes the plans.
 
-    A worker thread computes the scan's kernel rows (KernelRows.ahead),
-    which do not depend on the data, from before marched() is called until
-    the scan takes them; errors come in the order of a run without it.
+    The plans may differ in what the march and the noise read, not in
+    the scan, so one KernelRows serves them all: its worker
+    (KernelRows.ahead) computes the kernel rows from before the first
+    mesh.  Each plan's data matrix is measured, and its k chosen, while
+    its march is held; then one pass over the rows takes every plan's
+    indicator (scan_indicators).  Errors come in the order of a run
+    without the worker.
     """
+    first = plans[0]
     rows = KernelRows(
-        plan.sources, plan.alpha, coeffs, region=plan.region, resolution=plan.resolution,
-        n_terms=plan.series_terms, t_final=plan.grid.t_final, gamma0=plan.incs.gamma0,
+        first.sources, first.alpha, coeffs, region=first.region, resolution=first.resolution,
+        n_terms=first.series_terms, t_final=first.grid.t_final, gamma0=first.incs.gamma0,
     )
-    with rows.ahead():
-        mesh, u, U = marched()
+    measured = {}
+
+    def measure(i, mesh, u, U):
+        plan = plans[i]
         data = measure_data_matrix(
             plan.sources, coeffs, mesh, plan.grid, u, U, plan.series_terms,
             gamma0=plan.incs.gamma0, sigma=plan.sigma, seed=plan.seed,
@@ -513,18 +536,18 @@ def _locate_multi_run(plan, coeffs, marched):
             # secondary ones near tau, so keep at least 2 per sought peak
             k = select_truncation(data.singular_values, plan.tau)
             k = min(max(k, 2 * plan.peaks + 1), data.n - 1)
-        igrid = scan_indicator(data, rows, int(k))
-    located = peak_extract(igrid, plan.peaks, min_separation=plan.min_separation)
-    return data, igrid, located
+        measured[i] = (data, k)
 
-
-def _nearest_center(p, incs):
-    return min(np.linalg.norm(p - np.array(i.center)) for i in incs.items)
+    with rows.ahead():
+        _each_march(plans, coeffs, measure)
+        grids = scan_indicators(list(measured.values()), rows)
+    return [(i, data, igrid) for (i, (data, _)), igrid in zip(measured.items(), grids)]
 
 
 def cmd_locate_multi(plan, out_dir):
     coeffs = fit_green_coeffs(plan.alpha)
-    data, igrid, peaks = _locate_multi_run(plan, coeffs, partial(_march, plan, coeffs))
+    [(_, data, igrid)] = _locate_multi_runs([plan], coeffs)
+    peaks = peak_extract(igrid, plan.peaks, min_separation=plan.min_separation)
     spectrum = [(j + 1, s) for j, s in enumerate(data.singular_values)]
     located = [[p[0], p[1], _nearest_center(p, plan.incs)] for p in peaks]
     return {
@@ -567,35 +590,37 @@ def cmd_oracle_check(plan, out_dir):
 
 def cmd_sweep(plans, out_dir):
     """One sweep.csv row per (value, RunPlan) pair.  Values whose plans share
-    a march key share one mesh and one march, taken when the first of them
-    runs; the groups run in the order of their first value."""
-    one = plans[0][1].command == "locate-one"
-    coeffs = fit_green_coeffs(plans[0][1].alpha)
-    groups = {}
-    for i, (_, plan) in enumerate(plans):
-        groups.setdefault(plan.march_key, []).append(i)
-    rows = [None] * len(plans)
-    failed = 0
-    for group in groups.values():
-        # rebinding drops the previous group's march, so one is held at a time
-        marched = cache(partial(_march, plans[group[0]][1], coeffs))
-        for i in group:
-            value, plan = plans[i]
-            try:
-                if one:
-                    rec = _locate_one_run(plan, coeffs, marched)
-                    rows[i] = (value, _center_error(rec.P, plan.incs), rec.rho0)
-                else:
-                    _, _, peaks = _locate_multi_run(plan, coeffs, marched)
-                    worst = max(_nearest_center(p, plan.incs) for p in peaks)
-                    rows[i] = (value, worst, float(len(peaks)))
-            except ReconstructionError as exc:
-                # one failed value must not discard the rest of the sweep
-                print(f"fracloc: sweep value {value!r} failed: {exc}", file=sys.stderr)
-                rows[i] = (value, float("nan"), float("nan"))
-                failed += 1
-    if failed == len(plans):
-        raise ReconstructionError(f"all {failed} sweep values failed")
+    a march key share one mesh and one march (_each_march), and all values
+    of a multi sweep share one scan (_locate_multi_runs).  A value whose
+    reconstruction fails gets a row of nan and a line on stderr, in the
+    order the values are located; the sweep fails if every value does."""
+    runs = [plan for _, plan in plans]
+    one = runs[0].command == "locate-one"
+    coeffs = fit_green_coeffs(runs[0].alpha)
+    located = {}
+
+    def locate(i, *run):
+        # run: the mesh and blocks of the march, or the indicator grid
+        value, plan = plans[i]
+        try:
+            if one:
+                rec = _locate_one_run(plan, coeffs, *run)
+                located[i] = (_center_error(rec.P, plan.incs), rec.rho0)
+            else:
+                peaks = peak_extract(run[-1], plan.peaks, min_separation=plan.min_separation)
+                located[i] = (max(_nearest_center(p, plan.incs) for p in peaks), float(len(peaks)))
+        except ReconstructionError as exc:
+            # one failed value must not discard the rest of the sweep
+            print(f"fracloc: sweep value {value!r} failed: {exc}", file=sys.stderr)
+
+    if one:
+        _each_march(runs, coeffs, locate)
+    else:
+        for i, _, igrid in _locate_multi_runs(runs, coeffs):
+            locate(i, igrid)
+    if not located:
+        raise ReconstructionError(f"all {len(plans)} sweep values failed")
+    rows = [(value, *located.get(i, (math.nan, math.nan))) for i, (value, _) in enumerate(plans)]
     header = "value,err,rho0" if one else "value,max_err,peaks_found"
     return {"sweep.csv": _write_csv(out_dir / "sweep.csv", header, rows)}
 

@@ -24,8 +24,10 @@ G(z) depends on the sources and z only, not on the data, so a scan's
 kernel rows can be computed before B exists: ``KernelRows.ahead``
 computes them on one worker thread, up to SCAN_AHEAD_BYTES of them,
 while the caller builds the mesh and marches the data matrix, and
-``scan_indicator`` takes the indicator over the rows done ahead and
-computes the rest itself, through the same row function.
+``scan_indicators`` takes the indicator over the rows done ahead and
+computes the rest itself, through the same row function.  It passes
+over the rows once for any number of data matrices, so the data of
+several noise levels or inclusion shapes share one scan's kernel work.
 """
 
 import threading
@@ -278,7 +280,7 @@ def g_matrix(z, sources, alpha, coeffs, n_terms=3, t_final=1.0, gamma0=1.0):
     reversed in time.
 
     The forward factor is evaluated exactly, in separated form: its time
-    half once per call (``_forward_time_factors``; ``scan_indicator``
+    half once per call (``_forward_time_factors``; ``KernelRows``
     takes it once per scan), and per point only powers of rho^2 and one
     exp per (point, source, node).
 
@@ -292,11 +294,6 @@ def g_matrix(z, sources, alpha, coeffs, n_terms=3, t_final=1.0, gamma0=1.0):
 def _check_tau(tau):
     if not 0.0 < tau < 1.0:
         raise ConfigError(f"threshold {tau} outside (0, 1)")
-
-
-def _check_truncation(k, n):
-    if not 0 <= k <= n:
-        raise ConfigError(f"truncation level {k} outside [0, {n}]")
 
 
 def _scan_axes(region, resolution):
@@ -330,15 +327,16 @@ def _check_scan(sources, region, resolution, peaks, k, tau):
     _check_peak_request(peaks, (resolution, resolution))
     if k is None:
         _check_tau(tau)
-    else:
-        _check_truncation(k, sources.n)
+    elif not 0 < k < sources.n:
+        # k 0 or n gives a constant W, which has no interior maxima
+        raise ConfigError(f"truncation level {k} outside [1, {sources.n - 1}]")
 
 
 def select_truncation(singular_values, tau=1e-6):
     """Largest k with s_k / s_1 >= tau, or 1 if no k passes.
 
     The count of singular values at or above tau times the largest one;
-    ``cli._locate_multi_run`` then floors it at 2 peaks + 1 and caps it
+    ``cli._locate_multi_runs`` then floors it at 2 peaks + 1 and caps it
     at n - 1.
     """
     s = np.asarray(singular_values, dtype=float)
@@ -359,7 +357,8 @@ def indicator(data, k, g):
     finite sentinel so downstream CSV stays finite.
     """
     g = np.asarray(g, dtype=float)
-    _check_truncation(k, data.n)
+    if not 0 <= k <= data.n:
+        raise ConfigError(f"truncation level {k} outside [0, {data.n}]")
     Vk = data.left_vectors[:, :k]
     num = np.linalg.norm(g, axis=(-2, -1))
     den = np.linalg.norm(g - Vk @ (Vk.T @ g), axis=(-2, -1))
@@ -474,28 +473,36 @@ class KernelRows:
 
     def __iter__(self):
         self.close()
-        done = self._done
-        start = len(done)
-        while done:
-            yield done.popleft()
-        if start < self.ys.size:
-            time = _forward_time_factors(*self._time_args) if self._time is None else self._time
-            for zs in _scan_points(self.xs, self.ys)[start:]:
-                yield _kernel_matrix(zs, self.sources, *time)
+        start = len(self._done)
+        while self._done:
+            yield self._done.popleft()
+        # a worker that made any row took the time half first
+        time = _forward_time_factors(*self._time_args) if self._time is None else self._time
+        for zs in _scan_points(self.xs, self.ys)[start:]:
+            yield _kernel_matrix(zs, self.sources, *time)
 
 
 def scan_indicator(data, rows, k):
-    """Evaluate the indicator over the scan grid of rows, a KernelRows.
+    """Evaluate the indicator over the scan grid of rows, a KernelRows, at
+    truncation level k: the one-pair case of scan_indicators."""
+    return scan_indicators([(data, k)], rows)[0]
 
-    k is the truncation level, chosen by the caller (the CLI floors
-    select_truncation's count; see cli._locate_multi_run).  The time half
-    of the kernel factor is taken once per scan, and each grid row is one
-    kernel-matrix and one indicator call.  The worker of rows, if
-    started, may have computed the first rows ahead (the CLI starts it
-    before the mesh); the rest are computed here.
+
+def scan_indicators(measured, rows):
+    """The indicator grids of several (data, k) pairs in one pass over rows.
+
+    rows is a KernelRows, and k is the truncation level of its data,
+    chosen by the caller (the CLI floors select_truncation's count; see
+    cli._locate_multi_runs).  The time half of the kernel factor is taken
+    once, and each grid row's kernel matrices once, whatever the number
+    of pairs; every pair's indicator is then taken on that row, so data
+    matrices measured at several noise levels cost one scan's kernel
+    work.  The worker of rows, if started, may have computed the first
+    rows ahead (the CLI starts it before the mesh); the rest are computed
+    here.  Returns one IndicatorGrid per pair, in order.
     """
-    values = np.stack([indicator(data, k, g) for g in rows])
-    return IndicatorGrid(xs=rows.xs, ys=rows.ys, values=values)
+    values = np.stack([[indicator(data, k, g) for data, k in measured] for g in rows], axis=1)
+    return [IndicatorGrid(xs=rows.xs, ys=rows.ys, values=v) for v in values]
 
 
 def peak_extract(grid, m, min_separation=0.0):

@@ -360,10 +360,10 @@ OUT_OF_RANGE = {
     ),
     "scan.resolution": (MULTI, st.builds(lambda v: {"scan": {"resolution": v}}, st.integers(-5, 2))),
     "scan.peaks": (MULTI, st.builds(lambda v: {"scan": {"peaks": v}}, st.integers(-5, 0))),
-    # 6 sources: k from 0 to 6
+    # 6 sources: k from 1 to 5
     "scan.k": (
         MULTI,
-        st.builds(lambda v: {"scan": {"k": v}}, st.integers(-20, -1) | st.integers(7, 100)),
+        st.builds(lambda v: {"scan": {"k": v}}, st.integers(-20, 0) | st.integers(6, 100)),
     ),
     "scan.tau": (
         MULTI,
@@ -993,12 +993,14 @@ class TestLocateMultiCommand:
             {"resolution": 2},
             {"k": 7},
             {"k": -1},
+            {"k": 0},
+            {"k": 6},
             {"tau": 0.0},
             {"tau": 1.5},
         ],
         ids=[
             "no-peaks", "region-outside", "region-degenerate", "resolution-1",
-            "resolution-2", "k-above-n", "k-negative", "tau-0", "tau-above-1",
+            "resolution-2", "k-above-n", "k-negative", "k-0", "k-n", "tau-0", "tau-above-1",
         ],
     )
     def test_scan_ranges_checked_before_march(self, tmp_path, monkeypatch, scan):
@@ -1209,16 +1211,39 @@ class TestWorkBesideTheMarch:
         assert manifest_outputs(tmp_path / "b") == manifest_outputs(tmp_path / "a")
         assert threading.active_count() == start
 
-    def test_sweep_runs_one_worker_per_value(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "command, sweep, marches",
+        [
+            ("locate-multi", None, 1),
+            ("sweep", {"parameter": "sigma", "values": [0.0, 0.01, 0.02]}, 1),
+            ("sweep", {"parameter": "aspect", "values": [1.0, 2.0]}, 2),
+        ],
+        ids=["locate-multi", "sigma-sweep", "aspect-sweep"],
+    )
+    def test_one_worker_and_one_scan_per_command(self, tmp_path, monkeypatch, command, sweep, marches):
+        # every value of a multi sweep shares the scan: one worker and one
+        # kernel matrix per grid row, however many values and marches
         start = threading.active_count()
         workers = []
-        compute_ahead = locate_multi.KernelRows._compute_ahead
+        counts = {"rows": 0, "march": 0}
+        compute_ahead, row_fn, march = (
+            locate_multi.KernelRows._compute_ahead, locate_multi._kernel_matrix, forward._march_block
+        )
 
         def worker(self):
             workers.append(threading.current_thread())
             compute_ahead(self)
 
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
         monkeypatch.setattr(locate_multi.KernelRows, "_compute_ahead", worker)
+        monkeypatch.setattr(locate_multi, "_kernel_matrix", counting("rows", row_fn))
+        monkeypatch.setattr(forward, "_march_block", counting("march", march))
         cfg = write_config(
             tmp_path / "c.json",
             time_steps=16,
@@ -1226,11 +1251,12 @@ class TestWorkBesideTheMarch:
             inclusions=[CHEAP_INCLUSION],
             sources={"n": 6},
             scan={"region": [-0.5, 0.5, -0.5, 0.5], "resolution": 11, "k": 3},
-            sweep={"parameter": "sigma", "values": [0.0, 0.01], "algorithm": "multi"},
+            sweep=dict(sweep or {}, algorithm="multi"),
             output_dir=str(tmp_path / "out"),
         )
-        assert cli.main(["sweep", "--config", cfg]) == 0
-        assert len(workers) == 2 and not any(t.is_alive() for t in workers)
+        assert cli.main([command, "--config", cfg]) == 0
+        assert counts == {"rows": 11, "march": marches}
+        assert len(workers) == 1 and not workers[0].is_alive()
         assert threading.active_count() == start
 
 
@@ -1471,14 +1497,14 @@ class TestSweepCommand:
     @pytest.mark.parametrize("failing", [[0.01], [0.0, 0.01, 0.02]])
     def test_failed_value_keeps_sweep(self, tmp_path, monkeypatch, capsys, failing):
         # stand-in march, fit and locator: the value 0.01 has no reconstruction
-        monkeypatch.setattr(cli, "_march", lambda plan, coeffs: None)
+        monkeypatch.setattr(cli, "_march", lambda plan, coeffs: (None, None, None))
         monkeypatch.setattr(cli, "fit_green_coeffs", lambda alpha: None)
 
         class Rec:
             P = np.array([0.2, 0.3])
             rho0 = 0.5
 
-        def locate(plan, coeffs, marched):
+        def locate(plan, coeffs, mesh, u, U):
             if plan.sigma in failing:
                 raise ReconstructionError("no sign change")
             return Rec()
@@ -1503,6 +1529,62 @@ class TestSweepCommand:
         assert rows[:, 0].tolist() == [0.0, 0.01, 0.02]
         assert np.isnan(rows[1, 1:]).all()
         assert rows[[0, 2], 1].tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("failing", [[0.05], [0.0, 0.2]])
+    def test_failed_multi_value_keeps_sweep(self, tmp_path, monkeypatch, capsys, failing):
+        # the peaks of each failing value are refused; every other row equals
+        # that of a separate locate-multi run at its sigma, and the three
+        # sigmas give three different rows
+        common = dict(
+            time_steps=16,
+            mesh={"h_far": 0.25},
+            inclusions=[CHEAP_INCLUSION],
+            sources={"n": 6},
+            scan={"region": [-0.5, 0.5, -0.5, 0.5], "resolution": 11, "k": 3},
+        )
+        sigmas = [0.0, 0.05, 0.2]
+        expected = []
+        for sigma in sigmas:
+            out = tmp_path / f"sigma{sigma}"
+            cfg = write_config(
+                out.with_suffix(".json"), noise={"sigma": sigma, "seed": 5}, output_dir=str(out), **common
+            )
+            assert cli.main(["locate-multi", "--config", cfg]) == 0
+            peaks = np.loadtxt(out / "peaks.csv", delimiter=",", skiprows=1, ndmin=2)
+            expected.append([sigma, peaks[:, 2].max(), len(peaks)])
+        assert len({row[1] for row in expected}) == 3
+        capsys.readouterr()
+        extract = cli.peak_extract
+        calls = []
+
+        def refusing(igrid, m, min_separation):
+            # a sigma sweep takes its values in order
+            sigma = sigmas[len(calls)]
+            calls.append(sigma)
+            if sigma in failing:
+                raise ReconstructionError("injected")
+            return extract(igrid, m, min_separation=min_separation)
+
+        monkeypatch.setattr(cli, "peak_extract", refusing)
+        out = tmp_path / "sweep"
+        cfg = write_config(
+            tmp_path / "sweep.json",
+            noise={"sigma": 0.0, "seed": 5},
+            sweep={"parameter": "sigma", "values": sigmas, "algorithm": "multi"},
+            output_dir=str(out),
+            **common,
+        )
+        assert cli.main(["sweep", "--config", cfg]) == 0
+        assert len(calls) == len(sigmas)
+        assert capsys.readouterr().err.splitlines() == [
+            f"fracloc: sweep value {sigma!r} failed: injected" for sigma in failing
+        ]
+        rows = np.loadtxt(out / "sweep.csv", delimiter=",", skiprows=1)
+        for row, want in zip(rows, expected):
+            if row[0] in failing:
+                assert np.isnan(row[1:]).all()
+            else:
+                np.testing.assert_array_equal(row, want)
 
     def test_empty_values_rejected(self, tmp_path):
         cfg = write_config(
