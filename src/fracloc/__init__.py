@@ -11,8 +11,11 @@ Module map
 ----------
 fracmath      time grid, L1 Caputo derivative, Riemann-Liouville integral
 greenfn       reduced fundamental-solution profiles: float64 quadrature,
-              fitted asymptotic series, and their gradient kernels
-mesh          graded triangulations of the unit disk resolving inclusions
+              fitted asymptotic series, their gradient kernels, and the
+              one copy of the gradient factor's time half and normal
+              derivative that the flux, the probes and the scan take
+mesh          graded triangulations of the unit disk resolving inclusions,
+              with each triangle's P1 gradient coefficients
 forward       P1-in-space / L1-in-time subdiffusion solver, noisy boundary diffs
 measure       boundary/interior measurement functionals, polarization tensor
 locate_one    single-inclusion reconstruction from two probe segments

@@ -373,15 +373,14 @@ def _sweep_plans(cfg):
     if parameter not in ("eps", "sigma", "aspect"):
         raise ConfigError(f"sweep parameter must be eps, sigma or aspect, got {parameter!r}")
     base = plan_run(f"locate-{algorithm}", cfg)
+    h_far, h_near = base.mesh_sizes[0], cfg["mesh"]["h_near"]
 
     def swept(value):
         if parameter == "sigma":
             return replace(base, sigma=float(value))
         items = [replace(inc, **{parameter: float(value)}) for inc in base.incs.items]
         incs = replace(base.incs, items=items)
-        # each eps meshes at the h_near it implies, whatever mesh.h_near says
-        sizes = _mesh_sizes(incs, base.mesh_sizes[0], None) if parameter == "eps" else base.mesh_sizes
-        return replace(base, incs=incs, mesh_sizes=sizes)
+        return replace(base, incs=incs, mesh_sizes=_mesh_sizes(incs, h_far, h_near))
 
     return [(value, swept(value)) for value in values]
 

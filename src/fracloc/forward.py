@@ -176,14 +176,8 @@ class BoundaryTrace:
 
 def assemble_matrices(mesh: Mesh, gamma_tri: np.ndarray):
     """Consistent P1 mass matrix and conductivity-weighted stiffness."""
-    verts = mesh.vertices
     tris = mesh.triangles
-    x = verts[tris, 0]
-    y = verts[tris, 1]
-    # edge vectors opposite each local vertex
-    bvec = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    cvec = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    area2 = x[:, 0] * bvec[:, 0] + x[:, 1] * bvec[:, 1] + x[:, 2] * bvec[:, 2]
+    bvec, cvec, area2 = mesh.p1_gradients()
     if np.any(area2 <= 0.0):
         raise SolverError("non-positively-oriented triangle in assembly")
     area = 0.5 * area2
@@ -198,7 +192,7 @@ def assemble_matrices(mesh: Mesh, gamma_tri: np.ndarray):
     )
     m_loc = (area[:, None, None] / 12.0) * (np.ones((3, 3)) + np.eye(3))[None, :, :]
 
-    n = len(verts)
+    n = len(mesh.vertices)
     K = coo_matrix((k_loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     M = coo_matrix((m_loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     return M, K

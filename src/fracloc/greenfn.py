@@ -20,7 +20,14 @@ This module provides:
 * ``s_kernel``: the scalar profile S_{d,N} of the expansion's gradient,
   grad psi_{d,N}(x) = x S_{d,N}(|x|^2),
 * ``approx_fundamental`` / ``grad_approx_fundamental``: space-time
-  kernels built from the truncated expansion by the similarity scaling.
+  kernels built from the truncated expansion by the similarity scaling,
+* ``_gradient_time_half`` / ``_normal_derivative``: the gradient
+  factor's time half and its normal derivative ((x - src).n) f, the one
+  copy of that formula; the moving-source flux (locate_multi), the
+  probe's dPhi/dn and its table (measure) and the scan's kernel matrix
+  (locate_multi) take the kernel through them.  The term lists behind
+  them (``_value_terms``, ``_gradient_terms``, ``_time_factors``) stay
+  in this module.
 
 Each truncated profile is exp(-a0 y^p) sum_j kappa_j y^(e_j) in y = r^2,
 p = 1/(2 - alpha), e_j = e_0 - j p, and the gradient profile's monomials
@@ -312,12 +319,25 @@ class _TimeFactors(NamedTuple):
     weights: np.ndarray  # lam.shape + (J,): kappa_j lam^(-e_j - shift)
 
 
-def _time_factors(coeffs: GreenCoeffs, terms, lam, shift: float) -> _TimeFactors:
+def _time_factors(coeffs: GreenCoeffs, terms, shift: float, s=1.0, gamma0=1.0) -> _TimeFactors:
+    """The time half of the separated terms at lam = gamma0 s^alpha; lam = 1 by default."""
     kappa, e0 = terms
     p = 1.0 / (2.0 - coeffs.alpha)
     e = e0 - p * np.arange(kappa.size)
-    lam = np.asarray(lam, dtype=float)
+    lam = np.asarray(gamma0 * s**coeffs.alpha, dtype=float)
     return _TimeFactors(p, e, coeffs.a0 * lam**-p, kappa * lam[..., None] ** -(e + shift))
+
+
+def _gradient_time_half(coeffs: GreenCoeffs, d: int, n_terms: int, s, gamma0: float):
+    """The time half of the gradient factor f at elapsed times s > 0.
+
+    grad Psi(x, s) = (x - src) f(|x - src|^2, s) with
+    f(rho2, s) = lam^(-(d+2)/2) S_{d,N}(rho2 / lam), lam = gamma0 s^alpha:
+    the factor of grad_approx_fundamental, the moving-source flux, the
+    probe's dPhi/dn and the scan's kernel matrix.  s is one time or a
+    1-D array of times.
+    """
+    return _time_factors(coeffs, _gradient_terms(coeffs, d, n_terms), (d + 2) / 2.0, s, gamma0)
 
 
 def _separated(rho2, times: _TimeFactors):
@@ -333,13 +353,27 @@ def _separated(rho2, times: _TimeFactors):
     return decay * (rho2[..., None] ** times.exponents @ times.weights.T)
 
 
+def _normal_derivative(points, normals, sources, times) -> np.ndarray:
+    """((x - src) . n) f(|x - src|^2, s) for each source src: the gradient
+    factor's normal derivative, with no gradient array in between.
+
+    points and normals are (m, d), sources (k, d), and times the
+    gradient factor's time half at n elapsed times (_gradient_time_half);
+    the result has shape (k, n, m).
+    """
+    rel = points - sources[:, None, :]
+    proj = np.sum(rel * normals, axis=-1)
+    rho2 = np.sum(rel * rel, axis=-1)
+    return np.swapaxes(proj[..., None] * _separated(rho2, times), -1, -2)
+
+
 def reduced_green_series(coeffs: GreenCoeffs, d: int, n_terms: int, r):
     """Truncated large-argument expansion of psi_d at radius r (vectorized)."""
     terms = _value_terms(coeffs, d, n_terms)
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr <= 0.0):
         raise ConfigError("series radius must be positive")
-    return _separated(r_arr * r_arr, _time_factors(coeffs, terms, 1.0, 0.0))[()]
+    return _separated(r_arr * r_arr, _time_factors(coeffs, terms, 0.0))[()]
 
 
 def s_kernel(coeffs: GreenCoeffs, d: int, n_terms: int, y):
@@ -350,29 +384,28 @@ def s_kernel(coeffs: GreenCoeffs, d: int, n_terms: int, y):
     outside a bounded set; the locators rely on that sign.
     """
     terms = _gradient_terms(coeffs, d, n_terms)
-    return _separated(y, _time_factors(coeffs, terms, 1.0, 0.0))[()]
+    return _separated(y, _time_factors(coeffs, terms, 0.0))[()]
 
 
-def _kernel_factor(coeffs: GreenCoeffs, terms, shift: float, rho2, t, t0: float, gamma0: float):
-    """The separated profile at lam = gamma0 (t - t0)^alpha, one row per time.
+def _kernel_factor(rho2, t, t0: float, time_half):
+    """A separated kernel at the elapsed times s = t - t0 > 0, one row per time.
 
-    t is a scalar or a 1-D array of times; the result has shape
-    t.shape + rho2.shape.
+    time_half maps s to the kernel's time half; t is a scalar or a 1-D
+    array of times, and the result has shape t.shape + rho2.shape.
     """
     t = np.asarray(t, dtype=float)
     if not np.all(t > t0):
         raise ConfigError(f"kernel requires t > t0, got t={np.min(t)}, t0={t0}")
-    f = _separated(rho2, _time_factors(coeffs, terms, gamma0 * (t - t0) ** coeffs.alpha, shift))
+    f = _separated(rho2, time_half(t - t0))
     return np.moveaxis(f, -1, 0) if t.ndim else f
 
 
 def _gradient_factor(coeffs: GreenCoeffs, d: int, n_terms: int, rho2, t, t0: float, gamma0: float):
     """f with grad Psi(x, t) = (x - src) f(|x - src|^2, t); shape t.shape + rho2.shape.
 
-    f = lam^(-(d+2)/2) S_{d,N}(rho2 / lam), lam = gamma0 (t - t0)^alpha.
+    f's time half is _gradient_time_half at s = t - t0.
     """
-    terms = _gradient_terms(coeffs, d, n_terms)
-    return _kernel_factor(coeffs, terms, (d + 2) / 2.0, rho2, t, t0, gamma0)
+    return _kernel_factor(rho2, t, t0, lambda s: _gradient_time_half(coeffs, d, n_terms, s, gamma0))
 
 
 def approx_fundamental(
@@ -396,7 +429,9 @@ def approx_fundamental(
     """
     rel = np.atleast_2d(np.asarray(x, dtype=float)) - np.asarray(src, dtype=float)
     terms = _value_terms(coeffs, d, n_terms)
-    vals = _kernel_factor(coeffs, terms, d / 2.0, np.sum(rel * rel, axis=-1), t, t0, gamma0)
+    vals = _kernel_factor(
+        np.sum(rel * rel, axis=-1), t, t0, lambda s: _time_factors(coeffs, terms, d / 2.0, s, gamma0)
+    )
     return vals[..., 0] if np.asarray(x).ndim == 1 else vals
 
 

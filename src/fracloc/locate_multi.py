@@ -18,7 +18,11 @@ truncated gradient profile is a power of rho^2 times a power of the
 time scale lam = gamma0 t^alpha.  A scan takes the time half once, on
 the quadrature nodes; each grid row then takes the powers of rho^2 per
 (point, source), one exp per (point, source, node) and a product with
-the time half, so no power is taken per (point, time) pair.
+the time half, so no power is taken per (point, time) pair.  The same
+factor gives the moving-source backgrounds' Neumann flux
+((x - x_j).n) f and the probes' dPhi/dn; greenfn states its time half
+(_gradient_time_half) and that normal derivative (_normal_derivative)
+once for the flux, the probe table and the scan.
 
 G(z) depends on the sources and z only, not on the data, so a scan's
 kernel rows can be computed before B exists: ``KernelRows.ahead``
@@ -42,13 +46,7 @@ from .forward import boundary_diffs, solve_pair
 # bound here though unused: perfbench's tracer test checks that its wrapper
 # reaches every module that binds the single-march solver
 from .forward import solve_subdiffusion  # noqa: F401
-from .greenfn import (
-    _gradient_terms,
-    _separated,
-    _time_factors,
-    approx_fundamental,
-    grad_approx_fundamental,
-)
+from .greenfn import _gradient_time_half, _normal_derivative, _separated, approx_fundamental
 from .measure import ProbeTable
 from .textfile import write_hashed
 
@@ -174,7 +172,9 @@ def march_sources(sources, inclusions, alpha, coeffs, mesh, grid, n_terms=3):
     domain.  alpha must be the order coeffs were fitted for, since it
     sets the march.  All sources march as one block, one
     factorization per conductivity, and each kernel call of the initial
-    datum and the flux covers every source.  No noise enters here.
+    datum and the flux covers every source.  The flux is gamma0 dPsi/dn,
+    greenfn's _normal_derivative with the gradient factor's time half at
+    the elapsed time t + t_init.  No noise enters here.
     """
     _check_order(alpha, coeffs)
     gamma0 = inclusions.gamma0
@@ -188,8 +188,8 @@ def march_sources(sources, inclusions, alpha, coeffs, mesh, grid, n_terms=3):
         return approx_fundamental(coeffs, d, n_terms, p, 0.0, poles, t0=-t_init, gamma0=gamma0).T
 
     def g(p, t, nrm):
-        grads = grad_approx_fundamental(coeffs, d, n_terms, p, t, poles, t0=-t_init, gamma0=gamma0)
-        return gamma0 * np.sum(grads * nrm, axis=-1).T
+        times = _gradient_time_half(coeffs, d, n_terms, np.array([t + t_init]), gamma0)
+        return gamma0 * _normal_derivative(p, nrm, pts, times)[:, 0].T
 
     return solve_pair(mesh, alpha, inclusions, u0, g, grid)
 
@@ -237,15 +237,13 @@ def _gauss_panels(t_final):
 def _forward_time_factors(sources, alpha, coeffs, n_terms, t_final, gamma0):
     """The time half of G's forward factor on the Gauss nodes, and their weights.
 
-    The factor is f(rho, t) = S(rho^2 / lam) lam^{-(d+2)/2} with
-    lam = gamma0 t^alpha, the factor of grad_approx_fundamental; its
-    time half is a0 lam^-p and kappa_j lam^(-e_j - (d+2)/2) per node.
+    The factor is greenfn's gradient factor f(rho^2, t) at elapsed time t
+    (_gradient_time_half).
     """
     _check_order(alpha, coeffs)
     d = sources.points.shape[1]
     t_nodes, t_weights = _gauss_panels(t_final)
-    terms = _gradient_terms(coeffs, d, n_terms)
-    return _time_factors(coeffs, terms, gamma0 * t_nodes**alpha, (d + 2) / 2.0), t_weights
+    return _gradient_time_half(coeffs, d, n_terms, t_nodes, gamma0), t_weights
 
 
 def _kernel_matrix(z, sources, time_factors, t_weights):
@@ -414,12 +412,12 @@ class KernelRows:
     """The kernel matrices of a scan grid, one grid row at a time, in order.
 
     The grid is resolution x resolution points over region, strictly
-    inside the unit disk; xs and ys, its nodes, are computed here.
-    Iterating yields each grid row's stack of G(z), shape (resolution,
-    n, n), computed by _kernel_matrix with the time half taken once.
-    ``ahead()`` starts one worker thread that computes them while the
-    caller goes on: the time half, then one row after another, until the
-    last row or until one more would take the rows it holds over
+    inside the unit disk; xs and ys, its nodes, and the time half of the
+    kernel factor are computed here, once.  Iterating yields each grid
+    row's stack of G(z), shape (resolution, n, n), computed by
+    _kernel_matrix.  ``ahead()`` starts one worker thread that computes
+    them while the caller goes on, one row after another, until the last
+    row or until one more would take the rows it holds over
     SCAN_AHEAD_BYTES, so no row is held if one row is over it.
     Iterating stops and joins the worker, yields the rows it has done,
     dropping each as it goes, and computes the rest itself.  The worker
@@ -435,8 +433,7 @@ class KernelRows:
     ):
         self.sources = sources
         self.xs, self.ys = _scan_axes(region, resolution)
-        self._time_args = (sources, alpha, coeffs, n_terms, t_final, gamma0)
-        self._time = None
+        self._time = _forward_time_factors(sources, alpha, coeffs, n_terms, t_final, gamma0)
         self._done = deque()
         self._stop = threading.Event()
         self._worker = None
@@ -449,7 +446,6 @@ class KernelRows:
 
     def _compute_ahead(self):
         try:
-            self._time = _forward_time_factors(*self._time_args)
             row_bytes = 8 * self.xs.size * self.sources.n**2
             for zs in _scan_points(self.xs, self.ys)[: SCAN_AHEAD_BYTES // row_bytes]:
                 if self._stop.is_set():
@@ -476,10 +472,8 @@ class KernelRows:
         start = len(self._done)
         while self._done:
             yield self._done.popleft()
-        # a worker that made any row took the time half first
-        time = _forward_time_factors(*self._time_args) if self._time is None else self._time
         for zs in _scan_points(self.xs, self.ys)[start:]:
-            yield _kernel_matrix(zs, self.sources, *time)
+            yield _kernel_matrix(zs, self.sources, *self._time)
 
 
 def scan_indicator(data, rows, k):

@@ -9,8 +9,9 @@ Test functions enter through handles producing values, gradients and
 normal derivatives at arbitrary (x, t); KernelProbe wraps the
 approximate fundamental solution run backwards in time, which is the
 only Phi the algorithms use, but tests may pass exact oracles.
-KernelProbe's normal derivative is ((x - source).n) times greenfn's
-separated gradient factor, with no gradient array in between.
+KernelProbe's normal derivative is greenfn's _normal_derivative,
+((x - source).n) times the separated gradient factor, with no gradient
+array in between.
 
 Handle contract: a handle takes k points (and, for the normal
 derivative, k normals) and t, either one time or a 1-D array of times,
@@ -26,7 +27,9 @@ outward normals, the levels with positive elapsed time T - t, and the
 time half of the gradient factor there.  One call then gives dPhi/dn
 for a whole stack of sources, with only rel, proj, rho^2 and one
 separated evaluation per call.  KernelProbe.normal_derivative and the
-table share that formula (_normal_derivative), so it exists once.
+table take the time half and the formula from greenfn
+(_gradient_time_half, _normal_derivative), which the source march's
+flux and the scan take too, so they exist once.
 
 An equivalent interior form (conductivity-contrast weighted gradient
 coupling over the inclusions) serves as a cross-check, and leading_term
@@ -48,9 +51,8 @@ from .forward import BoundaryTrace, SpaceTimeField
 from .fracmath import TimeGrid
 from .greenfn import (
     GreenCoeffs,
-    _gradient_terms,
-    _separated,
-    _time_factors,
+    _gradient_time_half,
+    _normal_derivative,
     approx_fundamental,
     grad_approx_fundamental,
     log_reduced_green,
@@ -207,29 +209,6 @@ class KernelProbe:
         )
 
 
-def _gradient_time_half(coeffs: GreenCoeffs, d: int, n_terms: int, s, gamma0: float):
-    """The time half of greenfn's gradient factor at elapsed times s > 0.
-
-    The factor is f(rho2, s) = lam^(-(d+2)/2) S_{d,N}(rho2 / lam) with
-    lam = gamma0 s^alpha, as in grad_approx_fundamental.
-    """
-    terms = _gradient_terms(coeffs, d, n_terms)
-    return _time_factors(coeffs, terms, gamma0 * s**coeffs.alpha, (d + 2) / 2.0)
-
-
-def _normal_derivative(points, normals, sources, times) -> np.ndarray:
-    """((x - source) . n) f(|x - source|^2, s) of the probe at each source.
-
-    points and normals are (m, d), sources (k, d), and times the gradient
-    factor's time half at n elapsed times (_gradient_time_half); the
-    result has shape (k, n, m).
-    """
-    rel = points - sources[:, None, :]
-    proj = np.sum(rel * normals, axis=-1)
-    rho2 = np.sum(rel * rel, axis=-1)
-    return np.swapaxes(proj[..., None] * _separated(rho2, times), -1, -2)
-
-
 class OracleKernelProbe:
     """Phi(x, t) = exact fundamental solution at (source, 0), run backwards.
 
@@ -373,19 +352,15 @@ def measurement_interior(u: SpaceTimeField, grad_phi, inclusions: InclusionSet) 
     inclusion takes one grad_phi call over all time levels.
     """
     mesh = u.mesh
-    verts = mesh.vertices
+    p1 = mesh.p1_gradients()
     per_level = np.zeros(u.grid.n_steps + 1)
     for l, inc in enumerate(inclusions.items):
         sel = np.flatnonzero(mesh.region_tag == l)
         if sel.size == 0:
             raise ConfigError(f"mesh carries no triangles tagged for inclusion {l}")
         tris = mesh.triangles[sel]
-        p = verts[tris]
-        b = p[:, [1, 2, 0], 1] - p[:, [2, 0, 1], 1]
-        c = p[:, [2, 0, 1], 0] - p[:, [1, 2, 0], 0]
-        area2 = p[:, 1, 0] * p[:, 2, 1] - p[:, 2, 0] * p[:, 1, 1]
-        area2 += p[:, 2, 0] * p[:, 0, 1] - p[:, 0, 0] * p[:, 2, 1]
-        area2 += p[:, 0, 0] * p[:, 1, 1] - p[:, 1, 0] * p[:, 0, 1]
+        p = mesh.vertices[tris]
+        b, c, area2 = (v[sel] for v in p1)
         # (levels, triangles) P1 gradients of u and centroid gradients of Phi
         nodal = u.values[:, tris]
         gx = (nodal * b).sum(-1) / area2

@@ -187,12 +187,22 @@ class Mesh:
         """Boundary node indices in CCW order (first column of the edges)."""
         return self.boundary_edges[:, 0]
 
+    def p1_gradients(self):
+        """(b, c, area2) of every triangle: b and c are (nt, 3), area2 (nt,).
+
+        The P1 basis function of local vertex i has gradient
+        (b_i, c_i) / area2 on its triangle, and area2 is twice the
+        triangle's signed area, positive for a CCW triangle.
+        """
+        x = self.vertices[self.triangles, 0]
+        y = self.vertices[self.triangles, 1]
+        # edge vectors opposite each local vertex
+        b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+        c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+        return b, c, x[:, 0] * b[:, 0] + x[:, 1] * b[:, 1] + x[:, 2] * b[:, 2]
+
     def triangle_areas(self) -> np.ndarray:
-        p = self.vertices[self.triangles]
-        return 0.5 * np.abs(
-            (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-            - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
-        )
+        return 0.5 * self.p1_gradients()[2]
 
     def edge_lengths(self) -> np.ndarray:
         a = self.vertices[self.boundary_edges[:, 0]]

@@ -674,6 +674,38 @@ class TestExitCodes:
         assert cli.main(["sweep", "--config", cfg]) == 2
         assert "about 651 MiB" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("algorithm", ["one", "multi"])
+    def test_eps_sweep_meshes_at_the_set_h_near(self, tmp_path, monkeypatch, algorithm):
+        # a set mesh.h_near holds for every eps, as in a locate run
+        meshed = []
+        real = cli.build_mesh
+
+        def recording(incs, h_far, h_near):
+            meshed.append((incs.items[0].eps, h_far, h_near))
+            return real(incs, h_far, h_near)
+
+        monkeypatch.setattr(cli, "build_mesh", recording)
+        cfg = write_config(
+            tmp_path / "c.json",
+            **dict(PLAN_BASE, mesh={"h_far": 0.3, "h_near": 0.0125}),
+            sweep={"parameter": "eps", "values": [0.05, 0.08], "algorithm": algorithm},
+            output_dir=str(tmp_path / "o"),
+        )
+        assert cli.main(["sweep", "--config", cfg]) == 0
+        assert meshed == [(0.05, 0.3, 0.0125), (0.08, 0.3, 0.0125)]
+
+    def test_eps_below_four_h_near_is_2_before_any_mesh(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "build_mesh", lambda *args: pytest.fail("meshed"))
+        cfg = write_config(
+            tmp_path / "c.json",
+            mesh={"h_far": 0.3, "h_near": 0.0125},
+            inclusions=[{"center": [0.2, 0.3], "eps": 0.05, "gamma": 5.0}],
+            sweep={"parameter": "eps", "values": [0.05, 0.04], "algorithm": "one"},
+            output_dir=str(tmp_path / "o"),
+        )
+        assert cli.main(["sweep", "--config", cfg]) == 2
+        assert "h_near = 0.0125 does not resolve inclusion 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("override", [{"time_steps": 4096}, {"sources": {"n": 256}}])
     def test_example43_march_over_the_cap_is_2(self, tmp_path, monkeypatch, capsys, override):
         monkeypatch.setattr(cli, "build_mesh", lambda *args: pytest.fail("meshed"))
@@ -822,7 +854,7 @@ class TestLocateOneCommand:
         assert cli.main(["locate-one", "--config", cfg]) == 2
 
     def test_one_factorization_and_one_kernel_call_per_probe(self, cheap_one, monkeypatch):
-        from fracloc import forward, greenfn, measure
+        from fracloc import forward, greenfn
 
         counts = {"splu": 0, "kernel": 0, "time_half": 0}
 
@@ -834,12 +866,10 @@ class TestLocateOneCommand:
             return wrapper
 
         monkeypatch.setattr(forward, "splu", counting("splu", forward.splu))
-        # every kernel of the pipeline goes through the separated evaluator;
-        # the probe table binds it, and the time half, in measure
-        separated, time_factors = greenfn._separated, greenfn._time_factors
-        for module in (greenfn, measure):
-            monkeypatch.setattr(module, "_separated", counting("kernel", separated))
-            monkeypatch.setattr(module, "_time_factors", counting("time_half", time_factors))
+        # every kernel of the pipeline goes through greenfn's separated
+        # evaluator and takes its time half there
+        monkeypatch.setattr(greenfn, "_separated", counting("kernel", greenfn._separated))
+        monkeypatch.setattr(greenfn, "_time_factors", counting("time_half", greenfn._time_factors))
         assert cli.main(["locate-one", "--config", cheap_one]) == 0
         # both directions march as one block; U = a.x is not marched
         assert counts["splu"] == 1

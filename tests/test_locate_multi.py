@@ -334,7 +334,7 @@ class TestBuildMarch:
         assert np.any(data.B != 0.0)
 
     def test_one_kernel_call_covers_every_source(self, coeffs_half, monkeypatch):
-        counts = {"value": 0, "grad": 0}
+        counts = {"value": 0, "flux": 0}
 
         def counting(key, fn):
             def wrapper(*args, **kwargs):
@@ -347,9 +347,7 @@ class TestBuildMarch:
             locate_multi, "approx_fundamental", counting("value", locate_multi.approx_fundamental)
         )
         monkeypatch.setattr(
-            locate_multi,
-            "grad_approx_fundamental",
-            counting("grad", locate_multi.grad_approx_fundamental),
+            locate_multi, "_normal_derivative", counting("flux", locate_multi._normal_derivative)
         )
         incs = InclusionSet(items=(Inclusion((0.2, 0.3), 0.1, 50.0),))
         mesh = build_mesh(incs, 0.3, 0.025)
@@ -357,21 +355,43 @@ class TestBuildMarch:
         build_data_matrix(SourceSet(n=5), incs, 0.5, coeffs_half, mesh, grid)
         # the initial datum once; the flux once per step, at both endpoints
         # of every boundary edge
-        assert counts == {"value": 1, "grad": grid.n_steps}
+        assert counts == {"value": 1, "flux": grid.n_steps}
 
     def test_kernels_take_the_set_gamma0(self, coeffs_half, monkeypatch):
         seen = set()
-        real = locate_multi.grad_approx_fundamental
+        real = locate_multi._gradient_time_half
 
-        def recording(*args, **kwargs):
-            seen.add(kwargs["gamma0"])
-            return real(*args, **kwargs)
+        def recording(coeffs, d, n_terms, s, gamma0):
+            seen.add(gamma0)
+            return real(coeffs, d, n_terms, s, gamma0)
 
-        monkeypatch.setattr(locate_multi, "grad_approx_fundamental", recording)
+        monkeypatch.setattr(locate_multi, "_gradient_time_half", recording)
         incs = InclusionSet(items=(Inclusion((0.2, 0.3), 0.1, 50.0),), gamma0=2.0)
         mesh = build_mesh(incs, 0.3, 0.025)
         build_data_matrix(SourceSet(n=5), incs, 0.5, coeffs_half, mesh, TimeGrid(8, 1.0))
         assert seen == {2.0}
+
+    def test_flux_is_the_gradient_kernel_along_the_normal(self, coeffs_half, monkeypatch):
+        # the flux takes ((x - src).n) f without a gradient array; it is
+        # gamma0 grad Psi . n up to rounding at every step
+        marched = {}
+        monkeypatch.setattr(locate_multi, "solve_pair", lambda *args: marched.update(g=args[4]))
+        incs = InclusionSet(items=(Inclusion((0.2, 0.3), 0.1, 50.0),), gamma0=2.0)
+        mesh = build_mesh(incs, 0.3, 0.025)
+        grid = TimeGrid(16, 1.0)
+        sources = SourceSet(n=5)
+        march_sources(sources, incs, 0.5, coeffs_half, mesh, grid, n_terms=3)
+        ends = mesh.vertices[mesh.boundary_edges.T].reshape(-1, 2)
+        normals = np.tile(mesh.boundary_normals, (2, 1))
+        t_init = grid.t_final / 2.0**7
+        for t in grid.nodes[1:]:
+            grads = grad_approx_fundamental(
+                coeffs_half, 2, 3, ends, t, sources.points[:, None, :], t0=-t_init, gamma0=2.0
+            )
+            ref = 2.0 * np.sum(grads * normals, axis=-1).T
+            got = marched["g"](ends, t, normals)
+            assert got.shape == ref.shape == (len(ends), sources.n)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestBuildNoise:
@@ -603,17 +623,17 @@ class TestScanValidation:
         # the scan takes the kernel's time half once, on the Gauss nodes,
         # and each grid row only its point half
         times, rows = [], []
-        real_times, real_rows = locate_multi._time_factors, locate_multi._separated
+        real_times, real_rows = locate_multi._gradient_time_half, locate_multi._separated
 
-        def counting_times(coeffs, terms, lam, shift):
-            times.append(np.size(lam))
-            return real_times(coeffs, terms, lam, shift)
+        def counting_times(coeffs, d, n_terms, s, gamma0):
+            times.append(np.size(s))
+            return real_times(coeffs, d, n_terms, s, gamma0)
 
         def counting_rows(rho2, factors):
             rows.append(np.shape(rho2))
             return real_rows(rho2, factors)
 
-        monkeypatch.setattr(locate_multi, "_time_factors", counting_times)
+        monkeypatch.setattr(locate_multi, "_gradient_time_half", counting_times)
         monkeypatch.setattr(locate_multi, "_separated", counting_rows)
         data = DataMatrix(np.random.default_rng(1).standard_normal((10, 10)))
         src = source_configuration("full")

@@ -288,13 +288,13 @@ class TestProbeTable:
 
     def test_time_half_is_taken_once(self, flat_trace, coeffs_half, monkeypatch):
         calls = []
-        real = measure._time_factors
+        real = measure._gradient_time_half
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(measure, "_time_factors", counting)
+        monkeypatch.setattr(measure, "_gradient_time_half", counting)
         table = ProbeTable(flat_trace, coeffs_half, 3)
         for seed in (1, 2, 3):
             table.normal_derivative(self.sources(seed, seed))
