@@ -68,8 +68,8 @@ from .locate_multi import (
     measure_data_matrix,
     peak_extract,
     scan_indicators,
-    select_truncation,
     source_configuration,
+    truncation_level,
 )
 from .measure import (
     KernelProbe,
@@ -78,7 +78,7 @@ from .measure import (
     measurement_boundary,
     measurement_interior,
 )
-from .mesh import Inclusion, InclusionSet, _check_sizes, build_mesh, vertex_estimate
+from .mesh import Inclusion, InclusionSet, _check_sizes, build_mesh, mesh_sizes, vertex_estimate
 from .textfile import table_lines, write_hashed
 
 CONFIG_VERSION = 1
@@ -242,14 +242,6 @@ def load_config(path):
     return cfg
 
 
-def _mesh_sizes(incs, h_far, h_near):
-    """(h_far, h_near) as build_mesh takes them; h_near None is a quarter
-    of the smallest eps, at most h_far."""
-    if h_near is None:
-        h_near = min(min((i.eps for i in incs.items), default=h_far * 4.0) / 4.0, h_far)
-    return h_far, float(h_near)
-
-
 @dataclass(frozen=True)
 class RunPlan:
     """One command's run: every object it needs, built once from the config.
@@ -351,7 +343,7 @@ def plan_run(command, cfg):
     return RunPlan(
         command=command,
         incs=incs,
-        mesh_sizes=_mesh_sizes(incs, float(cfg["mesh"]["h_far"]), cfg["mesh"]["h_near"]),
+        mesh_sizes=mesh_sizes(incs, float(cfg["mesh"]["h_far"]), cfg["mesh"]["h_near"]),
         grid=TimeGrid(cfg["time_steps"], float(cfg["t_final"])),
         alpha=float(cfg["alpha"]),
         series_terms=cfg["series_terms"],
@@ -380,7 +372,7 @@ def _sweep_plans(cfg):
             return replace(base, sigma=float(value))
         items = [replace(inc, **{parameter: float(value)}) for inc in base.incs.items]
         incs = replace(base.incs, items=items)
-        return replace(base, incs=incs, mesh_sizes=_mesh_sizes(incs, h_far, h_near))
+        return replace(base, incs=incs, mesh_sizes=mesh_sizes(incs, h_far, h_near))
 
     return [(value, swept(value)) for value in values]
 
@@ -529,13 +521,7 @@ def _locate_multi_runs(plans, coeffs):
             plan.sources, coeffs, mesh, plan.grid, u, U, plan.series_terms,
             gamma0=plan.incs.gamma0, sigma=plan.sigma, seed=plan.seed,
         )
-        k = plan.k
-        if k is None:
-            # a point inclusion's kernel matrix has 2 dominant directions and
-            # secondary ones near tau, so keep at least 2 per sought peak
-            k = select_truncation(data.singular_values, plan.tau)
-            k = min(max(k, 2 * plan.peaks + 1), data.n - 1)
-        measured[i] = (data, k)
+        measured[i] = (data, truncation_level(data, plan.tau, plan.peaks, plan.k))
 
     with rows.ahead():
         _each_march(plans, coeffs, measure)

@@ -204,15 +204,14 @@ def _boundary_loads(mesh: Mesh, g, times) -> np.ndarray:
     An edge of length L with fluxes g_i, g_j at its ends adds
     L (2 g_i + g_j) / 6 to its first node and L (g_i + 2 g_j) / 6 to its
     second, the exact load of a flux linear along the edge; the load
-    reaches no other node.  This relies on boundary edge e running from
-    boundary node e to node e + 1, the last one back to node 0, as
-    build_mesh makes them, so the second node's share is a roll by one
-    along the loop.  Each time takes one call of g, at the first
-    endpoints of every edge stacked over the second ones, each with its
-    edge's normal.  Shape (n_boundary, len(times)) or (n_boundary,
-    len(times), m).
+    reaches no other node.  Boundary edge e runs from boundary node e to
+    node e + 1, the last one back to node 0 (the Mesh derives its edges
+    so), so the second node's share is a roll by one along the loop.
+    Each time takes one call of g, at the first endpoints of every edge
+    stacked over the second ones, each with its edge's normal.  Shape
+    (n_boundary, len(times)) or (n_boundary, len(times), m).
     """
-    nb = len(mesh.boundary_edges)
+    nb = mesh.n_boundary
     ends = mesh.vertices[mesh.boundary_edges.T].reshape(2 * nb, 2)
     normals = np.tile(mesh.boundary_normals, (2, 1))
     fluxes = np.stack([np.asarray(g(ends, t, normals), dtype=float) for t in times], axis=1)
@@ -408,7 +407,7 @@ def _boundary_trace(mesh: Mesh, grid: TimeGrid, values) -> BoundaryTrace:
     weights = 0.5 * (lengths + np.roll(lengths, 1))
     return BoundaryTrace(
         grid=grid,
-        node_ids=ids.copy(),
+        node_ids=ids,
         angles=np.arctan2(pts[:, 1], pts[:, 0]),
         arc_weights=weights,
         values=values,

@@ -334,8 +334,8 @@ def select_truncation(singular_values, tau=1e-6):
     """Largest k with s_k / s_1 >= tau, or 1 if no k passes.
 
     The count of singular values at or above tau times the largest one;
-    ``cli._locate_multi_runs`` then floors it at 2 peaks + 1 and caps it
-    at n - 1.
+    ``truncation_level`` then floors it at 2 peaks + 1 and caps it at
+    n - 1.
     """
     s = np.asarray(singular_values, dtype=float)
     if s.size == 0 or s[0] <= 0.0:
@@ -343,6 +343,20 @@ def select_truncation(singular_values, tau=1e-6):
     _check_tau(tau)
     k = int(np.sum(s / s[0] >= tau))
     return max(k, 1)
+
+
+def truncation_level(data, tau, peaks, k):
+    """The truncation level of data's indicator when ``peaks`` are sought.
+
+    A set k is used as given.  With k None it is select_truncation's count
+    at tau, raised to at least 2 peaks + 1 and capped at n - 1: each
+    point inclusion gives a rank-2 dipole block (Ammari and Kang, LNM
+    1846, 2004) and secondary directions near tau, so a threshold alone
+    can cut one inclusion's directions short and lose its center.
+    """
+    if k is not None:
+        return k
+    return min(max(select_truncation(data.singular_values, tau), 2 * peaks + 1), data.n - 1)
 
 
 def indicator(data, k, g):
@@ -485,15 +499,15 @@ def scan_indicator(data, rows, k):
 def scan_indicators(measured, rows):
     """The indicator grids of several (data, k) pairs in one pass over rows.
 
-    rows is a KernelRows, and k is the truncation level of its data,
-    chosen by the caller (the CLI floors select_truncation's count; see
-    cli._locate_multi_runs).  The time half of the kernel factor is taken
-    once, and each grid row's kernel matrices once, whatever the number
-    of pairs; every pair's indicator is then taken on that row, so data
-    matrices measured at several noise levels cost one scan's kernel
-    work.  The worker of rows, if started, may have computed the first
-    rows ahead (the CLI starts it before the mesh); the rest are computed
-    here.  Returns one IndicatorGrid per pair, in order.
+    rows is a KernelRows, and k is the truncation level of its data
+    (the CLI takes truncation_level's).  The time half of the kernel
+    factor is taken once, and each grid row's kernel matrices once,
+    whatever the number of pairs; every pair's indicator is then taken
+    on that row, so data matrices measured at several noise levels cost
+    one scan's kernel work.  The worker of rows, if started, may have
+    computed the first rows ahead (the CLI starts it before the mesh);
+    the rest are computed here.  Returns one IndicatorGrid per pair, in
+    order.
     """
     values = np.stack([[indicator(data, k, g) for data, k in measured] for g in rows], axis=1)
     return [IndicatorGrid(xs=rows.xs, ys=rows.ys, values=v) for v in values]

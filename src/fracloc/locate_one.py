@@ -174,11 +174,17 @@ def _bisect(f, fa, fb, tol: float) -> np.ndarray:
     with one call of f, so all open brackets have the same width.  A
     bracket whose value is exactly 0 at an end or a midpoint closes
     there and keeps that parameter in later calls, whose values it
-    ignores.  Returns the k roots: where a value was 0, else the final
-    bracket midpoint; bracket j gets the root it gets bisected alone.
+    ignores; one whose values are 0 at both ends is refused, since data
+    without signal give 0 everywhere.  Returns the k roots: where a value
+    was 0, else the final bracket midpoint; bracket j gets the root it
+    gets bisected alone.
     """
     fa = np.asarray(fa, dtype=float)
     fb = np.asarray(fb, dtype=float)
+    for j in np.flatnonzero((fa == 0.0) & (fb == 0.0)):
+        raise ReconstructionError(
+            f"probe values are 0 at both ends of bracket {j}; the data carry no signal"
+        )
     root = np.where(fa == 0.0, 0.0, np.where(fb == 0.0, 1.0, np.nan))
     live = np.isnan(root)
     # the value at a keeps the sign of fa

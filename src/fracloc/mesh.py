@@ -161,31 +161,38 @@ class Mesh:
     """Conforming P1 triangulation of the unit disk.
 
     vertices: (nv, 2); triangles: (nt, 3) CCW; region_tag: (nt,) with -1
-    for background; boundary_edges: (nb, 2) consecutive CCW node pairs on
-    the outer polygon; boundary_normals: (nb, 2) outward unit normals per
-    edge.
+    for background; n_boundary: the number nb of outer polygon nodes.
 
-    The outer polygon's nodes come first: boundary edge e runs from node
-    e to node e + 1, and the last one back to node 0, so the boundary
-    nodes are 0..nb-1 in CCW order.  The march and the Neumann load rely
-    on it, and construction checks it.
+    The outer polygon's nodes come first, 0..nb-1 in CCW order, and its
+    edges and their outward unit normals are derived from that count:
+    boundary edge e runs from node e to node e + 1, and the last one back
+    to node 0.  The march and the Neumann load rely on this numbering,
+    which no mesh can break.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
     region_tag: np.ndarray
-    boundary_edges: np.ndarray
-    boundary_normals: np.ndarray
-
-    def __post_init__(self):
-        loop = np.arange(len(self.boundary_edges))
-        if not np.array_equal(self.boundary_edges, np.column_stack([loop, np.roll(loop, -1)])):
-            raise MeshError("boundary edge e must run from node e to node e + 1, the last back to 0")
+    n_boundary: int
 
     @property
     def boundary_nodes(self) -> np.ndarray:
-        """Boundary node indices in CCW order (first column of the edges)."""
-        return self.boundary_edges[:, 0]
+        """Boundary node indices in CCW order."""
+        return np.arange(self.n_boundary)
+
+    @property
+    def boundary_edges(self) -> np.ndarray:
+        """(nb, 2) consecutive CCW node pairs on the outer polygon."""
+        nodes = self.boundary_nodes
+        return np.column_stack([nodes, (nodes + 1) % self.n_boundary])
+
+    @property
+    def boundary_normals(self) -> np.ndarray:
+        """(nb, 2) outward unit normal of every boundary edge."""
+        a, b = self.vertices[self.boundary_edges.T]
+        t = b - a
+        n = np.column_stack([t[:, 1], -t[:, 0]])
+        return n / np.linalg.norm(n, axis=1)[:, None]
 
     def p1_gradients(self):
         """(b, c, area2) of every triangle: b and c are (nt, 3), area2 (nt,).
@@ -194,19 +201,13 @@ class Mesh:
         (b_i, c_i) / area2 on its triangle, and area2 is twice the
         triangle's signed area, positive for a CCW triangle.
         """
-        x = self.vertices[self.triangles, 0]
-        y = self.vertices[self.triangles, 1]
-        # edge vectors opposite each local vertex
-        b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-        c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-        return b, c, x[:, 0] * b[:, 0] + x[:, 1] * b[:, 1] + x[:, 2] * b[:, 2]
+        return _p1_gradients(self.vertices, self.triangles)
 
     def triangle_areas(self) -> np.ndarray:
         return 0.5 * self.p1_gradients()[2]
 
     def edge_lengths(self) -> np.ndarray:
-        a = self.vertices[self.boundary_edges[:, 0]]
-        b = self.vertices[self.boundary_edges[:, 1]]
+        a, b = self.vertices[self.boundary_edges.T]
         return np.hypot(b[:, 0] - a[:, 0], b[:, 1] - a[:, 1])
 
     def region_area(self, tag: int) -> float:
@@ -221,19 +222,22 @@ class Mesh:
 
     def _text(self):
         yield "# disk mesh: nv nt nbe, then vertices, triangles+tag, edges\n"
-        yield f"{len(self.vertices)} {len(self.triangles)} {len(self.boundary_edges)}\n"
+        yield f"{len(self.vertices)} {len(self.triangles)} {self.n_boundary}\n"
         coords = list(map(repr, np.asarray(self.vertices, dtype=float).ravel().tolist()))
         yield "".join(f"{x} {y}\n" for x, y in zip(coords[0::2], coords[1::2]))
         rows = np.column_stack([self.triangles, self.region_tag]).ravel().tolist()
         yield "%d %d %d %d\n" * len(self.triangles) % tuple(rows)
-        edges = self.boundary_edges.ravel().tolist()
-        yield "%d %d\n" * len(self.boundary_edges) % tuple(edges)
+        yield "%d %d\n" * self.n_boundary % tuple(self.boundary_edges.ravel().tolist())
 
 
-def _edge_normals(vertices: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    t = vertices[edges[:, 1]] - vertices[edges[:, 0]]
-    n = np.column_stack([t[:, 1], -t[:, 0]])
-    return n / np.linalg.norm(n, axis=1)[:, None]
+def _p1_gradients(vertices, triangles):
+    """Mesh.p1_gradients of triangles, (nt, 3) indices into vertices."""
+    x = vertices[triangles, 0]
+    y = vertices[triangles, 1]
+    # edge vectors opposite each local vertex
+    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+    return b, c, x[:, 0] * b[:, 0] + x[:, 1] * b[:, 1] + x[:, 2] * b[:, 2]
 
 
 def _hex_lattice(h: float) -> np.ndarray:
@@ -289,15 +293,29 @@ def vertex_estimate(inclusions: InclusionSet, h_far: float, h_near: float) -> fl
     return 2.0 / math.sqrt(3.0) * (math.pi / h_far / h_far + zones / h_near / h_near)
 
 
+def _coarsest_h_near(inc: Inclusion) -> float:
+    """The largest h_near that resolves inc: a quarter of its eps."""
+    return inc.eps / 4.0
+
+
+def mesh_sizes(inclusions: InclusionSet, h_far: float, h_near) -> tuple:
+    """(h_far, h_near) as build_mesh takes them; h_near None is the largest
+    that resolves every inclusion, at most h_far."""
+    if h_near is None:
+        h_near = min([h_far] + [_coarsest_h_near(inc) for inc in inclusions.items])
+    return h_far, float(h_near)
+
+
 def _check_sizes(inclusions: InclusionSet, h_far: float, h_near: float) -> None:
     if h_far <= 0.0 or h_near <= 0.0:
         raise ConfigError("mesh sizes must be positive")
     if h_near > h_far:
         raise ConfigError(f"h_near ({h_near}) must not exceed h_far ({h_far})")
     for idx, inc in enumerate(inclusions.items):
-        if h_near > inc.eps / 4.0 + 1e-12:
+        coarsest = _coarsest_h_near(inc)
+        if h_near > coarsest + 1e-12:
             raise ConfigError(
-                f"h_near = {h_near} does not resolve inclusion {idx} (needs <= eps/4 = {inc.eps / 4.0})"
+                f"h_near = {h_near} does not resolve inclusion {idx} (needs <= eps/4 = {coarsest})"
             )
 
 
@@ -309,22 +327,16 @@ def build_mesh(inclusions: InclusionSet, h_far: float, h_near: float) -> Mesh:
     the mesh is quasi-uniform at h_far.
     """
     _check_sizes(inclusions, h_far, h_near)
-    accepted = []  # (points, own-spacing) batches in priority order
-    protected = 0  # leading batches that must never be dropped
-
     circle = _circle_nodes(inclusions, h_far, h_near)
-    n_far = len(circle)
-    accepted.append((circle, _size_field(circle, inclusions, h_far, h_near)))
-    protected += 1
-
-    for inc in inclusions.items:
-        n_int = max(24, int(math.ceil(inc.perimeter() / h_near)))
+    # (points, own-spacing) batches in priority order
+    accepted = [(circle, _size_field(circle, inclusions, h_far, h_near))]
+    n_ints = [max(24, int(math.ceil(inc.perimeter() / h_near))) for inc in inclusions.items]
+    for inc, n_int in zip(inclusions.items, n_ints):
         accepted.append((inc.boundary_points(n_int), np.full(n_int, h_near)))
-        protected += 1
+    protected = len(accepted)  # leading batches that must never be dropped
 
-    for inc in inclusions.items:
+    for inc, n_int in zip(inclusions.items, n_ints):
         # concentric fill inside the inclusion
-        n_int = max(24, int(math.ceil(inc.perimeter() / h_near)))
         step = _RING_STEP * h_near / inc.eps  # scale decrement per ring
         scale = 1.0 - step
         inner = [np.array([inc.center])]
@@ -377,16 +389,12 @@ def build_mesh(inclusions: InclusionSet, h_far: float, h_near: float) -> Mesh:
             points.append(batch[keep])
     verts = np.vstack(points)
 
-    tri = Delaunay(verts)
-    simplices = tri.simplices.copy()
+    simplices = Delaunay(verts).simplices.copy()
     # normalize orientation to CCW
-    p = verts[simplices]
-    det = (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) - (
-        p[:, 2, 0] - p[:, 0, 0]
-    ) * (p[:, 1, 1] - p[:, 0, 1])
-    flip = det < 0.0
-    simplices[flip, 1], simplices[flip, 2] = simplices[flip, 2], simplices[flip, 1].copy()
-    if np.any(np.isclose(np.abs(det), 0.0, atol=1e-14)):
+    area2 = _p1_gradients(verts, simplices)[2]
+    flip = area2 < 0.0
+    simplices[flip] = simplices[flip][:, [0, 2, 1]]
+    if np.any(np.abs(area2) <= 1e-14):
         raise MeshError("degenerate (zero-area) triangle produced")
 
     centroids = verts[simplices].mean(axis=1)
@@ -395,16 +403,8 @@ def build_mesh(inclusions: InclusionSet, h_far: float, h_near: float) -> Mesh:
         tags[inc.contains(centroids)] = idx
 
     _check_conforming(verts, simplices, tags, inclusions)
-
-    edges = np.column_stack([np.arange(n_far), (np.arange(n_far) + 1) % n_far])
-    _check_boundary_edges(simplices, n_far)
-    return Mesh(
-        vertices=verts,
-        triangles=simplices,
-        region_tag=tags,
-        boundary_edges=edges,
-        boundary_normals=_edge_normals(verts, edges),
-    )
+    _check_boundary_edges(simplices, len(circle))
+    return Mesh(vertices=verts, triangles=simplices, region_tag=tags, n_boundary=len(circle))
 
 
 def _check_conforming(verts, simplices, tags, inclusions) -> None:

@@ -900,6 +900,16 @@ class TestLocateOneCommand:
         assert rows[0] == "Px,Py,P1x,P1y,P2x,P2y,rho0,err"
         assert [float(v) for v in rows[1].split(",")] == self.FROZEN[name]
 
+    def test_data_without_signal_is_4_with_its_cause(self, tmp_path, capsys):
+        # one time step leaves every probe value at exactly 0
+        doc = json.loads((Path(__file__).parents[1] / "configs" / "example41.json").read_text())
+        doc.update(time_steps=1, output_dir=str(tmp_path / "out"))
+        cfg = write_config(tmp_path / "c.json", **doc)
+        assert cli.main(["locate-one", "--config", cfg]) == 4
+        err = capsys.readouterr().err
+        assert "probe values are 0 at both ends of bracket 0; the data carry no signal" in err
+        assert not (tmp_path / "out" / "reconstruction.csv").exists()
+
     def test_noisy_example41_is_frozen(self, tmp_path):
         # freezes the noise stream: child j of SeedSequence(seed) per direction
         doc = json.loads((Path(__file__).parents[1] / "configs" / "example41.json").read_text())

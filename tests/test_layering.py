@@ -1,9 +1,11 @@
-"""The kernel's separated term lists stay inside greenfn.
+"""Each rule of the pipeline stays inside the module that owns it.
 
 greenfn states the truncated profiles' terms once and hands the other
-modules only whole kernels, time halves and normal derivatives; this
-parses every package module and checks that no other module defines,
-imports or reaches for the term-list helpers.
+modules only whole kernels, time halves and normal derivatives;
+locate_multi alone turns select_truncation's count into a truncation
+level; mesh alone constructs a Mesh, whose boundary loop it derives.
+This parses every package module and checks that no other module
+defines, imports or reaches for what another owns.
 """
 
 import ast
@@ -13,7 +15,12 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fracloc"
 TERM_HELPERS = frozenset({"_time_factors", "_gradient_terms", "_value_terms", "_derivative"})
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "greenfn.py")
+PACKAGE_MODULES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in PACKAGE_MODULES if p.name != "greenfn.py"]
+
+
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
 def _named(tree):
@@ -32,6 +39,25 @@ def _named(tree):
             yield node.lineno, node.attr
 
 
+def _referenced(tree):
+    """(line, name) of every name in tree, also the names it reads."""
+    yield from _named(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.lineno, node.id
+
+
+def _constructed(tree):
+    """(line, name) of every called name or attribute in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                yield node.lineno, func.id
+            elif isinstance(func, ast.Attribute):
+                yield node.lineno, func.attr
+
+
 def test_every_package_module_is_checked():
     names = {p.name for p in MODULES}
     assert {"measure.py", "locate_multi.py", "locate_one.py", "cli.py"} <= names
@@ -40,6 +66,22 @@ def test_every_package_module_is_checked():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_term_helpers_stay_in_greenfn(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    leaks = [f"{path.name}:{line} {name}" for line, name in _named(tree) if name in TERM_HELPERS]
+    leaks = [f"{path.name}:{line} {name}" for line, name in _named(_parse(path)) if name in TERM_HELPERS]
+    assert not leaks
+
+
+@pytest.mark.parametrize(
+    "owner, name, find",
+    [("locate_multi.py", "select_truncation", _referenced), ("mesh.py", "Mesh", _constructed)],
+    ids=["select_truncation", "Mesh"],
+)
+def test_only_the_owner_reaches_for_its_rule(owner, name, find):
+    assert any(n == name for _, n in find(_parse(PACKAGE / owner)))
+    leaks = [
+        f"{path.name}:{line}"
+        for path in PACKAGE_MODULES
+        if path.name != owner
+        for line, n in find(_parse(path))
+        if n == name
+    ]
     assert not leaks

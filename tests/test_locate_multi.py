@@ -29,6 +29,7 @@ from fracloc.locate_multi import (
     scan_indicator,
     select_truncation,
     source_configuration,
+    truncation_level,
 )
 from fracloc.measure import KernelProbe, tabulate_normal_derivative
 from fracloc.mesh import Inclusion, InclusionSet, build_mesh
@@ -443,6 +444,27 @@ class TestSelectTruncation:
         with pytest.raises(ConfigError):
             select_truncation([1.0, 0.5], tau=2.0)
 
+
+
+class TestTruncationLevel:
+    # s / s_1 in near-equal pairs, as a two-disk data matrix of 10 sources
+    # gives them; tau = 1e-3 counts the first 4
+    PAIRED = DataMatrix(np.diag([1.0, 0.85, 0.021, 0.019, 1.6e-4, 1.0e-4, 2e-6, 1.5e-6, 3e-8, 2e-8]))
+
+    def test_set_k_is_used_as_given(self):
+        for k in (1, 3, 9):
+            assert truncation_level(self.PAIRED, 1e-3, 2, k) == k
+
+    def test_count_is_floored_at_two_per_peak_plus_one(self):
+        assert select_truncation(self.PAIRED.singular_values, 1e-3) == 4
+        assert truncation_level(self.PAIRED, 1e-3, 1, None) == 4
+        # the floor of 5 splits the third pair
+        assert truncation_level(self.PAIRED, 1e-3, 2, None) == 5
+        assert truncation_level(self.PAIRED, 1e-3, 3, None) == 7
+
+    def test_capped_at_n_minus_one(self):
+        assert truncation_level(self.PAIRED, 1e-3, 6, None) == 9
+        assert truncation_level(self.PAIRED, 1e-9, 1, None) == 9
 
 class TestIndicator:
     def test_no_projection_is_one(self):

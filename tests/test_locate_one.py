@@ -230,6 +230,14 @@ class TestLockstepBisect:
         with pytest.raises(ReconstructionError, match=r"-1\.500e\+00 and -5\.000e-01"):
             _bisect(f, f(np.zeros(2)), f(np.ones(2)), 1e-6)
 
+    def test_zero_at_both_ends_names_its_bracket(self):
+        # bracket 0 changes sign, bracket 1 is 0 at both ends: no signal
+        def f(params):
+            return [params[0] - 0.4, 0.0]
+
+        with pytest.raises(ReconstructionError, match="bracket 1; the data carry no signal"):
+            _bisect(f, [-0.4, 0.0], [0.6, 0.0], 1e-6)
+
 
 class TestIntersect:
     def test_frozen_crossing(self):

@@ -187,17 +187,15 @@ class TestBuildMesh:
 
     def test_boundary_nodes_come_first(self):
         mesh = build_mesh(InclusionSet(items=(Inclusion((0.2, 0.1), 0.1, 5.0),)), 0.2, 0.025)
-        nb = len(mesh.boundary_edges)
+        nb = mesh.n_boundary
         np.testing.assert_array_equal(mesh.boundary_nodes, np.arange(nb))
-        # any other boundary numbering is refused when the mesh is made
-        fields = dict(vars(mesh))
-        for edges in (
-            np.roll(mesh.boundary_edges, 1, axis=0),
-            mesh.boundary_edges[:, ::-1],
-            mesh.boundary_edges + 1,
-        ):
-            with pytest.raises(MeshError, match="boundary edge e"):
-                Mesh(**{**fields, "boundary_edges": edges})
+        # the outer polygon's nodes, and no other, lie on the unit circle
+        r = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
+        np.testing.assert_allclose(r[:nb], 1.0, rtol=0.0, atol=1e-12)
+        assert np.all(r[nb:] < 1.0 - 1e-6)
+        # edge e runs from node e to node e + 1, the last back to node 0
+        loop = np.arange(nb)
+        np.testing.assert_array_equal(mesh.boundary_edges, np.column_stack([loop, np.roll(loop, -1)]))
 
     def test_min_angle_across_configs(self):
         configs = [
