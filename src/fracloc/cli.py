@@ -16,14 +16,16 @@ run writes its outputs plus a manifest.json capturing the resolved
 configuration and content hashes, so a rerun with the same config on
 the same build reproduces the files byte for byte.
 
-Work that does not depend on the march runs beside it on one worker
-thread: locate-multi, and a multi sweep for all its values at once,
-computes the indicator scan's kernel rows from before the first march
-is taken (locate_multi.KernelRows, _locate_multi_runs), and forward
-writes mesh.txt and the background files while u marches.  Each
-command starts at most one worker, which has stopped when the command
-returns; the outputs are those of a run without it, and errors come in
-the same order.
+Work that does not depend on u runs beside its march on worker threads.
+forward writes mesh.txt and the background files on one.  locate-multi,
+and a multi sweep for all its values at once, start two: the kernel-row
+worker computes the indicator scan's kernel rows from before the first
+march (locate_multi.KernelRows, _locate_multi_runs), and solve_pair's
+worker marches the background U beside u in each march
+(forward._march_block).  locate-one, oracle-check and a one sweep start
+none.  Every worker has stopped before its command returns, so none
+outlives main; the outputs are those of a run without them, and errors
+come in the same order.
 
 Exit codes: 0 success, 2 config error, 3 solver/mesh/quadrature error,
 4 reconstruction failure.

@@ -131,46 +131,51 @@ class SpaceTimeField:
 
 @dataclass(frozen=True)
 class BoundaryTrace:
-    """Scalar samples on the boundary nodes at every time level.
+    """Scalar samples on the boundary loop of a mesh at every time level.
 
-    node_ids index into the producing mesh; arc_weights are the
-    trapezoidal arc-length weights of the polygonal boundary, so
-    integral over the boundary ~ sum(arc_weights * values_at_level).
+    Column i holds boundary node i, the mesh's vertex i (see Mesh), so the
+    trace's points, its CSV angles and its arc weights are the mesh's.
     """
 
+    mesh: Mesh
     grid: TimeGrid
-    node_ids: np.ndarray
-    angles: np.ndarray
-    arc_weights: np.ndarray
-    values: np.ndarray  # (n_steps + 1, n_boundary_nodes)
+    values: np.ndarray  # (n_steps + 1, n_boundary)
 
     def __post_init__(self):
-        nb = len(self.node_ids)
-        if self.values.shape != (self.grid.n_steps + 1, nb):
-            raise ConfigError(
-                f"trace shape {self.values.shape} does not match grid/nodes ({self.grid.n_steps + 1}, {nb})"
-            )
-        if len(self.angles) != nb or len(self.arc_weights) != nb:
-            raise ConfigError("angles/arc_weights length must match node count")
+        want = (self.grid.n_steps + 1, self.mesh.n_boundary)
+        if self.values.shape != want:
+            raise ConfigError(f"trace shape {self.values.shape} does not match grid/nodes {want}")
+
+    @property
+    def points(self) -> np.ndarray:
+        """(n_boundary, 2) the boundary nodes: a view of the mesh's first vertices."""
+        return self.mesh.vertices[: self.mesh.n_boundary]
+
+    def integral(self, samples) -> float:
+        """Quadrature of samples (levels x nodes) over the boundary x [0, T]:
+        the mesh's trapezoidal arc weights in space, then the trapezoid in time."""
+        return float((samples @ self.mesh.arc_weights) @ self.grid.weights)
 
     def l1_norm(self) -> float:
-        """L1 norm over boundary x [0, T]: trapezoid in time, arcs in space."""
-        per_level = np.abs(self.values) @ self.arc_weights
-        return float(per_level @ self.grid.weights)
+        """L1 norm over boundary x [0, T] (see integral)."""
+        return self.integral(np.abs(self.values))
+
+    def check_matches(self, other: "BoundaryTrace") -> None:
+        """Refuse a trace on another mesh or time grid."""
+        if other.mesh is not self.mesh or other.grid != self.grid:
+            raise ConfigError("traces lie on different meshes or time grids")
 
     def diff(self, other: "BoundaryTrace") -> "BoundaryTrace":
-        if other.values.shape != self.values.shape:
-            raise ConfigError("trace shapes differ")
-        if not np.array_equal(other.node_ids, self.node_ids):
-            raise ConfigError("traces come from different boundary node sets")
+        self.check_matches(other)
         return replace(self, values=self.values - other.values)
 
     def to_csv(self, path) -> str:
-        """One line per node: its angle, then its value at every level.
+        """One line per node: its polar angle, then its value at every level.
 
         Returns the sha256 hex digest of the file.
         """
-        angles = np.asarray(self.angles, dtype=float).tolist()
+        pts = self.points
+        angles = np.arctan2(pts[:, 1], pts[:, 0]).tolist()
         return _write_rows(path, "angle", map(repr, angles), self.values)
 
 
@@ -199,7 +204,7 @@ def assemble_matrices(mesh: Mesh, gamma_tri: np.ndarray):
 
 
 def _boundary_loads(mesh: Mesh, g, times) -> np.ndarray:
-    """The Neumann load of flux g at each time, on mesh.boundary_nodes.
+    """The Neumann load of flux g at each time, on the mesh's boundary nodes.
 
     An edge of length L with fluxes g_i, g_j at its ends adds
     L (2 g_i + g_j) / 6 to its first node and L (g_i + 2 g_j) / 6 to its
@@ -398,26 +403,10 @@ def solve_background(
     return solve_subdiffusion(mesh, alpha, InclusionSet(items=(), gamma0=gamma0), f, u0, g, grid)
 
 
-def _boundary_trace(mesh: Mesh, grid: TimeGrid, values) -> BoundaryTrace:
-    """The trace of rows already restricted to mesh.boundary_nodes."""
-    ids = mesh.boundary_nodes
-    pts = mesh.vertices[ids]
-    lengths = mesh.edge_lengths()
-    # trapezoid weight per node: half the two adjacent edge lengths
-    weights = 0.5 * (lengths + np.roll(lengths, 1))
-    return BoundaryTrace(
-        grid=grid,
-        node_ids=ids,
-        angles=np.arctan2(pts[:, 1], pts[:, 0]),
-        arc_weights=weights,
-        values=values,
-    )
-
-
 def boundary_restrict(field: SpaceTimeField) -> BoundaryTrace:
-    """Restrict a field to the ordered boundary nodes of its mesh."""
+    """Restrict a field to the boundary nodes of its mesh, the first ones."""
     mesh = field.mesh
-    return _boundary_trace(mesh, field.grid, field.values[:, mesh.boundary_nodes].copy())
+    return BoundaryTrace(mesh, field.grid, field.values[:, : mesh.n_boundary])
 
 
 def _check_sigma(sigma: float) -> None:
@@ -456,11 +445,12 @@ def boundary_diffs(mesh: Mesh, grid: TimeGrid, u, U, sigma: float = 0.0, seed=No
     """
     children = np.random.SeedSequence(seed).spawn(u.shape[-1])
     # the boundary rows of every column at once, column j C-ordered in
-    # rows[j] like the trace boundary_restrict makes, since l1_norm rounds
-    # by memory order; the march has checked that the levels are finite
-    ids = mesh.boundary_nodes
-    u_rows, U_rows = (np.ascontiguousarray(np.moveaxis(v[:, ids], -1, 0)) for v in (u, U))
-    reference = _boundary_trace(mesh, grid, U_rows[0])
+    # rows[j] like the trace boundary_restrict makes of a C-ordered field,
+    # since l1_norm rounds by memory order; the march has checked that the
+    # levels are finite
+    nb = mesh.n_boundary
+    u_rows, U_rows = (np.ascontiguousarray(np.moveaxis(v[:, :nb], -1, 0)) for v in (u, U))
+    reference = BoundaryTrace(mesh, grid, U_rows[0])
     diffs = []
     for j, child in enumerate(children):
         tr = replace(reference, values=u_rows[j])

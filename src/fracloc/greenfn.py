@@ -92,23 +92,32 @@ MAX_SERIES_TERMS = 5
 # Reduced profiles: Zolotarev's integral and its Abel transform
 # ---------------------------------------------------------------------------
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(256)
-_UNIT = 0.5 * (_GL_X + 1.0)  # nodes on (0, 1)
-_UNIT_W = 0.5 * _GL_W
-# phi = pi v^2 (3 - 2v) packs the nodes quadratically into both ends of
-# (0, pi): at large r the phi integrand narrows to width ~r^(-q/2) at 0,
-# at small r to width ~r at pi
-_PHI = math.pi * _UNIT**2 * (3.0 - 2.0 * _UNIT)
-_PHI_W = 6.0 * math.pi * _UNIT * (1.0 - _UNIT) * _UNIT_W
+
+@lru_cache(maxsize=1)
+def _profile_rule():
+    """_log_psi's rule: 256 Gauss-Legendre nodes v on (0, 1), phi = pi v^2 (3 - 2v)
+    on (0, pi), and their weights.  Taken on first use: it costs about 10 ms,
+    and runs on fitted coefficients never evaluate the exact profile."""
+    x, w = np.polynomial.legendre.leggauss(256)
+    unit = 0.5 * (x + 1.0)
+    unit_w = 0.5 * w
+    # phi packs the nodes quadratically into both ends of (0, pi): at large r
+    # the phi integrand narrows to width ~r^(-q/2) at 0, at small r to ~r at pi
+    phi = math.pi * unit**2 * (3.0 - 2.0 * unit)
+    phi_w = 6.0 * math.pi * unit * (1.0 - unit) * unit_w
+    return unit, unit_w, phi, phi_w
+
+
 _ABEL_TAIL = 80.0  # log of the integrand's decay at the Abel cut
 
 
 def _log_psi(d: int, alpha: float, r: float) -> float:
     """log psi_d(r) at one radius; see the module docstring."""
+    unit, unit_w, phi, phi_w = _profile_rule()
     nu = 0.5 * alpha
     p = nu / (1.0 - nu)
     q = 1.0 / (1.0 - nu)
-    A = np.sin(nu * _PHI) ** p * np.sin((1.0 - nu) * _PHI) / np.sin(_PHI) ** q
+    A = np.sin(nu * phi) ** p * np.sin((1.0 - nu) * phi) / np.sin(phi) ** q
     a0 = nu**p * (1.0 - nu)
     c = 1.0 / (2.0 * math.pi * (1.0 - nu))
     rq = r**q
@@ -117,12 +126,12 @@ def _log_psi(d: int, alpha: float, r: float) -> float:
             raise QuadratureError(f"radius r={r} too small for the d=2 profile at alpha={alpha}")
         # s = r cosh u up to the cut a0 (s^q - r^q) = _ABEL_TAIL
         span = math.acosh((1.0 + _ABEL_TAIL / (a0 * rq)) ** (1.0 / q))
-        s = r * np.cosh(span * _UNIT)
+        s = r * np.cosh(span * unit)
     else:
         s = np.array([r])
     sq = s**q
     # rows: exp(-s^q A) / exp(-a0 s^q) times the phi weights, one row per s
-    e = np.exp(-np.multiply.outer(sq, A - a0)) * _PHI_W
+    e = np.exp(-np.multiply.outer(sq, A - a0)) * phi_w
     j = e @ A
     if d == 1:
         head = c * r**p * j[0]
@@ -132,7 +141,7 @@ def _log_psi(d: int, alpha: float, r: float) -> float:
         if d == 3:
             head = slope[0] / (2.0 * math.pi * r)
         else:
-            head = span * _UNIT_W @ (slope * np.exp(-a0 * (sq - rq))) / math.pi
+            head = span * unit_w @ (slope * np.exp(-a0 * (sq - rq))) / math.pi
     if not 0.0 < head < math.inf:
         raise QuadratureError(f"profile quadrature failed at d={d}, alpha={alpha}, r={r}")
     return -a0 * rq + math.log(head)

@@ -207,9 +207,9 @@ def measure_data_matrix(sources, coeffs, mesh, grid, u, U, n_terms=3, gamma0=1.0
     """
     diffs = boundary_diffs(mesh, grid, u, U, sigma=sigma, seed=seed)
 
-    # every trace shares the boundary nodes and time levels
+    # every trace shares the mesh and time levels
     phin = ProbeTable(diffs[0], coeffs, n_terms, gamma0).normal_derivative(sources.points)
-    weights = np.outer(grid.weights, diffs[0].arc_weights)
+    weights = np.outer(grid.weights, mesh.arc_weights)
     deltas = np.stack([diff.values for diff in diffs])
     B = gamma0 * ((phin * weights).reshape(sources.n, -1) @ deltas.reshape(sources.n, -1).T)
     return DataMatrix(B)

@@ -294,10 +294,10 @@ def locate_one_inclusion(
     """Full 2D pipeline: per-segment roots of the measured data, then intersect.
 
     diffs[j] is the boundary trace of u - U for the background paired
-    with segments[j]; all of them lie on the same boundary nodes and
-    time grid.  The segments are bisected in lockstep (_bisect): one
-    ProbeTable per run, and per round one table call for every anchor
-    and one measurement per segment from its own trace.  Each root is
+    with segments[j]; all of them lie on the same mesh and time grid.
+    The segments are bisected in lockstep (_bisect): one ProbeTable per
+    run, and per round one table call for every anchor and one
+    measurement per segment from its own trace.  Each root is
     the one root_on_segment finds with that segment's probe_value.
     """
     if segments is None:
@@ -309,8 +309,7 @@ def locate_one_inclusion(
     _check_tol(tol)
     first = diffs[0]
     for diff in diffs[1:]:
-        if diff.grid != first.grid or not np.array_equal(diff.angles, first.angles):
-            raise ConfigError("data traces lie on different boundary nodes or time grids")
+        first.check_matches(diff)
     table = ProbeTable(first, coeffs, n_terms, gamma0)
 
     def f(params):

@@ -285,31 +285,26 @@ class OracleKernelProbe:
         return (self.gradient(points, t) * np.asarray(normals, dtype=float)).sum(axis=-1)
 
 
-def _trace_points(trace: BoundaryTrace) -> np.ndarray:
-    """The trace's nodes; they sit on the unit circle, so the outward
-    normal at a node is its position."""
-    return np.column_stack([np.cos(trace.angles), np.sin(trace.angles)])
-
-
 def tabulate_normal_derivative(phi, trace: BoundaryTrace) -> np.ndarray:
     """dPhi/dn of a handle (points, t, normals) on the nodes and time
-    levels of ``trace``, in one handle call over all levels."""
-    pts = _trace_points(trace)
+    levels of ``trace``, in one handle call over all levels; a node sits on
+    the unit circle, so it is its own outward normal."""
+    pts = trace.points
     return np.asarray(phi(pts, trace.grid.nodes, pts), dtype=float)
 
 
 class ProbeTable:
     """KernelProbe's dPhi/dn on the nodes and levels of one trace, for any sources.
 
-    Made once per run: it takes the trace's node points (also their
-    normals), the levels where the elapsed time s = T - t is positive
-    and the gradient factor's time half there, for d = 2.  Every trace
-    on the same boundary nodes and time grid shares the table.
+    Made once per run: it takes the trace's node points, the mesh's first
+    vertices (also their normals), the levels where the elapsed time
+    s = T - t is positive and the gradient factor's time half there, for
+    d = 2.  Every trace on the same mesh and time grid shares the table.
     """
 
     def __init__(self, trace: BoundaryTrace, coeffs: GreenCoeffs, n_terms: int, gamma0: float = 1.0):
         s = trace.grid.t_final - trace.grid.nodes
-        self.points = _trace_points(trace)
+        self.points = trace.points
         # s falls along the levels, so those with s > 0 come first
         self.live = slice(0, np.count_nonzero(s > 0.0))
         self.shape = trace.values.shape
@@ -339,9 +334,7 @@ def measurement_boundary(diff: BoundaryTrace, phi, gamma0: float) -> Measurement
     phin = tabulate_normal_derivative(phi, diff) if callable(phi) else np.asarray(phi, dtype=float)
     if phin.shape != diff.values.shape:
         raise ConfigError(f"dPhi/dn shape {phin.shape} does not match trace {diff.values.shape}")
-    per_level = (diff.values * phin) @ diff.arc_weights
-    value = gamma0 * float(per_level @ diff.grid.weights)
-    return Measurement(value=value)
+    return Measurement(value=gamma0 * diff.integral(diff.values * phin))
 
 
 def measurement_interior(u: SpaceTimeField, grad_phi, inclusions: InclusionSet) -> Measurement:

@@ -19,6 +19,7 @@ every arc-length equidistribution is one ``np.interp`` call.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import Delaunay, cKDTree
@@ -164,10 +165,11 @@ class Mesh:
     for background; n_boundary: the number nb of outer polygon nodes.
 
     The outer polygon's nodes come first, 0..nb-1 in CCW order, and its
-    edges and their outward unit normals are derived from that count:
-    boundary edge e runs from node e to node e + 1, and the last one back
-    to node 0.  The march and the Neumann load rely on this numbering,
-    which no mesh can break.
+    edges, their outward unit normals and the nodes' arc weights are
+    derived from that count: boundary edge e runs from node e to node
+    e + 1, and the last one back to node 0.  The march, the Neumann load
+    and every boundary trace rely on this numbering, which no mesh can
+    break.
     """
 
     vertices: np.ndarray
@@ -176,14 +178,9 @@ class Mesh:
     n_boundary: int
 
     @property
-    def boundary_nodes(self) -> np.ndarray:
-        """Boundary node indices in CCW order."""
-        return np.arange(self.n_boundary)
-
-    @property
     def boundary_edges(self) -> np.ndarray:
         """(nb, 2) consecutive CCW node pairs on the outer polygon."""
-        nodes = self.boundary_nodes
+        nodes = np.arange(self.n_boundary)
         return np.column_stack([nodes, (nodes + 1) % self.n_boundary])
 
     @property
@@ -209,6 +206,15 @@ class Mesh:
     def edge_lengths(self) -> np.ndarray:
         a, b = self.vertices[self.boundary_edges.T]
         return np.hypot(b[:, 0] - a[:, 0], b[:, 1] - a[:, 1])
+
+    @cached_property
+    def arc_weights(self) -> np.ndarray:
+        """(nb,) trapezoidal arc-length weight of each boundary node, half its
+        two edges' lengths; taken once per mesh, and read-only."""
+        lengths = self.edge_lengths()
+        weights = 0.5 * (lengths + np.roll(lengths, 1))
+        weights.flags.writeable = False
+        return weights
 
     def region_area(self, tag: int) -> float:
         return float(self.triangle_areas()[self.region_tag == tag].sum())

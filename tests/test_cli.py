@@ -812,8 +812,8 @@ class TestForwardCommand:
         for row, v in zip(rows, ax.tolist()):
             assert row[1:] == [repr(v)] * 9
         rows = [ln.split(",") for ln in (out / "background_trace.csv").read_text().splitlines()[1:]]
-        assert len(rows) == len(mesh.boundary_nodes)
-        for row, v in zip(rows, ax[mesh.boundary_nodes].tolist()):
+        assert len(rows) == mesh.n_boundary
+        for row, v in zip(rows, ax[: mesh.n_boundary].tolist()):
             assert row[1:] == [repr(v)] * 9
 
     def test_inclusion_adds_solution_trace(self, tmp_path):

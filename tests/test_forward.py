@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ def neumann_load(mesh, g, t):
     """The march's boundary load of flux g at time t, on every node."""
     rim = forward._boundary_loads(mesh, g, [t])[:, 0]
     load = np.zeros((len(mesh.vertices),) + rim.shape[1:])
-    load[mesh.boundary_nodes] = rim
+    load[: mesh.n_boundary] = rim
     return load
 
 
@@ -63,7 +64,7 @@ class TestAssembly:
     def test_neumann_load_of_unit_flux_is_perimeter(self, coarse_mesh):
         load = neumann_load(coarse_mesh, lambda p, t, n: np.ones(len(p)), 0.0)
         assert load.sum() == pytest.approx(coarse_mesh.edge_lengths().sum(), rel=1e-12)
-        assert np.all(load[coarse_mesh.boundary_nodes] > 0.0)
+        assert np.all(load[: coarse_mesh.n_boundary] > 0.0)
 
     def test_neumann_load_block_is_columnwise(self, coarse_mesh):
         fluxes = [lambda p, t, n: n[:, 0] * t, lambda p, t, n: (p * n).sum(1) + 1.0]
@@ -541,26 +542,46 @@ class TestBoundaryTrace:
         )
         trace = boundary_restrict(field)
         np.testing.assert_allclose(trace.values, 2.5, atol=1e-10)
-        np.testing.assert_array_equal(trace.node_ids, coarse_mesh.boundary_nodes)
-        assert trace.arc_weights.sum() == pytest.approx(
+        assert trace.mesh is coarse_mesh
+        assert coarse_mesh.arc_weights.sum() == pytest.approx(
             coarse_mesh.edge_lengths().sum(), rel=1e-12
         )
         # |2.5| over boundary x [0, 1]: perimeter times 2.5
-        assert trace.l1_norm() == pytest.approx(2.5 * trace.arc_weights.sum(), rel=1e-12)
+        assert trace.l1_norm() == pytest.approx(2.5 * coarse_mesh.arc_weights.sum(), rel=1e-12)
+
+    def test_fields_are_mesh_grid_values(self):
+        assert [f.name for f in fields(BoundaryTrace)] == ["mesh", "grid", "values"]
+
+    def test_points_are_the_first_vertices(self, coarse_mesh):
+        grid = TimeGrid(2, 1.0)
+        trace = BoundaryTrace(coarse_mesh, grid, np.zeros((3, coarse_mesh.n_boundary)))
+        first = coarse_mesh.vertices[: coarse_mesh.n_boundary]
+        assert trace.points.view(np.int64).tolist() == first.view(np.int64).tolist()
+        assert np.shares_memory(trace.points, coarse_mesh.vertices)
+
+    def test_shape_must_match_mesh_and_grid(self, coarse_mesh):
+        with pytest.raises(ConfigError, match="trace shape"):
+            BoundaryTrace(coarse_mesh, TimeGrid(4, 1.0), np.zeros((5, coarse_mesh.n_boundary - 1)))
+        with pytest.raises(ConfigError, match="trace shape"):
+            BoundaryTrace(coarse_mesh, TimeGrid(4, 1.0), np.zeros((4, coarse_mesh.n_boundary)))
 
     def test_diff_requires_same_nodes(self, coarse_mesh):
         grid = TimeGrid(4, 1.0)
         field = solve_background(coarse_mesh, 0.5, None, lambda p: p[:, 0], None, grid)
         trace = boundary_restrict(field)
-        other = BoundaryTrace(
-            grid=grid,
-            node_ids=trace.node_ids[::-1].copy(),
-            angles=trace.angles,
-            arc_weights=trace.arc_weights,
-            values=trace.values,
-        )
-        with pytest.raises(ConfigError):
+        # an equal copy of the mesh is still another mesh
+        other = BoundaryTrace(replace(coarse_mesh), grid, trace.values)
+        with pytest.raises(ConfigError, match="different meshes or time grids"):
             trace.diff(other)
+
+    def test_diff_requires_same_grid(self, coarse_mesh):
+        # the same shape on another time grid: same level count, other t_final
+        trace = BoundaryTrace(coarse_mesh, TimeGrid(4, 1.0), np.ones((5, coarse_mesh.n_boundary)))
+        other = replace(trace, grid=TimeGrid(4, 2.0))
+        with pytest.raises(ConfigError, match="different meshes or time grids"):
+            trace.diff(other)
+        with pytest.raises(ConfigError, match="different meshes or time grids"):
+            other.diff(trace)
 
 
 @pytest.fixture(scope="module")
@@ -617,7 +638,7 @@ class TestBoundaryDiffs:
         for j, diff in enumerate(diffs):
             u_j, U_j = self._traces(block, j)
             np.testing.assert_array_equal(diff.values, u_j.diff(U_j).values)
-            np.testing.assert_array_equal(diff.node_ids, u_j.node_ids)
+            assert diff.mesh is u_j.mesh and diff.grid == u_j.grid
 
     def test_column_j_draws_from_child_j(self, block):
         diffs = boundary_diffs(*block, sigma=0.01, seed=7)
@@ -683,7 +704,11 @@ class TestContainers:
         trace.to_csv(tpath)
         tlines = tpath.read_text().splitlines()
         assert tlines[0].startswith("angle,")
-        assert len(tlines) == 1 + len(trace.node_ids)
+        assert len(tlines) == 1 + coarse_mesh.n_boundary
+        # the angle column is the polar angle of each boundary vertex
+        angles = [float(line.split(",")[0]) for line in tlines[1:]]
+        x, y = coarse_mesh.vertices[: coarse_mesh.n_boundary].T
+        assert angles == np.arctan2(y, x).tolist()
 
     @pytest.mark.parametrize("case", ["constant", "signed-zero", "broadcast"])
     @pytest.mark.parametrize("repeated", [0.9, 0.2])
@@ -726,7 +751,8 @@ class TestContainers:
         assert (tmp_path / "field.csv").read_bytes() == per_value(
             "node", [str(i) for i in range(n)], values
         )
-        angles = [repr(v) for v in trace.angles.tolist()]
+        x, y = coarse_mesh.vertices[: coarse_mesh.n_boundary].T
+        angles = [repr(v) for v in np.arctan2(y, x).tolist()]
         assert (tmp_path / "trace.csv").read_bytes() == per_value("angle", angles, trace.values)
         assert digests == [
             hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()

@@ -309,7 +309,7 @@ class TestDataMatrix:
             )
             for p in src.points
         ])
-        weights = np.outer(grid.weights, diffs[0].arc_weights)
+        weights = np.outer(grid.weights, mesh.arc_weights)
         deltas = np.stack([d.values for d in diffs]).reshape(src.n, -1)
         B = gamma0 * ((phin * weights).reshape(src.n, -1) @ deltas.T)
         assert np.array_equal(data.B, B)

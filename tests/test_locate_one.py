@@ -418,7 +418,17 @@ class TestEndToEnd:
             mesh = build_mesh(InclusionSet(items=()), h, h)
             U = solve_background(mesh, 0.5, None, lambda p: p[:, 0], lambda p, t, n: n[:, 0], grid)
             traces.append(boundary_restrict(U).diff(boundary_restrict(U)))
-        with pytest.raises(ConfigError, match="different boundary nodes"):
+        with pytest.raises(ConfigError, match="different meshes or time grids"):
+            locate_one_inclusion(traces, coeffs_half)
+
+    def test_traces_on_other_time_grids_rejected(self, coeffs_half):
+        mesh = build_mesh(InclusionSet(items=()), 0.3, 0.3)
+        traces = []
+        for t_final in (1.0, 2.0):
+            grid = TimeGrid(8, t_final)
+            U = solve_background(mesh, 0.5, None, lambda p: p[:, 0], lambda p, t, n: n[:, 0], grid)
+            traces.append(boundary_restrict(U).diff(boundary_restrict(U)))
+        with pytest.raises(ConfigError, match="different meshes or time grids"):
             locate_one_inclusion(traces, coeffs_half)
 
     def test_probe_value_rejects_interior_point(self, coeffs_half):

@@ -1,6 +1,7 @@
 """Tests for boundary measurements, the interior oracle, and the leading term."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from scipy.integrate import quad
 
 from fracloc.errors import ConfigError
 from fracloc.forward import (
-    BoundaryTrace,
     SpaceTimeField,
     boundary_restrict,
     solve_background,
@@ -76,41 +76,24 @@ def flat_trace():
 
 class TestMeasurementBoundary:
     def test_cosine_pairing_matches_circle_integral(self, flat_trace):
-        cos = np.cos(flat_trace.angles)
-        tr = BoundaryTrace(
-            grid=flat_trace.grid,
-            node_ids=flat_trace.node_ids,
-            angles=flat_trace.angles,
-            arc_weights=flat_trace.arc_weights,
-            values=np.tile(cos, (flat_trace.grid.n_steps + 1, 1)),
-        )
+        # the boundary nodes sit on the unit circle: x1 is the cosine of their angle
+        cos = flat_trace.points[:, 0]
+        tr = replace(flat_trace, values=np.tile(cos, (flat_trace.grid.n_steps + 1, 1)))
         phin = np.tile(cos, (flat_trace.grid.n_steps + 1, 1))
         got = measurement_boundary(tr, phin, 2.0).value
         # gamma0 * T * int_circle cos^2 = 2pi, up to polygonal arc error
         assert got == pytest.approx(2.0 * math.pi, rel=2e-3)
 
     def test_zero_diff_gives_zero(self, flat_trace):
-        tr = BoundaryTrace(
-            grid=flat_trace.grid,
-            node_ids=flat_trace.node_ids,
-            angles=flat_trace.angles,
-            arc_weights=flat_trace.arc_weights,
-            values=np.zeros_like(flat_trace.values),
-        )
+        tr = replace(flat_trace, values=np.zeros_like(flat_trace.values))
         assert measurement_boundary(tr, np.ones_like(tr.values), 1.0).value == 0.0
 
     def test_linear_in_trace_and_gamma0(self, flat_trace):
-        phin = np.cos(2.0 * flat_trace.angles)[None, :] * np.ones(
-            (flat_trace.grid.n_steps + 1, 1)
-        )
+        x, y = flat_trace.points.T
+        # cos(2 theta) on the unit circle
+        phin = (x * x - y * y)[None, :] * np.ones((flat_trace.grid.n_steps + 1, 1))
         base = measurement_boundary(flat_trace, phin, 1.0).value
-        doubled = BoundaryTrace(
-            grid=flat_trace.grid,
-            node_ids=flat_trace.node_ids,
-            angles=flat_trace.angles,
-            arc_weights=flat_trace.arc_weights,
-            values=2.0 * flat_trace.values,
-        )
+        doubled = replace(flat_trace, values=2.0 * flat_trace.values)
         assert measurement_boundary(doubled, phin, 1.0).value == pytest.approx(
             2.0 * base, rel=1e-12
         )
@@ -125,7 +108,7 @@ class TestMeasurementBoundary:
 
         assert phi(np.ones((3, 2)), 0.5, None).shape == (3,)
 
-        pts = np.column_stack([np.cos(flat_trace.angles), np.sin(flat_trace.angles)])
+        pts = flat_trace.points
         arr = np.array([(1.0 + t) * pts[:, 1] for t in flat_trace.grid.nodes])
         a = measurement_boundary(flat_trace, phi, 1.0).value
         b = measurement_boundary(flat_trace, arr, 1.0).value
@@ -271,8 +254,10 @@ class TestProbeTable:
         got = ProbeTable(flat_trace, coeffs_half, n_terms, gamma0).normal_derivative(sources)
         assert got.shape == (9,) + flat_trace.values.shape
         # the formula as KernelProbe took it before the table: ((x - P).n)
-        # times greenfn's gradient factor at the live elapsed times
-        pts = np.column_stack([np.cos(flat_trace.angles), np.sin(flat_trace.angles)])
+        # times greenfn's gradient factor at the live elapsed times, on the
+        # boundary vertices themselves, each its own normal
+        mesh = flat_trace.mesh
+        pts = mesh.vertices[: mesh.n_boundary].copy()
         s = flat_trace.grid.t_final - flat_trace.grid.nodes
         live = s > 0.0
         for src, row in zip(sources, got):
@@ -299,6 +284,13 @@ class TestProbeTable:
         for seed in (1, 2, 3):
             table.normal_derivative(self.sources(seed, seed))
         assert len(calls) == 1
+
+    def test_points_are_the_boundary_vertices(self, flat_trace, coeffs_half):
+        table = ProbeTable(flat_trace, coeffs_half, 3)
+        mesh = flat_trace.mesh
+        first = mesh.vertices[: mesh.n_boundary]
+        assert table.points.view(np.int64).tolist() == first.view(np.int64).tolist()
+        assert np.shares_memory(table.points, mesh.vertices)
 
     def test_sources_must_be_planar(self, flat_trace, coeffs_half):
         table = ProbeTable(flat_trace, coeffs_half, 3)

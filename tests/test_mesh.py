@@ -188,7 +188,6 @@ class TestBuildMesh:
     def test_boundary_nodes_come_first(self):
         mesh = build_mesh(InclusionSet(items=(Inclusion((0.2, 0.1), 0.1, 5.0),)), 0.2, 0.025)
         nb = mesh.n_boundary
-        np.testing.assert_array_equal(mesh.boundary_nodes, np.arange(nb))
         # the outer polygon's nodes, and no other, lie on the unit circle
         r = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
         np.testing.assert_allclose(r[:nb], 1.0, rtol=0.0, atol=1e-12)
@@ -196,6 +195,16 @@ class TestBuildMesh:
         # edge e runs from node e to node e + 1, the last back to node 0
         loop = np.arange(nb)
         np.testing.assert_array_equal(mesh.boundary_edges, np.column_stack([loop, np.roll(loop, -1)]))
+
+    def test_arc_weights_taken_once_per_mesh(self):
+        mesh = build_mesh(InclusionSet(items=()), 0.2, 0.2)
+        weights = mesh.arc_weights
+        assert mesh.arc_weights is weights
+        assert not weights.flags.writeable
+        lengths = mesh.edge_lengths()
+        # node i's weight is half its edges i - 1 and i, the last edge closing the loop
+        np.testing.assert_array_equal(weights[1:], 0.5 * (lengths[1:] + lengths[:-1]))
+        assert weights[0] == 0.5 * (lengths[0] + lengths[-1])
 
     def test_min_angle_across_configs(self):
         configs = [
