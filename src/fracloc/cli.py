@@ -20,12 +20,11 @@ Work that does not depend on u runs beside its march on worker threads.
 forward writes mesh.txt and the background files on one.  locate-multi,
 and a multi sweep for all its values at once, start two: the kernel-row
 worker computes the indicator scan's kernel rows from before the first
-march (locate_multi.KernelRows, _locate_multi_runs), and solve_pair's
-worker marches the background U beside u in each march
-(forward._march_block).  locate-one, oracle-check and a one sweep start
-none.  Every worker has stopped before its command returns, so none
-outlives main; the outputs are those of a run without them, and errors
-come in the same order.
+march (locate_multi.KernelRows, _locate_multi_runs), and the march's
+worker marches the background U beside u in each march (forward.march).
+locate-one, oracle-check and a one sweep start none.  Every worker has
+stopped before its command returns, so none outlives main; the outputs
+are those of a run without them, and errors come in the same order.
 
 Exit codes: 0 success, 2 config error, 3 solver/mesh/quadrature error,
 4 reconstruction failure.
@@ -56,7 +55,7 @@ from .forward import (
     add_noise,
     boundary_diffs,
     boundary_restrict,
-    solve_block,
+    march,
     solve_subdiffusion,
 )
 from .fracmath import TimeGrid, _check_alpha
@@ -390,7 +389,7 @@ def _march(plan, coeffs):
         args = (plan.sources, plan.incs, plan.alpha, coeffs, mesh, plan.grid, plan.series_terms)
         return (mesh, *march_sources(*args))
     gamma0 = plan.incs.gamma0
-    u = solve_block(mesh, plan.alpha, plan.incs, lambda p: p, lambda p, t, nrm: gamma0 * nrm, plan.grid)
+    (u,) = march(mesh, plan.alpha, [plan.incs], lambda p: p, lambda p, t, nrm: gamma0 * nrm, plan.grid)
     return mesh, u, np.broadcast_to(mesh.vertices, u.shape)
 
 
@@ -403,10 +402,10 @@ def _each_march(plans, coeffs, take):
     for i, plan in enumerate(plans):
         groups.setdefault(plan.march_key, []).append(i)
     for group in groups.values():
-        march = _march(plans[group[0]], coeffs)
+        marched = _march(plans[group[0]], coeffs)
         for i in group:
-            take(i, *march)
-        del march
+            take(i, *marched)
+        del marched
 
 
 def _write_csv(path, header, rows):
@@ -507,8 +506,10 @@ def _locate_multi_runs(plans, coeffs):
     (KernelRows.ahead) computes the kernel rows from before the first
     mesh.  Each plan's data matrix is measured, and its k chosen, while
     its march is held; then one pass over the rows takes every plan's
-    indicator (scan_indicators).  Errors come in the order of a run
-    without the worker.
+    indicator (scan_indicators).  A plan whose k cannot be chosen, since
+    its data carry no signal, joins no scan and gets that
+    ReconstructionError in place of its grid (see _peaks).  Errors come
+    in the order of a run without the worker.
     """
     first = plans[0]
     rows = KernelRows(
@@ -523,18 +524,32 @@ def _locate_multi_runs(plans, coeffs):
             plan.sources, coeffs, mesh, plan.grid, u, U, plan.series_terms,
             gamma0=plan.incs.gamma0, sigma=plan.sigma, seed=plan.seed,
         )
-        measured[i] = (data, truncation_level(data, plan.tau, plan.peaks, plan.k))
+        try:
+            measured[i] = (data, truncation_level(data, plan.tau, plan.peaks, plan.k))
+        except ReconstructionError as exc:
+            measured[i] = (data, exc)
 
     with rows.ahead():
         _each_march(plans, coeffs, measure)
-        grids = scan_indicators(list(measured.values()), rows)
-    return [(i, data, igrid) for (i, (data, _)), igrid in zip(measured.items(), grids)]
+        scans = [(data, k) for data, k in measured.values() if not isinstance(k, Exception)]
+        grids = iter(scan_indicators(scans, rows) if scans else [])
+    return [
+        (i, data, k if isinstance(k, Exception) else next(grids)) for i, (data, k) in measured.items()
+    ]
+
+
+def _peaks(plan, igrid):
+    """The peaks of plan in igrid, or the error _locate_multi_runs gave in
+    place of the grid."""
+    if isinstance(igrid, Exception):
+        raise igrid
+    return peak_extract(igrid, plan.peaks, min_separation=plan.min_separation)
 
 
 def cmd_locate_multi(plan, out_dir):
     coeffs = fit_green_coeffs(plan.alpha)
     [(_, data, igrid)] = _locate_multi_runs([plan], coeffs)
-    peaks = peak_extract(igrid, plan.peaks, min_separation=plan.min_separation)
+    peaks = _peaks(plan, igrid)
     spectrum = [(j + 1, s) for j, s in enumerate(data.singular_values)]
     located = [[p[0], p[1], _nearest_center(p, plan.incs)] for p in peaks]
     return {
@@ -594,7 +609,7 @@ def cmd_sweep(plans, out_dir):
                 rec = _locate_one_run(plan, coeffs, *run)
                 located[i] = (_center_error(rec.P, plan.incs), rec.rho0)
             else:
-                peaks = peak_extract(run[-1], plan.peaks, min_separation=plan.min_separation)
+                peaks = _peaks(plan, run[-1])
                 located[i] = (max(_nearest_center(p, plan.incs) for p in peaks), float(len(peaks)))
         except ReconstructionError as exc:
             # one failed value must not discard the rest of the sweep

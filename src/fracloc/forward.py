@@ -20,25 +20,19 @@ step then adds only the levels inside its block, takes one product with
 beta M and one solve.  The Neumann load reaches the boundary nodes
 only; before the march, one call of the flux per step, at both endpoints
 of every boundary edge, and one array expression along the boundary loop
-take it there for every step.  Every march runs through the one
-function ``_march_block``, which evaluates the data of every step once,
-then assembles, factors and runs the L1 loop of each conductivity: the
-first on the calling thread, each further one on a worker thread of its
-own, all at the same time:
-
-* ``solve_subdiffusion``: one data set at the conductivity of an
-  inclusion set, with an optional volumetric source; the ``forward``
-  command marches u this way, and ``solve_background`` is the same
-  march with an empty set;
-* ``solve_block``: a block of data sets at the perturbed conductivity,
-  one factorization and one flux evaluation per step for the block;
-  ``locate-one`` and ``oracle-check`` march u for both axis directions
-  this way;
-* ``solve_pair``: a block against the perturbed and the background
-  conductivity, one factorization per conductivity and one flux
-  evaluation per step for both; the two conductivities march at the
-  same time on two threads.  The multi-inclusion data matrix is built
-  this way.
+take it there for every step.  Every march is one call of ``march``,
+which takes a block of data sets (one column each) and a list of
+inclusion sets, one conductivity each, evaluates the data of every step
+once for all of them, then assembles, factors and runs the L1 loop of
+each conductivity: the first on the calling thread, each further one on
+a worker thread of its own, all at the same time.  ``locate-one`` and
+``oracle-check`` march u for both axis directions as one block at the
+perturbed conductivity; the multi-inclusion data matrix marches a block
+against the perturbed and the background conductivity
+``InclusionSet((), gamma0)``, on two threads.  ``solve_subdiffusion``
+is its one-set case with one data set and an optional volumetric
+source, which returns the field; the ``forward`` command marches u this
+way, and ``solve_background`` is the same march with an empty set.
 
 The two threads overlap only in part: on a 2-core x86 VM with 2,580
 nodes, two threads of one-column SuperLU solves, each with its own
@@ -247,13 +241,9 @@ def _factor(M, K, beta):
 def solve_subdiffusion(
     mesh: Mesh, alpha: float, inclusions: InclusionSet, f, u0, g, grid: TimeGrid
 ) -> SpaceTimeField:
-    """March the L1 / P1 scheme for the conductivity problem.
-
-    The conductivity is inclusions.gamma0 in the background and each
-    inclusion's gamma on the triangles its region tag selects.
-    """
-    gamma_tri = inclusions.gamma_of_tag(mesh.region_tag)
-    (values,) = _march_block(mesh, alpha, [gamma_tri], u0, g, grid, f)
+    """March the L1 / P1 scheme for the conductivity of one inclusion set:
+    march's one-set case, one data set with an optional source f."""
+    (values,) = march(mesh, alpha, [inclusions], u0, g, grid, f)
     return SpaceTimeField(mesh=mesh, grid=grid, values=values)
 
 
@@ -261,7 +251,7 @@ def solve_subdiffusion(
 # m n k <= 65536 * GEMM_MULTITHREAD_THRESHOLD = 262144 (interface/gemm.c).
 _ONE_THREAD_GEMM = 262_144
 
-# Levels per block of the blocked history (see _march_block).
+# Levels per block of the blocked history (see march).
 _BLOCK = 16
 
 
@@ -281,10 +271,13 @@ def _block_history(weights, levels, out):
         np.matmul(weights, levels[:, lo : lo + step], out=out[:, lo : lo + step])
 
 
-def _march_block(mesh: Mesh, alpha: float, gammas, u0, g, grid: TimeGrid, f=None):
-    """March one block of data sets at each per-triangle conductivity in gammas.
+def march(mesh: Mesh, alpha: float, conductivities, u0, g, grid: TimeGrid, f=None):
+    """March one block of data sets at the conductivity of each inclusion set.
 
-    The one setup and L1 time loop of every march.  u0(points) -> (k,)
+    The one setup and L1 time loop of every march.  Inclusion set c of
+    conductivities gives c.gamma0 in the background and each inclusion's
+    gamma on the triangles its region tag selects; the background
+    conductivity is InclusionSet((), gamma0).  u0(points) -> (k,)
     or (k, m) and g(points, t, normals) -> the same shape give one
     column per data set; u0 = None is a zero start of one data set, and
     f adds the volumetric load M f(points, t).  The fluxes g and the
@@ -323,8 +316,8 @@ def _march_block(mesh: Mesh, alpha: float, gammas, u0, g, grid: TimeGrid, f=None
     # d[k] = b[k] - b[k+1], with b[n_steps] taken as 0
     d = -np.diff(b, append=0.0)
 
-    def march(gamma_tri):
-        M, K = assemble_matrices(mesh, gamma_tri)
+    def run(inclusions):
+        M, K = assemble_matrices(mesh, inclusions.gamma_of_tag(mesh.region_tag))
         lu = _factor(M, K, beta)
         beta_m = beta * M
         values = np.zeros((n_levels,) + init.shape)
@@ -357,43 +350,13 @@ def _march_block(mesh: Mesh, alpha: float, gammas, u0, g, grid: TimeGrid, f=None
 
     # a worker thread raised the peak RSS of a one-conductivity op by
     # 1-2 MB, so the calling thread marches the first conductivity itself
-    with ThreadPoolExecutor(max_workers=max(len(gammas) - 1, 1)) as pool:
-        futures = [pool.submit(march, gamma_tri) for gamma_tri in gammas[1:]]
-        fields = [march(gammas[0])] + [future.result() for future in futures]
+    with ThreadPoolExecutor(max_workers=max(len(conductivities) - 1, 1)) as pool:
+        futures = [pool.submit(run, inclusions) for inclusions in conductivities[1:]]
+        fields = [run(conductivities[0])] + [future.result() for future in futures]
     finite = np.all([np.isfinite(v.reshape(n_levels, -1)).all(axis=1) for v in fields], axis=0)
     if not finite.all():
         raise SolverError(f"non-finite solution at time step {int(np.argmin(finite))}")
     return fields
-
-
-def solve_block(mesh: Mesh, alpha: float, inclusions: InclusionSet, u0, g, grid: TimeGrid):
-    """Perturbed march of a block of m data sets (see _march_block).
-
-    One assembly, one factorization and one Neumann load per step for
-    the whole block; returns the nodal values, shape (n_steps + 1,
-    n_nodes, m).
-    """
-    (u,) = _march_block(mesh, alpha, [inclusions.gamma_of_tag(mesh.region_tag)], u0, g, grid)
-    return u
-
-
-def solve_pair(mesh: Mesh, alpha: float, inclusions: InclusionSet, u0, g, grid: TimeGrid):
-    """Perturbed and background marches of a block of m data sets.
-
-    The background conductivity is inclusions.gamma0 everywhere.  Both
-    marches share each step's Neumann load, evaluated once, and run at
-    the same time, u on the calling thread and U on a worker thread,
-    each with its own assembly, factorization and L1 loop (see
-    _march_block); the result is bitwise that of marching them one after
-    the other.  Returns the nodal values
-    (u, U), each of shape (n_steps + 1, n_nodes, m).
-    """
-    gammas = [
-        inclusions.gamma_of_tag(mesh.region_tag),
-        np.full(len(mesh.triangles), inclusions.gamma0),
-    ]
-    u, U = _march_block(mesh, alpha, gammas, u0, g, grid)
-    return u, U
 
 
 def solve_background(

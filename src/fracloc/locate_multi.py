@@ -41,13 +41,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, QuadratureError, ReconstructionError, SolverError
-from .forward import boundary_diffs, solve_pair
+from .forward import boundary_diffs, march
 
 # bound here though unused: perfbench's tracer test checks that its wrapper
 # reaches every module that binds the single-march solver
 from .forward import solve_subdiffusion  # noqa: F401
 from .greenfn import _gradient_time_half, _normal_derivative, _separated, approx_fundamental
 from .measure import ProbeTable
+from .mesh import InclusionSet
 from .textfile import write_hashed
 
 GAUSS_POINTS_PER_PANEL = 8
@@ -170,9 +171,10 @@ def march_sources(sources, inclusions, alpha, coeffs, mesh, grid, n_terms=3):
     unperturbed problem are marched from its value at the small positive
     offset t_init = T/2^7, so the initial datum is smooth on the closed
     domain.  alpha must be the order coeffs were fitted for, since it
-    sets the march.  All sources march as one block, one
-    factorization per conductivity, and each kernel call of the initial
-    datum and the flux covers every source.  The flux is gamma0 dPsi/dn,
+    sets the march.  All sources march as one block (forward.march) at
+    the perturbed conductivity and the background InclusionSet((),
+    gamma0), one factorization per conductivity, and each kernel call of
+    the initial datum and the flux covers every source.  The flux is gamma0 dPsi/dn,
     greenfn's _normal_derivative with the gradient factor's time half at
     the elapsed time t + t_init.  No noise enters here.
     """
@@ -191,28 +193,20 @@ def march_sources(sources, inclusions, alpha, coeffs, mesh, grid, n_terms=3):
         times = _gradient_time_half(coeffs, d, n_terms, np.array([t + t_init]), gamma0)
         return gamma0 * _normal_derivative(p, nrm, pts, times)[:, 0].T
 
-    return solve_pair(mesh, alpha, inclusions, u0, g, grid)
+    return march(mesh, alpha, [inclusions, InclusionSet((), gamma0)], u0, g, grid)
 
 
 def measure_data_matrix(sources, coeffs, mesh, grid, u, U, n_terms=3, gamma0=1.0, sigma=0.0, seed=None):
     """The data matrix of the blocks (u, U) of march_sources.  Noise, if any,
     is applied to the perturbed trace only, independently per source (see
-    forward.boundary_diffs).  B is one contraction of the stacked traces
-    Delta_j with the probes' normal derivatives,
-
-        B[i, j] = gamma0 sum_{levels, nodes} dPhi_i/dn w_t w_arc Delta_j,
-
-    the boundary measurement of every pair at once; every dPhi_i/dn comes
-    from one ProbeTable call.
+    forward.boundary_diffs).  B[i, j] is the measurement of source j's
+    trace against the probe anchored at source i, every pair in one
+    ProbeTable.measure.
     """
     diffs = boundary_diffs(mesh, grid, u, U, sigma=sigma, seed=seed)
-
     # every trace shares the mesh and time levels
-    phin = ProbeTable(diffs[0], coeffs, n_terms, gamma0).normal_derivative(sources.points)
-    weights = np.outer(grid.weights, mesh.arc_weights)
-    deltas = np.stack([diff.values for diff in diffs])
-    B = gamma0 * ((phin * weights).reshape(sources.n, -1) @ deltas.reshape(sources.n, -1).T)
-    return DataMatrix(B)
+    table = ProbeTable(diffs[0], coeffs, n_terms, gamma0)
+    return DataMatrix(table.measure(sources.points, diffs))
 
 
 def _gauss_panels(t_final):
@@ -348,12 +342,16 @@ def select_truncation(singular_values, tau=1e-6):
 def truncation_level(data, tau, peaks, k):
     """The truncation level of data's indicator when ``peaks`` are sought.
 
-    A set k is used as given.  With k None it is select_truncation's count
-    at tau, raised to at least 2 peaks + 1 and capped at n - 1: each
-    point inclusion gives a rank-2 dipole block (Ammari and Kang, LNM
-    1846, 2004) and secondary directions near tau, so a threshold alone
-    can cut one inclusion's directions short and lose its center.
+    A zero data matrix is a ReconstructionError whatever k: the data
+    carry no signal, and its indicator has no peak to find.  A set k is
+    used as given.  With k None it is select_truncation's count at tau,
+    raised to at least 2 peaks + 1 and capped at n - 1: each point
+    inclusion gives a rank-2 dipole block (Ammari and Kang, LNM 1846,
+    2004) and secondary directions near tau, so a threshold alone can
+    cut one inclusion's directions short and lose its center.
     """
+    if data.singular_values[0] == 0.0:
+        raise ReconstructionError("the data matrix is 0; the data carry no signal")
     if k is not None:
         return k
     return min(max(select_truncation(data.singular_values, tau), 2 * peaks + 1), data.n - 1)

@@ -13,8 +13,9 @@ root_on_segment and root_on_patch take a probe handle, which maps an
 anchor P to the measurement against the test function anchored there.
 locate_one_inclusion bisects both segments in lockstep instead: it
 makes one ProbeTable (measure) per run, which takes the kernel's time
-half once, and each bisection round takes dPhi/dn at both anchors in
-one table call, then each segment's measurement from its own trace.
+half once, and each bisection round takes one table of measurements,
+every trace against the anchors of both segments (ProbeTable.measure),
+and keeps its diagonal, each segment's anchor against its own trace.
 All three go through one bisection, _bisect, of k brackets at once.
 """
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, ReconstructionError
 from .greenfn import GreenCoeffs
-from .measure import ProbeTable, measurement_boundary
+from .measure import ProbeTable
 
 
 @dataclass(frozen=True)
@@ -139,31 +140,9 @@ def default_segments(distance: float = 2.0) -> tuple:
     return seg1, seg2
 
 
-def _probe_values(table: ProbeTable, anchors, diffs, gamma0: float) -> np.ndarray:
-    """I_Phi of diffs[j] against the test function anchored at anchors[j].
-
-    One table call gives dPhi/dn at every anchor; each trace then takes
-    its own contraction (measurement_boundary).
-    """
-    anchors = np.asarray(anchors, dtype=float)
-    outside = np.linalg.norm(anchors, axis=-1) > 1.0
-    if not outside.all():
-        P = anchors[np.argmin(outside)]
-        raise ConfigError(f"probe anchor {P} must lie outside the closed domain")
-    phin = table.normal_derivative(anchors)
-    return np.array([measurement_boundary(diff, p, gamma0).value for diff, p in zip(diffs, phin)])
-
-
-def probe_value(
-    P,
-    diff,
-    coeffs: GreenCoeffs,
-    n_terms: int = 3,
-    gamma0: float = 1.0,
-) -> float:
+def probe_value(P, diff, coeffs: GreenCoeffs, n_terms: int = 3, gamma0: float = 1.0) -> float:
     """Measurement against the test function anchored at exterior point P."""
-    table = ProbeTable(diff, coeffs, n_terms, gamma0)
-    return float(_probe_values(table, [P], [diff], gamma0)[0])
+    return float(ProbeTable(diff, coeffs, n_terms, gamma0).measure([P], [diff])[0, 0])
 
 
 def _bisect(f, fa, fb, tol: float) -> np.ndarray:
@@ -296,9 +275,10 @@ def locate_one_inclusion(
     diffs[j] is the boundary trace of u - U for the background paired
     with segments[j]; all of them lie on the same mesh and time grid.
     The segments are bisected in lockstep (_bisect): one ProbeTable per
-    run, and per round one table call for every anchor and one
-    measurement per segment from its own trace.  Each root is
-    the one root_on_segment finds with that segment's probe_value.
+    run, and per round one ProbeTable.measure of every trace against
+    every anchor, whose diagonal pairs each segment's anchor with its own
+    trace.  Each root is the one root_on_segment finds with that
+    segment's probe_value.
     """
     if segments is None:
         segments = default_segments()
@@ -307,14 +287,11 @@ def locate_one_inclusion(
     for seg in segments:
         _check_one_span(seg)
     _check_tol(tol)
-    first = diffs[0]
-    for diff in diffs[1:]:
-        first.check_matches(diff)
-    table = ProbeTable(first, coeffs, n_terms, gamma0)
+    table = ProbeTable(diffs[0], coeffs, n_terms, gamma0)
 
     def f(params):
         anchors = [seg.point_at(s) for seg, s in zip(segments, params)]
-        return _probe_values(table, anchors, diffs, gamma0)
+        return np.diagonal(table.measure(anchors, diffs))
 
     k = len(segments)
     params = _bisect(f, f(np.zeros(k)), f(np.ones(k)), tol)

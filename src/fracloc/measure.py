@@ -20,16 +20,20 @@ t.shape + (k,), gradient t.shape + (k, d).  A scalar t is the 0-d case.
 The measurements call a handle once for all time levels (the interior
 form once per inclusion).
 
-The locators take KernelProbe's normal derivative on a boundary trace
-from a ProbeTable instead, made once per run.  It holds what does not
-depend on the source: the trace's node points, which are also their
-outward normals, the levels with positive elapsed time T - t, and the
-time half of the gradient factor there.  One call then gives dPhi/dn
-for a whole stack of sources, with only rel, proj, rho^2 and one
-separated evaluation per call.  KernelProbe.normal_derivative and the
-table take the time half and the formula from greenfn
-(_gradient_time_half, _normal_derivative), which the source march's
-flux and the scan take too, so they exist once.
+The locators take every measurement from a ProbeTable instead, made
+once per run.  It holds what does not depend on the source: the trace's
+node points, which are also their outward normals, the levels with
+positive elapsed time T - t, and the time half of the gradient factor
+there.  One call then gives dPhi/dn for a whole stack of sources, with
+only rel, proj, rho^2 and one separated evaluation per call, and
+ProbeTable.measure contracts it with a stack of traces into the table
+I[i, j] of every anchor against every trace: locate-one's bisection
+takes the diagonal of a 2 x 2 table, and locate-multi's data matrix is
+one n x n table.  measurement_boundary takes the same quadrature one
+trace and one handle (or array) at a time, for oracle-check.
+KernelProbe.normal_derivative and the table take the time half and the
+formula from greenfn (_gradient_time_half, _normal_derivative), which
+the source march's flux and the scan take too, so they exist once.
 
 An equivalent interior form (conductivity-contrast weighted gradient
 coupling over the inclusions) serves as a cross-check, and leading_term
@@ -294,20 +298,25 @@ def tabulate_normal_derivative(phi, trace: BoundaryTrace) -> np.ndarray:
 
 
 class ProbeTable:
-    """KernelProbe's dPhi/dn on the nodes and levels of one trace, for any sources.
+    """KernelProbe's dPhi/dn on the nodes and levels of one trace, for any
+    sources, and the measurements of traces against them.
 
     Made once per run: it takes the trace's node points, the mesh's first
     vertices (also their normals), the levels where the elapsed time
     s = T - t is positive and the gradient factor's time half there, for
-    d = 2.  Every trace on the same mesh and time grid shares the table.
+    d = 2 and gamma0 > 0.  Every trace on the same mesh and time grid
+    shares the table.
     """
 
     def __init__(self, trace: BoundaryTrace, coeffs: GreenCoeffs, n_terms: int, gamma0: float = 1.0):
+        if gamma0 <= 0.0:
+            raise ConfigError(f"gamma0 must be positive, got {gamma0}")
         s = trace.grid.t_final - trace.grid.nodes
+        self.trace = trace
+        self.gamma0 = gamma0
         self.points = trace.points
         # s falls along the levels, so those with s > 0 come first
         self.live = slice(0, np.count_nonzero(s > 0.0))
-        self.shape = trace.values.shape
         self.times = _gradient_time_half(coeffs, 2, n_terms, s[self.live], gamma0)
 
     def normal_derivative(self, sources) -> np.ndarray:
@@ -317,9 +326,33 @@ class ProbeTable:
         sources = np.atleast_2d(np.asarray(sources, dtype=float))
         if sources.ndim != 2 or sources.shape[1] != 2:
             raise ConfigError(f"probe sources must be points in R^2, got shape {sources.shape}")
-        out = np.zeros((len(sources),) + self.shape)
+        out = np.zeros((len(sources),) + self.trace.values.shape)
         out[:, self.live] = _normal_derivative(self.points, self.points, sources, self.times)
         return out
+
+    def measure(self, anchors, traces) -> np.ndarray:
+        """I[i, j], the measurement of traces[j] against the probe anchored at
+        anchors[i], shape (len(anchors), len(traces)).
+
+        One table call gives dPhi/dn at every anchor and one contraction
+        with the stacked traces Delta_j every measurement at once,
+
+            I[i, j] = gamma0 sum_{levels, nodes} dPhi_i/dn w_t w_arc Delta_j,
+
+        the quadrature of measurement_boundary: the trapezoid in time and
+        the mesh's arc weights in space.  The anchors must lie outside the
+        closed unit disk, and the traces on the table's mesh and time grid.
+        """
+        anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
+        outside = np.linalg.norm(anchors, axis=-1) > 1.0
+        if not outside.all():
+            raise ConfigError(f"probe anchor {anchors[np.argmin(outside)]} must lie outside the closed domain")
+        for trace in traces:
+            self.trace.check_matches(trace)
+        weights = np.outer(self.trace.grid.weights, self.trace.mesh.arc_weights)
+        rows = (self.normal_derivative(anchors) * weights).reshape(len(anchors), -1)
+        deltas = np.stack([trace.values for trace in traces]).reshape(len(traces), -1)
+        return self.gamma0 * (rows @ deltas.T)
 
 
 def measurement_boundary(diff: BoundaryTrace, phi, gamma0: float) -> Measurement:

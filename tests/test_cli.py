@@ -537,7 +537,7 @@ class TestExitCodes:
         assert name in capsys.readouterr().err
 
     def test_probe_distance_checked_before_march(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "solve_block", lambda *args: pytest.fail("marched"))
+        monkeypatch.setattr(cli, "march", lambda *args: pytest.fail("marched"))
         cfg = write_config(
             tmp_path / "c.json",
             mesh={"h_far": 0.3},
@@ -550,7 +550,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("tol", [0.0, 1.0, 2.0])
     def test_probe_tol_checked_before_march(self, tmp_path, monkeypatch, capsys, tol):
-        monkeypatch.setattr(cli, "solve_block", lambda *args: pytest.fail("marched"))
+        monkeypatch.setattr(cli, "march", lambda *args: pytest.fail("marched"))
         cfg = write_config(
             tmp_path / "c.json",
             mesh={"h_far": 0.3},
@@ -603,9 +603,9 @@ class TestExitCodes:
         )
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cli, "build_mesh", mesh_reached)
-            patch.setattr(cli, "solve_block", lambda *args: pytest.fail("marched"))
+            patch.setattr(cli, "march", lambda *args: pytest.fail("marched"))
             patch.setattr(cli, "solve_subdiffusion", lambda *args: pytest.fail("marched"))
-            patch.setattr(locate_multi, "solve_pair", lambda *args: pytest.fail("marched"))
+            patch.setattr(locate_multi, "march", lambda *args: pytest.fail("marched"))
             if all(v <= cli.MAX_MESH_VERTICES and b <= cli.MAX_MARCH_BYTES for v, b in sizes):
                 with pytest.raises(MeshReached):
                     cli.main([command, "--config", cfg])
@@ -972,6 +972,25 @@ class TestLocateMultiCommand:
         dist = np.linalg.norm(centers[:, None, :] - peaks[None, :, :2], axis=2)
         assert np.max(np.min(dist, axis=1)) <= 0.05
 
+    @pytest.mark.parametrize(
+        "override",
+        [{"time_steps": 1}, {"time_steps": 1, "scan": {"k": 3}}, {"gamma0": 1e-6}],
+        ids=["one-step", "one-step-k3", "gamma0-1e-6"],
+    )
+    def test_data_without_signal_is_4_before_the_scan(self, tmp_path, monkeypatch, capsys, override):
+        # one time step, or a background too slow to reach the boundary,
+        # leaves every entry of the data matrix at exactly 0, at any k
+        monkeypatch.setattr(cli, "scan_indicators", lambda *args: pytest.fail("scanned"))
+        doc = json.loads((Path(__file__).parents[1] / "configs" / "example43.json").read_text())
+        scan = dict(doc["scan"], **override.pop("scan", {}))
+        doc.update(override, scan=scan, output_dir=str(tmp_path / "out"))
+        cfg = write_config(tmp_path / "c.json", **doc)
+        assert cli.main(["locate-multi", "--config", cfg]) == 4
+        assert capsys.readouterr().err == (
+            "fracloc: reconstruction failed: the data matrix is 0; the data carry no signal\n"
+        )
+        assert not (tmp_path / "out" / "peaks.csv").exists()
+
     def test_noisy_run_is_frozen(self, tmp_path):
         # freezes the noise stream: child j of SeedSequence(seed) per source
         out = tmp_path / "out"
@@ -1044,8 +1063,8 @@ class TestLocateMultiCommand:
         ],
     )
     def test_scan_ranges_checked_before_march(self, tmp_path, monkeypatch, scan):
-        monkeypatch.setattr(locate_multi, "solve_pair", lambda *args: pytest.fail("marched"))
-        monkeypatch.setattr(cli, "solve_block", lambda *args: pytest.fail("marched"))
+        monkeypatch.setattr(locate_multi, "march", lambda *args: pytest.fail("marched"))
+        monkeypatch.setattr(cli, "march", lambda *args: pytest.fail("marched"))
         cfg = write_config(
             tmp_path / "c.json",
             time_steps=16,
@@ -1080,6 +1099,12 @@ def no_march(*args, **kwargs):
     raise SolverError("injected")
 
 
+def patch_march(monkeypatch, fn):
+    """Put fn in place of forward.march in every module that binds it."""
+    for module in (forward, cli, locate_multi):
+        monkeypatch.setattr(module, "march", fn)
+
+
 class TestWorkBesideTheMarch:
     """locate-multi computes the scan's kernel rows and forward writes the
     background files on a worker thread while the calling thread marches."""
@@ -1090,7 +1115,7 @@ class TestWorkBesideTheMarch:
     ):
         start = threading.active_count()
         assert cli.main(["locate-multi", "--config", cheap_multi, "--out", str(tmp_path / "a")]) == 0
-        row_fn, march, build = locate_multi._kernel_matrix, locate_multi.solve_pair, cli.measure_data_matrix
+        row_fn, march, build = locate_multi._kernel_matrix, locate_multi.march, cli.measure_data_matrix
         ahead = []  # rows the worker has made
         built = threading.Event()
         all_rows = threading.Event()
@@ -1118,7 +1143,7 @@ class TestWorkBesideTheMarch:
             return data
 
         monkeypatch.setattr(locate_multi, "_kernel_matrix", rows)
-        monkeypatch.setattr(locate_multi, "solve_pair", late_march)
+        monkeypatch.setattr(locate_multi, "march", late_march)
         monkeypatch.setattr(cli, "measure_data_matrix", data_matrix)
         assert cli.main(["locate-multi", "--config", cheap_multi, "--out", str(tmp_path / "b")]) == 0
         # the worker had made no row, or every row, when the data matrix was built
@@ -1175,7 +1200,7 @@ class TestWorkBesideTheMarch:
             no_march()
 
         monkeypatch.setattr(locate_multi, "_separated", infinite)
-        monkeypatch.setattr(forward, "_march_block", march_after_scan)
+        patch_march(monkeypatch, march_after_scan)
         assert cli.main(["locate-multi", "--config", cheap_multi]) == 3
         assert capsys.readouterr().err == "fracloc: solver error: injected\n"
         assert threading.active_count() == start
@@ -1192,7 +1217,7 @@ class TestWorkBesideTheMarch:
             return row_fn(*args)
 
         monkeypatch.setattr(locate_multi, "_kernel_matrix", slow_rows)
-        monkeypatch.setattr(forward, "_march_block", no_march)
+        patch_march(monkeypatch, no_march)
         assert cli.main(["locate-multi", "--config", cheap_multi]) == 3
         assert capsys.readouterr().err == "fracloc: solver error: injected\n"
         # the worker stopped after the row it was making, of 21
@@ -1207,7 +1232,7 @@ class TestWorkBesideTheMarch:
         expected = capsys.readouterr().err
         assert expected.startswith(f"fracloc: config error: cannot write the outputs in {out}: ")
         assert "background_field.csv" in expected
-        monkeypatch.setattr(forward, "_march_block", no_march)
+        patch_march(monkeypatch, no_march)
         assert cli.main(["forward", "--config", cheap_one]) == 2
         assert capsys.readouterr().err == expected
         assert threading.active_count() == start
@@ -1218,7 +1243,7 @@ class TestWorkBesideTheMarch:
         # 21 grid rows of 21 points against 6 sources
         monkeypatch.setattr(locate_multi, "SCAN_AHEAD_BYTES", 2 * 8 * 21 * 6**2)
         row_fn, compute_ahead = locate_multi._kernel_matrix, locate_multi.KernelRows._compute_ahead
-        march, build = locate_multi.solve_pair, cli.measure_data_matrix
+        march, build = locate_multi.march, cli.measure_data_matrix
         calls = []
         at_data_matrix = []
         stopped = threading.Event()
@@ -1243,7 +1268,7 @@ class TestWorkBesideTheMarch:
 
         monkeypatch.setattr(locate_multi, "_kernel_matrix", rows)
         monkeypatch.setattr(locate_multi.KernelRows, "_compute_ahead", worker)
-        monkeypatch.setattr(locate_multi, "solve_pair", late_march)
+        monkeypatch.setattr(locate_multi, "march", late_march)
         monkeypatch.setattr(cli, "measure_data_matrix", data_matrix)
         assert cli.main(["locate-multi", "--config", cheap_multi, "--out", str(tmp_path / "b")]) == 0
         assert at_data_matrix == [2]
@@ -1267,7 +1292,7 @@ class TestWorkBesideTheMarch:
         workers = []
         counts = {"rows": 0, "march": 0}
         compute_ahead, row_fn, march = (
-            locate_multi.KernelRows._compute_ahead, locate_multi._kernel_matrix, forward._march_block
+            locate_multi.KernelRows._compute_ahead, locate_multi._kernel_matrix, forward.march
         )
 
         def worker(self):
@@ -1283,7 +1308,7 @@ class TestWorkBesideTheMarch:
 
         monkeypatch.setattr(locate_multi.KernelRows, "_compute_ahead", worker)
         monkeypatch.setattr(locate_multi, "_kernel_matrix", counting("rows", row_fn))
-        monkeypatch.setattr(forward, "_march_block", counting("march", march))
+        patch_march(monkeypatch, counting("march", march))
         cfg = write_config(
             tmp_path / "c.json",
             time_steps=16,
@@ -1520,7 +1545,7 @@ class TestSweepCommand:
             return wrapper
 
         monkeypatch.setattr(cli, "build_mesh", counting("mesh", cli.build_mesh))
-        monkeypatch.setattr(forward, "_march_block", counting("march", forward._march_block))
+        patch_march(monkeypatch, counting("march", forward.march))
         out = tmp_path / "sweep"
         cfg = write_config(
             tmp_path / "sweep.json",
@@ -1625,6 +1650,66 @@ class TestSweepCommand:
                 assert np.isnan(row[1:]).all()
             else:
                 np.testing.assert_array_equal(row, want)
+
+    def test_multi_value_without_signal_fails_alone(self, tmp_path, monkeypatch, capsys):
+        # a zero data matrix fails its value before the scan, which takes
+        # the other values' indicators; their rows are those of a sweep in
+        # which no value fails
+        common = dict(
+            time_steps=16,
+            mesh={"h_far": 0.25},
+            inclusions=[CHEAP_INCLUSION],
+            sources={"n": 6},
+            scan={"region": [-0.5, 0.5, -0.5, 0.5], "resolution": 11, "k": 3},
+            noise={"sigma": 0.0, "seed": 5},
+            sweep={"parameter": "sigma", "values": [0.0, 0.05, 0.2], "algorithm": "multi"},
+        )
+        full = tmp_path / "full"
+        cfg = write_config(full.with_suffix(".json"), output_dir=str(full), **common)
+        assert cli.main(["sweep", "--config", cfg]) == 0
+        build, scan = cli.measure_data_matrix, cli.scan_indicators
+        scanned = []
+
+        def no_signal_at_005(*args, sigma, **kwargs):
+            data = build(*args, sigma=sigma, **kwargs)
+            return locate_multi.DataMatrix(np.zeros_like(data.B)) if sigma == 0.05 else data
+
+        def counting(measured, rows):
+            scanned.append(len(measured))
+            return scan(measured, rows)
+
+        monkeypatch.setattr(cli, "measure_data_matrix", no_signal_at_005)
+        monkeypatch.setattr(cli, "scan_indicators", counting)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "c.json", output_dir=str(out), **common)
+        assert cli.main(["sweep", "--config", cfg]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "fracloc: sweep value 0.05 failed: the data matrix is 0; the data carry no signal"
+        ]
+        assert scanned == [2]
+        rows = np.loadtxt(out / "sweep.csv", delimiter=",", skiprows=1)
+        want = np.loadtxt(full / "sweep.csv", delimiter=",", skiprows=1)
+        assert np.isnan(rows[1, 1:]).all()
+        np.testing.assert_array_equal(rows[[0, 2]], want[[0, 2]])
+
+    def test_example44_multi_sweep_without_signal_is_4(self, tmp_path, capsys):
+        # at one time step the noiseless data matrix is exactly 0, and that
+        # value fails with its cause; the noisy ones measure noise alone and
+        # fail at the peak search, as a one sweep's noisy values fail at the
+        # sign check
+        doc = json.loads((Path(__file__).parents[1] / "configs" / "example44.json").read_text())
+        doc.update(time_steps=1, output_dir=str(tmp_path / "out"))
+        values = doc["sweep"]["values"]
+        assert doc["sweep"]["algorithm"] == "multi" and values[0] == 0.0
+        cfg = write_config(tmp_path / "c.json", **doc)
+        assert cli.main(["sweep", "--config", cfg]) == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == len(values) + 1
+        assert lines[0] == "fracloc: sweep value 0.0 failed: the data matrix is 0; the data carry no signal"
+        for value, line in zip(values, lines):
+            assert line.startswith(f"fracloc: sweep value {value!r} failed: ")
+        assert lines[-1] == f"fracloc: reconstruction failed: all {len(values)} sweep values failed"
+        assert not (tmp_path / "out" / "sweep.csv").exists()
 
     def test_empty_values_rejected(self, tmp_path):
         cfg = write_config(

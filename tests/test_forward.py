@@ -23,12 +23,16 @@ from fracloc.forward import (
     boundary_diffs,
     boundary_restrict,
     solve_background,
-    solve_pair,
     solve_subdiffusion,
 )
 from fracloc.fracmath import TimeGrid, caputo_l1_apply, l1_constants
 from fracloc.greenfn import approx_fundamental, grad_approx_fundamental
 from fracloc.mesh import Inclusion, InclusionSet, build_mesh
+
+
+def march_pair(mesh, alpha, incs, u0, g, grid):
+    """The march of a block at incs and at its background InclusionSet((), gamma0)."""
+    return forward.march(mesh, alpha, [incs, InclusionSet((), incs.gamma0)], u0, g, grid)
 
 
 def neumann_load(mesh, g, t):
@@ -207,7 +211,7 @@ class TestMarch:
         with pytest.raises(ConfigError):
             solve_background(coarse_mesh, 1.5, None, None, None, grid)
         with pytest.raises(ConfigError):
-            solve_pair(coarse_mesh, 1.5, InclusionSet(items=()), lambda p: p, None, grid)
+            march_pair(coarse_mesh, 1.5, InclusionSet(items=()), lambda p: p, None, grid)
         with pytest.raises(ConfigError):
             solve_background(coarse_mesh, 0.5, None, None, None, grid, gamma0=-1.0)
 
@@ -303,7 +307,7 @@ class TestSolvePair:
     def test_columns_match_single_marches(self, pair_case):
         # gamma0 = 2 also checks that the background takes the set's gamma0
         mesh, incs, u0, g, grid = pair_case
-        u, U = solve_pair(mesh, 0.5, incs, u0, g, grid)
+        u, U = march_pair(mesh, 0.5, incs, u0, g, grid)
         assert u.shape == U.shape == (grid.n_steps + 1, len(mesh.vertices), 3)
         for j in range(3):
 
@@ -321,12 +325,11 @@ class TestSolvePair:
     def test_pair_is_bitwise_two_separate_marches(self, pair_case):
         mesh, incs, u0, g, grid = pair_case
         start = threading.active_count()
-        u, U = solve_pair(mesh, 0.5, incs, u0, g, grid)
+        u, U = march_pair(mesh, 0.5, incs, u0, g, grid)
         # the pool's workers are gone once the march returns
         assert threading.active_count() == start
-        gammas = [incs.gamma_of_tag(mesh.region_tag), np.full(len(mesh.triangles), 2.0)]
-        for field, gamma_tri in zip((u, U), gammas):
-            (alone,) = forward._march_block(mesh, 0.5, [gamma_tri], u0, g, grid)
+        for field, conductivity in zip((u, U), (incs, InclusionSet((), 2.0))):
+            (alone,) = forward.march(mesh, 0.5, [conductivity], u0, g, grid)
             assert np.array_equal(field, alone)
 
     def test_worker_error_reaches_the_caller(self, pair_case, monkeypatch):
@@ -337,7 +340,7 @@ class TestSolvePair:
         second_factorization_fails(monkeypatch, error)
         start = threading.active_count()
         with pytest.raises(SolverError) as info:
-            solve_pair(mesh, 0.5, incs, u0, g, grid)
+            march_pair(mesh, 0.5, incs, u0, g, grid)
         assert info.value is error
         assert threading.active_count() == start
 
@@ -483,7 +486,7 @@ class TestBlockedHistory:
             u0_, g_ = (lambda p: u0(p)[:, 1]), (lambda p, t, n: g(p, t, n)[:, 1])
         else:
             u0_, g_ = u0, g
-        u, U = solve_pair(mesh, 0.5, incs, u0_, g_, grid)
+        u, U = march_pair(mesh, 0.5, incs, u0_, g_, grid)
         gammas = [incs.gamma_of_tag(mesh.region_tag), np.full(len(mesh.triangles), incs.gamma0)]
         for values, gamma_tri in zip((u, U), gammas):
             assert l1_residual(mesh, 0.5, gamma_tri, values, grid, g_) <= 1e-12
@@ -625,7 +628,7 @@ class TestBoundaryDiffs:
         mesh = build_mesh(incs, 0.25, 0.025)
         grid = TimeGrid(8, 1.0)
         dirs = np.array([[1.0, 0.0], [0.6, -0.8], [-0.3, 0.5]])
-        u, U = solve_pair(mesh, 0.5, incs, lambda p: p @ dirs.T, lambda p, t, n: n @ dirs.T, grid)
+        u, U = march_pair(mesh, 0.5, incs, lambda p: p @ dirs.T, lambda p, t, n: n @ dirs.T, grid)
         return mesh, grid, u, U
 
     def _traces(self, block, j):

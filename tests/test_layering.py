@@ -4,8 +4,11 @@ greenfn states the truncated profiles' terms once and hands the other
 modules only whole kernels, time halves and normal derivatives;
 locate_multi alone turns select_truncation's count into a truncation
 level; mesh alone constructs a Mesh, whose boundary loop it derives.
-This parses every package module and checks that no other module
-defines, imports or reaches for what another owns.
+An inclusion set's per-triangle conductivity (gamma_of_tag) reaches
+only the march in forward, and the mesh's arc weights only the boundary
+quadratures in forward and measure.  This parses every package module
+and checks that no other module defines, imports or reaches for what
+its owners own.
 """
 
 import ast
@@ -71,16 +74,22 @@ def test_term_helpers_stay_in_greenfn(path):
 
 
 @pytest.mark.parametrize(
-    "owner, name, find",
-    [("locate_multi.py", "select_truncation", _referenced), ("mesh.py", "Mesh", _constructed)],
-    ids=["select_truncation", "Mesh"],
+    "owners, name, find",
+    [
+        ({"locate_multi.py"}, "select_truncation", _referenced),
+        ({"mesh.py"}, "Mesh", _constructed),
+        ({"mesh.py", "forward.py"}, "gamma_of_tag", _referenced),
+        ({"mesh.py", "forward.py", "measure.py"}, "arc_weights", _referenced),
+    ],
+    ids=["select_truncation", "Mesh", "gamma_of_tag", "arc_weights"],
 )
-def test_only_the_owner_reaches_for_its_rule(owner, name, find):
-    assert any(n == name for _, n in find(_parse(PACKAGE / owner)))
+def test_only_the_owner_reaches_for_its_rule(owners, name, find):
+    for owner in owners:
+        assert any(n == name for _, n in find(_parse(PACKAGE / owner)))
     leaks = [
         f"{path.name}:{line}"
         for path in PACKAGE_MODULES
-        if path.name != owner
+        if path.name not in owners
         for line, n in find(_parse(path))
         if n == name
     ]

@@ -3,6 +3,7 @@
 import hashlib
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -256,7 +257,7 @@ class TestGMatrix:
             g_matrix(np.array([0.1, 0.2]), src, 0.9, coeffs_half)
         with pytest.raises(ConfigError, match="alpha 0.9"):
             scan_indicator(DataMatrix(np.eye(src.n)), KernelRows(src, 0.9, coeffs_half), 1)
-        monkeypatch.setattr(locate_multi, "solve_pair", lambda *a: pytest.fail("marched"))
+        monkeypatch.setattr(locate_multi, "march", lambda *a: pytest.fail("marched"))
         incs = InclusionSet(items=(Inclusion((0.2, 0.3), 0.1, 50.0),))
         mesh = build_mesh(incs, 0.3, 0.025)
         with pytest.raises(ConfigError, match="alpha 0.9"):
@@ -314,6 +315,20 @@ class TestDataMatrix:
         B = gamma0 * ((phin * weights).reshape(src.n, -1) @ deltas.T)
         assert np.array_equal(data.B, B)
         assert np.any(B != 0.0)
+
+
+    @pytest.mark.parametrize("gamma0", [0.0, -1.0])
+    def test_nonpositive_gamma0_is_a_config_error(self, coeffs_half, gamma0):
+        # the probe table refuses it before any kernel value or warning
+        incs = InclusionSet(items=(Inclusion((0.2, 0.3), 0.1, 50.0),))
+        mesh = build_mesh(incs, 0.3, 0.025)
+        grid = TimeGrid(8, 1.0)
+        src = SourceSet(n=5)
+        u, U = march_sources(src, incs, 0.5, coeffs_half, mesh, grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="gamma0 must be positive"):
+                measure_data_matrix(src, coeffs_half, mesh, grid, u, U, 3, gamma0)
 
 
 class TestBuildMarch:
@@ -376,7 +391,7 @@ class TestBuildMarch:
         # the flux takes ((x - src).n) f without a gradient array; it is
         # gamma0 grad Psi . n up to rounding at every step
         marched = {}
-        monkeypatch.setattr(locate_multi, "solve_pair", lambda *args: marched.update(g=args[4]))
+        monkeypatch.setattr(locate_multi, "march", lambda *args: marched.update(g=args[4]))
         incs = InclusionSet(items=(Inclusion((0.2, 0.3), 0.1, 50.0),), gamma0=2.0)
         mesh = build_mesh(incs, 0.3, 0.025)
         grid = TimeGrid(16, 1.0)
@@ -465,6 +480,12 @@ class TestTruncationLevel:
     def test_capped_at_n_minus_one(self):
         assert truncation_level(self.PAIRED, 1e-3, 6, None) == 9
         assert truncation_level(self.PAIRED, 1e-9, 1, None) == 9
+
+    @pytest.mark.parametrize("k", [None, 3])
+    def test_zero_data_carry_no_signal(self, k):
+        # a reconstruction failure at any k; select_truncation keeps its config error
+        with pytest.raises(ReconstructionError, match="the data carry no signal"):
+            truncation_level(DataMatrix(np.zeros((6, 6))), 1e-3, 1, k)
 
 class TestIndicator:
     def test_no_projection_is_one(self):

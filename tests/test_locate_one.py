@@ -9,8 +9,8 @@ from fracloc.errors import ConfigError, ReconstructionError
 from fracloc.forward import (
     boundary_diffs,
     boundary_restrict,
+    march,
     solve_background,
-    solve_block,
     solve_subdiffusion,
 )
 from fracloc.fracmath import TimeGrid
@@ -404,7 +404,7 @@ class TestEndToEnd:
         incs = InclusionSet(items=(Inclusion((0.2, 0.3), 0.1, 50.0),))
         mesh = build_mesh(incs, 0.3, 0.025)
         grid = TimeGrid(16, 1.0)
-        u = solve_block(mesh, 0.5, incs, lambda p: p, lambda p, t, n: n, grid)
+        (u,) = march(mesh, 0.5, [incs], lambda p: p, lambda p, t, n: n, grid)
         diffs = boundary_diffs(mesh, grid, u, np.broadcast_to(mesh.vertices, u.shape))
         rec = locate_one_inclusion(diffs, coeffs_half, tol=1e-3)
         for seg, diff, root in zip(default_segments(), diffs, (rec.P1, rec.P2)):

@@ -1,6 +1,7 @@
 """Tests for boundary measurements, the interior oracle, and the leading term."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -296,6 +297,50 @@ class TestProbeTable:
         table = ProbeTable(flat_trace, coeffs_half, 3)
         with pytest.raises(ConfigError, match="R\\^2"):
             table.normal_derivative([[2.0, 0.0, 0.0]])
+
+    @staticmethod
+    def traces(trace):
+        """Three traces on the mesh and grid of trace: x1, (1 + t) x2 and
+        t (x1^2 - x2^2) at its nodes."""
+        x, y = trace.points.T
+        t = trace.grid.nodes[:, None]
+        fields = (x + 0.0 * t, (1.0 + t) * y, t * (x * x - y * y))
+        return [replace(trace, values=v) for v in fields]
+
+    def test_measure_is_measurement_boundary_of_each_pair(self, flat_trace, coeffs_half):
+        anchors = self.sources(4, 11)
+        traces = self.traces(flat_trace)
+        got = ProbeTable(flat_trace, coeffs_half, 3, 2.5).measure(anchors, traces)
+        assert got.shape == (4, 3)
+        for i, anchor in enumerate(anchors):
+            probe = KernelProbe(coeffs_half, 3, anchor, t_final=1.0, gamma0=2.5)
+            for j, trace in enumerate(traces):
+                want = measurement_boundary(trace, probe.normal_derivative, 2.5).value
+                assert got[i, j] == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_measure_refuses_anchors_in_the_disk(self, flat_trace, coeffs_half):
+        table = ProbeTable(flat_trace, coeffs_half, 3)
+        with pytest.raises(ConfigError, match=r"probe anchor \[1\. 0\.\] must lie outside"):
+            table.measure([[2.0, 0.0], [1.0, 0.0]], [flat_trace])
+
+    def test_measure_refuses_traces_off_the_table(self, flat_trace, coeffs_half):
+        table = ProbeTable(flat_trace, coeffs_half, 3)
+        mesh = flat_trace.mesh
+        other_grid = boundary_restrict(
+            solve_background(mesh, 0.5, None, lambda p: p[:, 0], None, TimeGrid(8, 1.0))
+        )
+        copy = replace(mesh, vertices=mesh.vertices.copy())
+        other_mesh = replace(flat_trace, mesh=copy)
+        for other in (other_grid, other_mesh):
+            with pytest.raises(ConfigError, match="different meshes or time grids"):
+                table.measure([[2.0, 0.0]], [flat_trace, other])
+
+    @pytest.mark.parametrize("gamma0", [0.0, -1.0])
+    def test_nonpositive_gamma0_refused(self, flat_trace, coeffs_half, gamma0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="gamma0 must be positive"):
+                ProbeTable(flat_trace, coeffs_half, 3, gamma0)
 
 
 def _psi_half_quad(d: int, r: float) -> float:
