@@ -17,14 +17,15 @@ configuration and content hashes, so a rerun with the same config on
 the same build reproduces the files byte for byte.
 
 Work that does not depend on u runs beside its march on worker threads.
-forward writes mesh.txt and the background files on one.  locate-multi,
-and a multi sweep for all its values at once, start two: the kernel-row
-worker computes the indicator scan's kernel rows from before the first
-march (locate_multi.KernelRows, _locate_multi_runs), and the march's
-worker marches the background U beside u in each march (forward.march).
-locate-one, oracle-check and a one sweep start none.  Every worker has
-stopped before its command returns, so none outlives main; the outputs
-are those of a run without them, and errors come in the same order.
+locate-multi, and a multi sweep for all its values at once, start two:
+the kernel-row worker computes the indicator scan's kernel rows from
+before the first march (locate_multi.KernelRows, _locate_multi_runs),
+and the march's worker marches the background U beside u in each march
+(forward.march).  forward, locate-one, oracle-check and a one sweep
+start no thread; forward writes mesh.txt and the background files
+before it marches u.  Every worker has stopped before its command
+returns, so none outlives main; the outputs are those of a run without
+them, and errors come in the same order.
 
 Exit codes: 0 success, 2 config error, 3 solver/mesh/quadrature error,
 4 reconstruction failure.
@@ -35,7 +36,6 @@ import copy
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -437,30 +437,18 @@ def cmd_forward(plan, out_dir):
     def g(p, t, nrm):
         return gamma0 * (nrm @ a)
 
-    def write_background():
-        # U = a.x solves the background problem exactly in P1 at every level
-        U = SpaceTimeField(
-            mesh, grid, np.broadcast_to(u0(mesh.vertices), (grid.n_steps + 1, len(mesh.vertices)))
-        )
-        return {
-            "mesh.txt": mesh.save(out_dir / "mesh.txt"),
-            "background_trace.csv": boundary_restrict(U).to_csv(out_dir / "background_trace.csv"),
-            "background_field.csv": U.to_csv(out_dir / "background_field.csv"),
-        }
-
+    # U = a.x solves the background problem exactly in P1 at every level
+    U = SpaceTimeField(
+        mesh, grid, np.broadcast_to(u0(mesh.vertices), (grid.n_steps + 1, len(mesh.vertices)))
+    )
+    files = {
+        "mesh.txt": mesh.save(out_dir / "mesh.txt"),
+        "background_trace.csv": boundary_restrict(U).to_csv(out_dir / "background_trace.csv"),
+        "background_field.csv": U.to_csv(out_dir / "background_field.csv"),
+    }
     if not plan.incs.items:
-        return write_background()
-    # none of the background files depends on u, so a worker writes them
-    # while u marches; the worker has stopped when this block is left
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        written = pool.submit(write_background)
-        try:
-            u = solve_subdiffusion(mesh, plan.alpha, plan.incs, None, u0, g, grid)
-        except BaseException:
-            # a write error goes first, as when the files were written before the march
-            written.result()
-            raise
-        files = written.result()
+        return files
+    u = solve_subdiffusion(mesh, plan.alpha, plan.incs, None, u0, g, grid)
     trace = boundary_restrict(u)
     if plan.sigma != 0.0:
         trace = add_noise(trace, plan.sigma, plan.seed)

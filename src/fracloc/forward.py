@@ -350,6 +350,7 @@ def march(mesh: Mesh, alpha: float, conductivities, u0, g, grid: TimeGrid, f=Non
 
     # a worker thread raised the peak RSS of a one-conductivity op by
     # 1-2 MB, so the calling thread marches the first conductivity itself
+    # the worker pays: marched in turn, multi-scan ops took 1.24x as long (10 of 10 pairs, 2-core VM)
     with ThreadPoolExecutor(max_workers=max(len(conductivities) - 1, 1)) as pool:
         futures = [pool.submit(run, inclusions) for inclusions in conductivities[1:]]
         fields = [run(conductivities[0])] + [future.result() for future in futures]

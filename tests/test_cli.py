@@ -1106,8 +1106,9 @@ def patch_march(monkeypatch, fn):
 
 
 class TestWorkBesideTheMarch:
-    """locate-multi computes the scan's kernel rows and forward writes the
-    background files on a worker thread while the calling thread marches."""
+    """locate-multi computes the scan's kernel rows on a worker thread
+    while the calling thread marches; forward marches and writes on the
+    calling thread alone."""
 
     @pytest.mark.parametrize("worker", ["after", "before"])
     def test_locate_multi_outputs_do_not_depend_on_timing(
@@ -1151,41 +1152,21 @@ class TestWorkBesideTheMarch:
         assert manifest_outputs(tmp_path / "b") == manifest_outputs(tmp_path / "a")
         assert threading.active_count() == start
 
-    @pytest.mark.parametrize("worker", ["after", "before"])
-    def test_forward_outputs_do_not_depend_on_timing(self, tmp_path, monkeypatch, cheap_one, worker):
+    def test_forward_starts_no_thread(self, tmp_path, monkeypatch, cheap_one):
         start = threading.active_count()
         assert cli.main(["forward", "--config", cheap_one, "--out", str(tmp_path / "a")]) == 0
-        save, write_field, march = mesh.Mesh.save, forward.SpaceTimeField.to_csv, cli.solve_subdiffusion
-        events = []
-        marched = threading.Event()
-        written = threading.Event()
+        march = cli.solve_subdiffusion
+        at_march = []
 
-        def late_save(self, path):
-            if worker == "after":
-                assert marched.wait(timeout=60)
-            events.append("write")
-            return save(self, path)
+        def seen_march(*args):
+            at_march.append((threading.active_count(), (tmp_path / "b" / "background_field.csv").exists()))
+            return march(*args)
 
-        def field_csv(self, path):
-            digest = write_field(self, path)
-            written.set()
-            return digest
-
-        def late_march(*args):
-            if worker == "before":
-                assert written.wait(timeout=60)
-            u = march(*args)
-            events.append("march")
-            marched.set()
-            return u
-
-        monkeypatch.setattr(mesh.Mesh, "save", late_save)
-        monkeypatch.setattr(forward.SpaceTimeField, "to_csv", field_csv)
-        monkeypatch.setattr(cli, "solve_subdiffusion", late_march)
+        monkeypatch.setattr(cli, "solve_subdiffusion", seen_march)
         assert cli.main(["forward", "--config", cheap_one, "--out", str(tmp_path / "b")]) == 0
-        assert events == (["march", "write"] if worker == "after" else ["write", "march"])
+        # the background files are written, on the calling thread, before u marches
+        assert at_march == [(start, True)]
         assert manifest_outputs(tmp_path / "b") == manifest_outputs(tmp_path / "a")
-        assert threading.active_count() == start
 
     def test_locate_multi_march_error_beats_scan_error(self, monkeypatch, capsys, cheap_multi):
         start = threading.active_count()

@@ -6,9 +6,11 @@ locate_multi alone turns select_truncation's count into a truncation
 level; mesh alone constructs a Mesh, whose boundary loop it derives.
 An inclusion set's per-triangle conductivity (gamma_of_tag) reaches
 only the march in forward, and the mesh's arc weights only the boundary
-quadratures in forward and measure.  This parses every package module
-and checks that no other module defines, imports or reaches for what
-its owners own.
+quadratures in forward and measure.  Threads live in two places only:
+forward's march alone reaches for a ThreadPoolExecutor, and
+locate_multi's KernelRows alone for threading.  This parses every
+package module and checks that no other module defines, imports or
+reaches for what its owners own.
 """
 
 import ast
@@ -80,8 +82,10 @@ def test_term_helpers_stay_in_greenfn(path):
         ({"mesh.py"}, "Mesh", _constructed),
         ({"mesh.py", "forward.py"}, "gamma_of_tag", _referenced),
         ({"mesh.py", "forward.py", "measure.py"}, "arc_weights", _referenced),
+        ({"forward.py"}, "ThreadPoolExecutor", _referenced),
+        ({"locate_multi.py"}, "threading", _referenced),
     ],
-    ids=["select_truncation", "Mesh", "gamma_of_tag", "arc_weights"],
+    ids=["select_truncation", "Mesh", "gamma_of_tag", "arc_weights", "ThreadPoolExecutor", "threading"],
 )
 def test_only_the_owner_reaches_for_its_rule(owners, name, find):
     for owner in owners:
