@@ -1152,6 +1152,34 @@ class TestWorkBesideTheMarch:
         assert manifest_outputs(tmp_path / "b") == manifest_outputs(tmp_path / "a")
         assert threading.active_count() == start
 
+    @pytest.mark.parametrize("pause", ["after", "before"])
+    def test_forward_outputs_do_not_depend_on_timing(self, tmp_path, monkeypatch, cheap_one, pause):
+        start = threading.active_count()
+        assert cli.main(["forward", "--config", cheap_one, "--out", str(tmp_path / "a")]) == 0
+        save, march = mesh.Mesh.save, cli.solve_subdiffusion
+        events = []
+
+        def slow_save(self, path):
+            if pause == "before":
+                time.sleep(0.05)
+            events.append("write")
+            return save(self, path)
+
+        def slow_march(*args):
+            u = march(*args)
+            if pause == "after":
+                time.sleep(0.05)
+            events.append("march")
+            return u
+
+        monkeypatch.setattr(mesh.Mesh, "save", slow_save)
+        monkeypatch.setattr(cli, "solve_subdiffusion", slow_march)
+        assert cli.main(["forward", "--config", cheap_one, "--out", str(tmp_path / "b")]) == 0
+        # a pause before or after the march moves neither the writes nor the outputs
+        assert events == ["write", "march"]
+        assert manifest_outputs(tmp_path / "b") == manifest_outputs(tmp_path / "a")
+        assert threading.active_count() == start
+
     def test_forward_starts_no_thread(self, tmp_path, monkeypatch, cheap_one):
         start = threading.active_count()
         assert cli.main(["forward", "--config", cheap_one, "--out", str(tmp_path / "a")]) == 0
