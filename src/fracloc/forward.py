@@ -48,7 +48,11 @@ background U = a.x as it is at every level, without a march: with
 flux gamma0 a.n it solves the background problem exactly in P1.
 
 ``boundary_diffs`` turns a marched block (u, U) into the noisy boundary
-traces of u - U, one per column, that both locators measure.
+traces of u - U, one per column, that both locators measure.  A
+BoundaryTrace states the quadrature over the boundary x [0, T] once, as
+one table of weights over levels x nodes (``BoundaryTrace.weights``: the
+trapezoid in time times the mesh's arc weights); every boundary
+measurement and the noise model's L1 norm read it.
 
 Data callables:
     f(points (k,2), t) -> (k,) volumetric source, None for zero
@@ -145,14 +149,15 @@ class BoundaryTrace:
         """(n_boundary, 2) the boundary nodes: a view of the mesh's first vertices."""
         return self.mesh.vertices[: self.mesh.n_boundary]
 
-    def integral(self, samples) -> float:
-        """Quadrature of samples (levels x nodes) over the boundary x [0, T]:
-        the mesh's trapezoidal arc weights in space, then the trapezoid in time."""
-        return float((samples @ self.mesh.arc_weights) @ self.grid.weights)
+    @property
+    def weights(self) -> np.ndarray:
+        """(n_steps + 1, n_boundary) the quadrature over the boundary x [0, T]:
+        the trapezoid in time times the mesh's trapezoidal arc weights."""
+        return np.outer(self.grid.weights, self.mesh.arc_weights)
 
     def l1_norm(self) -> float:
-        """L1 norm over boundary x [0, T] (see integral)."""
-        return self.integral(np.abs(self.values))
+        """L1 norm over boundary x [0, T] in the quadrature of weights."""
+        return float((np.abs(self.values) * self.weights).sum())
 
     def check_matches(self, other: "BoundaryTrace") -> None:
         """Refuse a trace on another mesh or time grid."""

@@ -20,17 +20,24 @@ t.shape + (k,), gradient t.shape + (k, d).  A scalar t is the 0-d case.
 The measurements call a handle once for all time levels (the interior
 form once per inclusion).
 
-The locators take every measurement from a ProbeTable instead, made
-once per run.  It holds what does not depend on the source: the trace's
-node points, which are also their outward normals, the levels with
-positive elapsed time T - t, and the time half of the gradient factor
-there.  One call then gives dPhi/dn for a whole stack of sources, with
-only rel, proj, rho^2 and one separated evaluation per call, and
-ProbeTable.measure contracts it with a stack of traces into the table
-I[i, j] of every anchor against every trace: locate-one's bisection
-takes the diagonal of a 2 x 2 table, and locate-multi's data matrix is
-one n x n table.  measurement_boundary takes the same quadrature one
-trace and one handle (or array) at a time, for oracle-check.
+Every boundary measurement is one contraction, _contract: a stack of
+dPhi/dn rows against a list of traces on one mesh and time grid, in the
+traces' quadrature table (BoundaryTrace.weights), into the table I[i, j]
+of every row against every trace.  It is also the one place that
+refuses a measurement that is not finite (SolverError), and it runs
+under np.errstate, so an overflow there prints no warning.
+
+The locators take every measurement from a ProbeTable, made once per
+run.  It holds what does not depend on the source: the trace's node
+points, which are also their outward normals, the levels with positive
+elapsed time T - t (the s > 0 mask _backward takes), and the time half
+of the gradient factor there.  One call then gives dPhi/dn for a whole
+stack of sources, with only rel, proj, rho^2 and one separated
+evaluation per call, and ProbeTable.measure is the contraction's
+anchors x traces case: locate-one's bisection takes the diagonal of a
+2 x 2 table, and locate-multi's data matrix is one n x n table.
+measurement_boundary is its 1 x 1 case, one handle (or array) and one
+trace, for oracle-check; a 1 x 1 table gives the same bits.
 KernelProbe.normal_derivative and the table take the time half and the
 formula from greenfn (_gradient_time_half, _normal_derivative), which
 the source march's flux and the scan take too, so they exist once.
@@ -50,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, SolverError
 from .forward import BoundaryTrace, SpaceTimeField
 from .fracmath import TimeGrid
 from .greenfn import (
@@ -293,8 +300,7 @@ def tabulate_normal_derivative(phi, trace: BoundaryTrace) -> np.ndarray:
     """dPhi/dn of a handle (points, t, normals) on the nodes and time
     levels of ``trace``, in one handle call over all levels; a node sits on
     the unit circle, so it is its own outward normal."""
-    pts = trace.points
-    return np.asarray(phi(pts, trace.grid.nodes, pts), dtype=float)
+    return np.asarray(phi(trace.points, trace.grid.nodes, trace.points), dtype=float)
 
 
 class ProbeTable:
@@ -302,9 +308,9 @@ class ProbeTable:
     sources, and the measurements of traces against them.
 
     Made once per run: it takes the trace's node points, the mesh's first
-    vertices (also their normals), the levels where the elapsed time
-    s = T - t is positive and the gradient factor's time half there, for
-    d = 2 and gamma0 > 0.  Every trace on the same mesh and time grid
+    vertices (also their normals), the mask of levels where the elapsed
+    time s = T - t is positive and the gradient factor's time half there,
+    for d = 2 and gamma0 > 0.  Every trace on the same mesh and time grid
     shares the table.
     """
 
@@ -315,8 +321,7 @@ class ProbeTable:
         self.trace = trace
         self.gamma0 = gamma0
         self.points = trace.points
-        # s falls along the levels, so those with s > 0 come first
-        self.live = slice(0, np.count_nonzero(s > 0.0))
+        self.live = s > 0.0
         self.times = _gradient_time_half(coeffs, 2, n_terms, s[self.live], gamma0)
 
     def normal_derivative(self, sources) -> np.ndarray:
@@ -332,16 +337,11 @@ class ProbeTable:
 
     def measure(self, anchors, traces) -> np.ndarray:
         """I[i, j], the measurement of traces[j] against the probe anchored at
-        anchors[i], shape (len(anchors), len(traces)).
+        anchors[i], shape (len(anchors), len(traces)): one table call gives
+        dPhi/dn at every anchor, and one _contract every measurement.
 
-        One table call gives dPhi/dn at every anchor and one contraction
-        with the stacked traces Delta_j every measurement at once,
-
-            I[i, j] = gamma0 sum_{levels, nodes} dPhi_i/dn w_t w_arc Delta_j,
-
-        the quadrature of measurement_boundary: the trapezoid in time and
-        the mesh's arc weights in space.  The anchors must lie outside the
-        closed unit disk, and the traces on the table's mesh and time grid.
+        The anchors must lie outside the closed unit disk, and the traces on
+        the table's mesh and time grid.
         """
         anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
         outside = np.linalg.norm(anchors, axis=-1) > 1.0
@@ -349,25 +349,40 @@ class ProbeTable:
             raise ConfigError(f"probe anchor {anchors[np.argmin(outside)]} must lie outside the closed domain")
         for trace in traces:
             self.trace.check_matches(trace)
-        weights = np.outer(self.trace.grid.weights, self.trace.mesh.arc_weights)
-        rows = (self.normal_derivative(anchors) * weights).reshape(len(anchors), -1)
+        return _contract(self.normal_derivative(anchors), traces, self.gamma0)
+
+
+def _contract(rows: np.ndarray, traces, gamma0: float) -> np.ndarray:
+    """I[i, j] = gamma0 sum_{levels, nodes} (rows[i] w) Delta_j, the
+    measurement of each trace Delta_j against each dPhi/dn row, shape
+    (len(rows), len(traces)).
+
+    w is the traces' quadrature table (BoundaryTrace.weights); every row
+    has the shape of the traces, which share one mesh and time grid.  A
+    measurement that is not finite is a SolverError.
+    """
+    with np.errstate(all="ignore"):
         deltas = np.stack([trace.values for trace in traces]).reshape(len(traces), -1)
-        return self.gamma0 * (rows @ deltas.T)
+        table = gamma0 * ((rows * traces[0].weights).reshape(len(rows), -1) @ deltas.T)
+    if not np.isfinite(table).all():
+        raise SolverError("the boundary measurement is not finite")
+    return table
 
 
 def measurement_boundary(diff: BoundaryTrace, phi, gamma0: float) -> Measurement:
-    """Space-time quadrature of gamma0 (u - U) dPhi/dn over the boundary.
+    """gamma0 (u - U) dPhi/dn over the boundary x [0, T] by _contract,
+    of which it is the one-row, one-trace case.
 
     phi is either a normal-derivative handle (points, t, normals), see
     the module docstring, or an array of dPhi/dn values matching the
-    trace shape.  Trapezoid in time, trapezoidal arc weights in space.
+    trace shape.
     """
     if gamma0 <= 0.0:
         raise ConfigError(f"gamma0 must be positive, got {gamma0}")
     phin = tabulate_normal_derivative(phi, diff) if callable(phi) else np.asarray(phi, dtype=float)
     if phin.shape != diff.values.shape:
         raise ConfigError(f"dPhi/dn shape {phin.shape} does not match trace {diff.values.shape}")
-    return Measurement(value=gamma0 * diff.integral(diff.values * phin))
+    return Measurement(value=float(_contract(phin[None], [diff], gamma0)[0, 0]))
 
 
 def measurement_interior(u: SpaceTimeField, grad_phi, inclusions: InclusionSet) -> Measurement:
@@ -394,8 +409,7 @@ def measurement_interior(u: SpaceTimeField, grad_phi, inclusions: InclusionSet) 
         gp = np.asarray(grad_phi(p.mean(axis=1), u.grid.nodes), dtype=float)
         coupling = ((gx * gp[..., 0] + gy * gp[..., 1]) * 0.5 * area2).sum(-1)
         per_level += (inclusions.gamma0 - inc.gamma) * coupling
-    value = float(per_level @ u.grid.weights)
-    return Measurement(value=value)
+    return Measurement(value=float(per_level @ u.grid.weights))
 
 
 def leading_term(

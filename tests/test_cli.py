@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -442,6 +443,27 @@ class TestExitCodes:
             tmp_path / "c.json", inclusions=[CHEAP_INCLUSION], output_dir=str(tmp_path / "o")
         )
         assert cli.main(["locate-one", "--config", cfg]) == 4
+
+    @pytest.mark.parametrize("command", ["locate-one", "oracle-check"])
+    @pytest.mark.parametrize("override", [{"t_final": 1e300}, {"gamma0": 1e300}], ids=["t", "gamma0"])
+    def test_measurement_not_finite_is_3(self, tmp_path, capsys, command, override):
+        # the probe or the product overflows in the boundary measurement
+        doc = json.loads((Path(__file__).parents[1] / "configs" / "example41.json").read_text())
+        doc.update(override, output_dir=str(tmp_path / "out"))
+        doc["probe"]["kind"] = "series"
+        cfg = write_config(tmp_path / "c.json", **doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([command, "--config", cfg]) == 3
+        err = "fracloc: solver error: the boundary measurement is not finite\n"
+        assert capsys.readouterr().err == err
+
+    def test_data_matrix_not_finite_is_3(self, tmp_path, capsys):
+        doc = json.loads((Path(__file__).parents[1] / "configs" / "example43.json").read_text())
+        doc.update(t_final=1e300, time_steps=16, output_dir=str(tmp_path / "out"))
+        cfg = write_config(tmp_path / "c.json", **doc)
+        assert cli.main(["locate-multi", "--config", cfg]) == 3
+        assert "fracloc: solver error: the boundary measurement is not finite\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "overrides",

@@ -552,6 +552,13 @@ class TestBoundaryTrace:
         # |2.5| over boundary x [0, 1]: perimeter times 2.5
         assert trace.l1_norm() == pytest.approx(2.5 * coarse_mesh.arc_weights.sum(), rel=1e-12)
 
+    def test_weights_are_the_time_trapezoid_times_the_arc_weights(self, coarse_mesh):
+        grid = TimeGrid(8, 2.0)
+        trace = BoundaryTrace(coarse_mesh, grid, np.zeros((9, coarse_mesh.n_boundary)))
+        weights = trace.weights
+        assert np.array_equal(weights, grid.weights[:, None] * coarse_mesh.arc_weights[None, :])
+        assert weights.sum() == pytest.approx(2.0 * coarse_mesh.arc_weights.sum(), rel=1e-12)
+
     def test_fields_are_mesh_grid_values(self):
         assert [f.name for f in fields(BoundaryTrace)] == ["mesh", "grid", "values"]
 

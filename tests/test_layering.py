@@ -81,7 +81,7 @@ def test_term_helpers_stay_in_greenfn(path):
         ({"locate_multi.py"}, "select_truncation", _referenced),
         ({"mesh.py"}, "Mesh", _constructed),
         ({"mesh.py", "forward.py"}, "gamma_of_tag", _referenced),
-        ({"mesh.py", "forward.py", "measure.py"}, "arc_weights", _referenced),
+        ({"mesh.py", "forward.py"}, "arc_weights", _referenced),
         ({"forward.py"}, "ThreadPoolExecutor", _referenced),
         ({"locate_multi.py"}, "threading", _referenced),
     ],

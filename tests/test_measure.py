@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fracloc.errors import ConfigError
+from fracloc.errors import ConfigError, SolverError
 from fracloc.forward import (
     SpaceTimeField,
     boundary_restrict,
@@ -317,6 +317,27 @@ class TestProbeTable:
             for j, trace in enumerate(traces):
                 want = measurement_boundary(trace, probe.normal_derivative, 2.5).value
                 assert got[i, j] == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_one_pair_is_measurement_boundary_bitwise(self, flat_trace, coeffs_half):
+        # a 1 x 1 table and measurement_boundary are the same contraction
+        table = ProbeTable(flat_trace, coeffs_half, 3, 2.5)
+        for anchor in self.sources(4, 11):
+            probe = KernelProbe(coeffs_half, 3, anchor, t_final=1.0, gamma0=2.5)
+            for trace in self.traces(flat_trace):
+                want = measurement_boundary(trace, probe.normal_derivative, 2.5).value
+                assert table.measure([anchor], [trace])[0, 0] == want
+
+    def test_measurement_not_finite_is_a_solver_error(self, flat_trace, coeffs_half):
+        # inf meets the probe's zero row at t = T (nan) and its live rows (inf)
+        table = ProbeTable(flat_trace, coeffs_half, 3)
+        bad = replace(flat_trace, values=np.full_like(flat_trace.values, np.inf))
+        huge = replace(flat_trace, values=np.full_like(flat_trace.values, 1e300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match="boundary measurement is not finite"):
+                table.measure([[2.0, 0.0]], [flat_trace, bad])
+            with pytest.raises(SolverError, match="boundary measurement is not finite"):
+                measurement_boundary(huge, np.full_like(huge.values, 1e300), 1.0)
 
     def test_measure_refuses_anchors_in_the_disk(self, flat_trace, coeffs_half):
         table = ProbeTable(flat_trace, coeffs_half, 3)
