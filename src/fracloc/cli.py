@@ -5,8 +5,9 @@ the full key set and built-in values, INCLUSION_DEFAULTS for the keys of
 one inclusion spec, where None marks a required key).  Unknown or
 missing keys, non-finite numbers, non-integral counts, counts above
 their cap (MAX_COUNTS), negative seeds, noise levels and peak
-separations (NONNEGATIVE_KEYS) and values of the wrong kind (INTEGER_KEYS,
-NULLABLE_KEYS, LIST_KEYS) are config errors, all raised at load time.
+separations (NONNEGATIVE_KEYS) and values of the wrong kind (that of the
+key's default, NULLABLE_KEYS, LIST_KEYS) are config errors, all raised at
+load time.
 main then builds the command's RunPlan (plan_run), which runs every
 range check of the run, the caps on the mesh (MAX_MESH_VERTICES) and on
 the march's memory (MAX_MARCH_BYTES) among them, before any mesh; a
@@ -111,19 +112,9 @@ DEFAULTS = {
 
 INCLUSION_DEFAULTS = {"center": None, "eps": None, "gamma": None, "aspect": 1.0}
 
-# Keys whose values must be integral; they are stored as ints.
-INTEGER_KEYS = frozenset(
-    {
-        "config_version",
-        "time_steps",
-        "series_terms",
-        "noise.seed",
-        "sources.n",
-        "scan.resolution",
-        "scan.k",
-        "scan.peaks",
-    }
-)
+# A key's kind is that of its default: an int default makes an integer key
+# (its values are stored as ints), a float a finite number, a str a string.
+_KINDS = {int: "integer", float: "number", str: "string"}
 # Keys that default to None, with the kind a set value must have.
 NULLABLE_KEYS = {
     "mesh.h_near": "number",
@@ -170,17 +161,16 @@ def _checked(name, default, val):
             size = "any number of" if length is None else str(length)
             raise ConfigError(f"config key {name} must be a list of {size} finite numbers, got {val!r}")
         return val
-    kind = NULLABLE_KEYS.get(name)
-    if name in INTEGER_KEYS:
+    kind = NULLABLE_KEYS.get(name, _KINDS.get(type(default)))
+    if kind == "integer":
         if not (_is_number(val) and float(val).is_integer()):
             raise ConfigError(f"config key {name} must be an integer, got {val!r}")
         if val > MAX_COUNTS.get(name, math.inf):
             raise ConfigError(f"config key {name} must be at most {MAX_COUNTS[name]}, got {val!r}")
         val = int(val)
-    elif kind == "number" or _is_number(default):
-        if not _is_number(val):
-            raise ConfigError(f"config key {name} must be a finite number, got {val!r}")
-    elif (kind == "string" or isinstance(default, str)) and not isinstance(val, str):
+    elif kind == "number" and not _is_number(val):
+        raise ConfigError(f"config key {name} must be a finite number, got {val!r}")
+    elif kind == "string" and not isinstance(val, str):
         raise ConfigError(f"config key {name} must be a string, got {val!r}")
     if name in NONNEGATIVE_KEYS and val < 0:
         raise ConfigError(f"config key {name} must be nonnegative, got {val!r}")
@@ -232,9 +222,7 @@ def load_config(path):
         raise ConfigError("config document must be a JSON object")
     version = raw.get("config_version", CONFIG_VERSION)
     if version != CONFIG_VERSION:
-        raise ConfigError(
-            f"config version {version} not supported (expected {CONFIG_VERSION})"
-        )
+        raise ConfigError(f"config_version {version!r} not supported (expected {CONFIG_VERSION})")
     cfg = _merge_section("", DEFAULTS, raw)
     if not isinstance(cfg["inclusions"], list):
         raise ConfigError("config key inclusions must be a list")

@@ -276,6 +276,7 @@ def _block_history(weights, levels, out):
         np.matmul(weights, levels[:, lo : lo + step], out=out[:, lo : lo + step])
 
 
+@np.errstate(all="ignore")
 def march(mesh: Mesh, alpha: float, conductivities, u0, g, grid: TimeGrid, f=None):
     """March one block of data sets at the conductivity of each inclusion set.
 
@@ -306,7 +307,9 @@ def march(mesh: Mesh, alpha: float, conductivities, u0, g, grid: TimeGrid, f=Non
     product with beta M, its Neumann load on the boundary nodes (see
     _boundary_loads, one flux call per step, all taken before the
     march), the product of M with its f values, if any, and one solve.
-    The levels are checked for finiteness once, after the loop.  Returns
+    The data and every march run under np.errstate, each on its own
+    thread, so a value that overflows prints no warning; the levels are
+    checked for finiteness once, after the loop.  Returns
     one array of shape (n_steps + 1, n_nodes) or (n_steps + 1, n_nodes,
     m) per conductivity.
     """
@@ -321,6 +324,7 @@ def march(mesh: Mesh, alpha: float, conductivities, u0, g, grid: TimeGrid, f=Non
     # d[k] = b[k] - b[k+1], with b[n_steps] taken as 0
     d = -np.diff(b, append=0.0)
 
+    @np.errstate(all="ignore")
     def run(inclusions):
         M, K = assemble_matrices(mesh, inclusions.gamma_of_tag(mesh.region_tag))
         lu = _factor(M, K, beta)

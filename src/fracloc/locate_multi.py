@@ -252,13 +252,16 @@ def _kernel_matrix(z, sources, time_factors, t_weights):
         bad = z.reshape(-1, d)[np.argmax(r2)]
         raise ConfigError(f"scan point {bad} must be strictly inside the unit disk")
     rel = z[..., None, :] - pts
-    fwd = _separated(np.sum(rel * rel, axis=-1), time_factors)
-    C = (fwd[..., ::-1] * t_weights) @ np.swapaxes(fwd, -1, -2)
-    finite = np.isfinite(C).all(axis=(-2, -1))
+    # on the thread that computes the rows: an overflow prints no warning
+    with np.errstate(all="ignore"):
+        fwd = _separated(np.sum(rel * rel, axis=-1), time_factors)
+        C = (fwd[..., ::-1] * t_weights) @ np.swapaxes(fwd, -1, -2)
+        G = (rel @ np.swapaxes(rel, -1, -2)) * C
+    finite = np.isfinite(G).all(axis=(-2, -1))
     if not finite.all():
         bad = z.reshape(-1, d)[np.argmin(finite)]
         raise QuadratureError(f"kernel integrand not finite at scan point {bad}")
-    return (rel @ np.swapaxes(rel, -1, -2)) * C
+    return G
 
 
 def g_matrix(z, sources, alpha, coeffs, n_terms=3, t_final=1.0, gamma0=1.0):

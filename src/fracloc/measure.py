@@ -6,19 +6,22 @@ The central object is the measurement
 
 computed from a boundary trace of u - U against a test function Phi.
 Test functions enter through handles producing values, gradients and
-normal derivatives at arbitrary (x, t); KernelProbe wraps the
-approximate fundamental solution run backwards in time, which is the
-only Phi the algorithms use, but tests may pass exact oracles.
-KernelProbe's normal derivative is greenfn's _normal_derivative,
-((x - source).n) times the separated gradient factor, with no gradient
-array in between.
+normal derivatives at arbitrary (x, t).  Both probes are the test
+function Phi(x, t) = Psi(x - source, T - t), a kernel anchored outside
+the domain and run backwards in time, written once (_BackwardProbe):
+KernelProbe's kernel is the approximate fundamental solution, the only
+Phi the algorithms use, whose normal derivative is greenfn's
+_normal_derivative, ((x - source).n) times the separated gradient
+factor, with no gradient array in between; OracleKernelProbe's is the
+exact one, the cross-check.  Tests may pass other handles.
 
 Handle contract: a handle takes k points (and, for the normal
 derivative, k normals) and t, either one time or a 1-D array of times,
 and returns one row per time: value and normal_derivative have shape
 t.shape + (k,), gradient t.shape + (k, d).  A scalar t is the 0-d case.
-The measurements call a handle once for all time levels (the interior
-form once per inclusion).
+A probe's rows where s = T - t <= 0 are exactly 0 (_elapsed).  The
+measurements call a handle once for all time levels (the interior form
+once per inclusion).
 
 Every boundary measurement is one contraction, _contract: a stack of
 dPhi/dn rows against a list of traces on one mesh and time grid, in the
@@ -30,7 +33,7 @@ under np.errstate, so an overflow there prints no warning.
 The locators take every measurement from a ProbeTable, made once per
 run.  It holds what does not depend on the source: the trace's node
 points, which are also their outward normals, the levels with positive
-elapsed time T - t (the s > 0 mask _backward takes), and the time half
+elapsed time T - t (the probes' rule, _elapsed), and the time half
 of the gradient factor there.  One call then gives dPhi/dn for a whole
 stack of sources, with only rel, proj, rho^2 and one separated
 evaluation per call, and ProbeTable.measure is the contraction's
@@ -139,29 +142,57 @@ def polarization_disk(d: int, gamma0: float, gamma_l: float, volB: float) -> Pol
     return PolarizationTensor(matrix=scalar * np.eye(d))
 
 
-def _backward(t_final: float, t, shape: tuple, kernel) -> np.ndarray:
-    """kernel(s) at the elapsed times s = t_final - t, zero rows where s <= 0.
+def _check_backward(t_final: float, gamma0: float) -> None:
+    """The checks every backward probe shares: T > 0 and gamma0 > 0."""
+    if t_final <= 0.0:
+        raise ConfigError(f"final time must be positive, got {t_final}")
+    if gamma0 <= 0.0:
+        raise ConfigError(f"gamma0 must be positive, got {gamma0}")
 
-    t is a time or a 1-D array of times; kernel maps a 1-D array of
-    positive s to rows of shape ``shape``, and the result has shape
-    t.shape + shape.
-    """
+
+def _elapsed(t_final: float, t):
+    """The elapsed times s = t_final - t and the live levels, s > 0."""
     s = t_final - np.asarray(t, dtype=float)
-    out = np.zeros(s.shape + shape)
-    live = s > 0.0
-    out[live] = kernel(s[live])
-    return out
+    return s, s > 0.0
 
 
-@dataclass(frozen=True)
-class KernelProbe:
-    """Phi(x, t) = Psi_{(source,0),N}(x, T - t), zero at t >= T.
+class _BackwardProbe:
+    """Phi(x, t) = Psi(x - source, T - t), zero at t >= T.
 
     The source sits outside the closed domain, so as t -> T the kernel's
     exponential factor drives every handle to 0 on Omega; the handles
     return that limit exactly instead of evaluating at zero elapsed time.
-    Every handle takes one time or a 1-D array of times (module docstring).
+    Every handle takes one time or a 1-D array of times (module
+    docstring) and calls its kernel once, at the 1-D array of live
+    elapsed times s: a probe gives _value_rows(points, s),
+    _gradient_rows(points, s) and _normal_rows(points, normals, s), one
+    row per s.  The kernel runs under np.errstate, so one that overflows
+    prints no warning; the measurement that takes it refuses a value that
+    is not finite.
     """
+
+    def _rows(self, kernel, t, points, *normals):
+        s, live = _elapsed(self.t_final, t)
+        with np.errstate(all="ignore"):
+            rows = kernel(np.atleast_2d(np.asarray(points, dtype=float)), *normals, s[live])
+        out = np.zeros(s.shape + rows.shape[1:])
+        out[live] = rows
+        return out
+
+    def value(self, points, t) -> np.ndarray:
+        return self._rows(self._value_rows, t, points)
+
+    def gradient(self, points, t) -> np.ndarray:
+        return self._rows(self._gradient_rows, t, points)
+
+    def normal_derivative(self, points, t, normals) -> np.ndarray:
+        return self._rows(self._normal_rows, t, points, np.asarray(normals, dtype=float))
+
+
+@dataclass(frozen=True)
+class KernelProbe(_BackwardProbe):
+    """Phi(x, t) = Psi_{(source,0),N}(x, T - t), the truncated-series kernel
+    run backwards (_BackwardProbe)."""
 
     coeffs: GreenCoeffs
     n_terms: int
@@ -174,54 +205,31 @@ class KernelProbe:
         object.__setattr__(self, "source", src)
         if src.shape not in ((2,), (3,)):
             raise ConfigError(f"source must be a point in R^2 or R^3, got shape {src.shape}")
-        if self.t_final <= 0.0:
-            raise ConfigError(f"final time must be positive, got {self.t_final}")
+        _check_backward(self.t_final, self.gamma0)
 
     @property
     def d(self) -> int:
         return len(self.source)
 
-    def value(self, points, t) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return _backward(
-            self.t_final,
-            t,
-            (len(points),),
-            lambda s: approx_fundamental(
-                self.coeffs, self.d, self.n_terms, points, s, self.source, gamma0=self.gamma0
-            ),
+    def _value_rows(self, points, s):
+        return approx_fundamental(
+            self.coeffs, self.d, self.n_terms, points, s, self.source, gamma0=self.gamma0
         )
 
-    def gradient(self, points, t) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return _backward(
-            self.t_final,
-            t,
-            points.shape,
-            lambda s: grad_approx_fundamental(
-                self.coeffs, self.d, self.n_terms, points, s, self.source, gamma0=self.gamma0
-            ),
+    def _gradient_rows(self, points, s):
+        return grad_approx_fundamental(
+            self.coeffs, self.d, self.n_terms, points, s, self.source, gamma0=self.gamma0
         )
 
-    def normal_derivative(self, points, t, normals) -> np.ndarray:
+    def _normal_rows(self, points, normals, s):
         """((x - source) . n) f: the gradient's one scalar factor, no gradient array."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        normals = np.asarray(normals, dtype=float)
-        return _backward(
-            self.t_final,
-            t,
-            (len(points),),
-            lambda s: _normal_derivative(
-                points,
-                normals,
-                self.source[None],
-                _gradient_time_half(self.coeffs, self.d, self.n_terms, s, self.gamma0),
-            )[0],
-        )
+        times = _gradient_time_half(self.coeffs, self.d, self.n_terms, s, self.gamma0)
+        return _normal_derivative(points, normals, self.source[None], times)[0]
 
 
-class OracleKernelProbe:
-    """Phi(x, t) = exact fundamental solution at (source, 0), run backwards.
+class OracleKernelProbe(_BackwardProbe):
+    """Phi(x, t) = exact fundamental solution at (source, 0), run backwards
+    (_BackwardProbe).
 
     The radial profile log psi_d is tabulated once from
     ``log_reduced_green`` and interpolated with a cubic spline in log-log
@@ -240,8 +248,7 @@ class OracleKernelProbe:
     def __init__(self, d: int, alpha: float, source, t_final: float, gamma0: float = 1.0):
         if d not in (2, 3):
             raise ConfigError(f"dimension must be 2 or 3, got {d}")
-        if t_final <= 0.0 or gamma0 <= 0.0:
-            raise ConfigError("final time and gamma0 must be positive")
+        _check_backward(t_final, gamma0)
         self.d = d
         self.alpha = float(alpha)
         self.source = np.asarray(source, dtype=float)
@@ -255,45 +262,33 @@ class OracleKernelProbe:
         log_r = np.linspace(math.log(ORACLE_R_MIN), math.log(ORACLE_R_MAX), ORACLE_NODES)
         self._spline = CubicSpline(log_r, log_reduced_green(d, self.alpha, np.exp(log_r)))
 
-    def _profile(self, r: np.ndarray):
-        """psi(r) and psi'(r) inside the table, 0 beyond ORACLE_R_MAX."""
+    def _scaled_profile(self, rho, s, j):
+        """lam^(-(d+j)/2) psi^(j)(rho / sqrt(lam)), lam = gamma0 s^alpha, for
+        j = 0 or 1: one row per elapsed time, 0 beyond ORACLE_R_MAX."""
+        lam = (self.gamma0 * s**self.alpha)[:, None]
+        r = rho / np.sqrt(lam)
         if np.any(r < ORACLE_R_MIN):
             raise ConfigError(
                 f"scaled radius {r.min():.3g} below the tabulated range {ORACLE_R_MIN}"
             )
         psi = np.zeros_like(r)
-        dpsi = np.zeros_like(r)
         ok = r < ORACLE_R_MAX
         lr = np.log(r[ok])
         psi[ok] = np.exp(self._spline(lr))
-        dpsi[ok] = psi[ok] * self._spline(lr, 1) / r[ok]
-        return psi, dpsi
+        if j:
+            psi[ok] = psi[ok] * self._spline(lr, 1) / r[ok]
+        return psi / lam ** ((self.d + j) / 2.0)
 
-    def value(self, points, t) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        rho = np.linalg.norm(points - self.source, axis=1)
+    def _value_rows(self, points, s):
+        return self._scaled_profile(np.linalg.norm(points - self.source, axis=1), s, 0)
 
-        def kernel(s):
-            lam = (self.gamma0 * s**self.alpha)[:, None]
-            psi, _ = self._profile(rho / np.sqrt(lam))
-            return psi / lam ** (self.d / 2.0)
-
-        return _backward(self.t_final, t, rho.shape, kernel)
-
-    def gradient(self, points, t) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+    def _gradient_rows(self, points, s):
         dx = points - self.source
         rho = np.linalg.norm(dx, axis=1)
+        return self._scaled_profile(rho, s, 1)[..., None] * (dx / rho[:, None])
 
-        def kernel(s):
-            lam = (self.gamma0 * s**self.alpha)[:, None]
-            _, dpsi = self._profile(rho / np.sqrt(lam))
-            return (dpsi / lam ** ((self.d + 1) / 2.0))[..., None] * (dx / rho[:, None])
-
-        return _backward(self.t_final, t, dx.shape, kernel)
-
-    def normal_derivative(self, points, t, normals) -> np.ndarray:
-        return (self.gradient(points, t) * np.asarray(normals, dtype=float)).sum(axis=-1)
+    def _normal_rows(self, points, normals, s):
+        return (self._gradient_rows(points, s) * normals).sum(axis=-1)
 
 
 def tabulate_normal_derivative(phi, trace: BoundaryTrace) -> np.ndarray:
@@ -308,20 +303,19 @@ class ProbeTable:
     sources, and the measurements of traces against them.
 
     Made once per run: it takes the trace's node points, the mesh's first
-    vertices (also their normals), the mask of levels where the elapsed
-    time s = T - t is positive and the gradient factor's time half there,
-    for d = 2 and gamma0 > 0.  Every trace on the same mesh and time grid
-    shares the table.
+    vertices (also their normals), the live levels where the elapsed
+    time s = T - t is positive (_elapsed, the probes' rule) and the
+    gradient factor's time half there, for d = 2 and gamma0 > 0
+    (_check_backward).  Every trace on the same mesh and time grid shares
+    the table.
     """
 
     def __init__(self, trace: BoundaryTrace, coeffs: GreenCoeffs, n_terms: int, gamma0: float = 1.0):
-        if gamma0 <= 0.0:
-            raise ConfigError(f"gamma0 must be positive, got {gamma0}")
-        s = trace.grid.t_final - trace.grid.nodes
+        _check_backward(trace.grid.t_final, gamma0)
+        s, self.live = _elapsed(trace.grid.t_final, trace.grid.nodes)
         self.trace = trace
         self.gamma0 = gamma0
         self.points = trace.points
-        self.live = s > 0.0
         self.times = _gradient_time_half(coeffs, 2, n_terms, s[self.live], gamma0)
 
     def normal_derivative(self, sources) -> np.ndarray:
@@ -332,7 +326,8 @@ class ProbeTable:
         if sources.ndim != 2 or sources.shape[1] != 2:
             raise ConfigError(f"probe sources must be points in R^2, got shape {sources.shape}")
         out = np.zeros((len(sources),) + self.trace.values.shape)
-        out[:, self.live] = _normal_derivative(self.points, self.points, sources, self.times)
+        with np.errstate(all="ignore"):
+            out[:, self.live] = _normal_derivative(self.points, self.points, sources, self.times)
         return out
 
     def measure(self, anchors, traces) -> np.ndarray:

@@ -74,8 +74,8 @@ class Inclusion:
         ax, ay = self.semi_axes
         return ((p[:, 0] - self.center[0]) / ax) ** 2 + ((p[:, 1] - self.center[1]) / ay) ** 2
 
-    def contains(self, points, tol: float = 0.0) -> np.ndarray:
-        return self.scaled_dist2(points) < 1.0 + tol
+    def contains(self, points) -> np.ndarray:
+        return self.scaled_dist2(points) < 1.0
 
     def boundary_points(self, n: int, scale: float = 1.0) -> np.ndarray:
         """n arc-equidistributed points on the (scaled) interface curve.

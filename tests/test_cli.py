@@ -54,6 +54,20 @@ def cheap_multi(tmp_path):
     )
 
 
+def main_without_warnings(argv):
+    """cli.main(argv), failing on a warning from any thread.
+
+    The warnings are recorded, not raised: a worker thread that raised
+    one as an error would drop it (the kernel-row worker stops at its
+    first error), and the run would pass unseen.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    assert [f"{w.filename}:{w.lineno}: {w.message}" for w in caught] == []
+    return code
+
+
 def test_cli_runs_without_mpmath():
     # mpmath is a test dependency only; the CLI must not import it
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
@@ -462,8 +476,46 @@ class TestExitCodes:
         doc = json.loads((Path(__file__).parents[1] / "configs" / "example43.json").read_text())
         doc.update(t_final=1e300, time_steps=16, output_dir=str(tmp_path / "out"))
         cfg = write_config(tmp_path / "c.json", **doc)
-        assert cli.main(["locate-multi", "--config", cfg]) == 3
-        assert "fracloc: solver error: the boundary measurement is not finite\n" in capsys.readouterr().err
+        assert main_without_warnings(["locate-multi", "--config", cfg]) == 3
+        assert capsys.readouterr().err == "fracloc: solver error: the boundary measurement is not finite\n"
+
+    @pytest.mark.parametrize(
+        "example, command, override, kind, message",
+        [
+            ("example41", "locate-one", {"gamma0": 1e-300}, None, "the boundary measurement is not finite"),
+            ("example41", "oracle-check", {"gamma0": 1e-300}, "exact", "the boundary measurement is not finite"),
+            ("example41", "oracle-check", {"gamma0": 1e-300}, "series", "the boundary measurement is not finite"),
+            ("example43", "locate-multi", {"gamma0": 1e-300}, None, "non-finite solution at time step 1"),
+            ("example43", "locate-multi", {"gamma0": 1e300}, None, "non-finite solution at time step 1"),
+        ],
+        ids=["locate-one", "oracle-exact", "oracle-series", "multi-tiny-gamma0", "multi-huge-gamma0"],
+    )
+    def test_kernel_overflow_is_3_with_one_line(self, tmp_path, capsys, example, command, override, kind, message):
+        # the kernel overflows in the probe, the time half, the flux or the
+        # scan's kernel rows, on the calling thread or a worker: no warning
+        # (example43 at t_final 1e300 is test_data_matrix_not_finite_is_3)
+        doc = json.loads((Path(__file__).parents[1] / "configs" / f"{example}.json").read_text())
+        doc.update(override, output_dir=str(tmp_path / "out"))
+        if example == "example43":
+            doc["time_steps"] = 16
+        if kind is not None:
+            doc["probe"]["kind"] = kind
+        cfg = write_config(tmp_path / "c.json", **doc)
+        assert main_without_warnings([command, "--config", cfg]) == 3
+        assert capsys.readouterr().err == f"fracloc: solver error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "key",
+        ["config_version", "time_steps", "series_terms", "noise.seed", "sources.n", "scan.resolution", "scan.k", "scan.peaks"],
+    )
+    def test_fractional_integer_key_is_2(self, tmp_path, capsys, key):
+        # the integer keys are those with an int default and the nullable "integer" ones
+        *section, name = key.split(".")
+        doc = {name: 2.5} if not section else {section[0]: {name: 2.5}}
+        cfg = write_config(tmp_path / "c.json", **doc, output_dir=str(tmp_path / "o"))
+        assert cli.main(["forward", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fracloc: config error: ") and key in err
 
     @pytest.mark.parametrize(
         "overrides",

@@ -192,6 +192,13 @@ class TestKernelProbe:
         with pytest.raises(ConfigError, match="pole"):
             probe.normal_derivative(pts, np.array([0.2, 0.5]), np.ones_like(pts))
 
+    @pytest.mark.parametrize("gamma0", [0.0, -1.0])
+    def test_nonpositive_gamma0_refused(self, coeffs_half, gamma0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="gamma0 must be positive"):
+                KernelProbe(coeffs=coeffs_half, n_terms=3, source=(2.0, 0.0), t_final=1.0, gamma0=gamma0)
+
     def test_validation(self, coeffs_half):
         with pytest.raises(ConfigError):
             KernelProbe(coeffs=coeffs_half, n_terms=3, source=(2.0, 0.0, 0.0, 0.0), t_final=1.0)
