@@ -28,6 +28,12 @@ before it marches u.  Every worker has stopped before its command
 returns, so none outlives main; the outputs are those of a run without
 them, and errors come in the same order.
 
+Each thread of a run computes under np.errstate(all="ignore"), set where
+it starts (main, forward.march's run, KernelRows._compute_ahead), so an
+overflow prints no warning; every array a run writes or decides on meets
+a finiteness check instead: in the march, SpaceTimeField, add_noise,
+measure._contract, locate_multi._kernel_matrix, DataMatrix, IndicatorGrid.
+
 Exit codes: 0 success, 2 config error, 3 solver/mesh/quadrature error,
 4 reconstruction failure.
 """
@@ -625,6 +631,7 @@ def build_parser():
     return parser
 
 
+@np.errstate(all="ignore")
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:

@@ -276,7 +276,6 @@ def _block_history(weights, levels, out):
         np.matmul(weights, levels[:, lo : lo + step], out=out[:, lo : lo + step])
 
 
-@np.errstate(all="ignore")
 def march(mesh: Mesh, alpha: float, conductivities, u0, g, grid: TimeGrid, f=None):
     """March one block of data sets at the conductivity of each inclusion set.
 
@@ -307,11 +306,9 @@ def march(mesh: Mesh, alpha: float, conductivities, u0, g, grid: TimeGrid, f=Non
     product with beta M, its Neumann load on the boundary nodes (see
     _boundary_loads, one flux call per step, all taken before the
     march), the product of M with its f values, if any, and one solve.
-    The data and every march run under np.errstate, each on its own
-    thread, so a value that overflows prints no warning; the levels are
-    checked for finiteness once, after the loop.  Returns
-    one array of shape (n_steps + 1, n_nodes) or (n_steps + 1, n_nodes,
-    m) per conductivity.
+    The levels are checked for finiteness once, after the loop (see cli).
+    Returns one array of shape (n_steps + 1, n_nodes) or (n_steps + 1,
+    n_nodes, m) per conductivity.
     """
     beta, b = l1_constants(alpha, grid)
     vertices = mesh.vertices
@@ -394,7 +391,7 @@ def add_noise(trace: BoundaryTrace, sigma: float, seed) -> BoundaryTrace:
     the whole sample so the ratio noise-L1 / signal-L1 equals |delta|
     with delta ~ N(0, sigma^2).  Deterministic for a fixed seed (any
     seed numpy.random.default_rng takes); sigma = 0 returns the trace
-    unchanged.
+    unchanged.  A noisy trace that is not finite is a SolverError.
     """
     _check_sigma(sigma)
     rng = np.random.default_rng(seed)
@@ -403,8 +400,10 @@ def add_noise(trace: BoundaryTrace, sigma: float, seed) -> BoundaryTrace:
     noise_l1 = replace(trace, values=zeta).l1_norm()
     if noise_l1 == 0.0:
         raise SolverError("degenerate noise draw with zero L1 norm")
-    scale = abs(delta) * trace.l1_norm() / noise_l1
-    return replace(trace, values=trace.values + scale * zeta)
+    values = trace.values + abs(delta) * trace.l1_norm() / noise_l1 * zeta
+    if not np.isfinite(values).all():
+        raise SolverError("the noisy boundary trace is not finite")
+    return replace(trace, values=values)
 
 
 def boundary_diffs(mesh: Mesh, grid: TimeGrid, u, U, sigma: float = 0.0, seed=None):

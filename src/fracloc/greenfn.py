@@ -331,15 +331,13 @@ class _TimeFactors(NamedTuple):
 def _time_factors(coeffs: GreenCoeffs, terms, shift: float, s=1.0, gamma0=1.0) -> _TimeFactors:
     """The time half of the separated terms at lam = gamma0 s^alpha; lam = 1 by default.
 
-    A power that overflows is inf, with no warning: every kernel built
-    on it meets the finiteness check of the stage that takes it.
+    A power that overflows is inf, which the stage that takes it refuses (see cli).
     """
     kappa, e0 = terms
     p = 1.0 / (2.0 - coeffs.alpha)
     e = e0 - p * np.arange(kappa.size)
-    with np.errstate(all="ignore"):
-        lam = np.asarray(gamma0 * s**coeffs.alpha, dtype=float)
-        return _TimeFactors(p, e, coeffs.a0 * lam**-p, kappa * lam[..., None] ** -(e + shift))
+    lam = np.asarray(gamma0 * s**coeffs.alpha, dtype=float)
+    return _TimeFactors(p, e, coeffs.a0 * lam**-p, kappa * lam[..., None] ** -(e + shift))
 
 
 def _gradient_time_half(coeffs: GreenCoeffs, d: int, n_terms: int, s, gamma0: float):

@@ -252,11 +252,9 @@ def _kernel_matrix(z, sources, time_factors, t_weights):
         bad = z.reshape(-1, d)[np.argmax(r2)]
         raise ConfigError(f"scan point {bad} must be strictly inside the unit disk")
     rel = z[..., None, :] - pts
-    # on the thread that computes the rows: an overflow prints no warning
-    with np.errstate(all="ignore"):
-        fwd = _separated(np.sum(rel * rel, axis=-1), time_factors)
-        C = (fwd[..., ::-1] * t_weights) @ np.swapaxes(fwd, -1, -2)
-        G = (rel @ np.swapaxes(rel, -1, -2)) * C
+    fwd = _separated(np.sum(rel * rel, axis=-1), time_factors)
+    C = (fwd[..., ::-1] * t_weights) @ np.swapaxes(fwd, -1, -2)
+    G = (rel @ np.swapaxes(rel, -1, -2)) * C
     finite = np.isfinite(G).all(axis=(-2, -1))
     if not finite.all():
         bad = z.reshape(-1, d)[np.argmin(finite)]
@@ -460,6 +458,7 @@ class KernelRows:
         self._worker.start()
         return self
 
+    @np.errstate(all="ignore")
     def _compute_ahead(self):
         try:
             row_bytes = 8 * self.xs.size * self.sources.n**2

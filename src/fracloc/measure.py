@@ -27,8 +27,8 @@ Every boundary measurement is one contraction, _contract: a stack of
 dPhi/dn rows against a list of traces on one mesh and time grid, in the
 traces' quadrature table (BoundaryTrace.weights), into the table I[i, j]
 of every row against every trace.  It is also the one place that
-refuses a measurement that is not finite (SolverError), and it runs
-under np.errstate, so an overflow there prints no warning.
+refuses a measurement that is not finite (SolverError), under its own
+np.errstate, so with no warning also outside the CLI (see cli).
 
 The locators take every measurement from a ProbeTable, made once per
 run.  It holds what does not depend on the source: the trace's node
@@ -166,15 +166,12 @@ class _BackwardProbe:
     docstring) and calls its kernel once, at the 1-D array of live
     elapsed times s: a probe gives _value_rows(points, s),
     _gradient_rows(points, s) and _normal_rows(points, normals, s), one
-    row per s.  The kernel runs under np.errstate, so one that overflows
-    prints no warning; the measurement that takes it refuses a value that
-    is not finite.
+    row per s.
     """
 
     def _rows(self, kernel, t, points, *normals):
         s, live = _elapsed(self.t_final, t)
-        with np.errstate(all="ignore"):
-            rows = kernel(np.atleast_2d(np.asarray(points, dtype=float)), *normals, s[live])
+        rows = kernel(np.atleast_2d(np.asarray(points, dtype=float)), *normals, s[live])
         out = np.zeros(s.shape + rows.shape[1:])
         out[live] = rows
         return out
@@ -326,8 +323,7 @@ class ProbeTable:
         if sources.ndim != 2 or sources.shape[1] != 2:
             raise ConfigError(f"probe sources must be points in R^2, got shape {sources.shape}")
         out = np.zeros((len(sources),) + self.trace.values.shape)
-        with np.errstate(all="ignore"):
-            out[:, self.live] = _normal_derivative(self.points, self.points, sources, self.times)
+        out[:, self.live] = _normal_derivative(self.points, self.points, sources, self.times)
         return out
 
     def measure(self, anchors, traces) -> np.ndarray:

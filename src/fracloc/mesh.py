@@ -135,7 +135,7 @@ class InclusionSet:
             clearance = 1.0 - math.hypot(*inc.center) - inc.max_radius
             if clearance < MIN_CLEARANCE:
                 raise ConfigError(
-                    f"inclusion {idx} too close to the boundary (clearance {clearance:.4f})"
+                    f"inclusion {idx} too close to the boundary (clearance {clearance:.4g})"
                 )
         for i in range(len(self.items)):
             for j in range(i + 1, len(self.items)):
@@ -146,7 +146,7 @@ class InclusionSet:
                     - b.max_radius
                 )
                 if gap < MIN_CLEARANCE:
-                    raise ConfigError(f"inclusions {i} and {j} too close (gap {gap:.4f})")
+                    raise ConfigError(f"inclusions {i} and {j} too close (gap {gap:.4g})")
 
     def gamma_of_tag(self, tags) -> np.ndarray:
         """Per-triangle conductivity from region tags (-1 = background)."""

@@ -505,6 +505,53 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"fracloc: solver error: {message}\n"
 
     @pytest.mark.parametrize(
+        "example, command, override, code, message",
+        [
+            (
+                "example41", "locate-one", {"probe": {"distance": 1e200}}, 4,
+                "reconstruction failed: probe values are 0 at both ends of bracket 0; the data carry no signal",
+            ),
+            (
+                "example43", "locate-multi", {"sources": {"radius": 1e200}}, 4,
+                "reconstruction failed: the data matrix is 0; the data carry no signal",
+            ),
+            ("example41", "locate-one", {"eps": 1e-160}, 3, "solver error: degenerate (zero-area) triangle produced"),
+            ("example41", "oracle-check", {"eps": 1e-160}, 3, "solver error: degenerate (zero-area) triangle produced"),
+            (
+                "example41", "forward", {"noise": {"sigma": 1e308, "seed": 1}}, 3,
+                "solver error: the noisy boundary trace is not finite",
+            ),
+            (
+                "example41", "locate-one", {"aspect": 1e300}, 2,
+                "config error: inclusion 0 too close to the boundary (clearance -5e+148)",
+            ),
+        ],
+        ids=["probe-distance", "source-radius", "tiny-eps-one", "tiny-eps-oracle", "huge-noise", "huge-aspect"],
+    )
+    def test_extreme_value_is_one_line(self, tmp_path, capsys, example, command, override, code, message):
+        # a norm, the mesh's scaled distance or the noise overflows on the
+        # calling thread: no warning, and no file written holds inf or nan
+        doc = json.loads((Path(__file__).parents[1] / "configs" / f"{example}.json").read_text())
+        doc.update(output_dir=str(tmp_path / "out"))
+        if example == "example43":
+            doc["time_steps"] = 16
+        # a section's keys update that section; any other key is the inclusion's
+        for key, value in override.items():
+            if isinstance(value, dict):
+                doc[key].update(value)
+            else:
+                doc["inclusions"][0][key] = value
+        cfg = write_config(tmp_path / "c.json", **doc)
+        assert main_without_warnings([command, "--config", cfg]) == code
+        assert capsys.readouterr().err == f"fracloc: {message}\n"
+        written = sorted((tmp_path / "out").glob("*"))
+        for path in written:
+            text = path.read_text(encoding="utf-8").lower()
+            assert "inf" not in text and "nan" not in text, path.name
+        if command == "forward":
+            assert [p.name for p in written] == ["background_field.csv", "background_trace.csv", "mesh.txt"]
+
+    @pytest.mark.parametrize(
         "key",
         ["config_version", "time_steps", "series_terms", "noise.seed", "sources.n", "scan.resolution", "scan.k", "scan.peaks"],
     )

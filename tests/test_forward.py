@@ -627,6 +627,12 @@ class TestNoise:
         with pytest.raises(ConfigError):
             add_noise(trace, -0.1, seed=0)
 
+    def test_noisy_trace_not_finite_is_a_solver_error(self, trace):
+        # the noise overflows; computed as the CLI computes, with no warning
+        with np.errstate(all="ignore"):
+            with pytest.raises(SolverError, match="^the noisy boundary trace is not finite$"):
+                add_noise(trace, 1e308, seed=1)
+
 
 class TestBoundaryDiffs:
     @pytest.fixture(scope="class")

@@ -8,7 +8,11 @@ An inclusion set's per-triangle conductivity (gamma_of_tag) reaches
 only the march in forward, and the mesh's arc weights only the boundary
 quadratures in forward and measure.  Threads live in two places only:
 forward's march alone reaches for a ThreadPoolExecutor, and
-locate_multi's KernelRows alone for threading.  This parses every
+locate_multi's KernelRows alone for threading.  Each thread sets its
+numpy error state where it starts, so np.errstate is named in four
+functions only: cli.main, the march's run and the kernel-row worker,
+and measure._contract, which refuses a measurement that is not finite
+also outside the CLI.  This parses every
 package module and checks that no other module defines, imports or
 reaches for what its owners own.
 """
@@ -98,3 +102,25 @@ def test_only_the_owner_reaches_for_its_rule(owners, name, find):
         if n == name
     ]
     assert not leaks
+
+
+def _errstate_sites(tree, scope):
+    """The qualified name of the innermost function or class around each
+    errstate in tree; a decorator counts as its function's."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{node.name}"
+        if getattr(node, "attr", None) == "errstate" or getattr(node, "id", None) == "errstate":
+            yield scope
+        yield from _errstate_sites(node, inner)
+
+
+def test_errstate_is_set_where_each_thread_starts():
+    sites = sorted(site for path in PACKAGE_MODULES for site in _errstate_sites(_parse(path), path.stem))
+    assert sites == [
+        "cli.main",
+        "forward.march.run",
+        "locate_multi.KernelRows._compute_ahead",
+        "measure._contract",
+    ]

@@ -117,6 +117,13 @@ class TestInclusionSet:
                 )
             )
 
+    def test_clearance_and_gap_messages_are_short(self):
+        # aspect 1e300 puts the clearance near -5e148: its message stays short
+        with pytest.raises(ConfigError, match=r"^inclusion 0 too close to the boundary \(clearance -5e\+148\)$"):
+            InclusionSet(items=(Inclusion((0.2, 0.3), 0.05, 50.0, 1e300),))
+        with pytest.raises(ConfigError, match=r"^inclusions 0 and 1 too close \(gap 0\.01\)$"):
+            InclusionSet(items=(Inclusion((0.0, 0.0), 0.05, 3.0), Inclusion((0.11, 0.0), 0.05, 3.0)))
+
     def test_gamma_of_tag(self):
         s = InclusionSet(
             items=(Inclusion((0.3, 0.2), 0.05, 3.0), Inclusion((-0.4, 0.0), 0.05, 7.0)),
