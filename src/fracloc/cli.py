@@ -10,7 +10,8 @@ key's default, NULLABLE_KEYS, LIST_KEYS) are config errors, all raised at
 load time.
 main then builds the command's RunPlan (plan_run), which runs every
 range check of the run, the caps on the mesh (MAX_MESH_VERTICES) and on
-the march's memory (MAX_MARCH_BYTES) among them, before any mesh; a
+the march's memory (MAX_MARCH_BYTES) and a noise level of at most 1
+(forward._check_sigma) among them, before any mesh; a
 sweep checks every value's plan before the first runs, and values that
 share a march key share one mesh, fit and march (_each_march).  Every
 run writes its outputs plus a manifest.json capturing the resolved
@@ -18,19 +19,24 @@ configuration and content hashes, so a rerun with the same config on
 the same build reproduces the files byte for byte.
 
 Work that does not depend on u runs beside its march on worker threads.
-locate-multi, and a multi sweep for all its values at once, start two:
-the kernel-row worker computes the indicator scan's kernel rows from
-before the first march (locate_multi.KernelRows, _locate_multi_runs),
-and the march's worker marches the background U beside u in each march
-(forward.march).  forward, locate-one, oracle-check and a one sweep
-start no thread; forward writes mesh.txt and the background files
-before it marches u.  Every worker has stopped before its command
-returns, so none outlives main; the outputs are those of a run without
-them, and errors come in the same order.
+forward starts one: it writes mesh.txt and the background files while u
+marches on the calling thread (cmd_forward); with no inclusion it has
+nothing to march and writes them on the calling thread.  locate-multi,
+and a multi sweep for all its values at once, start two: the kernel-row
+worker computes the indicator scan's kernel rows from before the first
+march (locate_multi.KernelRows, _locate_multi_runs), and the march's
+worker marches the background U beside u in each march (forward.march).
+forward and the march start theirs through one primitive,
+forward.side_by_side.  locate-one, oracle-check and a one sweep start
+no thread.  Every worker has stopped before its command returns, so
+none outlives main; the outputs are those of a run without them, and
+errors come in the same order: forward's write error before its march
+error, the march's u before its U.
 
-Each thread of a run computes under np.errstate(all="ignore"), set where
-it starts (main, forward.march's run, KernelRows._compute_ahead), so an
-overflow prints no warning; every array a run writes or decides on meets
+Each thread of a run that computes does so under np.errstate(all="ignore"),
+set where it starts (main, forward.march's run, KernelRows._compute_ahead),
+so an overflow prints no warning; forward's writer only formats values
+that are already checked.  Every array a run writes or decides on meets
 a finiteness check instead: in the march, SpaceTimeField, add_noise,
 measure._contract, locate_multi._kernel_matrix, DataMatrix, IndicatorGrid.
 
@@ -63,6 +69,7 @@ from .forward import (
     boundary_diffs,
     boundary_restrict,
     march,
+    side_by_side,
     solve_subdiffusion,
 )
 from .fracmath import TimeGrid, _check_alpha
@@ -435,14 +442,22 @@ def cmd_forward(plan, out_dir):
     U = SpaceTimeField(
         mesh, grid, np.broadcast_to(u0(mesh.vertices), (grid.n_steps + 1, len(mesh.vertices)))
     )
-    files = {
-        "mesh.txt": mesh.save(out_dir / "mesh.txt"),
-        "background_trace.csv": boundary_restrict(U).to_csv(out_dir / "background_trace.csv"),
-        "background_field.csv": U.to_csv(out_dir / "background_field.csv"),
-    }
+
+    def write_background():
+        return {
+            "mesh.txt": mesh.save(out_dir / "mesh.txt"),
+            "background_trace.csv": boundary_restrict(U).to_csv(out_dir / "background_trace.csv"),
+            "background_field.csv": U.to_csv(out_dir / "background_field.csv"),
+        }
+
+    def march_u():
+        return solve_subdiffusion(mesh, plan.alpha, plan.incs, None, u0, g, grid)
+
     if not plan.incs.items:
-        return files
-    u = solve_subdiffusion(mesh, plan.alpha, plan.incs, None, u0, g, grid)
+        return write_background()
+    # none of the background files depends on u: a worker writes them
+    # while u marches on this thread, and a write error comes first
+    files, u = side_by_side([write_background, march_u], caller=1)
     trace = boundary_restrict(u)
     if plan.sigma != 0.0:
         trace = add_noise(trace, plan.sigma, plan.seed)

@@ -24,11 +24,11 @@ take it there for every step.  Every march is one call of ``march``,
 which takes a block of data sets (one column each) and a list of
 inclusion sets, one conductivity each, evaluates the data of every step
 once for all of them, then assembles, factors and runs the L1 loop of
-each conductivity: the first on the calling thread, each further one on
-a worker thread of its own, all at the same time.  ``locate-one`` and
-``oracle-check`` march u for both axis directions as one block at the
-perturbed conductivity; the multi-inclusion data matrix marches a block
-against the perturbed and the background conductivity
+each conductivity side by side: the first on the calling thread, each
+further one on a worker thread of its own, all at the same time.
+``locate-one`` and ``oracle-check`` march u for both axis directions as
+one block at the perturbed conductivity; the multi-inclusion data matrix
+marches a block against the perturbed and the background conductivity
 ``InclusionSet((), gamma0)``, on two threads.  ``solve_subdiffusion``
 is its one-set case with one data set and an optional volumetric
 source, which returns the field; the ``forward`` command marches u this
@@ -42,6 +42,23 @@ march is taken in chunks small enough that OpenBLAS runs each one on
 the calling thread (see _block_history): its threads then neither
 contend with the march for the cores nor change the rounding, so every
 march gives the same bits under any BLAS thread count.
+
+``side_by_side`` is the one place that starts threads.  It runs one
+call on the calling thread and each other call on a worker of its own,
+and raises the error of the first call in its list that failed once
+every call has stopped.  The march runs its conductivities through it,
+u on the calling thread and U on a worker for ``locate-multi``, and the
+``forward`` command marches u on the calling thread while a worker
+writes ``mesh.txt`` and the background files, whose error comes first.
+A SuperLU solve releases the GIL, and so do hashing and writing a file,
+but formatting text holds it, and the march waits for the GIL after
+every solve while the writer formats (the same handover keeps two
+threads of one-column solves from gaining, above): so the writer
+formats about one 64 KiB block between two writes
+(textfile.write_hashed), in pieces of one CSV line (_write_rows) or a
+few hundred rows of mesh.txt (Mesh.save).  Beside the writer a
+forward-io march took 1.19-1.33 times as long as alone, on the VM
+above; most of that is mesh.txt's float reprs (BENCH_36.json).
 
 ``forward``, ``locate-one`` and ``oracle-check`` take the harmonic
 background U = a.x as it is at every level, without a march: with
@@ -64,8 +81,9 @@ integrated, so fluxes defined through the normal (e.g. gamma0 a.n for a
 harmonic background a.x) are reproduced exactly in P1.
 """
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -93,11 +111,11 @@ def _write_rows(path, label_name, labels, values) -> str:
 
     def lines():
         yield f"{label_name}," + ",".join(f"t{j}" for j in range(n_levels)) + "\n"
-        for label, same, first, column in zip(labels, constant, values[0].tolist(), values.T):
+        for j, (label, same, first) in enumerate(zip(labels, constant, values[0].tolist())):
             if same:
-                yield label + ("," + repr(first)) * n_levels + "\n"
+                yield f"{label}{(',' + repr(first)) * n_levels}\n"
             else:
-                yield label + "," + ",".join(map(repr, column.tolist())) + "\n"
+                yield f"{label},{','.join(map(repr, values[:, j].tolist()))}\n"
 
     return write_hashed(path, lines())
 
@@ -276,6 +294,24 @@ def _block_history(weights, levels, out):
         np.matmul(weights, levels[:, lo : lo + step], out=out[:, lo : lo + step])
 
 
+def side_by_side(calls, caller=0):
+    """Call every function of calls at the same time; return their results in order.
+
+    calls[caller] runs on the calling thread and each other call on a
+    worker thread of its own.  No worker outlives side_by_side: once every
+    call has stopped, the error of the first call in calls that raised,
+    if any, reaches the caller as it was raised.
+    """
+    with ThreadPoolExecutor(max_workers=max(len(calls) - 1, 1)) as pool:
+        futures = [None if i == caller else pool.submit(call) for i, call in enumerate(calls)]
+        futures[caller] = here = Future()
+        try:
+            here.set_result(calls[caller]())
+        except BaseException as exc:
+            here.set_exception(exc)
+    return [future.result() for future in futures]
+
+
 def march(mesh: Mesh, alpha: float, conductivities, u0, g, grid: TimeGrid, f=None):
     """March one block of data sets at the conductivity of each inclusion set.
 
@@ -287,10 +323,9 @@ def march(mesh: Mesh, alpha: float, conductivities, u0, g, grid: TimeGrid, f=Non
     column per data set; u0 = None is a zero start of one data set, and
     f adds the volumetric load M f(points, t).  The fluxes g and the
     source values f of every step are evaluated once, before the
-    march, for all conductivities.  The first conductivity then marches
-    on the calling thread and each further one on a worker thread of its
-    own, at the same time; no worker outlives the call, and an error
-    reaches the caller once every march has stopped, the first
+    march, for all conductivities.  The conductivities then march side
+    by side (see side_by_side), the first on the calling thread; an
+    error reaches the caller once every march has stopped, the first
     conductivity's first.  Each conductivity is assembled and factored
     once (see _factor).
 
@@ -357,9 +392,7 @@ def march(mesh: Mesh, alpha: float, conductivities, u0, g, grid: TimeGrid, f=Non
     # a worker thread raised the peak RSS of a one-conductivity op by
     # 1-2 MB, so the calling thread marches the first conductivity itself
     # the worker pays: marched in turn, multi-scan ops took 1.24x as long (10 of 10 pairs, 2-core VM)
-    with ThreadPoolExecutor(max_workers=max(len(conductivities) - 1, 1)) as pool:
-        futures = [pool.submit(run, inclusions) for inclusions in conductivities[1:]]
-        fields = [run(conductivities[0])] + [future.result() for future in futures]
+    fields = side_by_side([partial(run, inclusions) for inclusions in conductivities])
     finite = np.all([np.isfinite(v.reshape(n_levels, -1)).all(axis=1) for v in fields], axis=0)
     if not finite.all():
         raise SolverError(f"non-finite solution at time step {int(np.argmin(finite))}")
@@ -380,8 +413,13 @@ def boundary_restrict(field: SpaceTimeField) -> BoundaryTrace:
 
 
 def _check_sigma(sigma: float) -> None:
+    """Refuse a noise level outside [0, 1].  Every noise level of a run
+    meets this one rule: the config's, each swept one and add_noise's.  At
+    sigma = 1 the noise is already about as large as the data (see add_noise)."""
     if sigma < 0.0:
         raise ConfigError(f"noise level must be nonnegative, got {sigma}")
+    if sigma > 1.0:
+        raise ConfigError(f"noise level must be at most 1, got {sigma}")
 
 
 def add_noise(trace: BoundaryTrace, sigma: float, seed) -> BoundaryTrace:

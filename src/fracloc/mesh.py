@@ -31,6 +31,7 @@ _RING_STEP = 0.85  # radial ring spacing as a fraction of the local size
 _RING_GROWTH = 1.45  # geometric growth of offset rings beyond 2 eps
 _DEDUP = 0.55  # drop a candidate closer than this fraction of its size
 MIN_CLEARANCE = 0.05  # least gap between inclusions and to the unit circle
+_TEXT_ROWS = 512  # vertex or triangle rows per piece of Mesh.save's text
 
 
 @dataclass(frozen=True)
@@ -229,10 +230,16 @@ class Mesh:
     def _text(self):
         yield "# disk mesh: nv nt nbe, then vertices, triangles+tag, edges\n"
         yield f"{len(self.vertices)} {len(self.triangles)} {self.n_boundary}\n"
-        coords = list(map(repr, np.asarray(self.vertices, dtype=float).ravel().tolist()))
-        yield "".join(f"{x} {y}\n" for x, y in zip(coords[0::2], coords[1::2]))
-        rows = np.column_stack([self.triangles, self.region_tag]).ravel().tolist()
-        yield "%d %d %d %d\n" * len(self.triangles) % tuple(rows)
+        # a few hundred rows per piece, each formatted holding the GIL:
+        # forward writes this file beside its march (see forward.side_by_side)
+        vertices = np.asarray(self.vertices, dtype=float)
+        for lo in range(0, len(vertices), _TEXT_ROWS):
+            coords = vertices[lo : lo + _TEXT_ROWS].ravel().tolist()
+            yield "%r %r\n" * (len(coords) // 2) % tuple(coords)
+        tagged = np.column_stack([self.triangles, self.region_tag])
+        for lo in range(0, len(tagged), _TEXT_ROWS):
+            rows = tagged[lo : lo + _TEXT_ROWS].ravel().tolist()
+            yield "%d %d %d %d\n" * (len(rows) // 4) % tuple(rows)
         yield "%d %d\n" * self.n_boundary % tuple(self.boundary_edges.ravel().tolist())
 
 

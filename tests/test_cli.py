@@ -518,8 +518,8 @@ class TestExitCodes:
             ("example41", "locate-one", {"eps": 1e-160}, 3, "solver error: degenerate (zero-area) triangle produced"),
             ("example41", "oracle-check", {"eps": 1e-160}, 3, "solver error: degenerate (zero-area) triangle produced"),
             (
-                "example41", "forward", {"noise": {"sigma": 1e308, "seed": 1}}, 3,
-                "solver error: the noisy boundary trace is not finite",
+                "example41", "forward", {"noise": {"sigma": 1e308, "seed": 1}}, 2,
+                "config error: noise level must be at most 1, got 1e+308",
             ),
             (
                 "example41", "locate-one", {"aspect": 1e300}, 2,
@@ -548,8 +548,9 @@ class TestExitCodes:
         for path in written:
             text = path.read_text(encoding="utf-8").lower()
             assert "inf" not in text and "nan" not in text, path.name
-        if command == "forward":
-            assert [p.name for p in written] == ["background_field.csv", "background_trace.csv", "mesh.txt"]
+        if code == 2:
+            # a value out of range is refused before any output
+            assert written == []
 
     @pytest.mark.parametrize(
         "key",
@@ -639,6 +640,48 @@ class TestExitCodes:
         )
         assert cli.main(["sweep", "--config", cfg]) == 2
         assert "noise level must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, where",
+        [(run, "config") for run in ("forward", "locate-one", "locate-multi", "sweep:one", "sweep:multi")]
+        + [("sweep:one", "sweep"), ("sweep:multi", "sweep")],
+    )
+    def test_noise_above_one_is_2_before_any_mesh(self, tmp_path, monkeypatch, capsys, command, where):
+        # every command that reads noise, from the config or as a swept value
+        monkeypatch.setattr(cli, "build_mesh", lambda *args: pytest.fail("meshed"))
+        command, algorithm = command.split(":") if ":" in command else (command, "one")
+        values = [0.0, 1e308] if where == "sweep" else [0.0]
+        cfg = write_config(
+            tmp_path / "c.json",
+            noise={"sigma": 1e308 if where == "config" else 0.0, "seed": 1},
+            inclusions=[CHEAP_INCLUSION],
+            sweep={"parameter": "sigma", "values": values, "algorithm": algorithm},
+            output_dir=str(tmp_path / "o"),
+        )
+        assert cli.main([command, "--config", cfg]) == 2
+        assert capsys.readouterr().err == "fracloc: config error: noise level must be at most 1, got 1e+308\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["forward", "locate-one", "locate-multi", "sweep"])
+    def test_noise_of_one_is_accepted(self, tmp_path, command):
+        cfg = cli.load_config(
+            write_config(
+                tmp_path / "c.json",
+                noise={"sigma": 1.0, "seed": 1},
+                inclusions=[CHEAP_INCLUSION],
+                sweep={"parameter": "sigma", "values": [0.0, 1.0]},
+            )
+        )
+        plans = cli.plan_run(command, cfg)
+        sigmas = [plan.sigma for _, plan in plans] if command == "sweep" else [plans.sigma]
+        assert sigmas == ([0.0, 1.0] if command == "sweep" else [1.0])
+
+    def test_forward_at_noise_level_one_runs(self, tmp_path, cheap_one):
+        doc = json.loads(Path(cheap_one).read_text())
+        doc["noise"] = {"sigma": 1.0, "seed": 1}
+        cfg = write_config(tmp_path / "c.json", **doc)
+        assert cli.main(["forward", "--config", cfg]) == 0
+        assert "solution_trace.csv" in manifest_outputs(tmp_path / "out")
 
     def test_bad_seed_override_is_2(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", output_dir=str(tmp_path / "o"))
@@ -1228,8 +1271,8 @@ def patch_march(monkeypatch, fn):
 
 class TestWorkBesideTheMarch:
     """locate-multi computes the scan's kernel rows on a worker thread
-    while the calling thread marches; forward marches and writes on the
-    calling thread alone."""
+    while the calling thread marches; forward writes its background files
+    on a worker thread while the calling thread marches u."""
 
     @pytest.mark.parametrize("worker", ["after", "before"])
     def test_locate_multi_outputs_do_not_depend_on_timing(
@@ -1273,49 +1316,85 @@ class TestWorkBesideTheMarch:
         assert manifest_outputs(tmp_path / "b") == manifest_outputs(tmp_path / "a")
         assert threading.active_count() == start
 
-    @pytest.mark.parametrize("pause", ["after", "before"])
-    def test_forward_outputs_do_not_depend_on_timing(self, tmp_path, monkeypatch, cheap_one, pause):
+    @pytest.mark.parametrize("pause", ["writer", "march"])
+    def test_forward_outputs_do_not_depend_on_a_pause(self, tmp_path, monkeypatch, capsys, cheap_one, pause):
         start = threading.active_count()
         assert cli.main(["forward", "--config", cheap_one, "--out", str(tmp_path / "a")]) == 0
+        printed = capsys.readouterr().out.replace(str(tmp_path / "a"), "out")
         save, march = mesh.Mesh.save, cli.solve_subdiffusion
-        events = []
+        threads = {}
 
         def slow_save(self, path):
-            if pause == "before":
+            threads["write"] = threading.current_thread()
+            if pause == "writer":
                 time.sleep(0.05)
-            events.append("write")
             return save(self, path)
 
         def slow_march(*args):
+            threads["march"] = threading.current_thread()
             u = march(*args)
-            if pause == "after":
+            if pause == "march":
                 time.sleep(0.05)
-            events.append("march")
             return u
 
         monkeypatch.setattr(mesh.Mesh, "save", slow_save)
         monkeypatch.setattr(cli, "solve_subdiffusion", slow_march)
         assert cli.main(["forward", "--config", cheap_one, "--out", str(tmp_path / "b")]) == 0
-        # a pause before or after the march moves neither the writes nor the outputs
-        assert events == ["write", "march"]
+        # u marches on the calling thread while a worker writes the background files
+        assert threads["march"] is threading.current_thread() is not threads["write"]
+        # a pause in either moves neither the outputs nor the printed paths
         assert manifest_outputs(tmp_path / "b") == manifest_outputs(tmp_path / "a")
+        assert capsys.readouterr().out.replace(str(tmp_path / "b"), "out") == printed
         assert threading.active_count() == start
 
-    def test_forward_starts_no_thread(self, tmp_path, monkeypatch, cheap_one):
+    @pytest.mark.parametrize("outcome, code", [("success", 0), ("write-error", 2), ("march-error", 3)])
+    def test_forward_writer_does_not_outlive_main(self, tmp_path, monkeypatch, cheap_one, outcome, code):
         start = threading.active_count()
-        assert cli.main(["forward", "--config", cheap_one, "--out", str(tmp_path / "a")]) == 0
-        march = cli.solve_subdiffusion
-        at_march = []
+        if outcome == "write-error":
+            (tmp_path / "out" / "mesh.txt").mkdir(parents=True)
+        if outcome == "march-error":
+            patch_march(monkeypatch, no_march)
+        assert cli.main(["forward", "--config", cheap_one]) == code
+        assert threading.active_count() == start
 
-        def seen_march(*args):
-            at_march.append((threading.active_count(), (tmp_path / "b" / "background_field.csv").exists()))
-            return march(*args)
+    def test_forward_march_error_after_the_writes_is_3(self, tmp_path, monkeypatch, capsys, cheap_one):
+        written = threading.Event()
+        to_csv = forward.SpaceTimeField.to_csv
 
-        monkeypatch.setattr(cli, "solve_subdiffusion", seen_march)
-        assert cli.main(["forward", "--config", cheap_one, "--out", str(tmp_path / "b")]) == 0
-        # the background files are written, on the calling thread, before u marches
-        assert at_march == [(start, True)]
-        assert manifest_outputs(tmp_path / "b") == manifest_outputs(tmp_path / "a")
+        def write_field(self, path):
+            digest = to_csv(self, path)
+            written.set()
+            return digest
+
+        def march_after_writes(*args, **kwargs):
+            assert written.wait(timeout=60)
+            no_march()
+
+        monkeypatch.setattr(forward.SpaceTimeField, "to_csv", write_field)
+        patch_march(monkeypatch, march_after_writes)
+        assert cli.main(["forward", "--config", cheap_one]) == 3
+        assert capsys.readouterr().err == "fracloc: solver error: injected\n"
+        # the background files are written; no solution trace and no manifest
+        files = sorted(p.name for p in (tmp_path / "out").iterdir())
+        assert files == ["background_field.csv", "background_trace.csv", "mesh.txt"]
+
+    def test_forward_without_inclusions_writes_on_the_calling_thread(self, tmp_path, monkeypatch):
+        start = threading.active_count()
+        save = mesh.Mesh.save
+        at_save = []
+
+        def seen_save(self, path):
+            at_save.append((threading.current_thread(), threading.active_count()))
+            return save(self, path)
+
+        monkeypatch.setattr(mesh.Mesh, "save", seen_save)
+        cfg = write_config(tmp_path / "c.json", mesh={"h_far": 0.3}, output_dir=str(tmp_path / "out"))
+        assert cli.main(["forward", "--config", cfg]) == 0
+        # nothing to march: the files are written with no worker started
+        assert at_save == [(threading.current_thread(), start)]
+        assert sorted(manifest_outputs(tmp_path / "out")) == [
+            "background_field.csv", "background_trace.csv", "mesh.txt"
+        ]
 
     def test_locate_multi_march_error_beats_scan_error(self, monkeypatch, capsys, cheap_multi):
         start = threading.active_count()

@@ -379,21 +379,34 @@ class TestThreadCountDeterminism:
             env["OPENBLAS_NUM_THREADS"] = "1"
         return env
 
-    def test_locate_multi_bytes_do_not_depend_on_blas_threads(self, tmp_path):
-        config = Path(__file__).parents[1] / "configs" / "example43.json"
+    @classmethod
+    def outputs(cls, tmp_path, command, example):
+        """The manifest outputs of command on a bundled example, run in a
+        process of its own with one BLAS thread and with the default count."""
+        config = Path(__file__).parents[1] / "configs" / f"{example}.json"
         outputs = []
         for one_thread in (True, False):
             out = tmp_path / f"threads-{'one' if one_thread else 'default'}"
-            argv = ["locate-multi", "--config", str(config), "--out", str(out)]
+            argv = [command, "--config", str(config), "--out", str(out)]
             run = subprocess.run(
                 [sys.executable, "-m", "fracloc.cli", *argv],
-                env=self._env(one_thread),
+                env=cls._env(one_thread),
                 capture_output=True,
                 timeout=300,
             )
             assert run.returncode == 0, run.stderr
             outputs.append(json.loads((out / "manifest.json").read_text())["outputs"])
-        assert outputs[0] == outputs[1]
+        return outputs
+
+    def test_locate_multi_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        one, default = self.outputs(tmp_path, "locate-multi", "example43")
+        assert one == default
+
+    def test_forward_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # u marches while a worker writes the background files beside it
+        one, default = self.outputs(tmp_path, "forward", "example42")
+        assert "solution_trace.csv" in one
+        assert one == default
 
 
 class TestBlockedHistoryThreadCount:
@@ -432,20 +445,8 @@ class TestBlockedHistoryThreadCount:
             assert np.array_equal(np.load(tmp_path / "one" / name), np.load(tmp_path / "default" / name))
 
     def test_locate_one_bytes_do_not_depend_on_blas_threads(self, tmp_path):
-        config = Path(__file__).parents[1] / "configs" / "example41.json"
-        outputs = []
-        for one_thread in (True, False):
-            out = tmp_path / f"threads-{'one' if one_thread else 'default'}"
-            argv = ["locate-one", "--config", str(config), "--out", str(out)]
-            run = subprocess.run(
-                [sys.executable, "-m", "fracloc.cli", *argv],
-                env=TestThreadCountDeterminism._env(one_thread),
-                capture_output=True,
-                timeout=300,
-            )
-            assert run.returncode == 0, run.stderr
-            outputs.append(json.loads((out / "manifest.json").read_text())["outputs"])
-        assert outputs[0] == outputs[1]
+        one, default = TestThreadCountDeterminism.outputs(tmp_path, "locate-one", "example41")
+        assert one == default
 
 
 def l1_residual(mesh, alpha, gamma_tri, values, grid, g, f=None):
@@ -628,10 +629,17 @@ class TestNoise:
             add_noise(trace, -0.1, seed=0)
 
     def test_noisy_trace_not_finite_is_a_solver_error(self, trace):
-        # the noise overflows; computed as the CLI computes, with no warning
+        # the signal's L1 norm, and so the noise, overflows at the largest
+        # noise level; computed as the CLI computes, with no warning
+        huge = replace(trace, values=np.full_like(trace.values, 1e308))
         with np.errstate(all="ignore"):
             with pytest.raises(SolverError, match="^the noisy boundary trace is not finite$"):
-                add_noise(trace, 1e308, seed=1)
+                add_noise(huge, 1.0, seed=1)
+
+    def test_noise_level_above_one_rejected(self, trace):
+        with pytest.raises(ConfigError, match="^noise level must be at most 1, got 1.5$"):
+            add_noise(trace, 1.5, seed=0)
+        assert np.isfinite(add_noise(trace, 1.0, seed=0).values).all()
 
 
 class TestBoundaryDiffs:

@@ -7,7 +7,8 @@ level; mesh alone constructs a Mesh, whose boundary loop it derives.
 An inclusion set's per-triangle conductivity (gamma_of_tag) reaches
 only the march in forward, and the mesh's arc weights only the boundary
 quadratures in forward and measure.  Threads live in two places only:
-forward's march alone reaches for a ThreadPoolExecutor, and
+forward alone reaches for a ThreadPoolExecutor (side_by_side, through
+which the march and the forward command start their workers), and
 locate_multi's KernelRows alone for threading.  Each thread sets its
 numpy error state where it starts, so np.errstate is named in four
 functions only: cli.main, the march's run and the kernel-row worker,
