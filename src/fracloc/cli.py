@@ -18,26 +18,25 @@ run writes its outputs plus a manifest.json capturing the resolved
 configuration and content hashes, so a rerun with the same config on
 the same build reproduces the files byte for byte.
 
-Work that does not depend on u runs beside its march on worker threads.
-forward starts one: it writes mesh.txt and the background files while u
-marches on the calling thread (cmd_forward); with no inclusion it has
-nothing to march and writes them on the calling thread.  locate-multi,
-and a multi sweep for all its values at once, start two: the kernel-row
-worker computes the indicator scan's kernel rows from before the first
-march (locate_multi.KernelRows, _locate_multi_runs), and the march's
-worker marches the background U beside u in each march (forward.march).
-forward and the march start theirs through one primitive,
-forward.side_by_side.  locate-one, oracle-check and a one sweep start
-no thread.  Every worker has stopped before its command returns, so
-none outlives main; the outputs are those of a run without them, and
-errors come in the same order: forward's write error before its march
-error, the march's u before its U.
+Work that does not depend on u runs beside its march on worker threads,
+all started by one primitive, forward.side_by_side.  forward starts
+one: it writes mesh.txt and the background files while u marches on the
+calling thread (cmd_forward); with no inclusion it has nothing to march
+and writes them on the calling thread.  locate-multi, and a multi sweep
+for all its values at once, start two: the kernel-row worker computes
+the indicator scan's kernel rows from before the first march
+(KernelRows.ahead, _locate_multi_runs), and the march's worker marches
+the background U beside u in each march (forward.march).  locate-one,
+oracle-check and a one sweep start no thread.  Every worker has stopped
+before its command returns, so none outlives main; the outputs are those
+of a run without them, and errors come in the same order: forward's
+write error before its march error, a march error before a kernel row's,
+the march's u before its U.
 
-Each thread of a run that computes does so under np.errstate(all="ignore"),
-set where it starts (main, forward.march's run, KernelRows._compute_ahead),
-so an overflow prints no warning; forward's writer only formats values
-that are already checked.  Every array a run writes or decides on meets
-a finiteness check instead: in the march, SpaceTimeField, add_noise,
+main computes under np.errstate(all="ignore"), so an overflow prints no
+warning, and a worker computes under its caller's floating-point state
+(side_by_side).  Every array a run writes or decides on meets a
+finiteness check instead: in the march, SpaceTimeField, add_noise,
 measure._contract, locate_multi._kernel_matrix, DataMatrix, IndicatorGrid.
 
 Exit codes: 0 success, 2 config error, 3 solver/mesh/quadrature error,
@@ -50,6 +49,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -499,14 +499,14 @@ def _locate_multi_runs(plans, coeffs):
     (i, data, igrid) in the order _each_march takes the plans.
 
     The plans may differ in what the march and the noise read, not in
-    the scan, so one KernelRows serves them all: its worker
-    (KernelRows.ahead) computes the kernel rows from before the first
-    mesh.  Each plan's data matrix is measured, and its k chosen, while
-    its march is held; then one pass over the rows takes every plan's
-    indicator (scan_indicators).  A plan whose k cannot be chosen, since
-    its data carry no signal, joins no scan and gets that
-    ReconstructionError in place of its grid (see _peaks).  Errors come
-    in the order of a run without the worker.
+    the scan, so one KernelRows serves them all: a worker computes its
+    rows ahead (KernelRows.ahead) while the marches run on this thread
+    (side_by_side), from before the first mesh.  Each plan's data matrix
+    is measured, and its k chosen, while its march is held; then one pass
+    over the rows takes every plan's indicator (scan_indicators).  A plan
+    whose k cannot be chosen, since its data carry no signal, joins no
+    scan and gets that ReconstructionError in place of its grid (see
+    _peaks).  Errors come in the order of a run without the worker.
     """
     first = plans[0]
     rows = KernelRows(
@@ -526,10 +526,10 @@ def _locate_multi_runs(plans, coeffs):
         except ReconstructionError as exc:
             measured[i] = (data, exc)
 
-    with rows.ahead():
-        _each_march(plans, coeffs, measure)
-        scans = [(data, k) for data, k in measured.values() if not isinstance(k, Exception)]
-        grids = iter(scan_indicators(scans, rows) if scans else [])
+    # the worker pays: without it, multi-scan ops took 1.13x as long (9 of 10 pairs, 2-core VM)
+    side_by_side([partial(_each_march, plans, coeffs, measure), rows.ahead])
+    scans = [(data, k) for data, k in measured.values() if not isinstance(k, Exception)]
+    grids = iter(scan_indicators(scans, rows) if scans else [])
     return [
         (i, data, k if isinstance(k, Exception) else next(grids)) for i, (data, k) in measured.items()
     ]

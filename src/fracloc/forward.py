@@ -45,11 +45,15 @@ march gives the same bits under any BLAS thread count.
 
 ``side_by_side`` is the one place that starts threads.  It runs one
 call on the calling thread and each other call on a worker of its own,
-and raises the error of the first call in its list that failed once
-every call has stopped.  The march runs its conductivities through it,
-u on the calling thread and U on a worker for ``locate-multi``, and the
-``forward`` command marches u on the calling thread while a worker
-writes ``mesh.txt`` and the background files, whose error comes first.
+under the caller's floating-point state (np.geterr()), and raises the
+error of the first call in its list that failed once every call has
+stopped.  The march runs its conductivities through it, u on the
+calling thread and U on a worker for ``locate-multi``; the ``forward``
+command marches u on the calling thread while a worker writes
+``mesh.txt`` and the background files, whose error comes first; and
+``locate-multi`` marches on the calling thread while a worker computes
+the scan's kernel rows (locate_multi.KernelRows.ahead), so a march
+error comes first.
 A SuperLU solve releases the GIL, and so do hashing and writing a file,
 but formatting text holds it, and the march waits for the GIL after
 every solve while the writer formats (the same handover keeps two
@@ -298,12 +302,16 @@ def side_by_side(calls, caller=0):
     """Call every function of calls at the same time; return their results in order.
 
     calls[caller] runs on the calling thread and each other call on a
-    worker thread of its own.  No worker outlives side_by_side: once every
-    call has stopped, the error of the first call in calls that raised,
-    if any, reaches the caller as it was raised.
+    worker thread of its own, under the caller's floating-point state
+    (np.geterr()).  No worker outlives side_by_side: once every call has
+    stopped, the error of the first call in calls that raised, if any,
+    reaches the caller as it was raised.
     """
+    state = np.geterr()
     with ThreadPoolExecutor(max_workers=max(len(calls) - 1, 1)) as pool:
-        futures = [None if i == caller else pool.submit(call) for i, call in enumerate(calls)]
+        futures = [
+            None if i == caller else pool.submit(np.errstate(**state)(call)) for i, call in enumerate(calls)
+        ]
         futures[caller] = here = Future()
         try:
             here.set_result(calls[caller]())
@@ -356,7 +364,6 @@ def march(mesh: Mesh, alpha: float, conductivities, u0, g, grid: TimeGrid, f=Non
     # d[k] = b[k] - b[k+1], with b[n_steps] taken as 0
     d = -np.diff(b, append=0.0)
 
-    @np.errstate(all="ignore")
     def run(inclusions):
         M, K = assemble_matrices(mesh, inclusions.gamma_of_tag(mesh.region_tag))
         lu = _factor(M, K, beta)

@@ -26,15 +26,14 @@ once for the flux, the probe table and the scan.
 
 G(z) depends on the sources and z only, not on the data, so a scan's
 kernel rows can be computed before B exists: ``KernelRows.ahead``
-computes them on one worker thread, up to SCAN_AHEAD_BYTES of them,
-while the caller builds the mesh and marches the data matrix, and
-``scan_indicators`` takes the indicator over the rows done ahead and
-computes the rest itself, through the same row function.  It passes
-over the rows once for any number of data matrices, so the data of
-several noise levels or inclusion shapes share one scan's kernel work.
+computes up to SCAN_AHEAD_BYTES of them, on a worker that the CLI runs
+beside the march (forward.side_by_side), and ``scan_indicators`` takes
+the indicator over the rows done ahead and computes the rest itself,
+through the same row function.  It passes over the rows once for any
+number of data matrices, so the data of several noise levels or
+inclusion shapes share one scan's kernel work.
 """
 
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -56,10 +55,10 @@ REFINEMENT_LEVELS = 6
 SENTINEL_RATIO = 1e-14
 SENTINEL_VALUE = 1e14
 _LEGENDRE = np.polynomial.legendre.leggauss(GAUSS_POINTS_PER_PANEL)
-# The most bytes of kernel rows that KernelRows.ahead holds before their
-# indicator is taken: 8 B x resolution x n^2 per grid row.  It holds a
-# whole 101x101 scan against the default 10 sources (8.2 MB, example43)
-# or a 41x41 one (1.3 MB); held rows add their size to the peak RSS.
+# The most bytes of kernel rows that KernelRows.ahead computes and holds
+# before their indicator is taken: 8 B x resolution x n^2 per grid row.  It
+# holds a whole 101x101 scan against the default 10 sources (8.2 MB,
+# example43) or a 41x41 one (1.3 MB); held rows add their size to the peak RSS.
 # Against the 20 sources of a quarter arc a 101x101 scan needs 33 MB, and
 # the rows past the budget are computed when the scan is taken.
 SCAN_AHEAD_BYTES = 8 * 2**20
@@ -428,16 +427,14 @@ class KernelRows:
     inside the unit disk; xs and ys, its nodes, and the time half of the
     kernel factor are computed here, once.  Iterating yields each grid
     row's stack of G(z), shape (resolution, n, n), computed by
-    _kernel_matrix.  ``ahead()`` starts one worker thread that computes
-    them while the caller goes on, one row after another, until the last
-    row or until one more would take the rows it holds over
-    SCAN_AHEAD_BYTES, so no row is held if one row is over it.
-    Iterating stops and joins the worker, yields the rows it has done,
-    dropping each as it goes, and computes the rest itself.  The worker
-    raises nothing: at its first error it stops, and iterating computes
-    that row again, so the error is raised where a scan without a worker
-    raises it.  ``close()``, or leaving a ``with`` block, stops and joins
-    the worker.
+    _kernel_matrix.  ``ahead()`` computes and holds them, one row after
+    another, until the last row or until one more would take the rows it
+    holds over SCAN_AHEAD_BYTES, so no row is held if one row is over
+    it; the CLI calls it on a worker beside the march
+    (forward.side_by_side).  Iterating yields the rows held, dropping
+    each as it goes, and computes the rest itself.  ``ahead()`` raises
+    nothing: at its first error it stops, and iterating computes that row
+    again, so the error is raised where a scan without it raises it.
     """
 
     def __init__(
@@ -448,42 +445,18 @@ class KernelRows:
         self.xs, self.ys = _scan_axes(region, resolution)
         self._time = _forward_time_factors(sources, alpha, coeffs, n_terms, t_final, gamma0)
         self._done = deque()
-        self._stop = threading.Event()
-        self._worker = None
 
     def ahead(self):
-        """Start computing the rows on a worker thread; returns self."""
-        # the worker pays: without it, multi-scan ops took 1.13x as long (9 of 10 pairs, 2-core VM)
-        self._worker = threading.Thread(target=self._compute_ahead, name="fracloc-kernel-rows")
-        self._worker.start()
-        return self
-
-    @np.errstate(all="ignore")
-    def _compute_ahead(self):
+        """Compute and hold the rows that fit in SCAN_AHEAD_BYTES, in order."""
+        row_bytes = 8 * self.xs.size * self.sources.n**2
         try:
-            row_bytes = 8 * self.xs.size * self.sources.n**2
             for zs in _scan_points(self.xs, self.ys)[: SCAN_AHEAD_BYTES // row_bytes]:
-                if self._stop.is_set():
-                    return
                 self._done.append(_kernel_matrix(zs, self.sources, *self._time))
         except Exception:
             # iterating computes this row again and raises the error there
             return
 
-    def close(self):
-        """Stop the worker after its current row and wait for it."""
-        self._stop.set()
-        if self._worker is not None:
-            self._worker.join()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
     def __iter__(self):
-        self.close()
         start = len(self._done)
         while self._done:
             yield self._done.popleft()
@@ -505,10 +478,9 @@ def scan_indicators(measured, rows):
     factor is taken once, and each grid row's kernel matrices once,
     whatever the number of pairs; every pair's indicator is then taken
     on that row, so data matrices measured at several noise levels cost
-    one scan's kernel work.  The worker of rows, if started, may have
-    computed the first rows ahead (the CLI starts it before the mesh);
-    the rest are computed here.  Returns one IndicatorGrid per pair, in
-    order.
+    one scan's kernel work.  rows.ahead(), if called, has computed the
+    first rows (the CLI calls it beside the march); the rest are computed
+    here.  Returns one IndicatorGrid per pair, in order.
     """
     values = np.stack([[indicator(data, k, g) for data, k in measured] for g in rows], axis=1)
     return [IndicatorGrid(xs=rows.xs, ys=rows.ys, values=v) for v in values]

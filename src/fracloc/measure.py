@@ -52,11 +52,13 @@ tensors.
 
 Importing this module loads no ``scipy.interpolate``: OracleKernelProbe,
 the cross-check probe only ``oracle-check`` builds, imports its cubic
-spline when it is constructed.
+spline when the first one is constructed, and every probe at one d and
+alpha shares one spline (_oracle_profile).
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -224,22 +226,32 @@ class KernelProbe(_BackwardProbe):
         return _normal_derivative(points, normals, self.source[None], times)[0]
 
 
+@lru_cache(maxsize=8)
+def _oracle_profile(d: int, alpha: float):
+    """OracleKernelProbe's profile: log psi_d against log r on the
+    ORACLE_NODES log-spaced radii, as a cubic spline, once per (d, alpha)."""
+    # only oracle-check builds this probe, so only it loads scipy.interpolate
+    from scipy.interpolate import CubicSpline
+
+    log_r = np.linspace(math.log(ORACLE_R_MIN), math.log(ORACLE_R_MAX), ORACLE_NODES)
+    return CubicSpline(log_r, log_reduced_green(d, alpha, np.exp(log_r)))
+
+
 class OracleKernelProbe(_BackwardProbe):
     """Phi(x, t) = exact fundamental solution at (source, 0), run backwards
     (_BackwardProbe).
 
-    The radial profile log psi_d is tabulated once from
+    The radial profile log psi_d is tabulated once per (d, alpha) from
     ``log_reduced_green`` and interpolated with a cubic spline in log-log
-    coordinates, so handle evaluations are cheap while inheriting the
-    profile's accuracy.  This probe exists for cross-checks (Lemma-style
-    boundary/interior equivalence, remainder studies); the reconstruction
-    algorithms use the truncated-series KernelProbe.
+    coordinates (_oracle_profile), so handle evaluations are cheap while
+    inheriting the profile's accuracy.  This probe exists for cross-checks
+    (Lemma-style boundary/interior equivalence, remainder studies); the
+    reconstruction algorithms use the truncated-series KernelProbe.
 
-    Construction costs one profile evaluation per table node, a fraction
-    of a second for the 420-node d = 2 table at any alpha.  The first
-    construction in a process also imports ``scipy.interpolate`` (and the
-    ``scipy.optimize`` and ``scipy.fft`` it pulls in), about 0.15 s and
-    12 MB on a 2-core x86 VM.
+    The table costs one profile evaluation per node, about 0.3 s for the
+    420-node d = 2 table on a 2-core x86 VM.  The first construction in a
+    process also imports ``scipy.interpolate`` (and the ``scipy.optimize``
+    and ``scipy.fft`` it pulls in), about 0.15 s and 12 MB.
     """
 
     def __init__(self, d: int, alpha: float, source, t_final: float, gamma0: float = 1.0):
@@ -253,11 +265,7 @@ class OracleKernelProbe(_BackwardProbe):
             raise ConfigError(f"source must be a point in R^{d}")
         self.t_final = float(t_final)
         self.gamma0 = float(gamma0)
-        # only oracle-check builds this probe, so only it loads scipy.interpolate
-        from scipy.interpolate import CubicSpline
-
-        log_r = np.linspace(math.log(ORACLE_R_MIN), math.log(ORACLE_R_MAX), ORACLE_NODES)
-        self._spline = CubicSpline(log_r, log_reduced_green(d, self.alpha, np.exp(log_r)))
+        self._spline = _oracle_profile(d, self.alpha)
 
     def _scaled_profile(self, rho, s, j):
         """lam^(-(d+j)/2) psi^(j)(rho / sqrt(lam)), lam = gamma0 s^alpha, for

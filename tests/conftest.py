@@ -3,7 +3,13 @@
 The coefficient fits drive the expansion tests and the acceptance checks.
 They are session-scoped here, and fit_green_coeffs also memoizes per
 process, so every test sees the same fitted object.
+
+Every test fails if it leaves a Python thread running: each worker the
+package starts has stopped before the call that started it returns
+(forward.side_by_side).
 """
+
+import threading
 
 import pytest
 
@@ -20,3 +26,11 @@ def coeffs_half():
 def coeffs_one():
     """Fitted coefficients at alpha = 1, where everything is a Gaussian."""
     return fit_green_coeffs(1.0)
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    before = set(threading.enumerate())
+    yield
+    left = [thread.name for thread in threading.enumerate() if thread not in before]
+    assert not left, f"threads left running: {left}"

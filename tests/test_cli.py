@@ -1278,7 +1278,6 @@ class TestWorkBesideTheMarch:
     def test_locate_multi_outputs_do_not_depend_on_timing(
         self, tmp_path, monkeypatch, cheap_multi, worker
     ):
-        start = threading.active_count()
         assert cli.main(["locate-multi", "--config", cheap_multi, "--out", str(tmp_path / "a")]) == 0
         row_fn, march, build = locate_multi._kernel_matrix, locate_multi.march, cli.measure_data_matrix
         ahead = []  # rows the worker has made
@@ -1314,11 +1313,9 @@ class TestWorkBesideTheMarch:
         # the worker had made no row, or every row, when the data matrix was built
         assert at_data_matrix == [0 if worker == "after" else 21]
         assert manifest_outputs(tmp_path / "b") == manifest_outputs(tmp_path / "a")
-        assert threading.active_count() == start
 
     @pytest.mark.parametrize("pause", ["writer", "march"])
     def test_forward_outputs_do_not_depend_on_a_pause(self, tmp_path, monkeypatch, capsys, cheap_one, pause):
-        start = threading.active_count()
         assert cli.main(["forward", "--config", cheap_one, "--out", str(tmp_path / "a")]) == 0
         printed = capsys.readouterr().out.replace(str(tmp_path / "a"), "out")
         save, march = mesh.Mesh.save, cli.solve_subdiffusion
@@ -1345,17 +1342,14 @@ class TestWorkBesideTheMarch:
         # a pause in either moves neither the outputs nor the printed paths
         assert manifest_outputs(tmp_path / "b") == manifest_outputs(tmp_path / "a")
         assert capsys.readouterr().out.replace(str(tmp_path / "b"), "out") == printed
-        assert threading.active_count() == start
 
     @pytest.mark.parametrize("outcome, code", [("success", 0), ("write-error", 2), ("march-error", 3)])
     def test_forward_writer_does_not_outlive_main(self, tmp_path, monkeypatch, cheap_one, outcome, code):
-        start = threading.active_count()
         if outcome == "write-error":
             (tmp_path / "out" / "mesh.txt").mkdir(parents=True)
         if outcome == "march-error":
             patch_march(monkeypatch, no_march)
         assert cli.main(["forward", "--config", cheap_one]) == code
-        assert threading.active_count() == start
 
     def test_forward_march_error_after_the_writes_is_3(self, tmp_path, monkeypatch, capsys, cheap_one):
         written = threading.Event()
@@ -1396,45 +1390,49 @@ class TestWorkBesideTheMarch:
             "background_field.csv", "background_trace.csv", "mesh.txt"
         ]
 
-    def test_locate_multi_march_error_beats_scan_error(self, monkeypatch, capsys, cheap_multi):
-        start = threading.active_count()
-        scanned = threading.Event()
+    @staticmethod
+    def row_and_march_fail(monkeypatch, capsys, cheap_multi, first):
+        """A kernel row fails on the worker, and the march on the calling
+        thread; the one that fails first waits for nothing."""
+        scanned, marched = threading.Event(), threading.Event()
 
         def infinite(rho2, times):
+            if first == "march":
+                assert marched.wait(timeout=60)
             scanned.set()
             return np.full(np.shape(rho2) + times.rate.shape, np.inf)
 
-        def march_after_scan(*args, **kwargs):
-            assert scanned.wait(timeout=60)
+        def failing_march(*args, **kwargs):
+            if first == "row":
+                assert scanned.wait(timeout=60)
+            marched.set()
             no_march()
 
         monkeypatch.setattr(locate_multi, "_separated", infinite)
-        patch_march(monkeypatch, march_after_scan)
+        patch_march(monkeypatch, failing_march)
         assert cli.main(["locate-multi", "--config", cheap_multi]) == 3
         assert capsys.readouterr().err == "fracloc: solver error: injected\n"
-        assert threading.active_count() == start
 
-    def test_march_error_stops_a_busy_worker(self, monkeypatch, capsys, cheap_multi):
-        start = threading.active_count()
+    def test_locate_multi_march_error_beats_scan_error(self, monkeypatch, capsys, cheap_multi):
+        self.row_and_march_fail(monkeypatch, capsys, cheap_multi, first="row")
+
+    def test_locate_multi_march_error_beats_a_later_scan_error(self, monkeypatch, capsys, cheap_multi):
+        self.row_and_march_fail(monkeypatch, capsys, cheap_multi, first="march")
+
+    def test_march_error_beats_a_busy_worker(self, monkeypatch, capsys, cheap_multi):
         row_fn = locate_multi._kernel_matrix
-        made = []
 
         def slow_rows(*args):
             if on_worker():
-                time.sleep(0.05)
-                made.append(1)
+                time.sleep(0.01)
             return row_fn(*args)
 
         monkeypatch.setattr(locate_multi, "_kernel_matrix", slow_rows)
         patch_march(monkeypatch, no_march)
         assert cli.main(["locate-multi", "--config", cheap_multi]) == 3
         assert capsys.readouterr().err == "fracloc: solver error: injected\n"
-        # the worker stopped after the row it was making, of 21
-        assert threading.active_count() == start
-        assert len(made) < 21
 
     def test_forward_write_error_beats_march_error(self, tmp_path, monkeypatch, capsys, cheap_one):
-        start = threading.active_count()
         out = tmp_path / "out"
         (out / "background_field.csv").mkdir(parents=True)
         assert cli.main(["forward", "--config", cheap_one]) == 2
@@ -1444,14 +1442,12 @@ class TestWorkBesideTheMarch:
         patch_march(monkeypatch, no_march)
         assert cli.main(["forward", "--config", cheap_one]) == 2
         assert capsys.readouterr().err == expected
-        assert threading.active_count() == start
 
     def test_kernel_rows_held_within_budget(self, tmp_path, monkeypatch, cheap_multi):
-        start = threading.active_count()
         assert cli.main(["locate-multi", "--config", cheap_multi, "--out", str(tmp_path / "a")]) == 0
         # 21 grid rows of 21 points against 6 sources
         monkeypatch.setattr(locate_multi, "SCAN_AHEAD_BYTES", 2 * 8 * 21 * 6**2)
-        row_fn, compute_ahead = locate_multi._kernel_matrix, locate_multi.KernelRows._compute_ahead
+        row_fn, ahead = locate_multi._kernel_matrix, locate_multi.KernelRows.ahead
         march, build = locate_multi.march, cli.measure_data_matrix
         calls = []
         at_data_matrix = []
@@ -1462,7 +1458,7 @@ class TestWorkBesideTheMarch:
             return row_fn(*args)
 
         def worker(self):
-            compute_ahead(self)
+            ahead(self)
             stopped.set()
 
         def late_march(*args):
@@ -1476,14 +1472,13 @@ class TestWorkBesideTheMarch:
             return data
 
         monkeypatch.setattr(locate_multi, "_kernel_matrix", rows)
-        monkeypatch.setattr(locate_multi.KernelRows, "_compute_ahead", worker)
+        monkeypatch.setattr(locate_multi.KernelRows, "ahead", worker)
         monkeypatch.setattr(locate_multi, "march", late_march)
         monkeypatch.setattr(cli, "measure_data_matrix", data_matrix)
         assert cli.main(["locate-multi", "--config", cheap_multi, "--out", str(tmp_path / "b")]) == 0
         assert at_data_matrix == [2]
         assert calls == [True] * 2 + [False] * 19
         assert manifest_outputs(tmp_path / "b") == manifest_outputs(tmp_path / "a")
-        assert threading.active_count() == start
 
     @pytest.mark.parametrize(
         "command, sweep, marches",
@@ -1497,16 +1492,13 @@ class TestWorkBesideTheMarch:
     def test_one_worker_and_one_scan_per_command(self, tmp_path, monkeypatch, command, sweep, marches):
         # every value of a multi sweep shares the scan: one worker and one
         # kernel matrix per grid row, however many values and marches
-        start = threading.active_count()
         workers = []
         counts = {"rows": 0, "march": 0}
-        compute_ahead, row_fn, march = (
-            locate_multi.KernelRows._compute_ahead, locate_multi._kernel_matrix, forward.march
-        )
+        ahead, row_fn, march = locate_multi.KernelRows.ahead, locate_multi._kernel_matrix, forward.march
 
         def worker(self):
             workers.append(threading.current_thread())
-            compute_ahead(self)
+            ahead(self)
 
         def counting(key, fn):
             def wrapper(*args, **kwargs):
@@ -1515,7 +1507,7 @@ class TestWorkBesideTheMarch:
 
             return wrapper
 
-        monkeypatch.setattr(locate_multi.KernelRows, "_compute_ahead", worker)
+        monkeypatch.setattr(locate_multi.KernelRows, "ahead", worker)
         monkeypatch.setattr(locate_multi, "_kernel_matrix", counting("rows", row_fn))
         patch_march(monkeypatch, counting("march", march))
         cfg = write_config(
@@ -1530,8 +1522,8 @@ class TestWorkBesideTheMarch:
         )
         assert cli.main([command, "--config", cfg]) == 0
         assert counts == {"rows": 11, "march": marches}
-        assert len(workers) == 1 and not workers[0].is_alive()
-        assert threading.active_count() == start
+        assert len(workers) == 1 and workers[0] is not threading.current_thread()
+        assert not workers[0].is_alive()
 
 
 class TestOracleCheckCommand:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -324,10 +325,7 @@ class TestSolvePair:
 
     def test_pair_is_bitwise_two_separate_marches(self, pair_case):
         mesh, incs, u0, g, grid = pair_case
-        start = threading.active_count()
         u, U = march_pair(mesh, 0.5, incs, u0, g, grid)
-        # the pool's workers are gone once the march returns
-        assert threading.active_count() == start
         for field, conductivity in zip((u, U), (incs, InclusionSet((), 2.0))):
             (alone,) = forward.march(mesh, 0.5, [conductivity], u0, g, grid)
             assert np.array_equal(field, alone)
@@ -338,11 +336,9 @@ class TestSolvePair:
         mesh, incs, u0, g, grid = pair_case
         error = SolverError("factorization of the time-step matrix failed: injected")
         second_factorization_fails(monkeypatch, error)
-        start = threading.active_count()
         with pytest.raises(SolverError) as info:
             march_pair(mesh, 0.5, incs, u0, g, grid)
         assert info.value is error
-        assert threading.active_count() == start
 
     def test_worker_error_exits_3(self, tmp_path, monkeypatch, capsys):
         from fracloc import cli
@@ -365,6 +361,42 @@ class TestSolvePair:
         assert cli.main(["locate-multi", "--config", str(config), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err == "fracloc: solver error: injected\n"
+
+
+class TestSideBySide:
+    """forward.side_by_side: every worker computes under the caller's
+    floating-point state, and the first failing call in the list wins."""
+
+    @pytest.mark.parametrize("state", [{}, {"over": "raise"}], ids=["default", "over-raise"])
+    def test_worker_sees_the_callers_error_state(self, state):
+        with np.errstate(**state):
+            expected = np.geterr()
+            seen = forward.side_by_side([np.geterr, np.geterr, np.geterr])
+        assert seen == [expected] * 3
+
+    def test_worker_overflow_raises_under_the_callers_state(self):
+        def overflow():
+            return np.array(1e308) * 10.0
+
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            forward.side_by_side([lambda: None, overflow])
+
+    @pytest.mark.parametrize("caller", [0, 1])
+    @pytest.mark.parametrize("later", [0, 1])
+    def test_first_failing_call_wins(self, caller, later):
+        # both calls raise, call `later` only once the other one has
+        errors = [SolverError("first"), SolverError("second")]
+        raising = [threading.Event(), threading.Event()]
+
+        def failing(i):
+            if i == later:
+                assert raising[1 - i].wait(timeout=60)
+            raising[i].set()
+            raise errors[i]
+
+        with pytest.raises(SolverError) as info:
+            forward.side_by_side([partial(failing, 0), partial(failing, 1)], caller=caller)
+        assert info.value is errors[0]
 
 
 class TestThreadCountDeterminism:

@@ -6,14 +6,14 @@ locate_multi alone turns select_truncation's count into a truncation
 level; mesh alone constructs a Mesh, whose boundary loop it derives.
 An inclusion set's per-triangle conductivity (gamma_of_tag) reaches
 only the march in forward, and the mesh's arc weights only the boundary
-quadratures in forward and measure.  Threads live in two places only:
-forward alone reaches for a ThreadPoolExecutor (side_by_side, through
-which the march and the forward command start their workers), and
-locate_multi's KernelRows alone for threading.  Each thread sets its
-numpy error state where it starts, so np.errstate is named in four
-functions only: cli.main, the march's run and the kernel-row worker,
-and measure._contract, which refuses a measurement that is not finite
-also outside the CLI.  This parses every
+quadratures in forward and measure.  Threads start in one place only:
+forward.side_by_side alone reaches for a ThreadPoolExecutor (the march,
+the forward command's writer and locate-multi's kernel rows all start
+their workers through it), and no module names threading.  A worker
+computes under its caller's floating-point state (side_by_side), so
+np.errstate is named in three functions only: cli.main,
+forward.side_by_side, and measure._contract, which refuses a
+measurement that is not finite also outside the CLI.  This parses every
 package module and checks that no other module defines, imports or
 reaches for what its owners own.
 """
@@ -88,7 +88,7 @@ def test_term_helpers_stay_in_greenfn(path):
         ({"mesh.py", "forward.py"}, "gamma_of_tag", _referenced),
         ({"mesh.py", "forward.py"}, "arc_weights", _referenced),
         ({"forward.py"}, "ThreadPoolExecutor", _referenced),
-        ({"locate_multi.py"}, "threading", _referenced),
+        (set(), "threading", _referenced),
     ],
     ids=["select_truncation", "Mesh", "gamma_of_tag", "arc_weights", "ThreadPoolExecutor", "threading"],
 )
@@ -105,23 +105,25 @@ def test_only_the_owner_reaches_for_its_rule(owners, name, find):
     assert not leaks
 
 
-def _errstate_sites(tree, scope):
+def _sites(tree, scope, name):
     """The qualified name of the innermost function or class around each
-    errstate in tree; a decorator counts as its function's."""
+    use of name in tree; a decorator counts as its function's."""
     for node in ast.iter_child_nodes(tree):
         inner = scope
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inner = f"{scope}.{node.name}"
-        if getattr(node, "attr", None) == "errstate" or getattr(node, "id", None) == "errstate":
+        if getattr(node, "attr", None) == name or getattr(node, "id", None) == name:
             yield scope
-        yield from _errstate_sites(node, inner)
+        yield from _sites(node, inner, name)
 
 
-def test_errstate_is_set_where_each_thread_starts():
-    sites = sorted(site for path in PACKAGE_MODULES for site in _errstate_sites(_parse(path), path.stem))
-    assert sites == [
-        "cli.main",
-        "forward.march.run",
-        "locate_multi.KernelRows._compute_ahead",
-        "measure._contract",
-    ]
+def _package_sites(name):
+    return sorted(site for path in PACKAGE_MODULES for site in _sites(_parse(path), path.stem, name))
+
+
+def test_only_side_by_side_starts_threads():
+    assert _package_sites("ThreadPoolExecutor") == ["forward.side_by_side"]
+
+
+def test_errstate_is_set_in_main_side_by_side_and_contract_only():
+    assert _package_sites("errstate") == ["cli.main", "forward.side_by_side", "measure._contract"]

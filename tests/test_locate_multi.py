@@ -1,9 +1,8 @@
 """Tests for the multi-inclusion data matrix, kernels and indicator scan."""
 
 import hashlib
-import sys
-import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from scipy.integrate import quad
 
 from fracloc.errors import ConfigError, QuadratureError, ReconstructionError, SolverError
 from fracloc.fracmath import TimeGrid
-from fracloc import forward, locate_multi
+from fracloc import cli, forward, locate_multi
 from fracloc.greenfn import fit_green_coeffs, grad_approx_fundamental, s_kernel
 from fracloc.locate_multi import (
     DataMatrix,
@@ -32,7 +31,7 @@ from fracloc.locate_multi import (
     source_configuration,
     truncation_level,
 )
-from fracloc.measure import KernelProbe, tabulate_normal_derivative
+from fracloc.measure import KernelProbe, OracleKernelProbe, tabulate_normal_derivative
 from fracloc.mesh import Inclusion, InclusionSet, build_mesh
 
 
@@ -589,7 +588,7 @@ class TestIndicatorGrid:
 
 
 class TestKernelRows:
-    """Kernel rows computed ahead on a worker thread are those of a plain scan."""
+    """Kernel rows computed ahead are those of a plain scan."""
 
     SCAN = dict(region=(-0.4, 0.4, -0.3, 0.3), resolution=7, n_terms=3, t_final=1.0, gamma0=1.0)
 
@@ -598,55 +597,34 @@ class TestKernelRows:
 
     @pytest.mark.parametrize("held", [0, 1, 3, 7])
     def test_rows_ahead_are_the_inline_rows(self, coeffs_half, monkeypatch, held):
-        start = threading.active_count()
         row_bytes = 8 * 7 * 5**2
         monkeypatch.setattr(locate_multi, "SCAN_AHEAD_BYTES", held * row_bytes + row_bytes - 1)
         inline = list(self.rows(coeffs_half))
-        with self.rows(coeffs_half).ahead() as rows:
-            rows._worker.join(timeout=60)
-            assert not rows._worker.is_alive()
-            assert len(rows._done) == held
-            ahead = list(rows)
-        assert threading.active_count() == start
+        rows = self.rows(coeffs_half)
+        rows.ahead()
+        assert len(rows._done) == held
+        ahead = list(rows)
         assert len(ahead) == len(inline) == 7
         for a, b in zip(ahead, inline):
             assert a.tobytes() == b.tobytes()
 
-    def test_rows_taken_while_workers_run(self, coeffs_half):
-        # four workers on two cores, each stopped at whatever row it has
-        # reached when its rows are taken, with a thread switch every 1 us
-        start = threading.active_count()
-        inline = [g.tobytes() for g in self.rows(coeffs_half)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(5):
-                workers = [self.rows(coeffs_half).ahead() for _ in range(4)]
-                for rows in workers:
-                    with rows:
-                        assert [g.tobytes() for g in rows] == inline
-        finally:
-            sys.setswitchinterval(interval)
-        assert threading.active_count() == start
-
     def test_scan_over_rows_ahead_is_the_plain_scan(self, coeffs_half):
         data = DataMatrix(np.random.default_rng(2).standard_normal((5, 5)))
         plain = scan_indicator(data, self.rows(coeffs_half), 2)
-        with self.rows(coeffs_half).ahead() as rows:
-            grid = scan_indicator(data, rows, 2)
+        rows = self.rows(coeffs_half)
+        rows.ahead()
+        grid = scan_indicator(data, rows, 2)
         assert grid.values.tobytes() == plain.values.tobytes()
         assert np.array_equal(grid.xs, plain.xs) and np.array_equal(grid.ys, plain.ys)
 
     def test_worker_error_is_raised_by_the_scan(self, coeffs_half, monkeypatch):
-        start = threading.active_count()
         monkeypatch.setattr(locate_multi, "_separated", nan_factor)
-        with self.rows(coeffs_half).ahead() as rows:
-            rows._worker.join(timeout=60)
-            assert not rows._worker.is_alive()
-            assert not rows._done
-            with pytest.raises(QuadratureError, match="not finite"):
-                scan_indicator(DataMatrix(np.eye(5)), rows, 2)
-        assert threading.active_count() == start
+        rows = self.rows(coeffs_half)
+        # ahead stops at its first error and raises nothing
+        rows.ahead()
+        assert not rows._done
+        with pytest.raises(QuadratureError, match="not finite"):
+            scan_indicator(DataMatrix(np.eye(5)), rows, 2)
 
 
 class TestScanValidation:
@@ -771,3 +749,41 @@ class TestEndToEnd:
         peaks = peak_extract(igrid, 2, min_separation=0.1)
         errs = [min(np.linalg.norm(p - np.array(c)) for c in centers) for p in peaks]
         assert max(errs) <= 0.05
+
+
+def march_exact_sources(sources, inclusions, alpha, coeffs, mesh, grid, n_terms=3):
+    """march_sources with the exact kernel in place of the series one.
+
+    Source j's initial datum and flux come from an OracleKernelProbe at
+    that source whose final time is T + t_init, t_init = T/2^7 (as in
+    march_sources): value(x, T) is the kernel at elapsed time t_init, and
+    normal_derivative(x, T - t, n) its normal derivative at t + t_init.
+    coeffs and n_terms are not used.
+    """
+    T, gamma0 = grid.t_final, inclusions.gamma0
+    probes = [OracleKernelProbe(2, alpha, source, T + T / 2**7, gamma0) for source in sources.points]
+
+    def u0(p):
+        return np.stack([probe.value(p, T) for probe in probes], axis=1)
+
+    def g(p, t, nrm):
+        return gamma0 * np.stack([probe.normal_derivative(p, T - t, nrm) for probe in probes], axis=1)
+
+    return forward.march(mesh, alpha, [inclusions, InclusionSet((), gamma0)], u0, g, grid)
+
+
+class TestExactKernelData:
+    """The locator finds the centers in data that its series kernel did not make."""
+
+    def test_example43_from_exact_kernel_data(self, tmp_path, monkeypatch):
+        config = str(Path(__file__).parents[1] / "configs" / "example43.json")
+        series, exact = tmp_path / "series", tmp_path / "exact"
+        assert cli.main(["locate-multi", "--config", config, "--out", str(series)]) == 0
+        # measured and scanned with the series kernel, as the CLI does
+        monkeypatch.setattr(cli, "march_sources", march_exact_sources)
+        assert cli.main(["locate-multi", "--config", config, "--out", str(exact)]) == 0
+        B, B_series = (np.loadtxt(out / "data_matrix.csv", delimiter=",") for out in (exact, series))
+        # the series kernel's model error moves B by about 8%
+        assert 0.02 < np.linalg.norm(B - B_series) / np.linalg.norm(B_series) < 0.2
+        errors = np.loadtxt(exact / "peaks.csv", delimiter=",", skiprows=1)[:, 2]
+        assert errors.shape == (2,) and errors.max() <= 0.1

@@ -437,6 +437,22 @@ class TestOracleProbe:
             # scaled radius below r_min: artificially close point
             OracleKernelProbe(2, 0.5, (0.55, 0.0), 1.0).value(np.array([[0.5, 0.0]]), 0.0)
 
+    def test_probes_at_one_order_share_one_profile(self, monkeypatch):
+        # the profile depends on d and alpha only: ten probes, one table
+        profile = measure.log_reduced_green
+        calls = []
+
+        def counting(d, alpha, r):
+            calls.append((d, alpha))
+            return profile(d, alpha, r)
+
+        monkeypatch.setattr(measure, "log_reduced_green", counting)
+        measure._oracle_profile.cache_clear()
+        angles = np.linspace(0.0, 2.0 * math.pi, 10, endpoint=False)
+        probes = [OracleKernelProbe(2, 0.5, (2.0 * math.cos(a), 2.0 * math.sin(a)), 1.0 + a) for a in angles]
+        assert calls == [(2, 0.5)]
+        assert all(p._spline is probes[0]._spline for p in probes)
+
 
 class TestLeadingTerm:
     def _setup(self, eps=0.05):
