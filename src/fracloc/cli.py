@@ -282,6 +282,8 @@ class RunPlan:
         _check_sigma(self.sigma)
         if self.command != "forward" and not self.incs.items:
             raise ConfigError(f"{self.command} needs at least one inclusion in the config")
+        if self.direction is not None and not any(self.direction):
+            raise ConfigError("background direction must be nonzero")
         if self.tol is not None:
             _check_tol(self.tol)
         if self.probe_kind == "exact":

@@ -34,14 +34,20 @@ is its one-set case with one data set and an optional volumetric
 source, which returns the field; the ``forward`` command marches u this
 way, and ``solve_background`` is the same march with an empty set.
 
-The two threads overlap only in part: on a 2-core x86 VM with 2,580
-nodes, two threads of one-column SuperLU solves, each with its own
-factor, took as long as the same solves one after the other, while
-ten-column solves overlapped about 1.6x.  Every BLAS product of the
-march is taken in chunks small enough that OpenBLAS runs each one on
-the calling thread (see _block_history): its threads then neither
-contend with the march for the cores nor change the rounding, so every
-march gives the same bits under any BLAS thread count.
+The two threads overlap only in part.  SuperLU releases the GIL for a
+solve, but a solve still waits while another thread holds the GIL,
+which fits scipy's allocator for SuperLU taking it back inside the
+solve (the ``_superlu`` extension imports PyGILState_Ensure and
+PyDict_SetItem).  On a 2-core x86 VM and a 1,727-node multi-scan mesh,
+2 x 128 one-column solves, each thread with its own factor, took
+40.7 ms on two threads against 30.6 ms one after the other, and
+ten-column solves 109 against 171 ms; a thread of solves beside a
+pure-Python thread managed 47 solves in 0.3 s, against 2,327 alone.
+Every BLAS product of the march is taken in chunks small enough that
+OpenBLAS runs each one on the calling thread (see _block_history): its
+threads then neither contend with the march for the cores nor change
+the rounding, so every march gives the same bits under any BLAS thread
+count.
 
 ``side_by_side`` is the one place that starts threads.  It runs one
 call on the calling thread and each other call on a worker of its own,
@@ -54,15 +60,18 @@ command marches u on the calling thread while a worker writes
 ``locate-multi`` marches on the calling thread while a worker computes
 the scan's kernel rows (locate_multi.KernelRows.ahead), so a march
 error comes first.
-A SuperLU solve releases the GIL, and so do hashing and writing a file,
-but formatting text holds it, and the march waits for the GIL after
-every solve while the writer formats (the same handover keeps two
-threads of one-column solves from gaining, above): so the writer
-formats about one 64 KiB block between two writes
-(textfile.write_hashed), in pieces of one CSV line (_write_rows) or a
-few hundred rows of mesh.txt (Mesh.save).  Beside the writer a
-forward-io march took 1.19-1.33 times as long as alone, on the VM
-above; most of that is mesh.txt's float reprs (BENCH_36.json).
+
+``forward`` writes beside its march because none of those files depends
+on u: on forward-io ops its median op took 0.89 of its one-thread time
+(BENCH_36.json).  The cost is the GIL.  Hashing and writing a file
+release it, but formatting text holds it, and the march's solves wait
+for it while the writer formats (the same retake as above): beside the
+writer a forward-io march took 1.19-1.33 times as long as alone, on the
+VM above, most of it for mesh.txt's float reprs.  The writer makes
+mesh.txt a section at a time (Mesh.save) and a CSV file a line at a
+time (_write_rows); textfile.write_hashed writes and hashes them in
+blocks of 64 KiB.  Formatting mesh.txt in pieces of 512 rows, to hand
+the GIL over between them, left that stretch where it was.
 
 ``forward``, ``locate-one`` and ``oracle-check`` take the harmonic
 background U = a.x as it is at every level, without a march: with

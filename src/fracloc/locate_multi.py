@@ -319,6 +319,12 @@ def _check_scan(sources, region, resolution, peaks, k, tau):
     _check_peak_request(peaks, (resolution, resolution))
     if k is None:
         _check_tau(tau)
+        # truncation_level's floor 2 peaks + 1 must not pass its cap n - 1
+        if sources.n < 2 * peaks + 2:
+            raise ConfigError(
+                f"sources.n = {sources.n} cannot separate scan.peaks = {peaks} "
+                f"with scan.k null: it needs sources.n >= {2 * peaks + 2}"
+            )
     elif not 0 < k < sources.n:
         # k 0 or n gives a constant W, which has no interior maxima
         raise ConfigError(f"truncation level {k} outside [1, {sources.n - 1}]")

@@ -4,9 +4,9 @@ Every file the CLI writes goes through ``write_hashed``: it joins the
 chunks of text into blocks of about BLOCK_CHARS characters, encodes each
 block as ASCII, writes it and feeds the same bytes to sha256, so the
 digest that manifest.json records is that of the bytes as written and no
-output is read back.  Writers hand it their text in pieces as they make
-them (a line of a CSV file, a section of mesh.txt), so no large file is
-held in memory whole.
+output is read back.  Writers hand it their text in pieces (a line of a
+CSV file as it is made, a section of mesh.txt), so no CSV file is held
+in memory whole.
 """
 
 import hashlib

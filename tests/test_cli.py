@@ -366,6 +366,24 @@ OUT_OF_RANGE = {
         | st.builds(lambda v: {"sources": {"radius": v}}, below(1.0))
         | st.just({"sources": {"kind": "bogus"}}),
     ),
+    # with scan.k null, k's floor 2 peaks + 1 must stay below n
+    "sources.n, scan.k null": (
+        MULTI,
+        st.integers(1, 3).flatmap(
+            lambda peaks: st.builds(
+                lambda n: {"sources": {"n": n}, "scan": {"k": None, "peaks": peaks}},
+                st.integers(2, 2 * peaks + 1),
+            )
+        ),
+    ),
+    "background.direction": (
+        ["forward"],
+        st.builds(
+            lambda x, y: {"background": {"direction": [x, y]}},
+            st.sampled_from([0.0, -0.0]),
+            st.sampled_from([0.0, -0.0]),
+        ),
+    ),
     "scan.region": (
         MULTI,
         st.builds(
@@ -732,7 +750,8 @@ class TestExitCodes:
         ),
         # draws near the top of each range too, where the caps bind
         time_steps=st.integers(1, 4096) | st.integers(2048, 4096),
-        n_sources=st.integers(2, 256),
+        # from 4 sources on, as the default peak count 1 needs 2 * 1 + 2
+        n_sources=st.integers(4, 256),
         h_far=st.floats(0.005, 0.3) | st.floats(0.0045, 0.02),
         eps=st.lists(st.floats(0.01, 0.2), min_size=1, max_size=3),
     )
@@ -882,6 +901,19 @@ class TestExitCodes:
 
 
 class TestForwardCommand:
+    def test_zero_background_is_2_before_any_mesh(self, tmp_path, monkeypatch, capsys):
+        # U = a.x with a = 0 would write a zero field and zero traces
+        monkeypatch.setattr(cli, "build_mesh", lambda *args: pytest.fail("meshed"))
+        cfg = write_config(
+            tmp_path / "c.json",
+            inclusions=[CHEAP_INCLUSION],
+            background={"direction": [0.0, 0.0]},
+            output_dir=str(tmp_path / "o"),
+        )
+        assert cli.main(["forward", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "fracloc: config error: background direction must be nonzero\n"
+        assert not (tmp_path / "o").exists()
+
     def test_background_only_outputs(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(
@@ -1154,6 +1186,32 @@ class TestLocateMultiCommand:
             "fracloc: reconstruction failed: the data matrix is 0; the data carry no signal\n"
         )
         assert not (tmp_path / "out" / "peaks.csv").exists()
+
+    @pytest.mark.parametrize("command, example", [("locate-multi", "example43"), ("sweep", "example44")])
+    def test_too_few_sources_for_the_peaks_is_2_before_any_mesh(
+        self, tmp_path, monkeypatch, capsys, command, example
+    ):
+        # with scan.k null, 5 sources cap k at 4, below the floor 2 peaks + 1 = 5;
+        # a sweep checks every value's plan before the first runs
+        monkeypatch.setattr(cli, "build_mesh", lambda *args: pytest.fail("meshed"))
+        doc = json.loads((Path(__file__).parents[1] / "configs" / f"{example}.json").read_text())
+        doc.update(sources=dict(doc["sources"], n=5), output_dir=str(tmp_path / "out"))
+        cfg = write_config(tmp_path / "c.json", **doc)
+        assert cli.main([command, "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "fracloc: config error: sources.n = 5 cannot separate scan.peaks = 2 "
+            "with scan.k null: it needs sources.n >= 6\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_six_sources_locate_both_peaks(self, tmp_path):
+        doc = json.loads((Path(__file__).parents[1] / "configs" / "example43.json").read_text())
+        doc.update(sources=dict(doc["sources"], n=6), output_dir=str(tmp_path / "out"))
+        cfg = write_config(tmp_path / "c.json", **doc)
+        assert cli.main(["locate-multi", "--config", cfg]) == 0
+        peaks = np.loadtxt(tmp_path / "out" / "peaks.csv", delimiter=",", skiprows=1)
+        assert peaks.shape == (2, 3)
+        assert np.max(peaks[:, 2]) <= 0.05
 
     def test_noisy_run_is_frozen(self, tmp_path):
         # freezes the noise stream: child j of SeedSequence(seed) per source
