@@ -70,8 +70,7 @@ writer a forward-io march took 1.19-1.33 times as long as alone, on the
 VM above, most of it for mesh.txt's float reprs.  The writer makes
 mesh.txt a section at a time (Mesh.save) and a CSV file a line at a
 time (_write_rows); textfile.write_hashed writes and hashes them in
-blocks of 64 KiB.  Formatting mesh.txt in pieces of 512 rows, to hand
-the GIL over between them, left that stretch where it was.
+blocks of 64 KiB.
 
 ``forward``, ``locate-one`` and ``oracle-check`` take the harmonic
 background U = a.x as it is at every level, without a march: with

@@ -15,10 +15,8 @@ def load_tool():
     return module
 
 
-def test_forward_digests_match_its_manifest(tmp_path, capsys):
-    tool = load_tool()
-    assert tool.main(["--command", "forward", "--config", "example41", "--keep", str(tmp_path)]) == 0
-    lines = capsys.readouterr().out.splitlines()
+def test_forward_digests_match_its_manifest(tmp_path):
+    lines = load_tool().digest_lines(["forward"], ["example41"], tmp_path)
     out = tmp_path / "forward-example41"
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["output_dir"] == "forward-example41"
@@ -27,8 +25,6 @@ def test_forward_digests_match_its_manifest(tmp_path, capsys):
     assert lines == sorted(f"forward example41 0 {name} {digest}" for name, digest in digests.items())
 
 
-def test_a_run_without_outputs_prints_its_exit_code(tmp_path, capsys):
+def test_a_run_without_outputs_prints_its_exit_code(tmp_path):
     # example41 sets no sweep values, so its sweep is a config error
-    tool = load_tool()
-    assert tool.main(["--command", "sweep", "--config", "example41", "--keep", str(tmp_path)]) == 0
-    assert capsys.readouterr().out == "sweep example41 2 - -\n"
+    assert load_tool().digest_lines(["sweep"], ["example41"], tmp_path) == ["sweep example41 2 - -"]

@@ -16,12 +16,8 @@ when the lines of both checkouts are equal:
     python tools/output_digests.py > new.txt
     (cd ../parent && python tools/output_digests.py) > old.txt
     diff old.txt new.txt
-
---command and --config (a config's name without .json) pick runs and
-may be repeated; --keep DIR keeps the outputs in DIR instead.
 """
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -35,6 +31,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from fracloc import cli  # noqa: E402
 
+COMMANDS = ["forward", "locate-one", "oracle-check", "locate-multi", "sweep"]
 CONFIGS = sorted(path.stem for path in (ROOT / "configs").glob("*.json"))
 
 
@@ -61,18 +58,9 @@ def digest_lines(commands, configs, work_dir):
     return sorted(lines)
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--command", action="append", choices=sorted(cli.COMMANDS))
-    parser.add_argument("--config", action="append", choices=CONFIGS)
-    parser.add_argument("--keep", default=None, help="write the outputs here, and keep them")
-    args = parser.parse_args(argv)
-    commands = args.command or ["forward", "locate-one", "oracle-check", "locate-multi", "sweep"]
-    configs = args.config or CONFIGS
-    with contextlib.ExitStack() as stack:
-        work_dir = args.keep or stack.enter_context(tempfile.TemporaryDirectory())
-        os.makedirs(work_dir, exist_ok=True)
-        for line in digest_lines(commands, configs, work_dir):
+def main():
+    with tempfile.TemporaryDirectory() as work_dir:
+        for line in digest_lines(COMMANDS, CONFIGS, work_dir):
             print(line)
     return 0
 
